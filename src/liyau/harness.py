@@ -79,12 +79,18 @@ class Report:
     meta: dict
 
     def failures(self, tol: float | None = None) -> list:
+        """Failing rows: solver and bound errors, violated margins, MC misses.
+
+        A bound row outside its domain without an error is a skip, not a
+        failure.
+        """
         tol = self.config.get("tol", 1e-6) if tol is None else tol
-        out = []
+        out = [row for row in self.solver_rows if row.get("error")]
         for row in self.bound_rows:
-            if not row["domain_ok"] or row.get("error"):
-                continue
-            if row["margin"] < -tol * (1.0 + abs(row["c"])):
+            if row.get("error"):
+                out.append(row)
+            elif (row["domain_ok"]
+                  and row["margin"] < -tol * (1.0 + abs(row["c"]))):
                 out.append(row)
         out.extend(r for r in self.mc_rows if r.get("passed") is False)
         return out

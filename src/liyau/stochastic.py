@@ -17,9 +17,12 @@ Two wall schemes:
     inherits the classical 0.82 sqrt(dt) deficit of grid suprema; kept
     for convergence reporting.
 
-All estimators draw from one seeded generator in a fixed order and reduce
-with compensated sums, so results are bit-reproducible for a given
-(seed, dt, n_paths) and independent of worker count.
+Every estimator accumulates over one private function, `_run_paths`, which
+owns the seeded generator, the stepper and the loop over a whole number
+of steps.  Draws come in a fixed order and means are compensated sums,
+so results are bit-reproducible for a given (seed, dt, n_paths, scheme).
+On the flat families `_Stepper` overwrites and returns its input
+positions, through buffers allocated once per path count.
 """
 
 from __future__ import annotations
@@ -84,11 +87,9 @@ class Estimate:
 
 def _as_field(value, default: float):
     """Normalise a field spec (None | scalar | callable) to (is_const, f)."""
-    if value is None:
-        return True, float(default)
     if callable(value):
         return False, value
-    return True, float(value)
+    return True, float(default if value is None else value)
 
 
 class _Stepper:
@@ -102,51 +103,103 @@ class _Stepper:
         self.scheme = scheme
         self.c = math.sqrt(2.0 * dt)
         self.boundaries = M.boundaries()
-        self.flat_driftless = (M.family not in _CURVED and M.drift_id == "none")
         lo, hi, kind = M.domain()
         self.wrap = kind == "periodic"
         self.guard = (lo + 1e-9, hi - 1e-9) if M.family in _CURVED else None
         self.rejected = 0
+        self.buf = np.empty((0, 0))   # flat-step buffers, one row each
 
     def __call__(self, x: np.ndarray, rng, dL: np.ndarray) -> np.ndarray:
+        """Advance x one step and write the step's local time into dL.
+
+        Flat families update x in place, rounding as y = x + c xi, then
+        per wall push = max(0, -0.5 (a + b - sqrt((a - b)^2 + 4 dt E)))
+        with a, b = +-(x - pos), +-(y - pos); y += direction push.
+        """
         dt, c = self.dt, self.c
-        xi = rng.standard_normal(x.shape)
-        if self.flat_driftless:
-            y = x + c * xi
-        else:
-            y = x + self.M.b_total(x) * dt + c * xi
-        if self.wrap:
-            return np.mod(y, 2.0 * math.pi)
         if self.guard is not None:
+            y = x + self.M.b_total(x) * dt + c * rng.standard_normal(x.shape)
             lo_g, hi_g = self.guard
             bad = (y <= lo_g) | (y >= hi_g)
-            tries = 0
-            while np.any(bad):
+            for _ in range(101):
+                if not np.any(bad):
+                    break
                 self.rejected += int(np.count_nonzero(bad))
                 xi_new = rng.standard_normal(int(np.count_nonzero(bad)))
                 y[bad] = (x[bad] + self.M.b_total(x[bad]) * dt + c * xi_new)
                 bad = (y <= lo_g) | (y >= hi_g)
-                tries += 1
-                if tries > 100:
-                    np.clip(y, lo_g, hi_g, out=y)
-                    break
-            return y
-        dL.fill(0.0)
-        for pos, direction in self.boundaries:
-            if self.scheme == "bridge":
-                E = rng.standard_exponential(x.shape)
-                if direction > 0:
-                    a, b = x - pos, y - pos
-                else:
-                    a, b = pos - x, pos - y
-                dist = a - b
-                mmin = 0.5 * (a + b - np.sqrt(dist * dist + 4.0 * dt * E))
-                push = np.maximum(0.0, -mmin)
             else:
-                push = np.maximum(0.0, (pos - y) * direction)
-            y += direction * push
-            dL += push
-        return y
+                np.clip(y, lo_g, hi_g, out=y)
+            return y
+        if self.buf.shape[1] != x.size:
+            self.buf = np.empty((4 + len(self.boundaries), x.size))
+        xi, E, b, s, *dist = self.buf
+        walls = list(zip(dist, self.boundaries))
+        rng.standard_normal(out=xi)
+        np.multiply(xi, c, out=xi)
+        if self.scheme == "bridge":  # wall distances before the step
+            for a, (pos, direction) in walls:
+                _inside(x, pos, direction, a)
+        if self.M.drift_id != "none":
+            np.add(x, self.M.b_total(x) * dt, out=x)
+        np.add(x, xi, out=x)
+        if self.wrap:
+            return np.mod(x, 2.0 * math.pi, out=x)
+        dL.fill(0.0)
+        for a, (pos, direction) in walls:
+            if self.scheme == "bridge":
+                rng.standard_exponential(out=E)
+                _inside(x, pos, direction, b)
+                np.subtract(a, b, out=s)
+                np.multiply(s, s, out=s)
+                np.multiply(E, 4.0 * dt, out=E)
+                np.add(s, E, out=s)
+                np.sqrt(s, out=s)
+                np.add(a, b, out=b)
+                np.subtract(b, s, out=b)
+                np.multiply(b, -0.5, out=b)   # -(0.5 v), exactly
+            else:  # (pos - y) direction; a zero's sign cannot reach y or dL
+                _inside(x, pos, -direction, b)
+            np.maximum(0.0, b, out=b)   # push
+            (np.add if direction > 0 else np.subtract)(x, b, out=x)
+            np.add(dL, b, out=dL)
+        return x
+
+
+def _inside(x, pos, direction, out):
+    """+-(x - pos): distance of x from a wall, positive inside the domain."""
+    return np.subtract(*((x, pos) if direction > 0 else (pos, x)), out=out)
+
+
+def _step_count(t: float, dt: float) -> int:
+    """Number of steps of size dt in [0, t]; t must be a multiple of dt."""
+    if dt <= 0 or t <= 0:
+        raise ValueError("need t > 0 and dt > 0")
+    steps = int(round(t / dt))
+    if abs(steps * dt - t) > 1e-9 * t:
+        raise ValueError(f"t = {t} is not a multiple of dt = {dt}")
+    return steps
+
+
+def _run_paths(M: ModelManifold, x0: float, n_paths: int, steps: int,
+               dt: float, seed: int, scheme: str, work=None):
+    """Run n_paths reflected paths from x0; returns (X_end, rejections).
+
+    work(k, x, dL), when given, runs after step k with the positions x
+    before the step and the step's local-time increments dL (reused buffers).
+    """
+    rng = np.random.default_rng(seed)
+    stepper = _Stepper(M, dt, scheme)
+    x = np.full(n_paths, float(x0))
+    dL = np.zeros(n_paths)
+    before = np.empty(n_paths)
+    for k in range(steps):
+        if work is not None:
+            np.copyto(before, x)
+        x = stepper(x, rng, dL)
+        if work is not None:
+            work(k, before, dL)
+    return x, stepper.rejected
 
 
 def simulate_reflected_path(M: ModelManifold, x0: float, t: float, dt: float,
@@ -157,32 +210,20 @@ def simulate_reflected_path(M: ModelManifold, x0: float, t: float, dt: float,
     are accumulated with the manifold's constant K and sigma by the
     left-point rule.
     """
-    if dt <= 0 or t <= 0:
-        raise ValueError("need t > 0 and dt > 0")
-    steps = int(round(t / dt))
-    if abs(steps * dt - t) > 1e-9 * t:
-        steps = int(t / dt)  # truncate to a multiple of dt
-    rng = np.random.default_rng(seed)
-    stepper = _Stepper(M, dt, scheme)
-    x = np.array([float(x0)])
-    xs = np.empty(steps + 1)
-    dLs = np.empty(steps)
-    xs[0] = x[0]
-    dL = np.zeros(1)
+    steps = _step_count(t, dt)
+    xs, dLs = np.empty(steps + 1), np.empty(steps)
+
+    def record(k, x, dL):
+        xs[k], dLs[k] = x[0], dL[0]
+
+    x, rejected = _run_paths(M, x0, 1, steps, dt, seed, scheme, record)
+    xs[steps] = x[0]
     sigma = M.sigma if M.sigma is not None else 0.0
-    A = np.empty(steps + 1)
-    B = np.empty(steps + 1)
-    A[0] = B[0] = 0.0
-    for k in range(steps):
-        A[k + 1] = A[k] + M.K * dt
-        x = stepper(x, rng, dL)
-        xs[k + 1] = x[0]
-        dLs[k] = dL[0]
-        B[k + 1] = B[k] + sigma * dL[0]
-    times = np.arange(steps + 1) * dt
+    # running sums from 0.0 in step order (accumulate does not pair terms)
     return PathSample(manifold=M, dt=dt, seed=seed, scheme=scheme,
-                      times=times, x=xs, dL=dLs, A=A, B=B,
-                      rejected=stepper.rejected)
+                      times=np.arange(steps + 1) * dt, x=xs, dL=dLs,
+                      A=np.cumsum(np.r_[0.0, np.full(steps, M.K * dt)]),
+                      B=np.cumsum(np.r_[0.0, sigma * dLs]), rejected=rejected)
 
 
 def path_weight(sample: PathSample, K_field=None, sigma_field=None,
@@ -252,11 +293,11 @@ def estimate_functional(M: ModelManifold, u0, x: float, t: float,
         raise ValueError("need at least two paths")
     if functional_id != "gradient_rhs" and clock is None:
         raise ValueError("this functional needs a deterministic clock")
+    steps = _step_count(t, dt)
     u_call, du_call, d2u_call = u0.callables(M)
     kc, kf = _as_field(K_field, M.K)
     sc, sf = _as_field(sigma_field, M.sigma if M.sigma is not None else 0.0)
     sigma_zero = sc and sf == 0.0
-    steps = int(round(t / dt))
     svals = np.arange(steps) * dt
 
     need_alpha = functional_id == "harnack_alpha_rhs"
@@ -274,56 +315,46 @@ def estimate_functional(M: ModelManifold, u0, x: float, t: float,
 
     # deterministic weight: the clock integrals are constants, so evaluate
     # them by exact quadrature; the left-point rule is kept for pathwise
-    # weights where it matches the Ito convention.
+    # weights (K a field or sigma dL live), where it matches Ito's.
     const_weight = kc and (sigma_zero or not M.has_boundary)
-    i1_const = i2_const = q_const = 0.0
+    A, B = np.zeros((2, n_paths))     # int K(X) dr (left point), int sigma dL
+    I1, I2 = np.zeros((2, n_paths))   # clock integrals, pathwise or constant
     if const_weight and functional_id == "harnack_rhs":
         from .clocks import clock_integrals
         ints = clock_integrals(clock, kf)
-        i1_const = ints["deriv_sq"]
-        i2_const = ints["sq_prime"]
+        I1, I2 = ints["deriv_sq"], ints["sq_prime"]
     if const_weight and need_alpha:
         from .clocks import alpha_form_integral
-        q_const = alpha_form_integral(clock, kf, alpha)
-
-    rng = np.random.default_rng(seed)
-    stepper = _Stepper(M, dt, scheme)
-    xp = np.full(n_paths, float(x))
-    dL = np.zeros(n_paths)
-    A = np.zeros(n_paths)   # int K(X) dr, left point
-    B = np.zeros(n_paths)   # int sigma dL
-    I1 = np.zeros(n_paths)
-    I2 = np.zeros(n_paths)
+        I1 = alpha_form_integral(clock, kf, alpha)
     track_B = M.has_boundary and not sigma_zero
+    sigma_wall = (sf if sc else sf(M.boundaries()[0][0])) if track_B else 0.0
 
-    for k in range(steps):
-        if not const_weight:
-            if functional_id == "harnack_rhs":
-                if kc:
-                    w = np.exp(-2.0 * (kf * svals[k] + B))
-                else:
-                    w = np.exp(-2.0 * (A + B))
-                I1 += dlv[k] ** 2 * w * dt
-                I2 += 2.0 * lv[k] * dlv[k] * w * dt
-            elif need_alpha:
-                v = np.exp(2.0 * A / (alpha - 1.0))
-                kk = kf if kc else kf(xp)
-                I1 += (kk * lv[k] / (alpha - 1.0) + dlv[k]) ** 2 * v * dt
+    def accumulate(k, xp, dL):
+        nonlocal A, B, I1, I2
+        if functional_id == "harnack_rhs":
+            if kc:
+                w = np.exp(-2.0 * (kf * svals[k] + B))
+            else:
+                w = np.exp(-2.0 * (A + B))
+            I1 += dlv[k] ** 2 * w * dt
+            I2 += 2.0 * lv[k] * dlv[k] * w * dt
+        elif need_alpha:
+            v = np.exp(2.0 * A / (alpha - 1.0))
+            kk = kf if kc else kf(xp)
+            I1 += (kk * lv[k] / (alpha - 1.0) + dlv[k]) ** 2 * v * dt
         if not kc:
             A += kf(xp) * dt
-        xp = stepper(xp, rng, dL)
         if track_B:
-            B += (sf if sc else sf(M.boundaries()[0][0])) * dL
+            B += sigma_wall * dL
+
+    xp, rejected = _run_paths(M, x, n_paths, steps, dt, seed, scheme,
+                              None if const_weight else accumulate)
 
     if functional_id == "harnack_rhs":
         Lu0_final = d2u_call(xp) + M.b_total(xp) * du_call(xp)
-        if const_weight:
-            per_path = 0.5 * M.n * u_call(xp) * i1_const - Lu0_final * i2_const
-        else:
-            per_path = 0.5 * M.n * u_call(xp) * I1 - Lu0_final * I2
+        per_path = 0.5 * M.n * u_call(xp) * I1 - Lu0_final * I2
     elif need_alpha:
-        total = q_const if const_weight else I1
-        per_path = 0.5 * M.n * alpha * u_call(xp) * total
+        per_path = 0.5 * M.n * alpha * u_call(xp) * I1
     else:  # gradient_rhs
         A_final = kf * t if kc else A
         per_path = np.abs(du_call(xp)) * np.exp(-(A_final + B))
@@ -332,7 +363,7 @@ def estimate_functional(M: ModelManifold, u0, x: float, t: float,
     return Estimate(functional_id=functional_id, value=value, stderr=stderr,
                     n_paths=n_paths, dt=dt, seed=seed,
                     meta={"manifold": M.family, "t": t, "x0": x,
-                          "rejected": stepper.rejected})
+                          "rejected": rejected})
 
 
 def local_time_moment(M: ModelManifold, x0: float, t: float, p: float,
@@ -341,22 +372,12 @@ def local_time_moment(M: ModelManifold, x0: float, t: float, p: float,
     """E[e^{p L_t}], accumulated in log space to dodge overflow."""
     if not M.has_boundary:
         raise ValueError("local time needs a boundary family")
-    if p == 0.0:
-        return Estimate("local_time_moment", 1.0, 0.0, n_paths, dt, seed,
-                        meta={"p": p, "manifold": M.family, "t": t})
-    steps = int(round(t / dt))
-    rng = np.random.default_rng(seed)
-    stepper = _Stepper(M, dt, scheme)
-    x = np.full(n_paths, float(x0))
     L = np.zeros(n_paths)
-    dL = np.zeros(n_paths)
-    for _ in range(steps):
-        x = stepper(x, rng, dL)
-        L += dL
+    _run_paths(M, x0, n_paths, _step_count(t, dt), dt, seed, scheme,
+               lambda k, x, dL: np.add(L, dL, out=L))
     z = p * L
     shift = float(np.max(z))
-    vals = np.exp(z - shift)
-    mean, se = mean_and_stderr(vals)
+    mean, se = mean_and_stderr(np.exp(z - shift))
     return Estimate("local_time_moment", mean * math.exp(shift),
                     se * math.exp(shift), n_paths, dt, seed,
                     meta={"p": p, "manifold": M.family, "t": t,
@@ -369,15 +390,9 @@ def expected_local_time(M: ModelManifold, x0: float, t: float, n_paths: int,
     """E[L_t], the mean accumulated boundary local time."""
     if not M.has_boundary:
         raise ValueError("local time needs a boundary family")
-    steps = int(round(t / dt))
-    rng = np.random.default_rng(seed)
-    stepper = _Stepper(M, dt, scheme)
-    x = np.full(n_paths, float(x0))
     L = np.zeros(n_paths)
-    dL = np.zeros(n_paths)
-    for _ in range(steps):
-        x = stepper(x, rng, dL)
-        L += dL
+    _run_paths(M, x0, n_paths, _step_count(t, dt), dt, seed, scheme,
+               lambda k, x, dL: np.add(L, dL, out=L))
     mean, se = mean_and_stderr(L)
     return Estimate("expected_local_time", mean, se, n_paths, dt, seed,
                     meta={"manifold": M.family, "t": t, "x0": x0})
@@ -387,15 +402,8 @@ def expected_value_at(M: ModelManifold, u0, x0: float, t: float,
                       n_paths: int, dt: float, seed: int,
                       scheme: str = "bridge") -> Estimate:
     """E[u0(X_t)]; matches the solver's u_t(x0) by the path representation."""
-    steps = int(round(t / dt))
-    rng = np.random.default_rng(seed)
-    stepper = _Stepper(M, dt, scheme)
-    x = np.full(n_paths, float(x0))
-    dL = np.zeros(n_paths)
-    for _ in range(steps):
-        x = stepper(x, rng, dL)
-    u_call, _, _ = u0.callables(M)
-    mean, se = mean_and_stderr(u_call(x))
+    x, _ = _run_paths(M, x0, n_paths, _step_count(t, dt), dt, seed, scheme)
+    mean, se = mean_and_stderr(u0.callables(M)[0](x))
     return Estimate("expected_value", mean, se, n_paths, dt, seed,
                     meta={"manifold": M.family, "t": t, "x0": x0})
 
@@ -472,36 +480,26 @@ def cutoff_growth_check(M: ModelManifold, x0: float, f, checkpoints,
     caller.  Paths that exit the cutoff's support stop contributing.
     """
     checkpoints = np.asarray(checkpoints, dtype=float)
-    steps = int(round(horizon / dt))
-    rng = np.random.default_rng(seed)
-    stepper = _Stepper(M, dt, scheme)
-    x = np.full(n_paths, float(x0))
-    dL = np.zeros(n_paths)
+    steps = _step_count(horizon, dt)
     T = np.zeros(n_paths)
     alive = np.ones(n_paths, dtype=bool)
     done = np.zeros((checkpoints.size, n_paths), dtype=bool)
     vals = np.zeros((checkpoints.size, n_paths))
-    for _ in range(steps):
+
+    def advance_clock(k, x, dL):
+        nonlocal T, alive
         fv = np.asarray(f(x), dtype=float)
-        dead = fv <= 1e-8
-        alive &= ~dead
-        fv = np.where(alive, fv, 1.0)
-        inv = fv**-2.0
-        T_next = T + np.where(alive, inv * dt, 0.0)
+        alive &= ~(fv <= 1e-8)
+        inv = np.where(alive, fv, 1.0) ** -2.0
+        T += np.where(alive, inv * dt, 0.0)
         for j, s in enumerate(checkpoints):
-            hit = alive & ~done[j] & (T_next >= s)
+            hit = alive & ~done[j] & (T >= s)
             vals[j, hit] = inv[hit]
             done[j] |= hit
-        T = T_next
-        x = stepper(x, rng, dL)
-    means, ses = [], []
+
+    _run_paths(M, x0, n_paths, steps, dt, seed, scheme, advance_clock)
+    means, ses = np.full((2, checkpoints.size), math.nan)
     for j in range(checkpoints.size):
-        sel = vals[j, done[j]]
-        if sel.size < 2:
-            means.append(math.nan)
-            ses.append(math.nan)
-        else:
-            m, s = mean_and_stderr(sel)
-            means.append(m)
-            ses.append(s)
-    return np.array(means), np.array(ses), float(np.mean(done, axis=1).min())
+        if np.count_nonzero(done[j]) >= 2:
+            means[j], ses[j] = mean_and_stderr(vals[j, done[j]])
+    return means, ses, float(np.mean(done, axis=1).min())

@@ -212,6 +212,33 @@ class TestCli:
         assert res.exit_code == 0, res.output
         assert (tmp_path / "out" / "report.csv").exists()
 
+    def verify(self, tmp_path, **doc):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        return CliRunner().invoke(main, ["verify", "--config", str(path)])
+
+    def test_verify_fails_on_bound_errors(self, tmp_path):
+        # local-grad needs a radius R: its row is a captured KeyError
+        res = self.verify(
+            tmp_path, manifold={"family": "sphere-radial", "m": 2},
+            initial_datum={"id": "legendre",
+                           "params": {"index": 1, "amp": 0.4}},
+            times=[0.5], bounds=[{"id": "local-grad"}], grid_size=101)
+        assert res.exit_code == 1, res.output
+        assert "bounds=1 mc=0 worst_margin=inf failures=1" in res.output
+
+    def test_verify_fails_on_solver_errors(self, tmp_path):
+        # the gaussian datum lives on the flat families: every solve raises
+        res = self.verify(
+            tmp_path, manifold={"family": "hyperbolic-radial", "m": 2},
+            initial_datum={"id": "gaussian",
+                           "params": {"amp": 1.0, "width": 0.3}},
+            times=[0.5, 1.0],
+            bounds=[{"id": "davies", "params": {"alpha": [2.0]}}],
+            grid_size=101)
+        assert res.exit_code == 1, res.output
+        assert "bounds=0 mc=0 worst_margin=inf failures=2" in res.output
+
     def test_sweep_writes_plot_data(self, tmp_path):
         runner = CliRunner()
         res = runner.invoke(main, ["sweep", "--config",

@@ -2,13 +2,42 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate, stats
 
-from liyau import (clock_integrals, estimate_functional, expected_value_at,
-                   initial_datum, local_time_moment, make_clock,
-                   make_model_manifold, simulate_reflected_path, solve_heat,
-                   path_weight, time_change)
+from liyau import (clock_integrals, cutoff_growth_check, estimate_functional,
+                   expected_local_time, expected_value_at, initial_datum,
+                   local_time_moment, make_clock, make_model_manifold,
+                   simulate_reflected_path, solve_heat, path_weight,
+                   time_change)
+from liyau.stochastic import _Stepper
 
 TWO_OVER_ROOT_PI = 1.1283791670955126  # E[L_1] for the reflected flat wall
+
+
+def local_time_mgf(q, t):
+    """E[e^{q L_t}] from the wall: L_t ~ |N(0, 2t)|."""
+    return 2.0 * math.exp(q * q * t) * stats.norm.cdf(q * math.sqrt(2 * t))
+
+
+def reference_flat_step(M, dt, scheme, x, rng):
+    """The allocating flat-wall step the in-place stepper must reproduce."""
+    y = x + math.sqrt(2.0 * dt) * rng.standard_normal(x.shape)
+    dL = np.zeros_like(x)
+    for pos, direction in M.boundaries():
+        if scheme == "bridge":
+            E = rng.standard_exponential(x.shape)
+            if direction > 0:
+                a, b = x - pos, y - pos
+            else:
+                a, b = pos - x, pos - y
+            dist = a - b
+            mmin = 0.5 * (a + b - np.sqrt(dist * dist + 4.0 * dt * E))
+            push = np.maximum(0.0, -mmin)
+        else:
+            push = np.maximum(0.0, (pos - y) * direction)
+        y += direction * push
+        dL += push
+    return y, dL
 
 
 class TestPathEngine:
@@ -49,13 +78,37 @@ class TestPathEngine:
         assert ps.dL.sum() == 0.0
 
 
+class TestStepCount:
+    """Every entry point runs a whole number of steps or refuses."""
+
+    @pytest.mark.parametrize("run", [
+        lambda M, t, dt: simulate_reflected_path(M, 0.2, t, dt, seed=1),
+        lambda M, t, dt: estimate_functional(
+            M, initial_datum("gaussian", {"amp": 1.0, "width": 0.3}), 0.2,
+            t, None, "gradient_rhs", 10, dt, seed=1),
+        lambda M, t, dt: local_time_moment(M, 0.0, t, 1.0, 10, dt, seed=1),
+        lambda M, t, dt: expected_local_time(M, 0.0, t, 10, dt, seed=1),
+        lambda M, t, dt: expected_value_at(
+            M, initial_datum("gaussian", {"amp": 1.0, "width": 0.3}), 0.2,
+            t, 10, dt, seed=1),
+        lambda M, t, dt: cutoff_growth_check(
+            M, 0.2, np.ones_like, [0.1], horizon=t, dt=dt, n_paths=10,
+            seed=1),
+    ], ids=["simulate_reflected_path", "estimate_functional",
+            "local_time_moment", "expected_local_time", "expected_value_at",
+            "cutoff_growth_check"])
+    def test_horizon_must_be_whole_steps(self, half_line, run):
+        with pytest.raises(ValueError, match="not a multiple"):
+            run(half_line, 0.25, 0.1)
+        run(half_line, 0.3, 0.1)  # 3 steps, up to rounding of 0.3 / 0.1
+
+
 class TestBridgeExactness:
     """The bridge scheme's per-step transition is exact on flat walls, so
     even a coarse dt must reproduce the reflected laws; the projection
     scheme visibly fails the same tests at this resolution."""
 
     def _endpoints(self, half_line, scheme, n, dt):
-        from liyau.stochastic import _Stepper
         rng = np.random.default_rng(77)
         stepper = _Stepper(half_line, dt, scheme)
         x = np.full(n, 0.3)
@@ -67,7 +120,6 @@ class TestBridgeExactness:
         return x, L
 
     def test_endpoint_distribution_coarse_steps(self, half_line):
-        from scipy import stats
         sig = math.sqrt(2 * 0.25)
         cdf = lambda z: (stats.norm.cdf((z - 0.3) / sig)
                          + stats.norm.cdf((z + 0.3) / sig) - 1.0)
@@ -80,9 +132,7 @@ class TestBridgeExactness:
 
     def test_local_time_distribution_from_wall(self, half_line):
         # started on the wall, L_t has the half-normal law scale sqrt(2t)
-        from scipy import stats
         rng = np.random.default_rng(78)
-        from liyau.stochastic import _Stepper
         stepper = _Stepper(half_line, 0.05, "bridge")
         x = np.zeros(20000)
         dL = np.zeros(20000)
@@ -95,6 +145,34 @@ class TestBridgeExactness:
         assert ks.pvalue > 0.01, ks
 
 
+class TestInPlaceStepper:
+    """The flat-wall stepper updates its input in place with exactly the
+    draws and rounding of the allocating formulas."""
+
+    @pytest.mark.parametrize("scheme", ["bridge", "projection"])
+    @pytest.mark.parametrize("family", ["half-line-neumann",
+                                        "interval-neumann"])
+    def test_bit_identical_to_allocating_formulas(self, family, scheme):
+        M = make_model_manifold(family)
+        top = M.boundaries()[-1][0] if family == "interval-neumann" else 3.0
+        starts = [0.0, 0.0, 1e-3, 0.05, 0.5, top / 2, top - 0.05, top]
+        x = np.tile(starts, 25)  # mixed starts, some on a wall
+        ref = x.copy()
+        dL = np.zeros_like(x)
+        stepper = _Stepper(M, 0.01, scheme)
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        pushed = 0
+        for _ in range(50):
+            ref, ref_dL = reference_flat_step(M, 0.01, scheme, ref, ref_rng)
+            assert stepper(x, rng, dL) is x
+            # bit patterns, so a changed sign of zero shows as well
+            assert np.array_equal(x.view(np.uint64), ref.view(np.uint64))
+            assert np.array_equal(dL.view(np.uint64),
+                                  ref_dL.view(np.uint64))
+            pushed += np.count_nonzero(dL)
+        assert pushed > 100  # the walls were exercised
+
+
 class TestLocalTime:
     def test_flat_wall_oracle_small(self, half_line):
         # E[L_1] = 2/sqrt(pi) in the sqrt(2) dB normalisation
@@ -103,6 +181,13 @@ class TestLocalTime:
         mean_L = est.meta["mean_L"]
         # mean_L is a plain average; its spread is about 0.85/sqrt(n)
         assert abs(mean_L - TWO_OVER_ROOT_PI) < 3.0 * 0.853 / math.sqrt(4000)
+
+    @pytest.mark.parametrize("p,seed", [(0.5, 81), (1.0, 82)])
+    def test_moment_closed_form_from_wall(self, half_line, p, seed):
+        # the bridge step is exact on a flat wall, so a coarse dt suffices
+        est = local_time_moment(half_line, 0.0, 1.0, p, n_paths=20000,
+                                dt=0.05, seed=seed)
+        assert abs(est.value - local_time_mgf(p, 1.0)) <= 3.0 * est.stderr
 
     def test_moment_is_one_at_p_zero(self, half_line):
         est = local_time_moment(half_line, 0.0, 1.0, 0.0, 100, 1e-2, seed=1)
@@ -259,6 +344,42 @@ class TestFunctionals:
         st = solve_heat(half_line, datum, 0.5, scheme="kernel")
         grad = abs(float(st.grad_u[st.index_of(0.8)]))
         assert grad <= est.value + 3.0 * est.stderr
+
+    def test_boundary_weight_gradient_oracle(self):
+        # from the wall (X_t, L_t) = sqrt(2) (M_t - B_t, M_t) (Levy), and
+        # (m, y) = (M_t, M_t - B_t) has density 2 (m+y)/sqrt(2 pi t^3)
+        # e^{-(m+y)^2/2t}; so E[|u0'(X_t)| e^{-sigma L_t}] is a double
+        # integral
+        sigma, t, s0 = -0.5, 0.5, 0.3
+        M = make_model_manifold("half-line-neumann", sigma=sigma)
+        datum = initial_datum("gaussian", {"amp": 1.0, "width": s0})
+        est = estimate_functional(M, datum, 0.0, t, None, "gradient_rhs",
+                                  20000, 0.05, seed=83)
+
+        def integrand(y, m):
+            x = math.sqrt(2.0) * y
+            grad = x / (2.0 * s0) * math.exp(-x * x / (4.0 * s0))
+            density = (2.0 * (m + y) / math.sqrt(2.0 * math.pi * t**3)
+                       * math.exp(-(m + y) ** 2 / (2.0 * t)))
+            return grad * math.exp(-sigma * math.sqrt(2.0) * m) * density
+
+        edge = 12.0 * math.sqrt(t)
+        target, _ = integrate.dblquad(integrand, 0.0, edge, 0.0, edge)
+        assert abs(est.value - target) <= 3.0 * est.stderr
+
+    def test_boundary_weight_harnack_oracle(self):
+        # u0 = c leaves (n/2) c sum_k l'(s_k)^2 e^{-2 sigma L_{s_k}} dt per
+        # path, whose mean is exact at the grid times on a flat wall
+        sigma, t, dt, c = -0.5, 0.5, 0.05, 2.0
+        M = make_model_manifold("half-line-neumann", sigma=sigma)
+        clock = make_clock("linear", t=t)
+        est = estimate_functional(M, initial_datum("constant", {"c": c}),
+                                  0.0, t, clock, "harnack_rhs", 20000, dt,
+                                  seed=84)
+        s = np.arange(10) * dt
+        target = 0.5 * M.n * c * dt * sum(
+            clock.dl(sk) ** 2 * local_time_mgf(-2.0 * sigma, sk) for sk in s)
+        assert abs(est.value - target) <= 3.0 * est.stderr
 
     def test_alpha_functional_positive_and_bounds(self, interval):
         datum = initial_datum("cosine", {"k": 1, "amp": 0.5})
