@@ -17,8 +17,9 @@ from .heatflow import (HeatState, InitialDatum, exact_kernel,
                        initial_datum, solve_heat)
 from .clocks import Clock, alpha_form_integral, clock_integrals, \
     gamma_integral, make_clock
-from .bounds import (BoundForm, CheckResult, NonconvexData, beta_t_alpha,
-                     bound_catalog, check_inequality, eval_bound, local_betas,
+from .bounds import (BoundForm, CheckResult, Margins, NonconvexData,
+                     beta_t_alpha, bound_catalog, bound_margins,
+                     check_inequality, eval_bound, local_betas,
                      nonconvex_bound_rhs, nonconvex_constants, phi_bbg)
 from .stochastic import (Estimate, PathSample, TimeChange,
                          cutoff_growth_check, estimate_functional,

@@ -5,10 +5,11 @@ Every bound is reduced to the normal form
     gamma * X <= a * Y + c,      X = |grad u|^2/u^2,  Y = Lu/u,
 
 so a single margin checker serves the whole suite.  Bounds on Y alone are
-encoded with gamma = 0 and a = +/-1; the two square-root bounds (yau,
-bakry-qian-sqrt) do not fit the normal form and are evaluated literally
-inside check_inequality.  All constants are continuous through their
-internal branch points (K -> 0, alpha -> 1, (Kt) ^ pi) by construction.
+encoded with gamma = 0 and a = +/-1.  bound_margins evaluates every id
+on arrays of nodes; the two square-root bounds (yau, bakry-qian-sqrt) do
+not fit the normal form and are evaluated there as stated.  All
+constants are continuous through their internal branch points (K -> 0,
+alpha -> 1, (Kt) ^ pi) by construction.
 """
 
 from __future__ import annotations
@@ -63,6 +64,19 @@ class BoundForm:
         return {"bound_id": self.bound_id, "gamma": self.gamma, "a": self.a,
                 "c": self.c, "domain_ok": self.domain_ok, "note": self.note,
                 "params": dict(self.params)}
+
+
+@dataclass(frozen=True)
+class Margins:
+    """Per-node verdicts of one bound id; see bound_margins."""
+
+    gamma: float | None      # None: no normal form (square-root bounds)
+    a: float | None
+    c: float | np.ndarray    # per node for bbg; 0 without a normal form
+    margin: np.ndarray       # NaN where domain_ok is False
+    domain_ok: np.ndarray
+    note: np.ndarray         # why a node is out of domain, else the remark
+    skip_all: bool = False   # out of domain whatever the state
 
 
 @dataclass(frozen=True)
@@ -296,12 +310,9 @@ def eval_bound(bound_id: str, params: dict) -> BoundForm:
             return bad("needs K > 0")
         if "Y" not in params:
             raise ValueError("bbg bound needs the observed Y in params")
-        Y = float(params["Y"])
-        lam = 1.0 - 4.0 * Y / (n * K)
-        if lam <= -math.pi**2 / (K * t) ** 2:
-            return bad("Y outside the admissible window")
-        c = -0.5 * n * K + 0.5 * n * phi_bbg(K, t, lam)
-        return form(1.0, 1.0, c)
+        # the constant depends on Y: bound_margins at that one node
+        m = bound_margins(bound_id, params, 0.0, float(params["Y"]))
+        return form(1.0, 1.0, float(m.c)) if m.domain_ok else bad(str(m.note))
 
     if bound_id == "local-grad":
         eps = float(params["eps"])
@@ -324,48 +335,70 @@ def eval_bound(bound_id: str, params: dict) -> BoundForm:
         c = 0.5 * n * alpha**2 * (K_region / (alpha - 1.0) + decay_rate(beta, t))
         return form(1.0, alpha, c)
 
-    if bound_id in ("yau", "bakry-qian-sqrt"):
-        # square-root bounds have no (gamma, a, c) normal form
-        return BoundForm(bound_id, math.nan, math.nan, math.nan,
-                         domain_ok=False, params=out_params,
-                         note="implicit sqrt bound, use check_inequality")
+    if bound_id in ("yau", "bakry-qian-sqrt"):  # no (gamma, a, c) form
+        return bad("implicit sqrt bound, use check_inequality")
 
     raise AssertionError(bound_id)
+
+
+def bound_margins(bound_id: str, params: dict, X, Y, W=None) -> Margins:
+    """Margins of one bound at every node of observed X, Y (and W) arrays.
+
+    params as for eval_bound, without the observed Y of bbg; W =
+    |grad u|^2/u is needed by yau only.  margin >= 0 where the bound
+    holds.  bbg is out of domain at the nodes whose Y leaves its window;
+    skip_all marks a bound whose constants eval_bound rejects.
+    """
+    n, t = float(params["n"]), float(params["t"])
+    K = float(params.get("K", 0.0))
+    if t <= 0:
+        raise ValueError("t must be positive")
+    Km = max(-K, 0.0)
+    X, Y = np.broadcast_arrays(np.asarray(X, dtype=float),
+                               np.asarray(Y, dtype=float))
+    if np.any(X < 0):
+        raise ValueError("X is a square, must be nonnegative")
+    full = lambda v: np.broadcast_to(v, X.shape)
+
+    if bound_id in ("yau", "bakry-qian-sqrt"):
+        # no (gamma, a, c) normal form: evaluated as stated
+        h = n / (2.0 * t)
+        if bound_id == "yau":
+            if W is None:
+                raise ValueError("yau bound needs W = |grad u|^2/u")
+            root = (math.sqrt(2.0 * n * Km)
+                    * np.sqrt(np.asarray(W, dtype=float) + h + 2.0 * n * Km))
+        else:
+            root = math.sqrt(n * Km) * np.sqrt(X + h + n * Km / 4.0)
+        return Margins(None, None, 0.0, Y + root + h - X, full(True), full(""))
+    if bound_id == "bbg" and K > 0:
+        lam = 1.0 - 4.0 * Y / (n * K)
+        inside = ~(lam <= -math.pi**2 / (K * t) ** 2)
+        c = np.full(X.shape, math.nan)
+        c[inside] = -0.5 * n * K + 0.5 * n * phi_bbg(K, t, lam[inside])
+        ok = inside & np.isfinite(c)
+        note = np.where(ok, "", np.where(inside, "non-finite constant",
+                                         "Y outside the admissible window"))
+        return Margins(1.0, 1.0, np.where(ok, c, 0.0),
+                       np.where(ok, Y + c - X, math.nan), ok, note)
+    form = eval_bound(bound_id, params)
+    if not form.domain_ok:
+        return Margins(None, None, 0.0, full(math.nan), full(False),
+                       full(form.note), skip_all=True)
+    return Margins(form.gamma, form.a, form.c,
+                   form.a * Y + form.c - form.gamma * X, full(True),
+                   full(form.note))
 
 
 def check_inequality(bound_id: str, params: dict, X: float, Y: float) -> CheckResult:
     """Margin of one bound at observed (X, Y); >= 0 means it holds.
 
-    The two square-root bounds are evaluated literally as stated; yau
-    additionally needs W = |grad u|^2/u supplied through params.
+    bound_margins at a single node; yau takes W = |grad u|^2/u from params.
     """
-    if X < 0:
-        raise ValueError("X is a square, must be nonnegative")
-    n = float(params["n"])
-    t = float(params["t"])
-    K = float(params.get("K", 0.0))
-    Km = max(-K, 0.0)
-
-    if bound_id == "bakry-qian-sqrt":
-        margin = (Y + math.sqrt(n * Km)
-                  * math.sqrt(X + n / (2.0 * t) + n * Km / 4.0)
-                  + n / (2.0 * t) - X)
-        return CheckResult("ok", margin)
-    if bound_id == "yau":
-        if "W" not in params:
-            raise ValueError("yau bound needs W = |grad u|^2/u in params")
-        W = float(params["W"])
-        margin = (Y + math.sqrt(2.0 * n * Km)
-                  * math.sqrt(W + n / (2.0 * t) + 2.0 * n * Km)
-                  + n / (2.0 * t) - X)
-        return CheckResult("ok", margin)
-
-    if bound_id == "bbg":
-        params = dict(params, Y=Y)
-    bf = eval_bound(bound_id, params)
-    if not bf.domain_ok:
-        return CheckResult("out-of-domain", None, bf.note)
-    return CheckResult("ok", bf.margin(X, Y), bf.note)
+    m = bound_margins(bound_id, params, X, Y, params.get("W"))
+    if not m.domain_ok:
+        return CheckResult("out-of-domain", None, str(m.note))
+    return CheckResult("ok", float(m.margin), str(m.note))
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,10 @@ class ExperimentConfig:
         for entry in self.bounds:
             if entry["id"] not in bounds_mod.BOUND_IDS:
                 raise ValueError(f"unknown bound id {entry['id']!r}")
+            unknown = sorted(set(entry.get("params", {})) - set(_GRID_KEYS))
+            if unknown:
+                raise ValueError(f"unknown parameters {unknown} for bound "
+                                 f"{entry['id']!r}; known: {_GRID_KEYS}")
         for entry in self.mc:
             fid = entry["functional"]
             if fid not in stoch.FUNCTIONALS + ("local_time_moment",
@@ -121,52 +125,35 @@ def _expand_params(spec: dict):
         yield dict(zip(keys, combo))
 
 
-def _bound_rows_for_state(state: HeatState, bound_id: str, params: dict,
-                          tol: float) -> list:
+def _empty_bound_row(M: ModelManifold, t, bound_id: str, params: dict) -> dict:
+    """A bound row without a node: a skip, or with an error a failure."""
+    return {"bound_id": bound_id, "family": M.family, "m": M.m, "n": M.n,
+            "K": M.K, "t": t, "x": None, "alpha": params.get("alpha"),
+            "eps": params.get("eps"), "X": None, "Y": None, "gamma": None,
+            "a": None, "c": 0.0, "margin": None, "domain_ok": False,
+            "note": ""}
+
+
+def _bound_rows_for_state(state: HeatState, bound_id: str,
+                          params: dict) -> list:
     M = state.manifold
-    X, Y, W = state.X(), state.Y(), state.W()
-    base = {"bound_id": bound_id, "family": M.family, "m": M.m, "n": M.n,
-            "K": M.K, "t": state.t, "alpha": params.get("alpha"),
-            "eps": params.get("eps")}
-    full = dict(params, n=M.n, t=state.t, K=M.K)
-    rows = []
+    empty = _empty_bound_row(M, state.t, bound_id, params)
     if M.drift_id != "none" and bound_id in bounds_mod.DRIFTLESS_ONLY:
-        rows.append(dict(base, x=None, X=None, Y=None, gamma=None, a=None,
-                         c=0.0, margin=None, domain_ok=False,
-                         note="stated for Z = 0, skipped on a drift model"))
-        return rows
-    if bound_id in ("yau", "bakry-qian-sqrt"):
-        for i, x in enumerate(state.grid):
-            p = dict(full, W=float(W[i]))
-            res = bounds_mod.check_inequality(bound_id, p, float(X[i]), float(Y[i]))
-            rows.append(dict(base, x=float(x), X=float(X[i]), Y=float(Y[i]),
-                             gamma=None, a=None, c=0.0,
-                             margin=res.margin, domain_ok=res.ok,
-                             note=res.note))
-        return rows
-    if bound_id == "bbg":
-        for i, x in enumerate(state.grid):
-            res = bounds_mod.check_inequality(bound_id, full, float(X[i]),
-                                              float(Y[i]))
-            form = bounds_mod.eval_bound(bound_id, dict(full, Y=float(Y[i])))
-            rows.append(dict(base, x=float(x), X=float(X[i]), Y=float(Y[i]),
-                             gamma=form.gamma if form.domain_ok else None,
-                             a=form.a if form.domain_ok else None,
-                             c=form.c if form.domain_ok else 0.0,
-                             margin=res.margin, domain_ok=res.ok,
-                             note=res.note))
-        return rows
-    form = bounds_mod.eval_bound(bound_id, full)
-    if not form.domain_ok:
-        rows.append(dict(base, x=None, X=None, Y=None, gamma=None, a=None,
-                         c=0.0, margin=None, domain_ok=False, note=form.note))
-        return rows
-    margins = form.a * Y + form.c - form.gamma * X
-    for i, x in enumerate(state.grid):
-        rows.append(dict(base, x=float(x), X=float(X[i]), Y=float(Y[i]),
-                         gamma=form.gamma, a=form.a, c=form.c,
-                         margin=float(margins[i]), domain_ok=True, note=""))
-    return rows
+        return [dict(empty, note="stated for Z = 0, skipped on a drift model")]
+    X, Y = state.X(), state.Y()
+    full = dict(params, n=M.n, t=state.t, K=M.K)
+    m = bounds_mod.bound_margins(bound_id, full, X, Y, state.W())
+    if m.skip_all:
+        return [dict(empty, note=str(m.note.flat[0]))]
+    # a shared c keeps one float object for all rows of a node-free form
+    cs = m.c.tolist() if np.ndim(m.c) else [m.c] * X.size
+    # in-domain rows carry no note, not even the form's remark
+    return [dict(empty, x=x, X=Xi, Y=Yi, gamma=m.gamma if ok else None,
+                 a=m.a if ok else None, c=c, margin=margin if ok else None,
+                 domain_ok=ok, note="" if ok else note)
+            for x, Xi, Yi, c, margin, ok, note in zip(
+                state.grid.tolist(), X.tolist(), Y.tolist(), cs,
+                m.margin.tolist(), m.domain_ok.tolist(), m.note.tolist())]
 
 
 def _run_mc_entry(entry: dict, M: ModelManifold, datum, seed: int) -> dict:
@@ -264,15 +251,11 @@ def run_experiment(config: ExperimentConfig) -> Report:
             for t, state in states.items():
                 try:
                     bound_rows.extend(_bound_rows_for_state(
-                        state, entry["id"], params, config.tol))
+                        state, entry["id"], params))
                 except Exception as exc:
-                    bound_rows.append({
-                        "bound_id": entry["id"], "family": M.family,
-                        "m": M.m, "n": M.n, "K": M.K, "t": t, "x": None,
-                        "alpha": params.get("alpha"), "eps": params.get("eps"),
-                        "X": None, "Y": None, "gamma": None, "a": None,
-                        "c": 0.0, "margin": None, "domain_ok": False,
-                        "note": "", "error": f"{type(exc).__name__}: {exc}"})
+                    bound_rows.append(dict(
+                        _empty_bound_row(M, t, entry["id"], params),
+                        error=f"{type(exc).__name__}: {exc}"))
     for entry in config.mc:
         try:
             mc_rows.append(_run_mc_entry(entry, M, datum, config.seed))

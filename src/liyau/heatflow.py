@@ -8,8 +8,8 @@ Schemes:
     reductions (no-flux at the coordinate poles).
   * "crank-nicolson-fd": second-order theta stepping of the same
     finite-difference operator, dt = h.
-  * "kernel": closed-form or quadrature evolution against the exact
-    kernel on the unbounded flat families (line, half line, flat radial).
+  * "kernel": closed-form evolution of the constant and gaussian data
+    on the unbounded flat families (line, half line, flat radial).
 
 Every solve enforces positivity, the maximum principle, and (for Z = 0)
 conservation of the weighted mass, and raises SolverError on violation.
@@ -26,7 +26,7 @@ from scipy import linalg
 
 from . import geometry
 from .geometry import ModelManifold
-from .numerics import SolverError, integrate_adaptive
+from .numerics import SolverError
 
 POSITIVITY_FLOOR = 1e-12
 
@@ -191,7 +191,7 @@ class InitialDatum:
         """(u0, du0, Lu0) sampled on the grid."""
         if self.expr == "eigen" and M.family in (geometry.SPHERE,
                                                  geometry.HYPERBOLIC):
-            lam, vec = _radial_eigenfunction(M, grid.size, int(self.params["index"]))
+            lam, vec = radial_eigenpair(M, grid.size, int(self.params["index"]))
             amp = float(self.params.get("amp", 0.5))
             u0 = 1.0 + amp * vec
             op = _radial_operator(M, grid.size)
@@ -358,14 +358,9 @@ def _radial_operator(M: ModelManifold, size: int) -> _RadialOperator:
     return _radial_operator_cached(M.key(), size)
 
 
-def _radial_eigenfunction(M, size, index):
-    op = _radial_operator(M, size)
-    return op.eigenfunction(index)
-
-
 def radial_eigenpair(M: ModelManifold, size: int, index: int):
     """(eigenvalue, eigenfunction values) of the discrete radial generator."""
-    return _radial_eigenfunction(M, size, index)
+    return _radial_operator(M, size).eigenfunction(index)
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +525,11 @@ def _solve_crank_nicolson(M, u0, t, size):
 
 
 def _solve_kernel(M, u0, t, size):
-    """Evolution against the exact kernel on the unbounded flat families."""
+    """Closed-form evolution on the unbounded flat families.
+
+    Only the constant and gaussian data have one; every other datum
+    raises ValueError.
+    """
     grid = M.grid(size)
     fam = M.family
     p = u0.params
@@ -553,31 +552,8 @@ def _solve_kernel(M, u0, t, size):
         if fam == geometry.EUCLIDEAN_RADIAL:
             Lu = amp * scale * (grid**2 / (4.0 * st**2) - M.m / (2.0 * st)) * e
         return HeatState(M, t, grid, u, du, Lu, scheme="kernel")
-    # generic positive datum: quadrature against the kernel
-    ucall, ducall, d2ucall = u0.callables(M)
-    if t == 0:
-        u = ucall(grid)
-        du = ducall(grid)
-        Lu = d2ucall(grid) + M.b_total(grid) * ducall(grid)
-        return HeatState(M, t, grid, u, du, Lu, scheme="kernel")
-    lo, hi, _ = M.domain()
-    pad = 8.0 * math.sqrt(t)
-    a = lo if M.has_boundary or fam == geometry.EUCLIDEAN_RADIAL else lo - pad
-    b = hi + pad
-    u = np.empty_like(grid)
-    Lu = np.empty_like(grid)
-    du = np.empty_like(grid)
-    for i, x in enumerate(grid):
-        u[i] = integrate_adaptive(
-            lambda y: exact_kernel(M, t, x, y) * ucall(y), a, b, 1e-12)
-        Lu[i] = integrate_adaptive(
-            lambda y: exact_kernel(M, t, x, y)
-            * (d2ucall(y) + M.b_total(y) * ducall(y)), a, b, 1e-12)
-    h = grid[1] - grid[0]
-    du[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
-    du[0] = (-3 * u[0] + 4 * u[1] - u[2]) / (2.0 * h)
-    du[-1] = (3 * u[-1] - 4 * u[-2] + u[-3]) / (2.0 * h)
-    return HeatState(M, t, grid, u, du, Lu, scheme="kernel")
+    # as in InitialDatum.callables: no other datum has one on these families
+    raise ValueError(f"{u0.expr} datum has no closed form on {fam}")
 
 
 def gaussian_kernel_state(M: ModelManifold, t: float, grid=None) -> HeatState:

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import simpson
-from liyau import (beta_t_alpha, bound_catalog, check_inequality, eval_bound,
-                   gaussian_kernel_state, local_betas, phi_bbg)
+from liyau import (beta_t_alpha, bound_catalog, bound_margins,
+                   check_inequality, eval_bound, gaussian_kernel_state,
+                   local_betas, phi_bbg)
 
 
 class TestPhi:
@@ -270,6 +271,49 @@ class TestCheckInequality:
         with pytest.raises(ValueError):
             check_inequality("davies", {"n": 2, "t": 1.0, "K": 0.0,
                                         "alpha": 2.0}, -0.1, 0.0)
+
+
+class TestBoundMargins:
+    def test_bbg_window_per_node(self):
+        # the middle node's Y puts lam = 1 - 4Y/nK below -pi^2/(Kt)^2
+        params = {"n": 2.0, "t": 1.0, "K": 1.0}
+        X = np.array([0.2, 0.2, 0.0])
+        Y = np.array([0.3, 100.0, -0.5])
+        m = bound_margins("bbg", params, X, Y)
+        assert m.domain_ok.tolist() == [True, False, True]
+        for i in range(3):
+            res = check_inequality("bbg", params, X[i], Y[i])
+            form = eval_bound("bbg", dict(params, Y=float(Y[i])))
+            assert bool(m.domain_ok[i]) == res.ok == form.domain_ok
+            if res.ok:
+                assert (float(m.margin[i]).hex() == res.margin.hex()
+                        == form.margin(X[i], Y[i]).hex())
+                assert float(m.c[i]).hex() == form.c.hex()
+            else:
+                assert math.isnan(m.margin[i]) and m.c[i] == 0.0
+                assert m.note[i] == res.note == form.note
+
+    def test_every_id_matches_its_scalar_form(self):
+        rng = np.random.default_rng(5)
+        X = rng.uniform(0.0, 3.0, 50)
+        Y = rng.uniform(-2.0, 2.0, 50)
+        params = {"n": 2.0, "t": 0.7, "K": 0.8, "alpha": 2.0, "eps": 1.0,
+                  "R": 1.5, "K_region": 0.0}
+        for bid in bound_catalog():
+            if bid in ("yau", "bakry-qian-sqrt", "bbg"):
+                continue
+            form = eval_bound(bid, params)
+            m = bound_margins(bid, params, X, Y)
+            assert form.domain_ok and m.domain_ok.all() and not m.skip_all
+            ref = [form.margin(x, y) for x, y in zip(X.tolist(), Y.tolist())]
+            assert m.margin.tolist() == ref, bid
+            assert (m.gamma, m.a, m.c) == (form.gamma, form.a, form.c)
+
+    def test_constants_out_of_domain_skip_every_node(self):
+        m = bound_margins("linear-unit", {"n": 2, "t": 1.0, "K": -1.0},
+                          np.zeros(4), np.zeros(4))
+        assert m.skip_all and not m.domain_ok.any()
+        assert m.note.tolist() == ["needs K > 0"] * 4
 
 
 class TestComparisons:

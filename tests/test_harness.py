@@ -4,6 +4,8 @@ import math
 import pytest
 from click.testing import CliRunner
 
+from liyau import (check_inequality, eval_bound, initial_datum,
+                   manifold_from_dict, solve_heat)
 from liyau.cli import main
 from liyau.harness import (CSV_COLUMNS, ExperimentConfig, emit_report,
                            load_report, run_experiment)
@@ -107,6 +109,10 @@ class TestRunExperiment:
             minimal_config(bounds=[{"id": "nope"}])
         with pytest.raises(ValueError):
             minimal_config(mc=[{"functional": "nope"}])
+        with pytest.raises(ValueError):
+            minimal_config(bounds=[{"id": "davies",
+                                    "params": {"alpha": [2.0],
+                                               "typo_key": [1.0]}}])
 
     def test_failures_flag_synthetic_row(self):
         report = run_experiment(minimal_config())
@@ -132,6 +138,76 @@ class TestRunExperiment:
         assert report.exit_code == 0
         assert all(not r["domain_ok"] for r in report.bound_rows)
         assert "Z = 0" in report.bound_rows[0]["note"]
+
+
+class TestPerNodeBoundRows:
+    """yau, bakry-qian-sqrt and bbg rows match the scalar checks bitwise."""
+
+    TIMES = [0.1, 1.0]
+    DATUM = {"id": "eigen", "params": {"index": 1, "amp": 0.5}}
+
+    def run(self, family, ids):
+        manifold = {"family": family, "m": 2, "n": 2}
+        report = run_experiment(minimal_config(
+            manifold=manifold, initial_datum=self.DATUM, times=self.TIMES,
+            bounds=[{"id": bid} for bid in ids], grid_size=101))
+        M = manifold_from_dict(manifold)
+        datum = initial_datum(self.DATUM["id"], self.DATUM["params"])
+        states = {t: solve_heat(M, datum, t, grid_size=101)
+                  for t in self.TIMES}
+        return M, report, states
+
+    @staticmethod
+    def node(state, row):
+        i = state.index_of(row["x"])
+        X, Y, W = (float(v[i]) for v in (state.X(), state.Y(), state.W()))
+        assert (row["x"], row["X"], row["Y"]) == (float(state.grid[i]), X, Y)
+        return X, Y, W
+
+    def test_square_root_rows_on_hyperbolic(self):
+        # K < 0 keeps the square-root terms of both bounds nonzero
+        M, report, states = self.run("hyperbolic-radial",
+                                     ["yau", "bakry-qian-sqrt", "bbg"])
+        assert M.K < 0
+        rows = [r for r in report.bound_rows if r["bound_id"] != "bbg"]
+        assert len(rows) == 2 * len(self.TIMES) * 101
+        n, Km = M.n, -M.K
+        for row in rows:
+            t = row["t"]
+            X, Y, W = self.node(states[t], row)
+            res = check_inequality(row["bound_id"],
+                                   {"n": n, "t": t, "K": M.K, "W": W}, X, Y)
+            # the scalar formulas as stated, in the order the rows use
+            if row["bound_id"] == "yau":
+                ref = (Y + math.sqrt(2.0 * n * Km)
+                       * math.sqrt(W + n / (2.0 * t) + 2.0 * n * Km)
+                       + n / (2.0 * t) - X)
+            else:
+                ref = (Y + math.sqrt(n * Km)
+                       * math.sqrt(X + n / (2.0 * t) + n * Km / 4.0)
+                       + n / (2.0 * t) - X)
+            assert row["margin"].hex() == res.margin.hex() == ref.hex()
+            assert (row["gamma"], row["a"], row["c"]) == (None, None, 0.0)
+            assert row["domain_ok"] is True and row["note"] == ""
+        # bbg needs K > 0 whatever the state: one skip row per time
+        skips = [r for r in report.bound_rows if r["bound_id"] == "bbg"]
+        assert [(r["x"], r["domain_ok"], r["note"]) for r in skips] == (
+            [(None, False, "needs K > 0")] * len(self.TIMES))
+
+    def test_bbg_rows_on_sphere(self):
+        M, report, states = self.run("sphere-radial", ["bbg"])
+        assert len(report.bound_rows) == len(self.TIMES) * 101
+        for row in report.bound_rows:
+            t = row["t"]
+            X, Y, _ = self.node(states[t], row)
+            params = {"n": M.n, "t": t, "K": M.K}
+            res = check_inequality("bbg", params, X, Y)
+            form = eval_bound("bbg", dict(params, Y=Y))
+            assert row["domain_ok"] is res.ok is form.domain_ok is True
+            assert (row["margin"].hex() == res.margin.hex()
+                    == form.margin(X, Y).hex())
+            assert row["c"].hex() == form.c.hex()
+            assert (row["gamma"], row["a"]) == (form.gamma, form.a)
 
 
 class TestEmit:

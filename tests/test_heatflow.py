@@ -181,6 +181,11 @@ class TestSolvers:
         with pytest.raises(ValueError):
             solve_heat(interval, bad, 0.1)
 
+    def test_no_closed_form_datum_rejected_on_line(self, line):
+        datum = initial_datum("cosine", {"k": 1, "amp": 0.5})
+        with pytest.raises(ValueError, match="no closed form"):
+            solve_heat(line, datum, 0.5)
+
     def test_nonpositive_datum_rejected(self, circle):
         with pytest.raises(ValueError):
             solve_heat(circle, initial_datum("cosine", {"k": 1, "amp": 1.5}),
