@@ -18,7 +18,7 @@ from .heatflow import (HeatState, InitialDatum, exact_kernel,
 from .clocks import Clock, alpha_form_integral, clock_integrals, \
     gamma_integral, make_clock
 from .bounds import (BoundForm, CheckResult, Margins, NonconvexData,
-                     beta_t_alpha, bound_catalog, bound_margins,
+                     beta_t_alpha, bound_margins,
                      check_inequality, eval_bound, local_betas,
                      nonconvex_bound_rhs, nonconvex_constants, phi_bbg)
 from .stochastic import (Estimate, PathSample, TimeChange,

@@ -90,10 +90,6 @@ class CheckResult:
         return self.status == "ok"
 
 
-def bound_catalog() -> tuple[str, ...]:
-    return BOUND_IDS
-
-
 # ---------------------------------------------------------------------------
 # special functions of the catalog
 

@@ -31,6 +31,16 @@ CSV_COLUMNS = ("bound_id", "family", "m", "n", "K", "t", "x", "alpha", "eps",
                "X", "Y", "gamma", "a", "c", "margin", "domain_ok")
 
 _GRID_KEYS = ("alpha", "eps", "K_prime", "R", "K_region")
+_BOUND_KEYS = ("id", "params")
+# every key _run_mc_entry reads
+_MC_KEYS = ("functional", "t", "x0", "n_paths", "dt", "seed", "p", "target",
+            "grid_size", "pde_scheme", "clock", "compare", "K_field", "alpha")
+
+
+def _reject_unknown(entry: dict, known: tuple, what: str) -> None:
+    unknown = sorted(set(entry) - set(known))
+    if unknown:
+        raise ValueError(f"unknown keys {unknown} in {what}; known: {known}")
 
 
 @dataclass
@@ -54,11 +64,11 @@ class ExperimentConfig:
         for entry in self.bounds:
             if entry["id"] not in bounds_mod.BOUND_IDS:
                 raise ValueError(f"unknown bound id {entry['id']!r}")
-            unknown = sorted(set(entry.get("params", {})) - set(_GRID_KEYS))
-            if unknown:
-                raise ValueError(f"unknown parameters {unknown} for bound "
-                                 f"{entry['id']!r}; known: {_GRID_KEYS}")
+            _reject_unknown(entry, _BOUND_KEYS, f"bound {entry['id']!r}")
+            _reject_unknown(entry.get("params", {}), _GRID_KEYS,
+                            f"the parameters of bound {entry['id']!r}")
         for entry in self.mc:
+            _reject_unknown(entry, _MC_KEYS, "an mc entry")
             fid = entry["functional"]
             if fid not in stoch.FUNCTIONALS + ("local_time_moment",
                                                "expected_local_time",

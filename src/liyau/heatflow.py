@@ -1,13 +1,19 @@
 """Neumann heat semigroup on the model geometries.
 
+Every gridded family has one discrete generator L, held as its three
+diagonals (_generator): the flux form w^{-1} (w u')' on the sphere /
+hyperbolic radial reductions (no-flux at the coordinate poles), central
+differences with ghost-node walls elsewhere, periodic on the circle.
+
 Schemes:
 
   * "spectral": exact-in-time evolution in an eigenbasis.  Fourier modes
-    on the circle, cosine modes on the interval, and the eigenvectors of
-    the discrete weighted generator on the sphere / hyperbolic radial
-    reductions (no-flux at the coordinate poles).
-  * "crank-nicolson-fd": second-order theta stepping of the same
-    finite-difference operator, dt = h.
+    on the circle, cosine modes on the interval (DCT-I), and the
+    eigenvectors of the symmetrised tridiagonal L on the sphere /
+    hyperbolic radial reductions.
+  * "crank-nicolson-fd": second-order theta stepping of L with a banded
+    solve per step, dt = h; the circle's two corners enter by one
+    Sherman-Morrison correction.
   * "kernel": closed-form evolution of the constant and gaussian data
     on the unbounded flat families (line, half line, flat radial).
 
@@ -150,16 +156,13 @@ class HeatState:
 def _mass(M: ModelManifold, grid, u) -> float:
     """Weighted mass in the quadrature the scheme conserves exactly.
 
-    Circle: the periodic Riemann sum.  Radial flux-form grids: the
-    full-weight rectangle sum (the discrete invariant of the operator).
-    Interval: the trapezoid, which is the zero cosine mode.
+    Circle and the radial flux-form grids: the full-weight rectangle sum
+    (the periodic Riemann sum, and the discrete invariant of the flux
+    form).  Interval: the trapezoid, which is the zero cosine mode.
     """
     w = M.weight(grid)
-    h = grid[1] - grid[0]
-    if M.family == geometry.CIRCLE:
-        return float(h * math.fsum(u * w))
-    if M.family in (geometry.SPHERE, geometry.HYPERBOLIC):
-        return float(h * math.fsum(u * w))
+    if M.family in (geometry.CIRCLE, geometry.SPHERE, geometry.HYPERBOLIC):
+        return float((grid[1] - grid[0]) * math.fsum(u * w))
     return float(np.trapezoid(u * w, grid))
 
 
@@ -194,11 +197,9 @@ class InitialDatum:
             lam, vec = radial_eigenpair(M, grid.size, int(self.params["index"]))
             amp = float(self.params.get("amp", 0.5))
             u0 = 1.0 + amp * vec
-            op = _radial_operator(M, grid.size)
-            Lu0 = op.A @ u0
-            du0 = op.D1 @ u0
+            Lu0 = _apply(*_radial_operator(M, grid.size).diagonals, u0)
             self._check_positive(u0)
-            return u0, du0, Lu0
+            return u0, np.gradient(u0, grid, edge_order=2), Lu0
         u, du, d2u = self.callables(M)
         u0 = u(grid)
         self._check_positive(u0)
@@ -293,44 +294,54 @@ def initial_datum(expr: str, params: dict | None = None) -> InitialDatum:
 
 
 # ---------------------------------------------------------------------------
-# discrete radial operator (sphere / hyperbolic) and its eigenbasis
+# the discrete generator as three diagonals, and the radial eigenbasis
+
+
+def _generator(M: ModelManifold, size: int):
+    """(grid, dn, dg, up): sub-, main and super-diagonal of L on M.grid(size).
+
+    Sphere / hyperbolic: the flux form w^{-1} (w u')' with no-flux ends.
+    Other families: central differences of u'' + (b + Z) u' with the
+    ghost-node reflection u(-h) = u(h) at the ends; on the circle dn[0]
+    and up[-1] are the periodic corners.  Outside the circle dn[0] and
+    up[-1] are 0, so _apply's wrap-around terms vanish.
+    """
+    grid = M.grid(size)
+    h = grid[1] - grid[0]
+    if M.family in (geometry.SPHERE, geometry.HYPERBOLIC):
+        lo, hi, _ = M.domain()
+        w = M.weight(grid)
+        up = M.weight(np.minimum(grid + 0.5 * h, hi)) / (h * h * w)
+        dn = M.weight(np.maximum(grid - 0.5 * h, lo)) / (h * h * w)
+        up[-1] = dn[0] = 0.0
+        return grid, dn, -(up + dn), up
+    b = M.b_total(grid)
+    up = 1.0 / h**2 + b / (2.0 * h)
+    dn = 1.0 / h**2 - b / (2.0 * h)
+    if M.family != geometry.CIRCLE:
+        up[0] = dn[-1] = 2.0 / h**2
+        dn[0] = up[-1] = 0.0
+    return grid, dn, np.full(grid.size, -2.0 / h**2), up
+
+
+def _apply(dn, dg, up, u):
+    """L u for the three diagonals of _generator, in O(N)."""
+    return dg * u + dn * np.roll(u, 1) + up * np.roll(u, -1)
 
 
 class _RadialOperator:
-    """Flux-form discretisation of w^{-1} (w u')' with no-flux ends."""
+    """Eigenbasis of the flux-form generator on the sphere / hyperbolic grid."""
 
     def __init__(self, M: ModelManifold, size: int):
-        lo, hi, _ = M.domain()
-        grid = np.linspace(lo, hi, size)
-        h = grid[1] - grid[0]
-        w = M.weight(grid)
-        wp = M.weight(np.minimum(grid + 0.5 * h, hi))
-        wm = M.weight(np.maximum(grid - 0.5 * h, lo))
-        A = np.zeros((size, size))
-        idx = np.arange(size)
-        up = np.zeros(size)
-        dn = np.zeros(size)
-        up[:-1] = wp[:-1] / (h * h * w[:-1])
-        dn[1:] = wm[1:] / (h * h * w[1:])
-        A[idx[:-1], idx[:-1] + 1] = up[:-1]
-        A[idx[1:], idx[1:] - 1] = dn[1:]
-        A[idx, idx] = -(up + dn)
-        self.grid, self.h, self.w, self.A = grid, h, w, A
-        # first-derivative matrix: central interior, one-sided ends
-        D1 = np.zeros((size, size))
-        D1[idx[1:-1], idx[1:-1] + 1] = 1.0 / (2.0 * h)
-        D1[idx[1:-1], idx[1:-1] - 1] = -1.0 / (2.0 * h)
-        D1[0, :3] = np.array([-3.0, 4.0, -1.0]) / (2.0 * h)
-        D1[-1, -3:] = np.array([1.0, -4.0, 3.0]) / (2.0 * h)
-        self.D1 = D1
-        # symmetrised eigenbasis: S = D A D^{-1} with D = diag(sqrt(w))
-        d = np.sqrt(w)
-        S = (A * d[:, None]) / d[None, :]
-        S = 0.5 * (S + S.T)
-        lam, V = linalg.eigh(S)
-        order = np.argsort(-lam)  # descending: lam[0] ~ 0 (constant mode)
-        self.lam = lam[order]
-        self.V = V[:, order]
+        self.grid, dn, dg, up = _generator(M, size)
+        self.diagonals = (dn, dg, up)
+        # symmetrised by D = diag(sqrt(w)): S = D L D^{-1} is symmetric up
+        # to rounding, and its off-diagonal is taken as the mean of the two
+        d = np.sqrt(M.weight(self.grid))
+        off = 0.5 * (d[:-1] * up[:-1] / d[1:] + d[1:] * dn[1:] / d[:-1])
+        # eigenpairs of -S ascend, so lam descends: lam[0] ~ 0 (constant mode)
+        mu, self.V = linalg.eigh_tridiagonal(-dg, -off)
+        self.lam = -mu
         self.d = d
 
     def evolve(self, u0: np.ndarray, t: float) -> np.ndarray:
@@ -447,21 +458,13 @@ def _solve_interval_spectral(M, u0, t, size):
     if M.drift_id != "none":
         raise SolverError("spectral interval solver supports Z = 0 only; "
                           "use crank-nicolson-fd")
-    N = size - 1
-    L = M.length
-    from scipy.fft import dct
-    co = dct(u0v, type=1) / N  # a_k with half-weight ends
-    a = co.copy()
-    a[0] *= 0.5
-    a[N] *= 0.5
-    k = np.arange(size)
-    lam = (k * math.pi / L) ** 2
-    at = a * np.exp(-lam * t)
-    kx = np.outer(grid, k * math.pi / L)
-    cos_m, sin_m = np.cos(kx), np.sin(kx)
-    u = cos_m @ at
-    du = sin_m @ (-(k * math.pi / L) * at)
-    Lu = cos_m @ (-lam * at)
+    from scipy.fft import dct, idct, idst
+    k = np.arange(size) * math.pi / M.length  # cosine wave numbers
+    co = dct(u0v, type=1) * np.exp(-k**2 * t)
+    u = idct(co, type=1)
+    Lu = idct(-k**2 * co, type=1)
+    du = np.zeros(size)  # the sine series vanishes at both walls
+    du[1:-1] = idst(-k[1:-1] * co[1:-1], type=1)
     return HeatState(M, t, grid, u, du, Lu, scheme="spectral")
 
 
@@ -469,57 +472,43 @@ def _solve_radial_eigen(M, u0, t, size):
     op = _radial_operator(M, size)
     u0v, _, _ = u0.values(M, op.grid)
     u = op.evolve(u0v, t)
-    Lu = op.A @ u
-    du = op.D1 @ u
+    Lu = _apply(*op.diagonals, u)
+    du = np.gradient(u, op.grid, edge_order=2)
     return HeatState(M, t, op.grid, u, du, Lu, scheme="spectral")
 
 
-def _fd_operator(M, size):
-    """Dense generator matrix for the CN scheme on any gridded family."""
-    fam = M.family
-    if fam in (geometry.SPHERE, geometry.HYPERBOLIC):
-        return _radial_operator(M, size).grid, _radial_operator(M, size).A
-    grid = M.grid(size)
-    h = grid[1] - grid[0]
-    n = grid.size
-    A = np.zeros((n, n))
-    idx = np.arange(n)
-    A[idx, idx] = -2.0 / h**2
-    A[idx[:-1], idx[:-1] + 1] = 1.0 / h**2
-    A[idx[1:], idx[1:] - 1] = 1.0 / h**2
-    b = M.b_total(grid)
-    A[idx[1:-1], idx[1:-1] + 1] += b[1:-1] / (2.0 * h)
-    A[idx[1:-1], idx[1:-1] - 1] -= b[1:-1] / (2.0 * h)
-    if fam == geometry.CIRCLE:
-        A[0, -1] = 1.0 / h**2 - b[0] / (2.0 * h)
-        A[0, 1] = 1.0 / h**2 + b[0] / (2.0 * h)
-        A[-1, 0] = 1.0 / h**2 + b[-1] / (2.0 * h)
-        A[-1, -2] = 1.0 / h**2 - b[-1] / (2.0 * h)
-    else:
-        # ghost-node even reflection: u(-h) = u(h)
-        A[0, 1] = 2.0 / h**2
-        A[-1, -2] = 2.0 / h**2
-    return grid, A
-
-
 def _solve_crank_nicolson(M, u0, t, size):
-    grid, A = _fd_operator(M, size)
+    grid, dn, dg, up = _generator(M, size)
     h = grid[1] - grid[0]
     u0v, _, _ = u0.values(M, grid)
     dt = h  # unconditionally stable, second order
     steps = max(int(math.ceil(t / dt)), 1) if t > 0 else 0
     if steps:
         dt = t / steps
-    eye = np.identity(grid.size)
-    lhs = eye - 0.5 * dt * A
-    rhs = eye + 0.5 * dt * A
-    lu_piv = linalg.lu_factor(lhs)
-    u = u0v.copy()
+    # I - dt/2 L in banded storage (ab[0, 0] and ab[2, -1] are unused)
+    ab = -0.5 * dt * np.array([np.roll(up, 1), dg, np.roll(dn, -1)])
+    ab[1] += 1.0
+    periodic = M.family == geometry.CIRCLE
+    if periodic:
+        # corners p = lhs[0, -1], q = lhs[-1, 0] by Sherman-Morrison:
+        # lhs = T + s r^T with s = g e_0 + q e_-1, r = e_0 + (p / g) e_-1
+        # and T the banded ab after the two diagonal edits below
+        p, q = -0.5 * dt * dn[0], -0.5 * dt * up[-1]
+        g = -ab[1, 0]
+        ab[1, 0] -= g
+        ab[1, -1] -= q * p / g
+        s = np.zeros(grid.size)
+        s[0], s[-1] = g, q
+        z = linalg.solve_banded((1, 1), ab, s)
+        rz = 1.0 + z[0] + p / g * z[-1]
+    u = u0v
     for _ in range(steps):
-        u = linalg.lu_solve(lu_piv, rhs @ u)
-    Lu = A @ u
+        u = linalg.solve_banded((1, 1), ab, u + 0.5 * dt * _apply(dn, dg, up, u))
+        if periodic:
+            u -= (u[0] + p / g * u[-1]) / rz * z
+    Lu = _apply(dn, dg, up, u)
     du = np.gradient(u, grid, edge_order=2)
-    if M.family == geometry.CIRCLE:
+    if periodic:
         du = (np.roll(u, -1) - np.roll(u, 1)) / (2.0 * h)
     return HeatState(M, t, grid, u, du, Lu, scheme="crank-nicolson-fd")
 

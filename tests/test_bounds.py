@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import simpson
-from liyau import (beta_t_alpha, bound_catalog, bound_margins,
-                   check_inequality, eval_bound, gaussian_kernel_state,
-                   local_betas, phi_bbg)
+from liyau import (beta_t_alpha, bound_margins, check_inequality, eval_bound,
+                   gaussian_kernel_state, local_betas, phi_bbg)
+from liyau.bounds import BOUND_IDS
 
 
 class TestPhi:
@@ -224,7 +224,7 @@ class TestEvalBound:
         assert form.c == pytest.approx(c_ref, rel=1e-12)
 
     def test_catalog_is_enumerable(self):
-        assert "davies" in bound_catalog()
+        assert "davies" in BOUND_IDS
         with pytest.raises(ValueError):
             eval_bound("made-up", {"n": 1, "t": 1.0})
 
@@ -299,7 +299,7 @@ class TestBoundMargins:
         Y = rng.uniform(-2.0, 2.0, 50)
         params = {"n": 2.0, "t": 0.7, "K": 0.8, "alpha": 2.0, "eps": 1.0,
                   "R": 1.5, "K_region": 0.0}
-        for bid in bound_catalog():
+        for bid in BOUND_IDS:
             if bid in ("yau", "bakry-qian-sqrt", "bbg"):
                 continue
             form = eval_bound(bid, params)

@@ -113,6 +113,12 @@ class TestRunExperiment:
             minimal_config(bounds=[{"id": "davies",
                                     "params": {"alpha": [2.0],
                                                "typo_key": [1.0]}}])
+        with pytest.raises(ValueError, match="parms"):
+            minimal_config(bounds=[{"id": "davies", "parms": {"alpha": [2.0]}}])
+        for typo in ("n_path", "x_0"):
+            with pytest.raises(ValueError, match=typo):
+                minimal_config(mc=[{"functional": "expected_value", "t": 0.25,
+                                    typo: 1.0}])
 
     def test_failures_flag_synthetic_row(self):
         report = run_experiment(minimal_config())

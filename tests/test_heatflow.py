@@ -5,8 +5,10 @@ import pytest
 
 from liyau import (exact_kernel, gaussian_kernel_state, harnack_quantities,
                    initial_datum, make_model_manifold, solve_heat)
+from liyau.geometry import register_drift
 from liyau.heatflow import (_circle_kernel_spectral, _circle_kernel_wrapped,
-                            _interval_kernel_images, _interval_kernel_spectral,
+                            _generator, _interval_kernel_images,
+                            _interval_kernel_spectral, _radial_operator,
                             radial_eigenpair)
 from liyau.numerics import SolverError
 
@@ -162,6 +164,47 @@ class TestSolvers:
             sp = solve_heat(M, datum, 0.5)
             cn = solve_heat(M, datum, 0.5, scheme="crank-nicolson-fd")
             assert np.max(np.abs(sp.u - cn.u)) < 5e-4, M.family
+
+    def test_crank_nicolson_periodic_drift_matches_dense(self):
+        # a drift makes the two periodic corners of I - dt/2 L unequal;
+        # reference: dense CN on the textbook central stencil
+        register_drift("heatflow-sin", lambda x: 0.3 * np.sin(x))
+        M = make_model_manifold("circle", drift="heatflow-sin", K=-0.3)
+        t = 0.5
+        st = solve_heat(M, initial_datum("cosine", {"k": 2, "amp": 0.5}), t,
+                        scheme="crank-nicolson-fd")
+        x = st.grid
+        n, h = x.size, x[1] - x[0]
+        b = 0.3 * np.sin(x)
+        A = np.zeros((n, n))
+        for i in range(n):
+            A[i, i] = -2.0 / h**2
+            A[i, (i + 1) % n] = 1.0 / h**2 + b[i] / (2.0 * h)
+            A[i, (i - 1) % n] = 1.0 / h**2 - b[i] / (2.0 * h)
+        steps = math.ceil(t / h)
+        dt = t / steps
+        eye = np.identity(n)
+        u = 1.0 + 0.5 * np.cos(2.0 * x)
+        for _ in range(steps):
+            u = np.linalg.solve(eye - 0.5 * dt * A, (eye + 0.5 * dt * A) @ u)
+        assert np.max(np.abs(st.u - u)) < 1e-12
+        assert np.max(np.abs(st.Lu - A @ u)) < 1e-12 * np.max(np.abs(A))
+
+    @pytest.mark.parametrize("family, size", [("hyperbolic-radial", 2401),
+                                              ("sphere-radial", 301)])
+    def test_radial_eigenpair_residuals(self, family, size):
+        M = make_model_manifold(family, m=2)
+        _, dn, dg, up = _generator(M, size)
+        tol = 1e-13 * np.max(np.abs(dg))
+        lam = _radial_operator(M, size).lam
+        assert np.all(np.diff(lam) < 0)
+        assert abs(lam[0]) < tol
+        for index in (0, 1, 2, 10, size // 2, size - 1):
+            lam_i, v = radial_eigenpair(M, size, index)
+            Lv = dg * v
+            Lv[:-1] += up[:-1] * v[1:]
+            Lv[1:] += dn[1:] * v[:-1]
+            assert np.max(np.abs(Lv + lam_i * v)) < tol, index
 
     def test_half_line_kernel_scheme_closed_form(self, half_line):
         datum = initial_datum("gaussian", {"amp": 1.0, "width": 0.3})
