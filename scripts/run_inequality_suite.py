@@ -58,7 +58,7 @@ def main():
         out_dir = f"{args.out}/{spec['family']}"
         emit_report(report, out_dir, args.format)
         n_bad = len(report.failures())
-        print(f"{spec['family']:>20}: rows={len(report.bound_rows)} "
+        print(f"{spec['family']:>20}: rows={report.n_bound_rows} "
               f"worst_margin={report.worst_margin():.3e} failures={n_bad} "
               f"-> {out_dir}")
         failed |= bool(n_bad)

@@ -40,9 +40,11 @@ def _run_and_emit(config, fmt, mc_only=False, bounds_only=False):
             click.echo(f"wrote {path}")
     n_fail = len(report.failures())
     worst = report.worst_margin()
-    click.echo(f"rows: bounds={len(report.bound_rows)} mc={len(report.mc_rows)}"
+    click.echo(f"rows: bounds={report.n_bound_rows} mc={len(report.mc_rows)}"
                f" worst_margin={worst:.3e} failures={n_fail}")
-    sys.exit(report.exit_code)
+    if not report.checked():
+        click.echo("warning: no bound or MC row was checked", err=True)
+    sys.exit(1 if n_fail else 0)
 
 
 @main.command()

@@ -11,7 +11,6 @@ tol defaulting to 1e-6.  MC rows pass at three standard errors.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import math
@@ -85,12 +84,81 @@ class ExperimentConfig:
 
 
 @dataclass
+class BoundBlock:
+    """The bound rows of one (bound id, params, t), held as columns.
+
+    head holds the cells every row of the block shares.  Without nodes it
+    is the block's only row: a skip, an error, or a row read back from
+    JSON.  Otherwise nodes is the solved state's (x, X, Y), the same
+    arrays for every block at that time, and margins the bound's verdicts
+    at those nodes.
+    """
+
+    head: dict
+    nodes: tuple | None = None
+    margins: bounds_mod.Margins | None = None
+
+    @property
+    def size(self) -> int:
+        return 1 if self.nodes is None else self.nodes[0].size
+
+    def rows(self, where=None) -> list:
+        """The block as row dicts; with a boolean mask, only those nodes."""
+        if self.nodes is None:
+            return [dict(self.head)]
+        m = self.margins
+        grid, X, Y = self.nodes
+        # a shared c keeps one float object for all rows of a node-free form
+        cs = m.c.tolist() if np.ndim(m.c) else [m.c] * grid.size
+        cols = zip(grid.tolist(), X.tolist(), Y.tolist(), cs,
+                   m.margin.tolist(), m.domain_ok.tolist(), m.note.tolist())
+        if where is not None:
+            cols = itertools.compress(cols, where.tolist())
+        # in-domain rows carry no note, not even the form's remark
+        return [dict(self.head, x=x, X=Xi, Y=Yi, gamma=m.gamma if ok else None,
+                     a=m.a if ok else None, c=c, margin=margin if ok else None,
+                     domain_ok=ok, note="" if ok else note)
+                for x, Xi, Yi, c, margin, ok, note in cols]
+
+    def worst(self) -> float | None:
+        """Least margin over rows in domain and without error; None if none."""
+        if self.nodes is None:
+            row = self.head
+            if (not row["domain_ok"] or row.get("error")
+                    or row["margin"] is None):
+                return None
+            return row["margin"]
+        m = self.margins
+        return float(m.margin[m.domain_ok].min()) if m.domain_ok.any() else None
+
+    def failing(self, tol: float) -> list:
+        """Rows with an error, or in domain with margin < -tol (1 + |c|)."""
+        if self.nodes is None:
+            row = self.head
+            bad = row.get("error") or (
+                row["domain_ok"] and row["margin"] < -tol * (1.0 + abs(row["c"])))
+            return [dict(row)] if bad else []
+        m = self.margins
+        bad = m.domain_ok & (m.margin < -tol * (1.0 + np.abs(m.c)))
+        return self.rows(bad) if bad.any() else []
+
+
+@dataclass
 class Report:
     config: dict
     solver_rows: list
-    bound_rows: list
+    bound_blocks: list   # BoundBlock per (bound, params, t), in row order
     mc_rows: list
     meta: dict
+
+    @property
+    def bound_rows(self) -> list:
+        """Every bound row as a dict, in report order (the JSON form)."""
+        return [row for block in self.bound_blocks for row in block.rows()]
+
+    @property
+    def n_bound_rows(self) -> int:
+        return sum(block.size for block in self.bound_blocks)
 
     def failures(self, tol: float | None = None) -> list:
         """Failing rows: solver and bound errors, violated margins, MC misses.
@@ -100,12 +168,8 @@ class Report:
         """
         tol = self.config.get("tol", 1e-6) if tol is None else tol
         out = [row for row in self.solver_rows if row.get("error")]
-        for row in self.bound_rows:
-            if row.get("error"):
-                out.append(row)
-            elif (row["domain_ok"]
-                  and row["margin"] < -tol * (1.0 + abs(row["c"]))):
-                out.append(row)
+        for block in self.bound_blocks:
+            out.extend(block.failing(tol))
         out.extend(r for r in self.mc_rows if r.get("passed") is False)
         return out
 
@@ -114,9 +178,15 @@ class Report:
         return 1 if self.failures() else 0
 
     def worst_margin(self) -> float:
-        vals = [r["margin"] for r in self.bound_rows
-                if r["domain_ok"] and not r.get("error")]
+        vals = [w for w in map(BoundBlock.worst, self.bound_blocks)
+                if w is not None]
         return min(vals) if vals else math.inf
+
+    def checked(self) -> bool:
+        """Whether a bound row was in domain or an MC row reached a verdict."""
+        return (any(block.worst() is not None for block in self.bound_blocks)
+                or any(r.get("passed") is not None and not r.get("error")
+                       for r in self.mc_rows))
 
     def to_dict(self) -> dict:
         return {"config": self.config, "solver": self.solver_rows,
@@ -144,26 +214,19 @@ def _empty_bound_row(M: ModelManifold, t, bound_id: str, params: dict) -> dict:
             "note": ""}
 
 
-def _bound_rows_for_state(state: HeatState, bound_id: str,
-                          params: dict) -> list:
+def _bound_block(state: HeatState, nodes: tuple, bound_id: str,
+                 params: dict) -> BoundBlock:
+    """One bound at one state; nodes is the state's (x, X, Y)."""
     M = state.manifold
-    empty = _empty_bound_row(M, state.t, bound_id, params)
+    head = _empty_bound_row(M, state.t, bound_id, params)
     if M.drift_id != "none" and bound_id in bounds_mod.DRIFTLESS_ONLY:
-        return [dict(empty, note="stated for Z = 0, skipped on a drift model")]
-    X, Y = state.X(), state.Y()
+        return BoundBlock(dict(head,
+                               note="stated for Z = 0, skipped on a drift model"))
     full = dict(params, n=M.n, t=state.t, K=M.K)
-    m = bounds_mod.bound_margins(bound_id, full, X, Y, state.W())
+    m = bounds_mod.bound_margins(bound_id, full, nodes[1], nodes[2], state.W())
     if m.skip_all:
-        return [dict(empty, note=str(m.note.flat[0]))]
-    # a shared c keeps one float object for all rows of a node-free form
-    cs = m.c.tolist() if np.ndim(m.c) else [m.c] * X.size
-    # in-domain rows carry no note, not even the form's remark
-    return [dict(empty, x=x, X=Xi, Y=Yi, gamma=m.gamma if ok else None,
-                 a=m.a if ok else None, c=c, margin=margin if ok else None,
-                 domain_ok=ok, note="" if ok else note)
-            for x, Xi, Yi, c, margin, ok, note in zip(
-                state.grid.tolist(), X.tolist(), Y.tolist(), cs,
-                m.margin.tolist(), m.domain_ok.tolist(), m.note.tolist())]
+        return BoundBlock(dict(head, note=str(m.note.flat[0])))
+    return BoundBlock(head, nodes, m)
 
 
 def _run_mc_entry(entry: dict, M: ModelManifold, datum, seed: int) -> dict:
@@ -242,7 +305,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
     M = manifold_from_dict(config.manifold)
     datum = initial_datum(config.initial_datum["id"],
                           config.initial_datum.get("params", {}))
-    solver_rows, bound_rows, mc_rows = [], [], []
+    solver_rows, bound_blocks, mc_rows = [], [], []
     states: dict[float, HeatState] = {}
     for t in config.times:
         try:
@@ -256,16 +319,17 @@ def run_experiment(config: ExperimentConfig) -> Report:
                                 "mass": state.mass(), "error": None})
         except Exception as exc:  # captured per row
             solver_rows.append({"t": t, "error": f"{type(exc).__name__}: {exc}"})
+    nodes = {t: (s.grid, s.X(), s.Y()) for t, s in states.items()}
     for entry in config.bounds:
         for params in _expand_params(entry.get("params", {})):
             for t, state in states.items():
                 try:
-                    bound_rows.extend(_bound_rows_for_state(
-                        state, entry["id"], params))
+                    bound_blocks.append(_bound_block(state, nodes[t],
+                                                     entry["id"], params))
                 except Exception as exc:
-                    bound_rows.append(dict(
+                    bound_blocks.append(BoundBlock(dict(
                         _empty_bound_row(M, t, entry["id"], params),
-                        error=f"{type(exc).__name__}: {exc}"))
+                        error=f"{type(exc).__name__}: {exc}")))
     for entry in config.mc:
         try:
             mc_rows.append(_run_mc_entry(entry, M, datum, config.seed))
@@ -276,7 +340,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
     meta = {"package": __version__, "numpy": np.__version__,
             "seed": config.seed}
     return Report(config=asdict(config), solver_rows=solver_rows,
-                  bound_rows=bound_rows, mc_rows=mc_rows, meta=meta)
+                  bound_blocks=bound_blocks, mc_rows=mc_rows, meta=meta)
 
 
 def emit_report(report: Report, out_dir, fmt: str = "csv") -> list:
@@ -300,51 +364,89 @@ def emit_report(report: Report, out_dir, fmt: str = "csv") -> list:
     else:
         path = out / "report.csv"
         with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            for row in report.bound_rows:
-                writer.writerow([_cell(row.get(col)) for col in CSV_COLUMNS])
+            _write_bound_csv(fh, report.bound_blocks)
         written.append(path)
         mc_path = out / "mc.csv"
         with mc_path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
             cols = ("functional_id", "family", "t", "x0", "n_paths", "dt",
                     "seed", "value", "stderr", "target", "passed")
-            writer.writerow(cols)
+            fh.write(_line(cols))
             for row in report.mc_rows:
-                writer.writerow([_cell(row.get(c)) for c in cols])
+                fh.write(_line(_cell(row.get(c)) for c in cols))
         written.append(mc_path)
     # plot data: worst margin per (bound, t)
     series: dict[str, dict[float, float]] = {}
-    for row in report.bound_rows:
-        if not row["domain_ok"] or row.get("error") or row["margin"] is None:
+    for block in report.bound_blocks:
+        worst = block.worst()
+        if worst is None:
             continue
-        per_t = series.setdefault(row["bound_id"], {})
-        t = row["t"]
-        per_t[t] = min(per_t.get(t, math.inf), row["margin"])
+        per_t = series.setdefault(block.head["bound_id"], {})
+        t = block.head["t"]
+        per_t[t] = min(per_t.get(t, math.inf), worst)
     plot_path = out / "margin_vs_t.csv"
     with plot_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("bound_id", "t", "min_margin"))
+        fh.write(_line(("bound_id", "t", "min_margin")))
         for bid in sorted(series):
             for t in sorted(series[bid]):
-                writer.writerow((bid, _cell(t), _cell(series[bid][t])))
+                fh.write(_line((_cell(bid), _cell(t), _cell(series[bid][t]))))
     written.append(plot_path)
     return written
 
 
-def _cell(value):
+def _write_bound_csv(fh, blocks) -> None:
+    """report.csv from the blocks' columns, one line per row in CSV_COLUMNS.
+
+    The cells a block shares are formatted once per block, x, X and Y once
+    per solved state; only margin (and a per-node c) once per row.
+    """
+    fh.write(_line(CSV_COLUMNS))
+    node_cells = {}
+    for block in blocks:
+        h = block.head
+        if block.nodes is None:
+            fh.write(_line(_cell(h.get(col)) for col in CSV_COLUMNS))
+            continue
+        key = id(block.nodes)
+        if key not in node_cells:
+            grid, X, Y = block.nodes
+            node_cells[key] = ([repr(x) for x in grid.tolist()],
+                               [f"{Xi!r},{Yi!r}" for Xi, Yi
+                                in zip(X.tolist(), Y.tolist())])
+        xs, XYs = node_cells[key]
+        m = block.margins
+        # bound_id .. t | x | alpha, eps | X, Y | gamma, a, c, margin, domain_ok
+        lead = ",".join(_cell(h[col]) for col in CSV_COLUMNS[:6])
+        params = f"{_cell(h['alpha'])},{_cell(h['eps'])}"
+        form = f"{_cell(m.gamma)},{_cell(m.a)}"
+        cs = ([repr(c) for c in m.c.tolist()] if np.ndim(m.c)
+              else itertools.repeat(_cell(m.c)))
+        fh.write("".join(
+            f"{lead},{x},{params},{XY},{form},{c},{margin!r},true\r\n" if ok
+            else f"{lead},{x},{params},{XY},,,{c},,false\r\n"
+            for x, XY, c, margin, ok in zip(xs, XYs, cs, m.margin.tolist(),
+                                            m.domain_ok.tolist())))
+
+
+def _line(cells) -> str:
+    return ",".join(cells) + "\r\n"
+
+
+def _cell(value) -> str:
+    """One CSV field as csv.writer (QUOTE_MINIMAL) writes it; floats by repr."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
-    return value
+    text = str(value)
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def load_report(path) -> Report:
     doc = json.loads(Path(path).read_text())
     return Report(config=doc["config"], solver_rows=doc["solver"],
-                  bound_rows=doc["bounds"], mc_rows=doc["mc"],
-                  meta=doc["meta"])
+                  bound_blocks=[BoundBlock(row) for row in doc["bounds"]],
+                  mc_rows=doc["mc"], meta=doc["meta"])

@@ -190,20 +190,16 @@ class InitialDatum:
     params: dict = field(default_factory=dict)
     floor: float = 0.0
 
-    def values(self, M: ModelManifold, grid: np.ndarray):
-        """(u0, du0, Lu0) sampled on the grid."""
+    def values(self, M: ModelManifold, grid: np.ndarray) -> np.ndarray:
+        """u0 sampled on the grid."""
         if self.expr == "eigen" and M.family in (geometry.SPHERE,
                                                  geometry.HYPERBOLIC):
-            lam, vec = radial_eigenpair(M, grid.size, int(self.params["index"]))
-            amp = float(self.params.get("amp", 0.5))
-            u0 = 1.0 + amp * vec
-            Lu0 = _apply(*_radial_operator(M, grid.size).diagonals, u0)
-            self._check_positive(u0)
-            return u0, np.gradient(u0, grid, edge_order=2), Lu0
-        u, du, d2u = self.callables(M)
-        u0 = u(grid)
+            _, vec = radial_eigenpair(M, grid.size, int(self.params["index"]))
+            u0 = 1.0 + float(self.params.get("amp", 0.5)) * vec
+        else:
+            u0 = self.callables(M)[0](grid)
         self._check_positive(u0)
-        return u0, du(grid), d2u(grid) + M.b_total(grid) * du(grid)
+        return u0
 
     def callables(self, M: ModelManifold):
         """(u0, u0', u0'') as vectorised callables for analytic ids."""
@@ -397,6 +393,7 @@ def solve_heat(M: ModelManifold, u0: InitialDatum, t: float,
         grid_size = _default_grid_size(M)
     if M.has_boundary:
         u0.check_neumann(M)
+    u0v = u0.values(M, M.grid(grid_size))
 
     fam = M.family
     unbounded_flat = fam in (geometry.EUCLIDEAN_LINE, geometry.HALF_LINE,
@@ -409,23 +406,23 @@ def solve_heat(M: ModelManifold, u0: InitialDatum, t: float,
     elif scheme == "kernel":
         raise ValueError(f"no kernel evolution on {fam}")
     elif fam == geometry.CIRCLE and scheme == "spectral":
-        state = _solve_circle_spectral(M, u0, t, grid_size)
+        state = _solve_circle_spectral(M, u0v, t, grid_size)
     elif fam == geometry.INTERVAL and scheme == "spectral":
-        state = _solve_interval_spectral(M, u0, t, grid_size)
+        state = _solve_interval_spectral(M, u0v, t, grid_size)
     elif fam in (geometry.SPHERE, geometry.HYPERBOLIC) and scheme == "spectral":
-        state = _solve_radial_eigen(M, u0, t, grid_size)
+        state = _solve_radial_eigen(M, u0v, t, grid_size)
     elif scheme == "crank-nicolson-fd":
-        state = _solve_crank_nicolson(M, u0, t, grid_size)
+        state = _solve_crank_nicolson(M, u0v, t, grid_size)
     else:
         raise ValueError(f"scheme {scheme!r} unavailable on {fam}")
 
-    _check_state(M, u0, state)
+    _check_state(M, u0v, state)
     return state
 
 
-def _check_state(M, u0, state):
+def _check_state(M, u0v, state):
+    """Positivity, the maximum principle and mass against the samples u0v."""
     grid = state.grid
-    u0v, _, _ = u0.values(M, grid)
     if np.min(state.u) <= 0.0 and state.t > 0:
         raise SolverError("positivity lost")
     slack = 1e-9 * (np.max(u0v) - np.min(u0v) + 1.0)
@@ -439,9 +436,8 @@ def _check_state(M, u0, state):
             raise SolverError(f"mass drift {mt - m0}")
 
 
-def _solve_circle_spectral(M, u0, t, size):
+def _solve_circle_spectral(M, u0v, t, size):
     grid = M.grid(size)
-    u0v, _, _ = u0.values(M, grid)
     if M.drift_id != "none":
         raise SolverError("spectral circle solver supports Z = 0 only")
     freq = np.fft.rfftfreq(size, d=1.0 / size)  # integer wave numbers
@@ -452,9 +448,8 @@ def _solve_circle_spectral(M, u0, t, size):
     return HeatState(M, t, grid, u, du, Lu, scheme="spectral")
 
 
-def _solve_interval_spectral(M, u0, t, size):
+def _solve_interval_spectral(M, u0v, t, size):
     grid = M.grid(size)
-    u0v, _, _ = u0.values(M, grid)
     if M.drift_id != "none":
         raise SolverError("spectral interval solver supports Z = 0 only; "
                           "use crank-nicolson-fd")
@@ -468,19 +463,17 @@ def _solve_interval_spectral(M, u0, t, size):
     return HeatState(M, t, grid, u, du, Lu, scheme="spectral")
 
 
-def _solve_radial_eigen(M, u0, t, size):
+def _solve_radial_eigen(M, u0v, t, size):
     op = _radial_operator(M, size)
-    u0v, _, _ = u0.values(M, op.grid)
     u = op.evolve(u0v, t)
     Lu = _apply(*op.diagonals, u)
     du = np.gradient(u, op.grid, edge_order=2)
     return HeatState(M, t, op.grid, u, du, Lu, scheme="spectral")
 
 
-def _solve_crank_nicolson(M, u0, t, size):
+def _solve_crank_nicolson(M, u0v, t, size):
     grid, dn, dg, up = _generator(M, size)
     h = grid[1] - grid[0]
-    u0v, _, _ = u0.values(M, grid)
     dt = h  # unconditionally stable, second order
     steps = max(int(math.ceil(t / dt)), 1) if t > 0 else 0
     if steps:

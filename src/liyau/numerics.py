@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
 
 
 class QuadratureError(RuntimeError):
@@ -78,6 +77,8 @@ def expm1_ratio(a, b):
 
 def integrate_adaptive(f, a, b, tol=1e-10, limit=200):
     """Adaptive quadrature with an absolute tolerance and a failure check."""
+    from scipy import integrate  # on first use: radial solves never integrate
+
     val, err, info, *rest = integrate.quad(
         f, a, b, epsabs=tol, epsrel=1e-12, limit=limit, full_output=True
     )

@@ -1,14 +1,32 @@
+import csv
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from liyau import (check_inequality, eval_bound, initial_datum,
+import liyau
+from liyau import (HeatState, check_inequality, eval_bound, initial_datum,
                    manifold_from_dict, solve_heat)
 from liyau.cli import main
-from liyau.harness import (CSV_COLUMNS, ExperimentConfig, emit_report,
-                           load_report, run_experiment)
+from liyau.geometry import register_drift
+from liyau.harness import (CSV_COLUMNS, BoundBlock, ExperimentConfig,
+                           Report, _bound_block, emit_report, load_report,
+                           run_experiment)
+
+
+def register_ou_drift():
+    try:
+        register_drift("harness-ou", lambda x: -0.2 * x)
+    except ValueError:
+        pass  # already registered by an earlier test
 
 
 def minimal_config(**overrides):
@@ -122,16 +140,15 @@ class TestRunExperiment:
 
     def test_failures_flag_synthetic_row(self):
         report = run_experiment(minimal_config())
-        report.bound_rows.append(dict(report.bound_rows[0]))
-        report.bound_rows[-1]["margin"] = -1.0
+        block = report.bound_blocks[0]
+        margin = block.margins.margin.copy()
+        margin[0] = -1.0
+        block.margins = replace(block.margins, margin=margin)
         assert report.exit_code == 1
+        assert [r["margin"] for r in report.failures()] == [-1.0]
 
     def test_classical_bounds_skipped_on_drift_models(self):
-        from liyau.geometry import register_drift
-        try:
-            register_drift("harness-ou", lambda x: -0.2 * x)
-        except ValueError:
-            pass  # already registered by an earlier test run
+        register_ou_drift()
         cfg = minimal_config(
             manifold={"family": "euclidean-line", "m": 1, "n": 2,
                       "K": -0.5, "drift": "harness-ou"},
@@ -216,7 +233,94 @@ class TestPerNodeBoundRows:
             assert (row["gamma"], row["a"]) == (form.gamma, form.a)
 
 
+def _dict_cell(value):
+    """The cell rule of the row-by-row writer, for csv.writer."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return value
+
+
+def mixed_report() -> Report:
+    """Blocks of every kind: in domain, per-node and whole-bound skips,
+    drift skips and errors, integer times and None parameters."""
+    sphere = run_experiment(minimal_config(
+        manifold={"family": "sphere-radial", "m": 2}, times=[1, 2],
+        grid_size=21,
+        bounds=[{"id": "davies", "params": {"alpha": [1.5, 4.0, "a,b"]}},
+                {"id": "bakry-qian", "params": {"alpha": [None],
+                                                "eps": [None]}},
+                {"id": "bbg"}, {"id": "yau"},
+                {"id": "local-grad", "params": {"eps": [None]}}]))
+    hyperbolic = run_experiment(minimal_config(
+        manifold={"family": "hyperbolic-radial", "m": 2}, times=[1, 2],
+        grid_size=21, bounds=[{"id": "bbg"}]))
+    register_ou_drift()
+    drift = run_experiment(minimal_config(
+        manifold={"family": "euclidean-line", "m": 1, "n": 2, "K": -0.5,
+                  "drift": "harness-ou"},
+        initial_datum={"id": "gaussian", "params": {"amp": 1.0,
+                                                    "width": 0.3}},
+        scheme="crank-nicolson-fd", times=[0.5], grid_size=21,
+        bounds=[{"id": "davies", "params": {"alpha": [2.0]}}]))
+    # bbg leaves its window where Y >= (n K / 4)(1 + pi^2 / (K t)^2)
+    M = manifold_from_dict({"family": "sphere-radial", "m": 2})
+    grid = M.grid(11)
+    state = HeatState(M, 1.0, grid, np.ones(11), np.full(11, 0.1),
+                      np.linspace(0.0, 10.0, 11))
+    window = _bound_block(state, (grid, state.X(), state.Y()), "bbg", {})
+    assert 0 < window.margins.domain_ok.sum() < 11
+    blocks = (sphere.bound_blocks + hyperbolic.bound_blocks
+              + drift.bound_blocks + [window])
+    return Report(config=sphere.config, solver_rows=[], bound_blocks=blocks,
+                  mc_rows=[], meta={})
+
+
 class TestEmit:
+    def test_columnar_writer_matches_row_writer(self, tmp_path):
+        report = mixed_report()
+        rows = report.bound_rows
+        kinds = {(r["x"] is not None, r["domain_ok"], bool(r["note"]),
+                  "error" in r) for r in rows}
+        assert kinds == {(True, True, False, False), (True, False, True, False),
+                         (False, False, True, False),
+                         (False, False, False, True)}
+        assert {r["t"] for r in rows} >= {1, 2, 0.5}
+        assert None in {r["alpha"] for r in rows if r["domain_ok"]}
+        assert {"needs K > 0", "stated for Z = 0, skipped on a drift model",
+                "Y outside the admissible window"} <= {r["note"] for r in rows}
+        paths = emit_report(report, tmp_path, "csv")
+
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(CSV_COLUMNS)
+        for row in rows:
+            writer.writerow([_dict_cell(row.get(col)) for col in CSV_COLUMNS])
+        assert paths[0].read_bytes() == buf.getvalue().encode()
+
+        series = {}
+        for row in rows:
+            if row["domain_ok"] and not row.get("error"):
+                key = (row["bound_id"], row["t"])
+                series[key] = min(series.get(key, math.inf), row["margin"])
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(("bound_id", "t", "min_margin"))
+        for bid, t in sorted(series):
+            writer.writerow((bid, _dict_cell(t), _dict_cell(series[bid, t])))
+        assert paths[-1].read_bytes() == buf.getvalue().encode()
+
+        tol = report.config["tol"]
+        bad = [r for r in rows if r.get("error") or (
+            r["domain_ok"] and r["margin"] < -tol * (1.0 + abs(r["c"])))]
+        assert report.failures() == bad
+        assert {"error" in r for r in bad} == {True, False}
+        assert report.worst_margin() == min(v for _, v in series.items())
+        assert report.n_bound_rows == len(rows)
+
     def test_csv_columns_fixed(self, tmp_path):
         report = run_experiment(minimal_config())
         paths = emit_report(report, tmp_path, "csv")
@@ -286,7 +390,11 @@ class TestCli:
         path.write_text(json.dumps(doc))
         return path
 
-    def test_verify_exit_zero(self, tmp_path):
+    def test_verify_exit_zero(self, tmp_path, monkeypatch):
+        # the CSV path reads the columns and never builds the row dicts
+        def no_rows(self, where=None):
+            raise AssertionError("row dicts built")
+        monkeypatch.setattr(BoundBlock, "rows", no_rows)
         runner = CliRunner()
         res = runner.invoke(main, ["verify", "--config",
                                    str(self.write_config(tmp_path)),
@@ -320,6 +428,30 @@ class TestCli:
             grid_size=101)
         assert res.exit_code == 1, res.output
         assert "bounds=0 mc=0 worst_margin=inf failures=2" in res.output
+
+    def test_verify_warns_when_nothing_is_checked(self, tmp_path):
+        # trig-alpha with alpha = 2 has no constants on the circle: one skip
+        doc = dict(manifold={"family": "circle", "m": 1, "n": 1},
+                   initial_datum={"id": "eigen",
+                                  "params": {"index": 1, "amp": 0.5}},
+                   times=[1.0], grid_size=64,
+                   bounds=[{"id": "trig-alpha", "params": {"alpha": [2.0]}}])
+        res = self.verify(tmp_path, **doc)
+        assert res.exit_code == 0, res.output
+        assert res.stdout.splitlines() == [
+            "rows: bounds=1 mc=0 worst_margin=inf failures=0"]
+        assert res.stderr == "warning: no bound or MC row was checked\n"
+        doc["bounds"][0]["id"] = "linear-alpha"
+        res = self.verify(tmp_path, **doc)
+        assert res.exit_code == 0 and res.stderr == "", res.output
+
+    def test_cli_import_leaves_quadrature_out(self):
+        src = str(Path(liyau.__file__).parents[1])
+        code = "import sys, liyau.cli; print('scipy.integrate' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert out.stdout == "False\n"
 
     def test_sweep_writes_plot_data(self, tmp_path):
         runner = CliRunner()
