@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .clocks import Clock
-from .numerics import (coth, decay_rate, em1int, integrate_adaptive, xcot,
-                       xcoth)
+from .numerics import (coth, decay_rate, em1int, integrate_adaptive,
+                       integrate_smooth, sign_changes, xcot, xcoth)
 
 BOUND_IDS = (
     "davies",            # alpha-form with the K^-/(alpha-1) constant
@@ -175,24 +175,20 @@ def _li_xu_coeff(x: float) -> float:
 
 
 def _g3_y_coeff(beta: float, K_D: float, t: float, eps: float) -> float:
-    """Y-coefficient of the local eps-form bound by adaptive quadrature.
+    """Y-coefficient of the local eps-form bound.
 
     2 (1+eps) beta int_0^t (e^{-2 beta s} - e^{-beta (s+t)}) e^{2 K_D s} ds
-    divided by (1 - e^{-beta t})^2; cross-checked against the closed form.
+    divided by (1 - e^{-beta t})^2, in closed form.  The closed form cancels
+    as beta t -> 0, so there the integrand is written through
+    -expm1(-beta u)/beta (-> u, the linear clock at beta = 0) and integrated.
     """
-    if beta == 0.0:
-        # the reference profile degenerates to the linear clock
-        return 2.0 * (1.0 + eps) * integrate_adaptive(
-            lambda s: (t - s) / t**2 * np.exp(2.0 * K_D * s), 0.0, t)
-    denom = math.expm1(-beta * t) ** 2
-    quad = integrate_adaptive(
-        lambda s: (np.exp(-2.0 * beta * s) - np.exp(-beta * (s + t)))
-        * np.exp(2.0 * K_D * s), 0.0, t)
-    closed = (em1int(2.0 * K_D - 2.0 * beta, t)
-              - math.exp(-beta * t) * em1int(2.0 * K_D - beta, t))
-    if abs(quad - closed) > 1e-9 * (1.0 + abs(closed)):
-        raise RuntimeError("local bound quadrature disagrees with closed form")
-    return 2.0 * (1.0 + eps) * beta * quad / denom
+    if abs(beta) * t < 1e-2:
+        prof = (lambda u: -np.expm1(-beta * u) / beta) if beta else (lambda u: u)
+        return 2.0 * (1.0 + eps) * decay_rate(beta, t) ** 2 * integrate_smooth(
+            lambda s: prof(t - s) * np.exp(2.0 * (K_D - beta) * s), 0.0, t)
+    integral = (em1int(2.0 * K_D - 2.0 * beta, t)
+                - math.exp(-beta * t) * em1int(2.0 * K_D - beta, t))
+    return 2.0 * (1.0 + eps) * beta * integral / math.expm1(-beta * t) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -503,11 +499,14 @@ def nonconvex_bound_rhs(data: NonconvexData, clock: Clock, t: float,
     if abs(clock.t - t) > 1e-12 * (1.0 + t):
         raise ValueError("clock horizon must match t")
     K_phi = data.K_phi(K)
+    # |l'| and |l l'| have kinks where the clock turns; integrate piecewise
+    kinks = sign_changes(lambda s: clock.l(s) * clock.dl(s), 0.0, t)
     if mode == "plain":
         rate = eps - K_phi
-        a = 2.0 * integrate_adaptive(
-            lambda s: clock.l(s) * np.abs(clock.dl(s)) * np.exp(rate * s), 0.0, t)
-        c = (0.5 * n + data.gamma**2 / eps) * integrate_adaptive(
+        a = 2.0 * integrate_smooth(
+            lambda s: clock.l(s) * np.abs(clock.dl(s)) * np.exp(rate * s), 0.0, t,
+            breaks=kinks)
+        c = (0.5 * n + data.gamma**2 / eps) * integrate_smooth(
             lambda s: clock.dl(s) ** 2 * np.exp(rate * s), 0.0, t)
         return BoundForm("nonconvex-plain", gamma=1.0 / data.kappa**2, a=a, c=c,
                          params={"eps": eps, "K": K, "n": n, "t": t})
@@ -515,12 +514,12 @@ def nonconvex_bound_rhs(data: NonconvexData, clock: Clock, t: float,
         if alpha is None or alpha <= data.kappa**2:
             raise ValueError("alpha mode needs alpha > kappa^2")
         K_ap = data.K_alpha_phi(K, alpha)
-        g = 2.0 * (alpha / data.kappa**2 - 1.0) * integrate_adaptive(
+        g = 2.0 * (alpha / data.kappa**2 - 1.0) * integrate_smooth(
             lambda s: np.abs(clock.l(s) * clock.dl(s))
-            * np.exp((K_ap + K_phi - eps) * s), 0.0, t)
+            * np.exp((K_ap + K_phi - eps) * s), 0.0, t, breaks=kinks)
         scale = (n * alpha**2 / 8.0
                  + alpha**2 * data.gamma**2 / (4.0 * eps * (alpha - data.kappa**2)))
-        c = scale * integrate_adaptive(
+        c = scale * integrate_smooth(
             lambda s: np.exp((K_ap - eps) * s)
             * ((K_ap - eps) * clock.l(s) + 2.0 * clock.dl(s)) ** 2, 0.0, t)
         return BoundForm("nonconvex-alpha", gamma=1.0 + g, a=float(alpha), c=c,

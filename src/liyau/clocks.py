@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import QuadratureError, em1int, integrate_adaptive
+from .numerics import QuadratureError, em1int, integrate_smooth
 
 FAMILIES = ("linear", "trig", "exp-integral", "exp-linear", "bbg", "local-exp")
 
@@ -146,9 +146,9 @@ def clock_integrals(clock: Clock, K: float, tol: float = 1e-10) -> dict:
     """
     t = clock.t
     w = lambda s: np.exp(-2.0 * K * s)
-    deriv_sq = integrate_adaptive(lambda s: clock.dl(s) ** 2 * w(s), 0.0, t, tol)
-    sq = integrate_adaptive(lambda s: clock.l(s) ** 2 * w(s), 0.0, t, tol)
-    sq_prime = integrate_adaptive(
+    deriv_sq = integrate_smooth(lambda s: clock.dl(s) ** 2 * w(s), 0.0, t, tol)
+    sq = integrate_smooth(lambda s: clock.l(s) ** 2 * w(s), 0.0, t, tol)
+    sq_prime = integrate_smooth(
         lambda s: 2.0 * clock.l(s) * clock.dl(s) * w(s), 0.0, t, tol)
 
     closed = _closed_forms(clock, K)
@@ -200,7 +200,7 @@ def gamma_integral(clock: Clock, K0: float, alpha: float, tol: float = 1e-12) ->
     c = 2.0 * alpha * K0 / (alpha - 1.0)
     if abs(c) * t > 690.0:
         raise QuadratureError("gamma weight overflows; shrink K0*t/(alpha-1)")
-    val = 2.0 * K0 * integrate_adaptive(
+    val = 2.0 * K0 * integrate_smooth(
         lambda s: clock.l(s) ** 2 * np.exp(c * s), 0.0, t, tol)
     if (clock.family == "exp-integral" and K0 == clock.params["K"]
             and alpha == clock.params["alpha"] and K0 != 0.0):
@@ -245,7 +245,7 @@ def alpha_form_integral(clock: Clock, K: float, alpha: float,
         raise ValueError("alpha must exceed 1")
     beta = K / (alpha - 1.0)
     t = clock.t
-    val = integrate_adaptive(
+    val = integrate_smooth(
         lambda s: np.exp(2.0 * beta * s) * (beta * clock.l(s) + clock.dl(s)) ** 2,
         0.0, t, tol)
     return val

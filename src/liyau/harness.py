@@ -307,9 +307,9 @@ def run_experiment(config: ExperimentConfig) -> Report:
                           config.initial_datum.get("params", {}))
     solver_rows, bound_blocks, mc_rows = [], [], []
     states: dict[float, HeatState] = {}
-    for t in config.times:
+    for t in map(float, config.times):  # one spelling of t in every row
         try:
-            state = solve_heat(M, datum, float(t), grid_size=config.grid_size,
+            state = solve_heat(M, datum, t, grid_size=config.grid_size,
                                scheme=config.scheme)
             states[t] = state
             solver_rows.append({"t": t, "scheme": state.scheme,

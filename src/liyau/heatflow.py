@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg
 
 from . import geometry
 from .geometry import ModelManifold
@@ -329,6 +328,8 @@ class _RadialOperator:
     """Eigenbasis of the flux-form generator on the sphere / hyperbolic grid."""
 
     def __init__(self, M: ModelManifold, size: int):
+        from scipy import linalg  # on first use: interval runs never need it
+
         self.grid, dn, dg, up = _generator(M, size)
         self.diagonals = (dn, dg, up)
         # symmetrised by D = diag(sqrt(w)): S = D L D^{-1} is symmetric up
@@ -472,6 +473,8 @@ def _solve_radial_eigen(M, u0v, t, size):
 
 
 def _solve_crank_nicolson(M, u0v, t, size):
+    from scipy import linalg  # on first use: interval runs never need it
+
     grid, dn, dg, up = _generator(M, size)
     h = grid[1] - grid[0]
     dt = h  # unconditionally stable, second order

@@ -3,17 +3,34 @@
 All hyperbolic/trigonometric ratios that degenerate near zero are written
 through expm1 so that the K -> 0 and alpha -> 1 limits of the bound
 constants come out exact instead of cancelling catastrophically.
+
+Quadrature comes in three kinds:
+
+- integrate_smooth, a 64-node Gauss-Legendre rule checked against 32
+  nodes, for the smooth integrands on [0, t]: the clock integrals of
+  clocks (clock_integrals, gamma_integral, alpha_form_integral), the
+  coefficients of bounds.nonconvex_bound_rhs (split by sign_changes where
+  a turning clock puts a kink in |l'| or |l l'|) and the small beta t
+  branch of the local-grad Y coefficient (bounds._g3_y_coeff), where its
+  closed form cancels;
+- closed forms, with no quadrature at run time: the local-grad Y
+  coefficient for beta t >= 1e-2, whose integrand is too peaked at large
+  beta for the fixed rule, and the exp-alpha left-hand side;
+- integrate_adaptive, scipy's adaptive quad imported on first use, only
+  for the collar integrals of bounds.nonconvex_constants, which are
+  singular at an open endpoint.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """A quadrature rule failed to reach the requested tolerance."""
 
 
 class SolverError(RuntimeError):
@@ -75,9 +92,66 @@ def expm1_ratio(a, b):
     return math.expm1(a) / math.expm1(b)
 
 
+@functools.lru_cache(maxsize=None)
+def _leggauss(n):
+    return np.polynomial.legendre.leggauss(n)
+
+
+def integrate_smooth(f, a, b, tol=1e-10, breaks=()):
+    """Gauss-Legendre quadrature of a piecewise smooth f on [a, b].
+
+    f takes an array of nodes; breaks are the interior points where f has a
+    kink (see sign_changes).  On each piece the 64-node value is taken when
+    it agrees with the 32-node value to max(tol, 1e-12 |value|), the
+    absolute-or-relative rule of quad's epsabs/epsrel; otherwise the
+    integrand is too peaked or rough for the fixed rule and the call raises.
+    """
+    ends = [a, *breaks, b]
+    return sum(_gauss_legendre(f, lo, hi, tol) for lo, hi in zip(ends, ends[1:]))
+
+
+def _gauss_legendre(f, a, b, tol):
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    i32, i64 = (half * float(np.dot(w, f(mid + half * x)))
+                for x, w in map(_leggauss, (32, 64)))
+    if not abs(i64 - i32) <= max(tol, 1e-12 * abs(i64)):
+        raise QuadratureError(
+            f"Gauss-Legendre rules disagree on [{a}, {b}]: "
+            f"64 nodes {i64}, 32 nodes {i32}")
+    return i64
+
+
+def sign_changes(g, a, b, n=512):
+    """Interior points of (a, b) where g changes sign, to rounding.
+
+    g is sampled at n + 1 uniform nodes and each bracket of a strict sign
+    change is bisected to its floating-point limit.  Two sign changes
+    between neighbouring nodes go unseen; the kink they leave in |g| then
+    makes integrate_smooth raise rather than return a wrong value.
+    """
+    x = np.linspace(a, b, n + 1)
+    sg = np.sign(g(x))
+    roots = list(x[1:-1][sg[1:-1] == 0.0])
+    for i in np.flatnonzero(sg[:-1] * sg[1:] < 0.0):
+        lo, hi = x[i], x[i + 1]
+        mid = 0.5 * (lo + hi)
+        while lo < mid < hi:
+            if np.sign(g(mid)) == sg[i]:
+                lo = mid
+            else:
+                hi = mid
+            mid = 0.5 * (lo + hi)
+        roots.append(lo)
+    return sorted(map(float, roots))
+
+
 def integrate_adaptive(f, a, b, tol=1e-10, limit=200):
-    """Adaptive quadrature with an absolute tolerance and a failure check."""
-    from scipy import integrate  # on first use: radial solves never integrate
+    """Adaptive quadrature with an absolute tolerance and a failure check.
+
+    Only for integrands that a fixed rule cannot take, such as the
+    open-endpoint singular collar integrals of nonconvex_constants.
+    """
+    from scipy import integrate  # on first use: only the collar constants
 
     val, err, info, *rest = integrate.quad(
         f, a, b, epsabs=tol, epsrel=1e-12, limit=limit, full_output=True

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
-from .clocks import Clock
+from .clocks import Clock, alpha_form_integral, clock_integrals
 from .geometry import ModelManifold
 from .numerics import mean_and_stderr
 
@@ -320,11 +320,9 @@ def estimate_functional(M: ModelManifold, u0, x: float, t: float,
     A, B = np.zeros((2, n_paths))     # int K(X) dr (left point), int sigma dL
     I1, I2 = np.zeros((2, n_paths))   # clock integrals, pathwise or constant
     if const_weight and functional_id == "harnack_rhs":
-        from .clocks import clock_integrals
         ints = clock_integrals(clock, kf)
         I1, I2 = ints["deriv_sq"], ints["sq_prime"]
     if const_weight and need_alpha:
-        from .clocks import alpha_form_integral
         I1 = alpha_form_integral(clock, kf, alpha)
     track_B = M.has_boundary and not sigma_zero
     sigma_wall = (sf if sc else sf(M.boundaries()[0][0])) if track_B else 0.0

@@ -321,6 +321,23 @@ class TestEmit:
         assert report.worst_margin() == min(v for _, v in series.items())
         assert report.n_bound_rows == len(rows)
 
+    def test_times_have_one_spelling(self, tmp_path):
+        # integer times; local-grad without R gives error rows beside the
+        # node and skip rows of the same times
+        report = run_experiment(minimal_config(
+            manifold={"family": "sphere-radial", "m": 2}, times=[1, 2],
+            grid_size=21, bounds=[{"id": "davies", "params": {"alpha": [2.0]}},
+                                  {"id": "local-grad",
+                                   "params": {"eps": [1.0]}}]))
+        assert {("error" in r, r["x"] is None)
+                for r in report.bound_rows} == {(False, False), (True, True)}
+        emit_report(report, tmp_path, "csv")
+        with (tmp_path / "report.csv").open(newline="") as fh:
+            assert {r["t"] for r in csv.DictReader(fh)} == {"1.0", "2.0"}
+        series = (tmp_path / "margin_vs_t.csv").read_text().splitlines()[1:]
+        assert {line.split(",")[1] for line in series} == {"1.0", "2.0"}
+        assert {type(r["t"]) for r in report.solver_rows} == {float}
+
     def test_csv_columns_fixed(self, tmp_path):
         report = run_experiment(minimal_config())
         paths = emit_report(report, tmp_path, "csv")
@@ -446,12 +463,29 @@ class TestCli:
         assert res.exit_code == 0 and res.stderr == "", res.output
 
     def test_cli_import_leaves_quadrature_out(self):
-        src = str(Path(liyau.__file__).parents[1])
-        code = "import sys, liyau.cli; print('scipy.integrate' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], check=True,
-                             capture_output=True, text=True,
-                             env=dict(os.environ, PYTHONPATH=src))
-        assert out.stdout == "False\n"
+        # scipy modules that start-up, and a verify of each shipped config,
+        # must not load: only the collar constants use quad, only radial
+        # and Crank-Nicolson solves use scipy.linalg
+        src = Path(liyau.__file__).parents[1]
+        code = ("import sys, liyau.cli\n"
+                "if sys.argv[1:]:\n"
+                "    try:\n"
+                "        liyau.cli.main(['verify', '--config', sys.argv[1]])\n"
+                "    except SystemExit as exc:\n"
+                "        assert exc.code == 0, exc.code\n"
+                "print(*(m for m in sys.modules if m.startswith('scipy')))\n")
+        configs = src.parent / "configs"
+        for args, banned in (
+                ([], ("scipy",)),
+                ([configs / "sphere.json"], ("scipy.integrate",)),
+                ([configs / "interval_mc.json"],
+                 ("scipy.integrate", "scipy.linalg"))):
+            out = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                                 check=True, capture_output=True, text=True,
+                                 env=dict(os.environ, PYTHONPATH=str(src)))
+            loaded = out.stdout.splitlines()[-1].split()
+            assert not [m for m in loaded for b in banned
+                        if m == b or m.startswith(b + ".")], (args, loaded)
 
     def test_sweep_writes_plot_data(self, tmp_path):
         runner = CliRunner()

@@ -119,3 +119,24 @@ class TestRhsRecords:
         assert rec.gamma == pytest.approx(1.0, abs=1e-6)
         assert rec.a == pytest.approx(1.0, abs=1e-5)
         assert rec.c == pytest.approx(1.0, abs=1e-5)  # n/(2t) = 1
+
+    @pytest.mark.parametrize("mode", ["plain", "alpha"])
+    def test_turning_clock_against_simpson(self, data, mode):
+        # the trig clock rises before it falls: |l'| and |l l'| have a kink,
+        # which the quadrature splits at and Simpson just resolves finely
+        t, eps, n, K, alpha = 1.0, 1.0, 2.0, 0.0, 2.0
+        clock = make_clock("trig", {"a": 0.9, "K": 2.0}, t=t)
+        assert float(clock.dl(0.0)) > 0.0 > float(clock.dl(0.9 * t))
+        rec = nonconvex_bound_rhs(data, clock, t, eps=eps, n=n, K=K,
+                                  alpha=alpha, mode=mode)
+        l, dl = clock.l, clock.dl
+        if mode == "plain":
+            rate = eps - data.K_phi(K)
+            ref = 2 * simpson(lambda s: l(s) * np.abs(dl(s))
+                              * np.exp(rate * s), 0, t, 2**16)
+            assert rec.a == pytest.approx(ref, rel=1e-8)
+        else:
+            rate = data.K_alpha_phi(K, alpha) + data.K_phi(K) - eps
+            ref = 1 + 2 * (alpha / data.kappa**2 - 1) * simpson(
+                lambda s: np.abs(l(s) * dl(s)) * np.exp(rate * s), 0, t, 2**16)
+            assert rec.gamma == pytest.approx(ref, rel=1e-8)
