@@ -39,8 +39,16 @@ class Clock:
         return _eval(self.family, self.t, self.params, np.asarray(s, dtype=float), 1)
 
     def monotone(self) -> bool:
-        """True for the families with l' <= 0 everywhere."""
-        return self.family in ("linear", "exp-integral", "exp-linear", "local-exp")
+        """True when l' <= 0 on all of [0, t].
+
+        exp-linear has l' = e^{-beta s}(-beta (t - s) - 1)/t with
+        beta = K/(alpha - 1), which is positive near s = 0 once
+        beta t < -1.
+        """
+        if self.family == "exp-linear":
+            p = self.params
+            return p["K"] * self.t / (p["alpha"] - 1.0) >= -1.0
+        return self.family in ("linear", "exp-integral", "local-exp")
 
 
 def make_clock(family: str, params: dict | None = None, t: float = 1.0) -> Clock:

@@ -6,7 +6,10 @@ reported in units of 1/time; a bound row passes when
 
     margin >= -tol * (1 + |c|),
 
-tol defaulting to 1e-6.  MC rows pass at three standard errors.
+tol defaulting to 1e-6.  MC rows pass at three standard errors.  MC rows
+that share an ensemble (x0, n_paths, dt, seed) share one pass of paths,
+and the passes run concurrently on the process's cores; no row depends on
+the number of threads.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -229,7 +233,18 @@ def _bound_block(state: HeatState, nodes: tuple, bound_id: str,
     return BoundBlock(head, nodes, m)
 
 
-def _run_mc_entry(entry: dict, M: ModelManifold, datum, seed: int) -> dict:
+@dataclass
+class _McRow:
+    """One mc entry planned: its report head, ensemble and accumulator."""
+
+    entry: dict
+    row: dict
+    ensemble: stoch.Ensemble
+    accumulator: stoch.Accumulator
+    clock: clocks_mod.Clock | None
+
+
+def _plan_mc_row(entry: dict, M: ModelManifold, datum, seed: int) -> _McRow:
     fid = entry["functional"]
     t = float(entry["t"])
     dt = float(entry.get("dt", 1e-3))
@@ -238,42 +253,80 @@ def _run_mc_entry(entry: dict, M: ModelManifold, datum, seed: int) -> dict:
     seed = int(entry.get("seed", seed))
     row = {"functional_id": fid, "family": M.family, "t": t, "x0": x0,
            "dt": dt, "n_paths": n_paths, "seed": seed}
-    if fid == "local_time_moment":
-        est = stoch.local_time_moment(M, x0, t, float(entry.get("p", 1.0)),
-                                      n_paths, dt, seed)
-        row.update(value=est.value, stderr=est.stderr, passed=None)
-        return row
-    if fid == "expected_local_time":
-        est = stoch.expected_local_time(M, x0, t, n_paths, dt, seed)
-        row.update(value=est.value, stderr=est.stderr, passed=None)
-        if "target" in entry:  # e.g. 2/sqrt(pi) for the flat wall at t = 1
-            target = float(entry["target"])
-            row.update(target=target,
-                       passed=bool(abs(est.value - target)
-                                   <= 3.0 * est.stderr))
-        return row
-    if fid == "expected_value":
-        est = stoch.expected_value_at(M, datum, x0, t, n_paths, dt, seed)
-        state = solve_heat(M, datum, t, grid_size=entry.get("grid_size"),
-                           scheme=entry.get("pde_scheme", "spectral"))
-        target = float(np.interp(x0, state.grid, state.u))
-        passed = abs(est.value - target) <= 3.0 * est.stderr
-        row.update(value=est.value, stderr=est.stderr, target=target,
-                   passed=bool(passed))
-        return row
+    ens = stoch.Ensemble(M, x0, n_paths, dt, seed)
     clock = None
-    if fid != "gradient_rhs":
-        cspec = entry.get("clock", {"family": "linear"})
-        clock = clocks_mod.make_clock(cspec["family"],
-                                      cspec.get("params", {}), t)
-    est = stoch.estimate_functional(
-        M, datum, x0, t, clock, fid, n_paths, dt, seed,
-        K_field=entry.get("K_field"), alpha=entry.get("alpha"))
-    row.update(value=est.value, stderr=est.stderr)
-    compare = entry.get("compare", "none")
-    if compare == "state":
-        state = solve_heat(M, datum, t, grid_size=entry.get("grid_size"),
-                           scheme=entry.get("pde_scheme", "spectral"))
+    if fid == "local_time_moment":
+        acc = stoch.local_time_accumulator(ens, t, float(entry.get("p", 1.0)))
+    elif fid == "expected_local_time":
+        acc = stoch.local_time_accumulator(ens, t)
+    elif fid == "expected_value":
+        acc = stoch.value_accumulator(ens, datum, t)
+    else:
+        if fid != "gradient_rhs":
+            cspec = entry.get("clock", {"family": "linear"})
+            clock = clocks_mod.make_clock(cspec["family"],
+                                          cspec.get("params", {}), t)
+        acc = stoch.functional_accumulator(
+            ens, datum, t, clock, fid, K_field=entry.get("K_field"),
+            alpha=entry.get("alpha"))
+    return _McRow(entry, row, ens, acc, clock)
+
+
+def _run_ensembles(plans: list) -> dict:
+    """Each plan's estimate or exception, by id(plan); one pass per ensemble.
+
+    The passes run concurrently on the process's cores, the largest
+    (n_paths x longest horizon) first; each has its own generator, and
+    numpy's draws and ufuncs release the GIL.
+    """
+    groups: dict[stoch.Ensemble, list] = {}
+    for plan in plans:
+        groups.setdefault(plan.ensemble, []).append(plan)
+    order = sorted(groups, key=lambda ens: -ens.n_paths * max(
+        plan.accumulator.steps for plan in groups[ens]))
+
+    def run(ens):
+        members = groups[ens]
+        try:
+            return stoch.run_ensemble(ens, [p.accumulator for p in members])
+        except Exception as exc:  # a pass that cannot start fails its rows
+            return [exc] * len(members)
+
+    workers = min(len(order), _cores())
+    if workers <= 1:
+        passes = list(map(run, order))
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(workers) as pool:
+            passes = list(pool.map(run, order))
+    return {id(plan): out for ens, outs in zip(order, passes)
+            for plan, out in zip(groups[ens], outs)}
+
+
+def _cores() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _finish_mc_row(plan: _McRow, est: stoch.Estimate, target_state) -> dict:
+    """The report row of one estimate, with its target where it has one."""
+    entry, row, M = plan.entry, plan.row, plan.ensemble.M
+    fid, x0 = row["functional_id"], row["x0"]
+    row.update(value=est.value, stderr=est.stderr, passed=None)
+    if fid == "expected_local_time" and "target" in entry:
+        # e.g. 2/sqrt(pi) for the flat wall at t = 1
+        target = float(entry["target"])
+        row.update(target=target,
+                   passed=bool(abs(est.value - target) <= 3.0 * est.stderr))
+    elif fid == "expected_value":
+        state = target_state(entry)
+        target = float(np.interp(x0, state.grid, state.u))
+        row.update(target=target,
+                   passed=bool(abs(est.value - target) <= 3.0 * est.stderr))
+    elif fid in stoch.FUNCTIONALS and entry.get("compare") == "state":
+        state = target_state(entry)
         i = state.index_of(x0)
         if fid == "harnack_rhs":
             target = float(state.W()[i])
@@ -281,20 +334,60 @@ def _run_mc_entry(entry: dict, M: ModelManifold, datum, seed: int) -> dict:
             target = float(abs(state.grad_u[i]))
         row.update(target=target,
                    passed=bool(target <= est.value + 3.0 * est.stderr))
-    elif compare == "wx0":
+    elif fid in stoch.FUNCTIONALS and entry.get("compare") == "wx0":
         # deterministic quadrature form for constant K, sigma = 0
         K = float(entry.get("K_field", M.K))
-        ints = clocks_mod.clock_integrals(clock, K)
-        state = solve_heat(M, datum, t, grid_size=entry.get("grid_size"),
-                           scheme=entry.get("pde_scheme", "spectral"))
+        ints = clocks_mod.clock_integrals(plan.clock, K)
+        state = target_state(entry)
         i = state.index_of(x0)
         target = (0.5 * M.n * ints["deriv_sq"] * float(state.u[i])
                   - ints["sq_prime"] * float(state.Lu[i]))
         row.update(target=target,
                    passed=bool(abs(est.value - target) <= 3.0 * est.stderr))
-    else:
-        row.update(passed=None)
     return row
+
+
+def _run_mc(entries: list, M: ModelManifold, datum, seed: int) -> list:
+    """The MC rows in config order; errors are captured per row.
+
+    Rows are planned, then run one pass per ensemble, then compared with
+    their target states, each (t, grid_size, pde_scheme) solved once.
+    """
+    planned = []   # each entry's plan, or the error that stopped it
+    for entry in entries:
+        try:
+            planned.append(_plan_mc_row(entry, M, datum, seed))
+        except Exception as exc:
+            planned.append(exc)
+    plans = [plan for plan in planned if isinstance(plan, _McRow)]
+    estimates = _run_ensembles(plans)
+    solved: dict[tuple, object] = {}
+
+    def target_state(entry):
+        key = (float(entry["t"]), entry.get("grid_size"),
+               entry.get("pde_scheme", "spectral"))
+        if key not in solved:
+            try:
+                solved[key] = solve_heat(M, datum, key[0], grid_size=key[1],
+                                         scheme=key[2])
+            except Exception as exc:
+                solved[key] = exc
+        if isinstance(solved[key], Exception):
+            raise solved[key]
+        return solved[key]
+
+    rows = []
+    for entry, plan in zip(entries, planned):
+        est = estimates.get(id(plan), plan)
+        try:
+            if isinstance(est, Exception):
+                raise est
+            rows.append(_finish_mc_row(plan, est, target_state))
+        except Exception as exc:
+            rows.append({"functional_id": entry.get("functional"),
+                         "error": f"{type(exc).__name__}: {exc}",
+                         "passed": False})
+    return rows
 
 
 def run_experiment(config: ExperimentConfig) -> Report:
@@ -305,7 +398,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
     M = manifold_from_dict(config.manifold)
     datum = initial_datum(config.initial_datum["id"],
                           config.initial_datum.get("params", {}))
-    solver_rows, bound_blocks, mc_rows = [], [], []
+    solver_rows, bound_blocks = [], []
     states: dict[float, HeatState] = {}
     for t in map(float, config.times):  # one spelling of t in every row
         try:
@@ -330,13 +423,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
                     bound_blocks.append(BoundBlock(dict(
                         _empty_bound_row(M, t, entry["id"], params),
                         error=f"{type(exc).__name__}: {exc}")))
-    for entry in config.mc:
-        try:
-            mc_rows.append(_run_mc_entry(entry, M, datum, config.seed))
-        except Exception as exc:
-            mc_rows.append({"functional_id": entry.get("functional"),
-                            "error": f"{type(exc).__name__}: {exc}",
-                            "passed": False})
+    mc_rows = _run_mc(config.mc, M, datum, config.seed)
     meta = {"package": __version__, "numpy": np.__version__,
             "seed": config.seed}
     return Report(config=asdict(config), solver_rows=solver_rows,

@@ -17,17 +17,25 @@ Two wall schemes:
     inherits the classical 0.82 sqrt(dt) deficit of grid suprema; kept
     for convergence reporting.
 
-Every estimator accumulates over one private function, `_run_paths`, which
-owns the seeded generator, the stepper and the loop over a whole number
-of steps.  Draws come in a fixed order and means are compensated sums,
-so results are bit-reproducible for a given (seed, dt, n_paths, scheme).
-On the flat families `_Stepper` overwrites and returns its input
-positions, through buffers allocated once per path count.
+Every estimator is an accumulator: per-step work over its own horizon and
+a finish on the endpoints at its own step count.  `run_ensemble` is the
+only step loop.  It owns the seeded generator and the stepper of one
+`Ensemble` (M, x0, n_paths, dt, seed, scheme) and runs it once, to the
+longest horizon of its accumulators, finishing each as the pass reaches
+its step count.  Draws come in a fixed order and depend only on the
+ensemble and the step index, so a shorter horizon sees a bit-identical
+prefix of a longer pass, and estimators that share an ensemble can share
+its pass.  Means are compensated sums, so results are bit-reproducible
+for a given ensemble.  The public estimators run their accumulator as a
+pass of its own; the harness groups its MC rows by ensemble.  On the flat
+families `_Stepper` overwrites and returns its input positions, through
+buffers allocated once per path count.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,8 +140,9 @@ class _Stepper:
                 np.clip(y, lo_g, hi_g, out=y)
             return y
         if self.buf.shape[1] != x.size:
-            self.buf = np.empty((4 + len(self.boundaries), x.size))
-        xi, E, b, s, *dist = self.buf
+            self.buf = np.empty((3 + len(self.boundaries), x.size))
+        xi, b, s, *dist = self.buf
+        E = xi   # the exponential draws come after x has taken its xi
         walls = list(zip(dist, self.boundaries))
         rng.standard_normal(out=xi)
         np.multiply(xi, c, out=xi)
@@ -181,25 +190,84 @@ def _step_count(t: float, dt: float) -> int:
     return steps
 
 
-def _run_paths(M: ModelManifold, x0: float, n_paths: int, steps: int,
-               dt: float, seed: int, scheme: str, work=None):
-    """Run n_paths reflected paths from x0; returns (X_end, rejections).
+@dataclass(frozen=True)
+class Ensemble:
+    """The paths of one pass: n_paths reflected paths on M from x0.
 
-    work(k, x, dL), when given, runs after step k with the positions x
-    before the step and the step's local-time increments dL (reused buffers).
+    A pass's draws depend only on (seed, n_paths, dt, step index), so its
+    first k steps are the same whatever its horizon, and estimators that
+    share an ensemble can share one pass.
     """
-    rng = np.random.default_rng(seed)
-    stepper = _Stepper(M, dt, scheme)
-    x = np.full(n_paths, float(x0))
-    dL = np.zeros(n_paths)
-    before = np.empty(n_paths)
-    for k in range(steps):
-        if work is not None:
+
+    M: ModelManifold
+    x0: float
+    n_paths: int
+    dt: float
+    seed: int
+    scheme: str = "bridge"
+
+
+@dataclass(frozen=True)
+class Accumulator:
+    """One estimator's part of a pass, over its own horizon of `steps`.
+
+    work(k, x, dL), when given, runs after each step k < steps with the
+    positions x before the step and the step's local-time increments dL
+    (reused buffers).  finish(x, rejected) runs on the positions after
+    `steps` steps, before the next step overwrites them, with the
+    chart-guard rejections so far, and returns the accumulator's result.
+    """
+
+    steps: int
+    finish: Callable
+    work: Callable | None = None
+
+
+def run_ensemble(ens: Ensemble, accumulators) -> list:
+    """One pass of ens to the longest horizon; each accumulator's outcome.
+
+    The outcome is what its finish returned, or the exception its work or
+    finish raised: an accumulator that raises leaves the pass, and the
+    others carry on.  This is the only step loop of the module.
+    """
+    accs = list(accumulators)
+    rng = np.random.default_rng(ens.seed)
+    stepper = _Stepper(ens.M, ens.dt, ens.scheme)
+    x = np.full(ens.n_paths, float(ens.x0))
+    dL = np.zeros(ens.n_paths)
+    working = [i for i, acc in enumerate(accs) if acc.work is not None]
+    before = np.empty(ens.n_paths) if working else None
+    outcomes: dict[int, object] = {}   # filled when an accumulator leaves
+
+    def attempt(i, call, *args):
+        try:
+            return call(*args)
+        except Exception as exc:  # fails accumulator i, not the pass
+            outcomes[i] = exc
+
+    horizon = max(acc.steps for acc in accs)
+    for k in range(horizon):
+        busy = [i for i in working if k < accs[i].steps and i not in outcomes]
+        if busy:
             np.copyto(before, x)
         x = stepper(x, rng, dL)
-        if work is not None:
-            work(k, before, dL)
-    return x, stepper.rejected
+        for i in busy:
+            attempt(i, accs[i].work, k, before, dL)
+        if k + 1 == horizon:  # free the step buffers for the last finishes
+            stepper.buf = dL = before = None
+        for i, acc in enumerate(accs):
+            if acc.steps == k + 1 and i not in outcomes:
+                result = attempt(i, acc.finish, x, stepper.rejected)
+                outcomes.setdefault(i, result)   # unless finish raised
+    return [outcomes[i] for i in range(len(accs))]
+
+
+def _run_alone(ens: Ensemble, acc: Accumulator):
+    """One accumulator as its own pass; its exception is raised."""
+    outcome, = run_ensemble(ens, [acc])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def simulate_reflected_path(M: ModelManifold, x0: float, t: float, dt: float,
@@ -216,8 +284,12 @@ def simulate_reflected_path(M: ModelManifold, x0: float, t: float, dt: float,
     def record(k, x, dL):
         xs[k], dLs[k] = x[0], dL[0]
 
-    x, rejected = _run_paths(M, x0, 1, steps, dt, seed, scheme, record)
-    xs[steps] = x[0]
+    def finish(x, rejected):
+        xs[steps] = x[0]
+        return rejected
+
+    rejected = _run_alone(Ensemble(M, x0, 1, dt, seed, scheme),
+                          Accumulator(steps, finish, record))
     sigma = M.sigma if M.sigma is not None else 0.0
     # running sums from 0.0 in step order (accumulate does not pair terms)
     return PathSample(manifold=M, dt=dt, seed=seed, scheme=scheme,
@@ -287,6 +359,18 @@ def estimate_functional(M: ModelManifold, u0, x: float, t: float,
     deterministic and computed once; only the endpoint evaluation of u0
     carries Monte Carlo noise then.
     """
+    ens = Ensemble(M, x, n_paths, dt, seed, scheme)
+    return _run_alone(ens, functional_accumulator(
+        ens, u0, t, clock, functional_id, K_field=K_field,
+        sigma_field=sigma_field, alpha=alpha))
+
+
+def functional_accumulator(ens: Ensemble, u0, t: float, clock: Clock | None,
+                           functional_id: str, K_field=None,
+                           sigma_field=None,
+                           alpha: float | None = None) -> Accumulator:
+    """The accumulator of estimate_functional on the ensemble ens."""
+    M, n_paths, dt = ens.M, ens.n_paths, ens.dt
     if functional_id not in FUNCTIONALS:
         raise ValueError(f"unknown functional {functional_id!r}")
     if n_paths < 2:
@@ -298,7 +382,6 @@ def estimate_functional(M: ModelManifold, u0, x: float, t: float,
     kc, kf = _as_field(K_field, M.K)
     sc, sf = _as_field(sigma_field, M.sigma if M.sigma is not None else 0.0)
     sigma_zero = sc and sf == 0.0
-    svals = np.arange(steps) * dt
 
     need_alpha = functional_id == "harnack_alpha_rhs"
     if need_alpha and (alpha is None or alpha <= 1):
@@ -310,22 +393,27 @@ def estimate_functional(M: ModelManifold, u0, x: float, t: float,
         raise ValueError("callable sigma needs a single wall to attribute "
                          "local time to; use a constant on the interval")
 
-    lv = clock.l(svals) if clock is not None else None
-    dlv = clock.dl(svals) if clock is not None else None
-
     # deterministic weight: the clock integrals are constants, so evaluate
     # them by exact quadrature; the left-point rule is kept for pathwise
     # weights (K a field or sigma dL live), where it matches Ito's.
-    const_weight = kc and (sigma_zero or not M.has_boundary)
-    A, B = np.zeros((2, n_paths))     # int K(X) dr (left point), int sigma dL
-    I1, I2 = np.zeros((2, n_paths))   # clock integrals, pathwise or constant
+    track_B = M.has_boundary and not sigma_zero
+    const_weight = kc and not track_B
+    # int K(X) dr (left point), int sigma dL and the clock integrals; a
+    # scalar 0.0 stands for a path-independent zero
+    A = 0.0 if kc else np.zeros(n_paths)
+    B = np.zeros(n_paths) if track_B else 0.0
+    I1 = I2 = 0.0
     if const_weight and functional_id == "harnack_rhs":
         ints = clock_integrals(clock, kf)
         I1, I2 = ints["deriv_sq"], ints["sq_prime"]
-    if const_weight and need_alpha:
+    elif const_weight and need_alpha:
         I1 = alpha_form_integral(clock, kf, alpha)
-    track_B = M.has_boundary and not sigma_zero
+    elif not const_weight and functional_id != "gradient_rhs":
+        I1, I2 = np.zeros((2, n_paths))
     sigma_wall = (sf if sc else sf(M.boundaries()[0][0])) if track_B else 0.0
+    if not const_weight and clock is not None:
+        svals = np.arange(steps) * dt
+        lv, dlv = clock.l(svals), clock.dl(svals)
 
     def accumulate(k, xp, dL):
         nonlocal A, B, I1, I2
@@ -345,65 +433,88 @@ def estimate_functional(M: ModelManifold, u0, x: float, t: float,
         if track_B:
             B += sigma_wall * dL
 
-    xp, rejected = _run_paths(M, x, n_paths, steps, dt, seed, scheme,
-                              None if const_weight else accumulate)
+    def finish(xp, rejected):
+        if functional_id == "harnack_rhs":
+            Lu0_final = d2u_call(xp) + M.b_total(xp) * du_call(xp)
+            per_path = 0.5 * M.n * u_call(xp) * I1 - Lu0_final * I2
+        elif need_alpha:
+            per_path = 0.5 * M.n * alpha * u_call(xp) * I1
+        else:  # gradient_rhs
+            A_final = kf * t if kc else A
+            per_path = np.abs(du_call(xp)) * np.exp(-(A_final + B))
+        value, stderr = mean_and_stderr(np.asarray(per_path, dtype=float))
+        return Estimate(functional_id=functional_id, value=value,
+                        stderr=stderr, n_paths=n_paths, dt=dt, seed=ens.seed,
+                        meta={"manifold": M.family, "t": t, "x0": ens.x0,
+                              "rejected": rejected})
 
-    if functional_id == "harnack_rhs":
-        Lu0_final = d2u_call(xp) + M.b_total(xp) * du_call(xp)
-        per_path = 0.5 * M.n * u_call(xp) * I1 - Lu0_final * I2
-    elif need_alpha:
-        per_path = 0.5 * M.n * alpha * u_call(xp) * I1
-    else:  # gradient_rhs
-        A_final = kf * t if kc else A
-        per_path = np.abs(du_call(xp)) * np.exp(-(A_final + B))
-
-    value, stderr = mean_and_stderr(np.asarray(per_path, dtype=float))
-    return Estimate(functional_id=functional_id, value=value, stderr=stderr,
-                    n_paths=n_paths, dt=dt, seed=seed,
-                    meta={"manifold": M.family, "t": t, "x0": x,
-                          "rejected": rejected})
+    return Accumulator(steps, finish, None if const_weight else accumulate)
 
 
 def local_time_moment(M: ModelManifold, x0: float, t: float, p: float,
                       n_paths: int, dt: float, seed: int,
                       scheme: str = "bridge") -> Estimate:
     """E[e^{p L_t}], accumulated in log space to dodge overflow."""
-    if not M.has_boundary:
-        raise ValueError("local time needs a boundary family")
-    L = np.zeros(n_paths)
-    _run_paths(M, x0, n_paths, _step_count(t, dt), dt, seed, scheme,
-               lambda k, x, dL: np.add(L, dL, out=L))
-    z = p * L
-    shift = float(np.max(z))
-    mean, se = mean_and_stderr(np.exp(z - shift))
-    return Estimate("local_time_moment", mean * math.exp(shift),
-                    se * math.exp(shift), n_paths, dt, seed,
-                    meta={"p": p, "manifold": M.family, "t": t,
-                          "mean_L": float(np.mean(L))})
+    ens = Ensemble(M, x0, n_paths, dt, seed, scheme)
+    return _run_alone(ens, local_time_accumulator(ens, t, p))
 
 
 def expected_local_time(M: ModelManifold, x0: float, t: float, n_paths: int,
                         dt: float, seed: int,
                         scheme: str = "bridge") -> Estimate:
     """E[L_t], the mean accumulated boundary local time."""
+    ens = Ensemble(M, x0, n_paths, dt, seed, scheme)
+    return _run_alone(ens, local_time_accumulator(ens, t))
+
+
+def local_time_accumulator(ens: Ensemble, t: float,
+                           p: float | None = None) -> Accumulator:
+    """The local time L_t on ens, finished as E[e^{p L_t}] or, without p,
+    as E[L_t]: local_time_moment and expected_local_time."""
+    M, n_paths, dt, seed = ens.M, ens.n_paths, ens.dt, ens.seed
     if not M.has_boundary:
         raise ValueError("local time needs a boundary family")
+    steps = _step_count(t, dt)
     L = np.zeros(n_paths)
-    _run_paths(M, x0, n_paths, _step_count(t, dt), dt, seed, scheme,
-               lambda k, x, dL: np.add(L, dL, out=L))
-    mean, se = mean_and_stderr(L)
-    return Estimate("expected_local_time", mean, se, n_paths, dt, seed,
-                    meta={"manifold": M.family, "t": t, "x0": x0})
+
+    def moment(x, rejected):
+        z = p * L
+        shift = float(np.max(z))
+        mean, se = mean_and_stderr(np.exp(z - shift))
+        return Estimate("local_time_moment", mean * math.exp(shift),
+                        se * math.exp(shift), n_paths, dt, seed,
+                        meta={"p": p, "manifold": M.family, "t": t,
+                              "mean_L": float(np.mean(L))})
+
+    def mean(x, rejected):
+        m, se = mean_and_stderr(L)
+        return Estimate("expected_local_time", m, se, n_paths, dt, seed,
+                        meta={"manifold": M.family, "t": t, "x0": ens.x0})
+
+    return Accumulator(steps, mean if p is None else moment,
+                       lambda k, x, dL: np.add(L, dL, out=L))
 
 
 def expected_value_at(M: ModelManifold, u0, x0: float, t: float,
                       n_paths: int, dt: float, seed: int,
                       scheme: str = "bridge") -> Estimate:
     """E[u0(X_t)]; matches the solver's u_t(x0) by the path representation."""
-    x, _ = _run_paths(M, x0, n_paths, _step_count(t, dt), dt, seed, scheme)
-    mean, se = mean_and_stderr(u0.callables(M)[0](x))
-    return Estimate("expected_value", mean, se, n_paths, dt, seed,
-                    meta={"manifold": M.family, "t": t, "x0": x0})
+    ens = Ensemble(M, x0, n_paths, dt, seed, scheme)
+    return _run_alone(ens, value_accumulator(ens, u0, t))
+
+
+def value_accumulator(ens: Ensemble, u0, t: float) -> Accumulator:
+    """The accumulator of expected_value_at on the ensemble ens."""
+    steps = _step_count(t, ens.dt)
+    u = u0.callables(ens.M)[0]
+
+    def finish(x, rejected):
+        mean, se = mean_and_stderr(u(x))
+        return Estimate("expected_value", mean, se, ens.n_paths, ens.dt,
+                        ens.seed, meta={"manifold": ens.M.family, "t": t,
+                                        "x0": ens.x0})
+
+    return Accumulator(steps, finish)
 
 
 # ---------------------------------------------------------------------------
@@ -495,9 +606,12 @@ def cutoff_growth_check(M: ModelManifold, x0: float, f, checkpoints,
             vals[j, hit] = inv[hit]
             done[j] |= hit
 
-    _run_paths(M, x0, n_paths, steps, dt, seed, scheme, advance_clock)
-    means, ses = np.full((2, checkpoints.size), math.nan)
-    for j in range(checkpoints.size):
-        if np.count_nonzero(done[j]) >= 2:
-            means[j], ses[j] = mean_and_stderr(vals[j, done[j]])
-    return means, ses, float(np.mean(done, axis=1).min())
+    def finish(x, rejected):
+        means, ses = np.full((2, checkpoints.size), math.nan)
+        for j in range(checkpoints.size):
+            if np.count_nonzero(done[j]) >= 2:
+                means[j], ses[j] = mean_and_stderr(vals[j, done[j]])
+        return means, ses, float(np.mean(done, axis=1).min())
+
+    return _run_alone(Ensemble(M, x0, n_paths, dt, seed, scheme),
+                      Accumulator(steps, finish, advance_clock))

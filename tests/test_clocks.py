@@ -50,6 +50,17 @@ def test_monotone_families_decrease(family, params):
     assert np.all(clock.dl(s) <= 1e-12)
 
 
+def test_exp_linear_turning_clock_is_not_monotone():
+    # K = -2, alpha = 1.5, t = 1: beta t = -4, so l'(0) = -beta - 1 = 3
+    clock = make_clock("exp-linear", {"K": -2.0, "alpha": 1.5}, 1.0)
+    assert clock.dl(0.0) == pytest.approx(3.0)
+    assert not clock.monotone()
+    # beta t = -1 exactly is the edge: l'(0) = 0 and l' < 0 after it
+    edge = make_clock("exp-linear", {"K": -1.0, "alpha": 2.0}, 1.0)
+    assert edge.monotone()
+    assert np.all(edge.dl(np.linspace(0.0, 1.0, 201)) <= 1e-12)
+
+
 def test_derivative_consistency():
     for family, params in FAMILY_CASES:
         clock = make_clock(family, params, 1.1)

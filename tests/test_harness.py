@@ -13,8 +13,9 @@ import pytest
 from click.testing import CliRunner
 
 import liyau
-from liyau import (HeatState, check_inequality, eval_bound, initial_datum,
-                   manifold_from_dict, solve_heat)
+from liyau import (HeatState, check_inequality, eval_bound, harness,
+                   initial_datum, make_clock, manifold_from_dict, solve_heat,
+                   stochastic)
 from liyau.cli import main
 from liyau.geometry import register_drift
 from liyau.harness import (CSV_COLUMNS, BoundBlock, ExperimentConfig,
@@ -161,6 +162,135 @@ class TestRunExperiment:
         assert report.exit_code == 0
         assert all(not r["domain_ok"] for r in report.bound_rows)
         assert "Z = 0" in report.bound_rows[0]["note"]
+
+
+def interval_mc_config():
+    """configs/interval_mc.json at reduced size, plus the functionals it
+    leaves out: rows 1, 3, 4 and 7 share one ensemble, rows 6 and 8
+    another, and rows 2 and 5 run alone."""
+    mc = [
+        {"functional": "expected_value", "t": 0.25, "x0": 1.0,
+         "n_paths": 1500, "dt": 0.001},
+        {"functional": "harnack_rhs", "t": 0.5, "x0": 1.0, "n_paths": 2500,
+         "dt": 0.001, "clock": {"family": "linear"}, "compare": "wx0"},
+        {"functional": "harnack_rhs", "t": 0.4, "x0": 1.0, "n_paths": 1500,
+         "dt": 0.001, "clock": {"family": "linear"}, "compare": "state"},
+        {"functional": "gradient_rhs", "t": 0.4, "x0": 1.0, "n_paths": 1500,
+         "dt": 0.001, "compare": "state"},
+        {"functional": "harnack_alpha_rhs", "t": 0.3, "x0": 1.0,
+         "n_paths": 1500, "dt": 0.001, "alpha": 2.0,
+         "clock": {"family": "exp-integral",
+                   "params": {"K": 0.0, "alpha": 2.0}}, "seed": 5},
+        {"functional": "local_time_moment", "t": 0.6, "x0": 0.0, "p": 1.0,
+         "n_paths": 1500, "dt": 0.001},
+        {"functional": "expected_value", "t": 0.1, "x0": 1.0,
+         "n_paths": 1500, "dt": 0.001},
+        {"functional": "expected_local_time", "t": 0.3, "x0": 0.0,
+         "n_paths": 1500, "dt": 0.001},
+    ]
+    doc = dict(manifold={"family": "interval-neumann", "m": 1, "n": 1},
+               initial_datum={"id": "cosine", "params": {"k": 1, "amp": 0.5}},
+               times=[0.5], bounds=[{"id": "davies", "params": {"alpha": 2.0}}],
+               mc=mc, grid_size=65, seed=42)
+    return ExperimentConfig(**doc)
+
+
+def estimate_alone(M, datum, entry, seed):
+    """An mc entry's estimate from the public estimator, run on its own."""
+    fid, t = entry["functional"], entry["t"]
+    x0, n, dt = entry["x0"], entry["n_paths"], entry["dt"]
+    seed = entry.get("seed", seed)
+    if fid == "local_time_moment":
+        return stochastic.local_time_moment(M, x0, t, entry["p"], n, dt, seed)
+    if fid == "expected_local_time":
+        return stochastic.expected_local_time(M, x0, t, n, dt, seed)
+    if fid == "expected_value":
+        return stochastic.expected_value_at(M, datum, x0, t, n, dt, seed)
+    clock = None
+    if "clock" in entry:
+        clock = make_clock(entry["clock"]["family"],
+                           entry["clock"].get("params", {}), t)
+    return stochastic.estimate_functional(M, datum, x0, t, clock, fid, n, dt,
+                                          seed, alpha=entry.get("alpha"))
+
+
+class TestEnsemblePlan:
+    """MC rows that share (x0, n_paths, dt, seed) share one pass, and the
+    passes run concurrently, without changing a bit of any row."""
+
+    @pytest.mark.parametrize("sigma", [None, -0.4])
+    def test_rows_match_the_estimators_run_one_at_a_time(self, sigma):
+        cfg = interval_mc_config()
+        cfg.manifold["sigma"] = sigma   # -0.4: pathwise weights, per-step work
+        M = manifold_from_dict(cfg.manifold)
+        datum = initial_datum("cosine", {"k": 1, "amp": 0.5})
+        rows = run_experiment(cfg).mc_rows
+        assert len(rows) == len(cfg.mc)
+        for entry, row in zip(cfg.mc, rows):
+            try:
+                est = estimate_alone(M, datum, entry, cfg.seed)
+            except ValueError as exc:   # the alpha form on a sigma wall
+                assert row["error"] == f"ValueError: {exc}"
+                continue
+            assert row["functional_id"] == entry["functional"]
+            assert (row["value"], row["stderr"]) == (est.value, est.stderr)
+        assert sum("error" in row for row in rows) == (sigma is not None)
+
+    def test_report_bytes_do_not_depend_on_the_worker_count(
+            self, tmp_path, monkeypatch):
+        cfg = interval_mc_config()
+        paths = {}
+        for workers in (1, None, 4):
+            if workers is not None:
+                monkeypatch.setattr(harness, "_cores", lambda: workers)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)   # switch threads as often as possible
+            try:
+                report = run_experiment(cfg)
+            finally:
+                sys.setswitchinterval(interval)
+            paths[workers] = emit_report(report, tmp_path / str(workers))
+            monkeypatch.undo()
+        for a, b, c in zip(*paths.values()):
+            assert a.read_bytes() == b.read_bytes() == c.read_bytes(), a.name
+
+    def test_each_target_state_is_solved_once(self, monkeypatch):
+        solved = []
+
+        def counting_solve(M, datum, t, **kwargs):
+            solved.append((t, kwargs.get("grid_size"), kwargs.get("scheme")))
+            return solve_heat(M, datum, t, **kwargs)
+
+        monkeypatch.setattr(harness, "solve_heat", counting_solve)
+        run_experiment(interval_mc_config())
+        # the grid solve at t = 0.5, then the MC targets: t = 0.4 once
+        assert solved == [(0.5, 65, "spectral"), (0.25, None, "spectral"),
+                          (0.5, None, "spectral"), (0.4, None, "spectral"),
+                          (0.1, None, "spectral")]
+
+    def test_a_raising_accumulator_fails_only_its_row(self, monkeypatch):
+        cfg = interval_mc_config()
+        before = run_experiment(cfg).mc_rows
+        build = stochastic.value_accumulator
+
+        def failing(ens, u0, t):
+            acc = build(ens, u0, t)
+            if t != 0.25:
+                return acc
+
+            def finish(x, rejected):
+                raise FloatingPointError("datum overflow")
+
+            return stochastic.Accumulator(acc.steps, finish, acc.work)
+
+        monkeypatch.setattr(stochastic, "value_accumulator", failing)
+        after = run_experiment(cfg).mc_rows
+        assert after[0] == {"functional_id": "expected_value",
+                            "error": "FloatingPointError: datum overflow",
+                            "passed": False}
+        # its ensemble siblings (rows 3, 4 and 7) and every other row stand
+        assert after[1:] == before[1:]
+        assert all(row.get("value") is not None for row in after[1:])
 
 
 class TestPerNodeBoundRows:
@@ -486,6 +616,16 @@ class TestCli:
             loaded = out.stdout.splitlines()[-1].split()
             assert not [m for m in loaded for b in banned
                         if m == b or m.startswith(b + ".")], (args, loaded)
+
+    def test_cli_import_leaves_the_thread_pool_out(self):
+        # the MC pool is imported by the first run with two ensembles
+        src = Path(liyau.__file__).parents[1]
+        code = ("import sys, liyau.cli\n"
+                "print('concurrent.futures' in sys.modules)\n")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=str(src)))
+        assert out.stdout.split() == ["False"]
 
     def test_sweep_writes_plot_data(self, tmp_path):
         runner = CliRunner()

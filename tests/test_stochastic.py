@@ -9,7 +9,9 @@ from liyau import (clock_integrals, cutoff_growth_check, estimate_functional,
                    local_time_moment, make_clock, make_model_manifold,
                    simulate_reflected_path, solve_heat, path_weight,
                    time_change)
-from liyau.stochastic import _Stepper
+from liyau.stochastic import (Accumulator, Ensemble, _Stepper,
+                              local_time_accumulator, run_ensemble,
+                              value_accumulator)
 
 TWO_OVER_ROOT_PI = 1.1283791670955126  # E[L_1] for the reflected flat wall
 
@@ -171,6 +173,78 @@ class TestInPlaceStepper:
                                   ref_dL.view(np.uint64))
             pushed += np.count_nonzero(dL)
         assert pushed > 100  # the walls were exercised
+
+
+def snapshot(x, rejected):
+    return x.copy()
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.uint64),
+                          np.asarray(b).view(np.uint64))
+
+
+class TestEnsemble:
+    """One pass serves every accumulator of an ensemble, each at its own
+    horizon, with the draws of a pass of its own."""
+
+    @pytest.mark.parametrize("family", ["interval-neumann", "sphere-radial"])
+    def test_shorter_horizon_is_a_bit_identical_prefix(self, family):
+        M = make_model_manifold(family, m=2 if family == "sphere-radial"
+                                else 1)
+        ens = Ensemble(M, 1.0, 500, 1e-3, seed=42)
+        alone, = run_ensemble(ens, [Accumulator(250, snapshot)])
+        at_250, at_400 = run_ensemble(ens, [Accumulator(400, snapshot),
+                                            Accumulator(250, snapshot)])[::-1]
+        full, = run_ensemble(ens, [Accumulator(400, snapshot)])
+        assert same_bits(alone, at_250)
+        assert same_bits(full, at_400)
+        # each finish sees the positions after exactly its own steps
+        rng, stepper = np.random.default_rng(42), _Stepper(M, 1e-3, "bridge")
+        x, dL = np.full(500, 1.0), np.zeros(500)
+        for _ in range(250):
+            x = stepper(x, rng, dL)
+        assert same_bits(x, at_250)
+
+    def test_public_estimators_are_one_row_ensembles(self, interval):
+        datum = initial_datum("cosine", {"k": 1, "amp": 0.5})
+        ens = Ensemble(interval, 0.0, 400, 1e-3, seed=3)
+        moment, mean, value = run_ensemble(ens, [
+            local_time_accumulator(ens, 0.3, 1.0),
+            local_time_accumulator(ens, 0.2),
+            value_accumulator(ens, datum, 0.1)])
+        assert moment == local_time_moment(interval, 0.0, 0.3, 1.0, 400,
+                                           1e-3, seed=3)
+        assert mean == expected_local_time(interval, 0.0, 0.2, 400, 1e-3,
+                                           seed=3)
+        assert value == expected_value_at(interval, datum, 0.0, 0.1, 400,
+                                          1e-3, seed=3)
+
+    def test_a_raising_accumulator_fails_alone(self, half_line):
+        def work(k, x, dL):
+            if k == 3:
+                raise RuntimeError("work fails")
+
+        def bad_finish(x, rejected):
+            raise ZeroDivisionError("finish fails")
+
+        ens = Ensemble(half_line, 0.0, 300, 1e-2, seed=8)
+        outs = run_ensemble(ens, [Accumulator(20, snapshot, work),
+                                  Accumulator(5, bad_finish),
+                                  Accumulator(20, snapshot)])
+        assert isinstance(outs[0], RuntimeError)
+        assert isinstance(outs[1], ZeroDivisionError)
+        alone, = run_ensemble(ens, [Accumulator(20, snapshot)])
+        assert same_bits(outs[2], alone)
+
+    def test_public_estimator_raises_its_pass_error(self, half_line):
+        def broken_field(x):
+            raise ArithmeticError("field fails")
+
+        with pytest.raises(ArithmeticError, match="field fails"):
+            estimate_functional(half_line, initial_datum("constant", {"c": 1}),
+                                0.2, 0.1, None, "gradient_rhs", 10, 1e-2,
+                                seed=1, K_field=broken_field)
 
 
 class TestLocalTime:
