@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from liyau import eval_bound, initial_datum, make_model_manifold, solve_heat
+from liyau import bound_margins, initial_datum, make_model_manifold, solve_heat
 
 
 def main():
@@ -33,10 +33,9 @@ def main():
         for R in args.radii:
             for bid, extra in (("local-grad", {"eps": 1.0}),
                                ("local-alpha", {"alpha": 2.0})):
-                form = eval_bound(bid, dict(extra, n=M.n, t=t, K=M.K,
-                                            K_region=0.0, R=R))
-                margins = form.a * Y + form.c - form.gamma * X
-                rows.append((bid, R, t, float(np.min(margins)), form.c))
+                m = bound_margins(bid, dict(extra, n=M.n, t=t, K=M.K,
+                                            K_region=0.0, R=R), X, Y)
+                rows.append((bid, R, t, float(np.min(m.margin)), m.c))
 
     import pathlib
     pathlib.Path(args.out).parent.mkdir(parents=True, exist_ok=True)

@@ -11,7 +11,8 @@ and step under the bridge scheme) with nothing else.
 
 Part 2: the clock-weighted squared-gradient functional on the Neumann
 interval against its deterministic quadrature form, for a grid of
-constant curvature weights.
+constant curvature weights: six `compare: "wx0"` MC rows of one
+`run_experiment` config.
 """
 
 import argparse
@@ -20,8 +21,8 @@ import time
 
 import numpy as np
 
-from liyau import (clock_integrals, estimate_functional, expected_local_time,
-                   initial_datum, make_clock, make_model_manifold, solve_heat)
+from liyau import (ExperimentConfig, expected_local_time, make_model_manifold,
+                   run_experiment)
 
 TARGET = 2.0 / math.sqrt(math.pi)
 
@@ -60,26 +61,27 @@ def local_time_ladder(n_paths, seed):
 
 
 def quadrature_comparison(n_paths, seed):
-    interval = make_model_manifold("interval-neumann")
-    datum = initial_datum("cosine", {"k": 1, "amp": 0.5})
-    t, x0 = 0.5, 1.0
-    state = solve_heat(interval, datum, t)
-    i = state.index_of(x0)
+    t = 0.5
+    grid = [(K, family) for K in (0.0, 0.5, -0.5)
+            for family in ("linear", "trig")]
+    clocks = [{"family": family,
+               "params": {} if family == "linear" else {"K": K, "a": 0.3}}
+              for K, family in grid]
+    # the six rows share one ensemble, so their paths are simulated once
+    config = ExperimentConfig(
+        manifold={"family": "interval-neumann"},
+        initial_datum={"id": "cosine", "params": {"k": 1, "amp": 0.5}},
+        times=[t], seed=seed,
+        mc=[{"functional": "harnack_rhs", "t": t, "x0": 1.0,
+             "n_paths": n_paths, "dt": 1e-3, "K_field": K, "clock": clock,
+             "compare": "wx0"} for (K, _), clock in zip(grid, clocks)])
     print("\nclock-weighted functional vs deterministic quadrature")
     print(f"{'K':>6} {'clock':>8} {'mc':>10} {'quadrature':>11} {'dev/se':>7}")
-    for K in (0.0, 0.5, -0.5):
-        for family in ("linear", "trig"):
-            params = {} if family == "linear" else {"K": K, "a": 0.3}
-            clock = make_clock(family, params, t)
-            est = estimate_functional(interval, datum, x0, t, clock,
-                                      "harnack_rhs", n_paths, 1e-3, seed,
-                                      K_field=K)
-            ints = clock_integrals(clock, K)
-            target = (0.5 * interval.n * ints["deriv_sq"] * float(state.u[i])
-                      - ints["sq_prime"] * float(state.Lu[i]))
-            dev = (est.value - target) / est.stderr if est.stderr else 0.0
-            print(f"{K:>6.2f} {family:>8} {est.value:>10.6f} "
-                  f"{target:>11.6f} {dev:>7.2f}")
+    for (K, family), row in zip(grid, run_experiment(config).mc_rows):
+        value, target, stderr = row["value"], row["target"], row["stderr"]
+        dev = (value - target) / stderr if stderr else 0.0
+        print(f"{K:>6.2f} {family:>8} {value:>10.6f} "
+              f"{target:>11.6f} {dev:>7.2f}")
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 
@@ -18,25 +19,36 @@ def main():
     """Gradient-inequality verification toolkit."""
 
 
-def _load_config(path, seed, tol, out):
-    config = harness.ExperimentConfig.from_json(path)
-    if seed is not None:
-        config.seed = seed
-    if tol is not None:
-        config.tol = tol
-    if out is not None:
-        config.out_dir = out
-    return config
+def _run_options(command):
+    """--config, --seed, --out and --format, shared by verify, mc and sweep."""
+    for option in reversed((
+            click.option("--config", "config_path", required=True,
+                         type=click.Path(exists=True)),
+            click.option("--seed", type=int, default=None),
+            click.option("--out", type=click.Path(), default=None),
+            click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
+                         default="csv"))):
+        command = option(command)
+    return command
 
 
-def _run_and_emit(config, fmt, mc_only=False, bounds_only=False):
+_tol_option = click.option("--tol", type=float, default=None)
+
+
+def _run(config_path, seed, out, fmt, tol=None, mc_only=False,
+         bounds_only=False):
+    """Run a config, write its report files under out, exit 0 iff all pass."""
+    config = harness.ExperimentConfig.from_json(config_path)
+    changes = {key: value for key, value in (("seed", seed), ("tol", tol))
+               if value is not None}
     if mc_only:
-        config.bounds = []
+        changes["bounds"] = []
     if bounds_only:
-        config.mc = []
+        changes["mc"] = []
+    config = dataclasses.replace(config, **changes)   # runs the checks again
     report = harness.run_experiment(config)
-    if config.out_dir:
-        for path in harness.emit_report(report, config.out_dir, fmt):
+    if out:
+        for path in harness.emit_report(report, out, fmt):
             click.echo(f"wrote {path}")
     n_fail = len(report.failures())
     worst = report.worst_margin()
@@ -48,42 +60,26 @@ def _run_and_emit(config, fmt, mc_only=False, bounds_only=False):
 
 
 @main.command()
-@click.option("--config", "config_path", required=True,
-              type=click.Path(exists=True))
-@click.option("--seed", type=int, default=None)
-@click.option("--out", type=click.Path(), default=None)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-              default="csv")
-@click.option("--tol", type=float, default=None)
+@_run_options
+@_tol_option
 def verify(config_path, seed, out, fmt, tol):
     """Run the full bound + MC suite of a config; exit 0 iff all rows pass."""
-    _run_and_emit(_load_config(config_path, seed, tol, out), fmt)
+    _run(config_path, seed, out, fmt, tol)
 
 
 @main.command()
-@click.option("--config", "config_path", required=True,
-              type=click.Path(exists=True))
-@click.option("--seed", type=int, default=None)
-@click.option("--out", type=click.Path(), default=None)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-              default="csv")
+@_run_options
 def mc(config_path, seed, out, fmt):
     """Run only the stochastic estimator rows of a config."""
-    _run_and_emit(_load_config(config_path, seed, None, out), fmt, mc_only=True)
+    _run(config_path, seed, out, fmt, mc_only=True)
 
 
 @main.command()
-@click.option("--config", "config_path", required=True,
-              type=click.Path(exists=True))
-@click.option("--seed", type=int, default=None)
-@click.option("--out", type=click.Path(), default=None)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-              default="csv")
-@click.option("--tol", type=float, default=None)
+@_run_options
+@_tol_option
 def sweep(config_path, seed, out, fmt, tol):
     """Run the bound grid sweep and emit margin-vs-t plot data."""
-    _run_and_emit(_load_config(config_path, seed, tol, out), fmt,
-                  bounds_only=True)
+    _run(config_path, seed, out, fmt, tol, bounds_only=True)
 
 
 @main.command("bounds")

@@ -40,7 +40,6 @@ FAMILIES = (
 
 _BOUNDARY_FAMILIES = (HALF_LINE, INTERVAL)
 _RADIAL_FAMILIES = (EUCLIDEAN_RADIAL, SPHERE, HYPERBOLIC)
-_FLAT_FAMILIES = (EUCLIDEAN_LINE, EUCLIDEAN_RADIAL, CIRCLE, HALF_LINE, INTERVAL)
 
 # Named drift coefficients; a driftless model uses "none".
 _DRIFTS: dict[str, object] = {"none": None}
@@ -77,10 +76,6 @@ class ModelManifold:
     def is_compact_grid(self) -> bool:
         """True when the default grid covers the whole space."""
         return self.family in (CIRCLE, INTERVAL, SPHERE)
-
-    def key(self):
-        return (self.family, self.m, self.n, self.K, self.sigma,
-                self.drift_id, self.length, self.rmax, self.pole_cut)
 
     # -- coefficients of the reduction --------------------------------------
 
@@ -192,7 +187,7 @@ def make_model_manifold(family: str, m: int = 1, n: float | None = None,
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    if m < 1:
+    if m < 1 or m != int(m):
         raise ValueError("m must be a positive integer")
     if n is None:
         n = float(m)
@@ -226,17 +221,22 @@ def make_model_manifold(family: str, m: int = 1, n: float | None = None,
 
     if rmax is None:
         rmax = 3.0 if family == HYPERBOLIC else 8.0
-    return ModelManifold(family=family, m=m, n=float(n), K=float(model_K),
+    return ModelManifold(family=family, m=int(m), n=float(n), K=float(model_K),
                          sigma=model_sigma, drift_id=drift, length=float(length),
                          rmax=float(rmax), pole_cut=float(pole_cut))
 
 
+_OPTIONAL_KEYS = ("K", "sigma", "length", "rmax", "pole_cut")
+# every key manifold_from_dict reads
+MANIFOLD_KEYS = ("family", "m", "n", "drift") + _OPTIONAL_KEYS
+
+
 def manifold_from_dict(doc: dict) -> ModelManifold:
     kwargs = {}
-    for key in ("K", "sigma", "length", "rmax", "pole_cut"):
+    for key in _OPTIONAL_KEYS:
         if key in doc and doc[key] is not None:
             kwargs[key] = doc[key]
-    return make_model_manifold(doc["family"], m=int(doc.get("m", 1)),
+    return make_model_manifold(doc["family"], m=doc.get("m", 1),
                                n=doc.get("n"), drift=doc.get("drift", "none"),
                                **kwargs)
 
@@ -256,9 +256,6 @@ class CdCheckReport:
     argmin: float
     h: float
     points: int
-
-    def satisfies(self, tol: float) -> bool:
-        return self.min_defect >= -tol
 
 
 def cd_check(M: ModelManifold, f, grid, h: float | None = None) -> CdCheckReport:

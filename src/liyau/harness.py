@@ -27,17 +27,21 @@ from . import __version__
 from . import bounds as bounds_mod
 from . import clocks as clocks_mod
 from . import stochastic as stoch
-from .geometry import ModelManifold, manifold_from_dict
-from .heatflow import HeatState, initial_datum, solve_heat
+from .geometry import MANIFOLD_KEYS, ModelManifold, manifold_from_dict
+from .heatflow import DATUM_PARAMS, HeatState, initial_datum, solve_heat
 
 CSV_COLUMNS = ("bound_id", "family", "m", "n", "K", "t", "x", "alpha", "eps",
                "X", "Y", "gamma", "a", "c", "margin", "domain_ok")
 
 _GRID_KEYS = ("alpha", "eps", "K_prime", "R", "K_region")
 _BOUND_KEYS = ("id", "params")
-# every key _run_mc_entry reads
+# every key _plan_mc_row and _finish_mc_row read
 _MC_KEYS = ("functional", "t", "x0", "n_paths", "dt", "seed", "p", "target",
             "grid_size", "pde_scheme", "clock", "compare", "K_field", "alpha")
+# every MC functional id and the compare modes its rows admit
+_COMPARE = {"harnack_rhs": ("state", "wx0"), "harnack_alpha_rhs": (),
+            "gradient_rhs": ("state",), "local_time_moment": (),
+            "expected_local_time": (), "expected_value": ()}
 
 
 def _reject_unknown(entry: dict, known: tuple, what: str) -> None:
@@ -57,13 +61,20 @@ class ExperimentConfig:
     scheme: str = "spectral"
     tol: float = 1e-6
     seed: int = 0
-    out_dir: str | None = None
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("tolerance must be positive")
         if not self.times or any(t <= 0 for t in self.times):
             raise ValueError("time grid must be strictly positive")
+        _reject_unknown(self.manifold, MANIFOLD_KEYS, "the manifold")
+        M = manifold_from_dict(self.manifold)   # a bad family, m, n or K fails
+        _reject_unknown(self.initial_datum, ("id", "params"), "the datum")
+        expr = self.initial_datum["id"]
+        if expr not in DATUM_PARAMS:
+            raise ValueError(f"unknown datum {expr!r}")
+        _reject_unknown(self.initial_datum.get("params") or {},
+                        DATUM_PARAMS[expr], f"the params of datum {expr!r}")
         for entry in self.bounds:
             if entry["id"] not in bounds_mod.BOUND_IDS:
                 raise ValueError(f"unknown bound id {entry['id']!r}")
@@ -73,18 +84,19 @@ class ExperimentConfig:
         for entry in self.mc:
             _reject_unknown(entry, _MC_KEYS, "an mc entry")
             fid = entry["functional"]
-            if fid not in stoch.FUNCTIONALS + ("local_time_moment",
-                                               "expected_local_time",
-                                               "expected_value"):
+            if fid not in _COMPARE:
                 raise ValueError(f"unknown functional {fid!r}")
+            if "compare" in entry and entry["compare"] not in _COMPARE[fid]:
+                raise ValueError(f"{fid} rows admit compare modes "
+                                 f"{_COMPARE[fid]}, not {entry['compare']!r}")
+            if entry.get("compare") == "wx0" and M.sigma:
+                raise ValueError("compare 'wx0' is the quadrature form of "
+                                 "convex walls: it needs sigma = 0")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
         doc = json.loads(Path(path).read_text())
         return cls(**doc)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 @dataclass
@@ -313,37 +325,37 @@ def _cores() -> int:
 def _finish_mc_row(plan: _McRow, est: stoch.Estimate, target_state) -> dict:
     """The report row of one estimate, with its target where it has one."""
     entry, row, M = plan.entry, plan.row, plan.ensemble.M
-    fid, x0 = row["functional_id"], row["x0"]
+    fid, x0, compare = row["functional_id"], row["x0"], entry.get("compare")
     row.update(value=est.value, stderr=est.stderr, passed=None)
     if fid == "expected_local_time" and "target" in entry:
         # e.g. 2/sqrt(pi) for the flat wall at t = 1
         target = float(entry["target"])
-        row.update(target=target,
-                   passed=bool(abs(est.value - target) <= 3.0 * est.stderr))
     elif fid == "expected_value":
         state = target_state(entry)
         target = float(np.interp(x0, state.grid, state.u))
-        row.update(target=target,
-                   passed=bool(abs(est.value - target) <= 3.0 * est.stderr))
-    elif fid in stoch.FUNCTIONALS and entry.get("compare") == "state":
+    elif compare == "state":
         state = target_state(entry)
         i = state.index_of(x0)
         if fid == "harnack_rhs":
             target = float(state.W()[i])
         else:
             target = float(abs(state.grad_u[i]))
-        row.update(target=target,
-                   passed=bool(target <= est.value + 3.0 * est.stderr))
-    elif fid in stoch.FUNCTIONALS and entry.get("compare") == "wx0":
-        # deterministic quadrature form for constant K, sigma = 0
+    elif compare == "wx0":
+        # deterministic quadrature form of harnack_rhs for constant K,
+        # sigma = 0
         K = float(entry.get("K_field", M.K))
         ints = clocks_mod.clock_integrals(plan.clock, K)
         state = target_state(entry)
         i = state.index_of(x0)
         target = (0.5 * M.n * ints["deriv_sq"] * float(state.u[i])
                   - ints["sq_prime"] * float(state.Lu[i]))
-        row.update(target=target,
-                   passed=bool(abs(est.value - target) <= 3.0 * est.stderr))
+    else:
+        return row
+    # within three standard errors; a "state" target is a lower bound
+    slack = 3.0 * est.stderr
+    passed = (target <= est.value + slack if compare == "state"
+              else abs(est.value - target) <= slack)
+    row.update(target=target, passed=bool(passed))
     return row
 
 

@@ -35,8 +35,11 @@ from .numerics import SolverError
 
 POSITIVITY_FLOOR = 1e-12
 
-_KERNEL_FAMILIES = (geometry.EUCLIDEAN_LINE, geometry.EUCLIDEAN_RADIAL,
-                    geometry.CIRCLE, geometry.HALF_LINE, geometry.INTERVAL)
+# the radial reductions solved in the flux form, and the unbounded flat
+# families the kernel scheme evolves in closed form
+_FLUX_FORM = (geometry.SPHERE, geometry.HYPERBOLIC)
+_UNBOUNDED_FLAT = (geometry.EUCLIDEAN_LINE, geometry.HALF_LINE,
+                   geometry.EUCLIDEAN_RADIAL)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +163,7 @@ def _mass(M: ModelManifold, grid, u) -> float:
     form).  Interval: the trapezoid, which is the zero cosine mode.
     """
     w = M.weight(grid)
-    if M.family in (geometry.CIRCLE, geometry.SPHERE, geometry.HYPERBOLIC):
+    if M.family == geometry.CIRCLE or M.family in _FLUX_FORM:
         return float((grid[1] - grid[0]) * math.fsum(u * w))
     return float(np.trapezoid(u * w, grid))
 
@@ -175,14 +178,20 @@ def harnack_quantities(state: HeatState, x: float) -> tuple[float, float, float]
     return (g / u) ** 2, float(state.Lu[i]) / u, g * g / u
 
 
+# every datum id and the params it reads
+DATUM_PARAMS = {"constant": ("c",), "cosine": ("k", "index", "amp", "base"),
+                "eigen": ("k", "index", "amp", "base"),
+                "legendre": ("index", "amp", "base"),
+                "gaussian": ("amp", "width", "base")}
+
+
 @dataclass(frozen=True)
 class InitialDatum:
-    """Initial profile from the expression catalog.
+    """Initial profile from the expression catalog (ids and params in
+    DATUM_PARAMS).
 
-    ids: "constant" {c}, "cosine" {k, amp, base}, "eigen" {index, amp},
-    "gaussian" {amp, width, base}.  Analytic ids expose callables; the
-    discrete-eigen data on the curved reductions exist only as grid
-    values tied to the solver operator.
+    Analytic ids expose callables; the discrete-eigen data on the curved
+    reductions exist only as grid values tied to the solver operator.
     """
 
     expr: str
@@ -191,8 +200,7 @@ class InitialDatum:
 
     def values(self, M: ModelManifold, grid: np.ndarray) -> np.ndarray:
         """u0 sampled on the grid."""
-        if self.expr == "eigen" and M.family in (geometry.SPHERE,
-                                                 geometry.HYPERBOLIC):
+        if self.expr == "eigen" and M.family in _FLUX_FORM:
             _, vec = radial_eigenpair(M, grid.size, int(self.params["index"]))
             u0 = 1.0 + float(self.params.get("amp", 0.5)) * vec
         else:
@@ -216,8 +224,7 @@ class InitialDatum:
                 w = float(p.get("k", p.get("index", 1)))
             elif M.family == geometry.INTERVAL:
                 w = float(p.get("k", p.get("index", 1))) * math.pi / M.length
-            elif self.expr == "cosine" and M.family in (geometry.SPHERE,
-                                                        geometry.HYPERBOLIC):
+            elif self.expr == "cosine" and M.family in _FLUX_FORM:
                 lo, hi, _ = M.domain()  # no-flux fit to the solver grid ends
                 w = float(p.get("k", 1)) * math.pi / (hi - lo)
                 shift = lo
@@ -254,8 +261,7 @@ class InitialDatum:
                         * np.cos(2.0 * np.asarray(x, float)) / m)
             raise ValueError("legendre datum supports index 1 or 2")
         if self.expr == "gaussian":
-            if M.family not in (geometry.EUCLIDEAN_LINE, geometry.HALF_LINE,
-                                geometry.EUCLIDEAN_RADIAL):
+            if M.family not in _UNBOUNDED_FLAT:
                 raise ValueError("gaussian datum lives on the flat families")
             amp = float(p.get("amp", 1.0))
             s0 = float(p.get("width", 0.25))
@@ -303,7 +309,7 @@ def _generator(M: ModelManifold, size: int):
     """
     grid = M.grid(size)
     h = grid[1] - grid[0]
-    if M.family in (geometry.SPHERE, geometry.HYPERBOLIC):
+    if M.family in _FLUX_FORM:
         lo, hi, _ = M.domain()
         w = M.weight(grid)
         up = M.weight(np.minimum(grid + 0.5 * h, hi)) / (h * h * w)
@@ -354,16 +360,10 @@ class _RadialOperator:
 
 
 @functools.lru_cache(maxsize=32)
-def _radial_operator_cached(key, size):
-    M = ModelManifold(*key[:5], drift_id=key[5], length=key[6], rmax=key[7],
-                      pole_cut=key[8])
-    return _RadialOperator(M, size)
-
-
 def _radial_operator(M: ModelManifold, size: int) -> _RadialOperator:
     if M.drift_id != "none":
         raise SolverError("radial eigen solver supports Z = 0 only")
-    return _radial_operator_cached(M.key(), size)
+    return _RadialOperator(M, size)
 
 
 def radial_eigenpair(M: ModelManifold, size: int, index: int):
@@ -397,9 +397,7 @@ def solve_heat(M: ModelManifold, u0: InitialDatum, t: float,
     u0v = u0.values(M, M.grid(grid_size))
 
     fam = M.family
-    unbounded_flat = fam in (geometry.EUCLIDEAN_LINE, geometry.HALF_LINE,
-                             geometry.EUCLIDEAN_RADIAL)
-    if unbounded_flat and scheme != "crank-nicolson-fd":
+    if fam in _UNBOUNDED_FLAT and scheme != "crank-nicolson-fd":
         if M.drift_id != "none":
             raise SolverError("the kernel scheme needs Z = 0; "
                               "use crank-nicolson-fd on a truncated grid")
@@ -410,7 +408,7 @@ def solve_heat(M: ModelManifold, u0: InitialDatum, t: float,
         state = _solve_circle_spectral(M, u0v, t, grid_size)
     elif fam == geometry.INTERVAL and scheme == "spectral":
         state = _solve_interval_spectral(M, u0v, t, grid_size)
-    elif fam in (geometry.SPHERE, geometry.HYPERBOLIC) and scheme == "spectral":
+    elif fam in _FLUX_FORM and scheme == "spectral":
         state = _solve_radial_eigen(M, u0v, t, grid_size)
     elif scheme == "crank-nicolson-fd":
         state = _solve_crank_nicolson(M, u0v, t, grid_size)
@@ -512,33 +510,18 @@ def _solve_crank_nicolson(M, u0v, t, size):
 def _solve_kernel(M, u0, t, size):
     """Closed-form evolution on the unbounded flat families.
 
-    Only the constant and gaussian data have one; every other datum
-    raises ValueError.
+    The constant datum is stationary; the gaussian datum of width s0
+    evolves to the gaussian of width s0 + t, its amp scaled by
+    (s0/(s0+t))^{m/2}.  Every other datum has no closed form on these
+    families, and its callables raise ValueError.
     """
     grid = M.grid(size)
-    fam = M.family
-    p = u0.params
-    if u0.expr == "constant":
-        c = float(p.get("c", 1.0))
-        z = np.zeros_like(grid)
-        return HeatState(M, t, grid, np.full_like(grid, c), z, z, scheme="kernel")
     if u0.expr == "gaussian":
-        # closed form: e^{-x^2/4 s0} evolves to sqrt(s0/(s0+t)) e^{-x^2/4(s0+t)}
-        amp = float(p.get("amp", 1.0))
-        s0 = float(p.get("width", 0.25))
-        base = float(p.get("base", 1.0))
-        st = s0 + t
-        scale = (s0 / st) ** (M.m / 2.0)
-        e = np.exp(-grid**2 / (4.0 * st))
-        u = base + amp * scale * e
-        du = -amp * scale * grid / (2.0 * st) * e
-        d2u = amp * scale * (grid**2 / (4.0 * st**2) - 1.0 / (2.0 * st)) * e
-        Lu = d2u + M.b(grid) * du
-        if fam == geometry.EUCLIDEAN_RADIAL:
-            Lu = amp * scale * (grid**2 / (4.0 * st**2) - M.m / (2.0 * st)) * e
-        return HeatState(M, t, grid, u, du, Lu, scheme="kernel")
-    # as in InitialDatum.callables: no other datum has one on these families
-    raise ValueError(f"{u0.expr} datum has no closed form on {fam}")
+        s0 = float(u0.params.get("width", 0.25))
+        amp = float(u0.params.get("amp", 1.0)) * (s0 / (s0 + t)) ** (M.m / 2.0)
+        u0 = initial_datum("gaussian", dict(u0.params, amp=amp, width=s0 + t))
+    u, du, d2u = (f(grid) for f in u0.callables(M))
+    return HeatState(M, t, grid, u, du, d2u + M.b(grid) * du, scheme="kernel")
 
 
 def gaussian_kernel_state(M: ModelManifold, t: float, grid=None) -> HeatState:

@@ -85,13 +85,6 @@ def decay_rate(beta, t):
     return -beta / math.expm1(-beta * t)
 
 
-def expm1_ratio(a, b):
-    """expm1(a)/expm1(b) with the 0/0 limit a/b; stable for a*b >= 0."""
-    if b == 0.0:
-        return a / b if a != 0.0 else 1.0
-    return math.expm1(a) / math.expm1(b)
-
-
 @functools.lru_cache(maxsize=None)
 def _leggauss(n):
     return np.polynomial.legendre.leggauss(n)

@@ -40,12 +40,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geometry
 from .clocks import Clock, alpha_form_integral, clock_integrals
 from .geometry import ModelManifold
 from .numerics import mean_and_stderr
-
-_CURVED = (geometry.SPHERE, geometry.HYPERBOLIC, geometry.EUCLIDEAN_RADIAL)
 
 
 @dataclass(frozen=True)
@@ -100,6 +97,15 @@ def _as_field(value, default: float):
     return True, float(default if value is None else value)
 
 
+def _sigma(M: ModelManifold, sigma_field) -> float:
+    """The wall constant sigma: sigma_field if given, else M's (0 if none)."""
+    if callable(sigma_field):
+        raise TypeError("sigma_field is a number: sigma is one constant "
+                        "per model wall")
+    value = M.sigma if sigma_field is None else sigma_field
+    return 0.0 if value is None else float(value)
+
+
 class _Stepper:
     """Vectorised one-step transition for a batch of paths."""
 
@@ -113,7 +119,7 @@ class _Stepper:
         self.boundaries = M.boundaries()
         lo, hi, kind = M.domain()
         self.wrap = kind == "periodic"
-        self.guard = (lo + 1e-9, hi - 1e-9) if M.family in _CURVED else None
+        self.guard = (lo + 1e-9, hi - 1e-9) if kind == "pole-open" else None
         self.rejected = 0
         self.buf = np.empty((0, 0))   # flat-step buffers, one row each
 
@@ -290,7 +296,7 @@ def simulate_reflected_path(M: ModelManifold, x0: float, t: float, dt: float,
 
     rejected = _run_alone(Ensemble(M, x0, 1, dt, seed, scheme),
                           Accumulator(steps, finish, record))
-    sigma = M.sigma if M.sigma is not None else 0.0
+    sigma = _sigma(M, None)
     # running sums from 0.0 in step order (accumulate does not pair terms)
     return PathSample(manifold=M, dt=dt, seed=seed, scheme=scheme,
                       times=np.arange(steps + 1) * dt, x=xs, dL=dLs,
@@ -303,8 +309,10 @@ def path_weight(sample: PathSample, K_field=None, sigma_field=None,
     """Exponential weight e^{-2 (A(s) + B(s))} along one stored path.
 
     Fields default to the manifold constants the sample was built with;
-    callables re-accumulate by the left-point rule over the stored path.
+    a callable K_field re-accumulates by the left-point rule over the
+    stored path.  sigma_field is a number.
     """
+    sigma = _sigma(sample.manifold, sigma_field)
     t_end = sample.times[-1]
     if s is None:
         s = t_end
@@ -314,22 +322,11 @@ def path_weight(sample: PathSample, K_field=None, sigma_field=None,
     if K_field is None and sigma_field is None:
         return math.exp(-2.0 * (sample.A[k] + sample.B[k]))
     kc, kf = _as_field(K_field, sample.manifold.K)
-    sc, sf = _as_field(sigma_field, sample.manifold.sigma or 0.0)
     if kc:
         A = kf * sample.dt * k
     else:  # left-point rule over the first k stored positions
         A = float(np.sum(kf(sample.x[:k])) * sample.dt) if k else 0.0
-    if sc:
-        B = sf * float(np.sum(sample.dL[:k]))
-    else:
-        # sigma lives on the boundary: evaluate at the nearest wall
-        B = 0.0
-        for j in range(k):
-            if sample.dL[j] > 0:
-                walls = [pos for pos, _ in sample.manifold.boundaries()]
-                wall = min(walls, key=lambda p: abs(sample.x[j + 1] - p))
-                B += float(sf(wall)) * sample.dL[j]
-    return math.exp(-2.0 * (A + B))
+    return math.exp(-2.0 * (A + sigma * float(np.sum(sample.dL[:k]))))
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +351,8 @@ def estimate_functional(M: ModelManifold, u0, x: float, t: float,
     gradient_rhs:
         E[ |grad u0|(X_t) e^{-int (K dr + sigma dL)} ].
 
-    u0 must expose callables on the manifold (analytic datum ids).  When
+    u0 must expose callables on the manifold (analytic datum ids).
+    K_field is a number or a callable K(x); sigma_field is a number.  When
     K is a constant and sigma vanishes the clock integrals are
     deterministic and computed once; only the endpoint evaluation of u0
     carries Monte Carlo noise then.
@@ -380,23 +378,19 @@ def functional_accumulator(ens: Ensemble, u0, t: float, clock: Clock | None,
     steps = _step_count(t, dt)
     u_call, du_call, d2u_call = u0.callables(M)
     kc, kf = _as_field(K_field, M.K)
-    sc, sf = _as_field(sigma_field, M.sigma if M.sigma is not None else 0.0)
-    sigma_zero = sc and sf == 0.0
+    sigma = _sigma(M, sigma_field)
 
     need_alpha = functional_id == "harnack_alpha_rhs"
     if need_alpha and (alpha is None or alpha <= 1):
         raise ValueError("harnack_alpha_rhs needs alpha > 1")
-    if need_alpha and M.has_boundary and not sigma_zero:
+    if need_alpha and M.has_boundary and sigma != 0.0:
         raise ValueError("the alpha functional is stated for convex walls "
                          "(sigma = 0)")
-    if not sc and len(M.boundaries()) > 1:
-        raise ValueError("callable sigma needs a single wall to attribute "
-                         "local time to; use a constant on the interval")
 
     # deterministic weight: the clock integrals are constants, so evaluate
     # them by exact quadrature; the left-point rule is kept for pathwise
     # weights (K a field or sigma dL live), where it matches Ito's.
-    track_B = M.has_boundary and not sigma_zero
+    track_B = M.has_boundary and sigma != 0.0
     const_weight = kc and not track_B
     # int K(X) dr (left point), int sigma dL and the clock integrals; a
     # scalar 0.0 stands for a path-independent zero
@@ -410,7 +404,6 @@ def functional_accumulator(ens: Ensemble, u0, t: float, clock: Clock | None,
         I1 = alpha_form_integral(clock, kf, alpha)
     elif not const_weight and functional_id != "gradient_rhs":
         I1, I2 = np.zeros((2, n_paths))
-    sigma_wall = (sf if sc else sf(M.boundaries()[0][0])) if track_B else 0.0
     if not const_weight and clock is not None:
         svals = np.arange(steps) * dt
         lv, dlv = clock.l(svals), clock.dl(svals)
@@ -431,7 +424,7 @@ def functional_accumulator(ens: Ensemble, u0, t: float, clock: Clock | None,
         if not kc:
             A += kf(xp) * dt
         if track_B:
-            B += sigma_wall * dL
+            B += sigma * dL
 
     def finish(xp, rejected):
         if functional_id == "harnack_rhs":

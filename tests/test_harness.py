@@ -138,6 +138,43 @@ class TestRunExperiment:
             with pytest.raises(ValueError, match=typo):
                 minimal_config(mc=[{"functional": "expected_value", "t": 0.25,
                                     typo: 1.0}])
+        # malformed manifolds and data fail at load, before any solve
+        for manifold, match in (
+                ({"family": "interval-neumann", "N": 3}, "'N'"),
+                ({"family": "torus"}, "torus"),
+                ({"family": "circle", "m": 0}, "m must be"),
+                ({"family": "sphere-radial", "m": 2.5}, "m must be"),
+                ({"family": "sphere-radial", "m": 3, "n": 2}, "n=2"),
+                ({"family": "sphere-radial", "m": 2, "K": 1.5}, "K=1.5")):
+            with pytest.raises(ValueError, match=match):
+                minimal_config(manifold=manifold)
+        for datum, match in (
+                ({"id": "cosine", "params": {"ampl": 0.1}}, "ampl"),
+                ({"id": "gaussian", "params": {"k": 1}}, "'k'"),
+                ({"id": "eigen", "parms": {"index": 1}}, "parms"),
+                ({"id": "sine", "params": {}}, "sine")):
+            with pytest.raises(ValueError, match=match):
+                minimal_config(initial_datum=datum)
+
+    def test_compare_modes(self):
+        row = {"functional": "harnack_rhs", "t": 0.5, "x0": 2.0,
+               "n_paths": 100, "dt": 1e-3, "clock": {"family": "linear"}}
+        for fid, compare in (("harnack_rhs", "State"),
+                             ("harnack_alpha_rhs", "wx0"),
+                             ("gradient_rhs", "wx0"),
+                             ("expected_value", "state")):
+            with pytest.raises(ValueError, match=repr(compare)):
+                minimal_config(mc=[dict(row, functional=fid,
+                                        compare=compare)])
+        for fid, compare in (("harnack_rhs", "state"), ("harnack_rhs", "wx0"),
+                             ("gradient_rhs", "state")):
+            minimal_config(mc=[dict(row, functional=fid, compare=compare)])
+        # the wx0 target drops the sigma dL weight the estimate carries
+        with pytest.raises(ValueError, match="sigma = 0"):
+            minimal_config(manifold={"family": "interval-neumann",
+                                     "sigma": -0.4},
+                           initial_datum={"id": "cosine", "params": {"k": 1}},
+                           mc=[dict(row, compare="wx0")])
 
     def test_failures_flag_synthetic_row(self):
         report = run_experiment(minimal_config())
@@ -626,6 +663,24 @@ class TestCli:
                              capture_output=True, text=True,
                              env=dict(os.environ, PYTHONPATH=str(src)))
         assert out.stdout.split() == ["False"]
+
+    def test_command_line_values_are_checked(self, tmp_path):
+        res = CliRunner().invoke(main, ["verify", "--config",
+                                        str(self.write_config(tmp_path)),
+                                        "--tol", "-1"])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, ValueError)
+        assert "tolerance must be positive" in str(res.exception)
+
+    def test_json_report_does_not_depend_on_the_out_directory(self, tmp_path):
+        cfg = str(self.write_config(tmp_path))
+        for out in ("a", "b/c"):
+            res = CliRunner().invoke(main, ["verify", "--config", cfg,
+                                            "--out", str(tmp_path / out),
+                                            "--format", "json"])
+            assert res.exit_code == 0, res.output
+        a, b = (tmp_path / out / "report.json" for out in ("a", "b/c"))
+        assert a.read_bytes() == b.read_bytes()
 
     def test_sweep_writes_plot_data(self, tmp_path):
         runner = CliRunner()

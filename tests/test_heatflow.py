@@ -213,6 +213,29 @@ class TestSolvers:
         exact = 1 + math.sqrt(0.3 / stt) * np.exp(-st.grid**2 / (4 * stt))
         assert np.max(np.abs(st.u - exact)) < 1e-12
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    @pytest.mark.parametrize("t", [0.01, 0.5, 3.0])
+    def test_flat_radial_kernel_scheme_generator(self, m, t):
+        # Lu = u'' + (m - 1)/x u' against the radial closed form
+        # amp scale (x^2/4st^2 - m/2st) e of the gaussian of width st
+        M = make_model_manifold("euclidean-radial", m=m)
+        datum = initial_datum("gaussian", {"amp": 0.7, "width": 0.3})
+        st = solve_heat(M, datum, t, scheme="kernel")
+        s, x = 0.3 + t, st.grid
+        scale = (0.3 / s) ** (m / 2.0)
+        e = np.exp(-x**2 / (4.0 * s))
+        exact = 0.7 * scale * (x**2 / (4.0 * s**2) - m / (2.0 * s)) * e
+        assert np.max(np.abs(st.Lu - exact)) <= 1e-13 * np.max(np.abs(exact))
+        assert np.max(np.abs(st.u - 1.0 - 0.7 * scale * e)) < 1e-15
+
+    def test_radial_operator_cached_on_equal_manifolds(self):
+        a = make_model_manifold("sphere-radial", m=2)
+        b = make_model_manifold("sphere-radial", m=2)
+        assert a == b and a is not b
+        assert _radial_operator(a, 65) is _radial_operator(b, 65)
+        c = make_model_manifold("sphere-radial", m=3)
+        assert _radial_operator(c, 65) is not _radial_operator(a, 65)
+
     def test_positivity_and_max_principle_enforced(self, circle):
         datum = initial_datum("eigen", {"index": 2, "amp": 0.25})
         st = solve_heat(circle, datum, 0.05)
