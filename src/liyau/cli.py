@@ -38,14 +38,18 @@ _tol_option = click.option("--tol", type=float, default=None)
 def _run(config_path, seed, out, fmt, tol=None, mc_only=False,
          bounds_only=False):
     """Run a config, write its report files under out, exit 0 iff all pass."""
-    config = harness.ExperimentConfig.from_json(config_path)
     changes = {key: value for key, value in (("seed", seed), ("tol", tol))
                if value is not None}
     if mc_only:
         changes["bounds"] = []
     if bounds_only:
         changes["mc"] = []
-    config = dataclasses.replace(config, **changes)   # runs the checks again
+    try:
+        config = harness.ExperimentConfig.from_json(config_path)
+        config = dataclasses.replace(config, **changes)  # checks again
+    except (ValueError, TypeError, KeyError) as exc:  # JSON errors included
+        raise click.UsageError(f"invalid config {config_path}: "
+                               f"{type(exc).__name__}: {exc}")
     report = harness.run_experiment(config)
     if out:
         for path in harness.emit_report(report, out, fmt):

@@ -28,7 +28,8 @@ from . import bounds as bounds_mod
 from . import clocks as clocks_mod
 from . import stochastic as stoch
 from .geometry import MANIFOLD_KEYS, ModelManifold, manifold_from_dict
-from .heatflow import DATUM_PARAMS, HeatState, initial_datum, solve_heat
+from .heatflow import (DATUM_PARAMS, HeatState, default_grid_size,
+                       initial_datum, solve_heat)
 
 CSV_COLUMNS = ("bound_id", "family", "m", "n", "K", "t", "x", "alpha", "eps",
                "X", "Y", "gamma", "a", "c", "margin", "domain_ok")
@@ -359,11 +360,34 @@ def _finish_mc_row(plan: _McRow, est: stoch.Estimate, target_state) -> dict:
     return row
 
 
-def _run_mc(entries: list, M: ModelManifold, datum, seed: int) -> list:
+def _state_solver(M: ModelManifold, datum):
+    """solve(t, grid_size, scheme): the state of datum on M, each (t,
+    resolved grid size, scheme) solved once per run; a failed solve raises
+    its error again.  Grid rows and MC targets share it."""
+    solved: dict[tuple, object] = {}
+
+    def solve(t, grid_size, scheme):
+        key = (float(t), default_grid_size(M) if grid_size is None
+               else grid_size, scheme)
+        if key not in solved:
+            try:
+                solved[key] = solve_heat(M, datum, key[0], grid_size=grid_size,
+                                         scheme=scheme)
+            except Exception as exc:
+                solved[key] = exc
+        if isinstance(solved[key], Exception):
+            raise solved[key]
+        return solved[key]
+
+    return solve
+
+
+def _run_mc(entries: list, M: ModelManifold, datum, seed: int,
+            solve) -> list:
     """The MC rows in config order; errors are captured per row.
 
     Rows are planned, then run one pass per ensemble, then compared with
-    their target states, each (t, grid_size, pde_scheme) solved once.
+    their target states from solve (see _state_solver).
     """
     planned = []   # each entry's plan, or the error that stopped it
     for entry in entries:
@@ -373,20 +397,10 @@ def _run_mc(entries: list, M: ModelManifold, datum, seed: int) -> list:
             planned.append(exc)
     plans = [plan for plan in planned if isinstance(plan, _McRow)]
     estimates = _run_ensembles(plans)
-    solved: dict[tuple, object] = {}
 
     def target_state(entry):
-        key = (float(entry["t"]), entry.get("grid_size"),
-               entry.get("pde_scheme", "spectral"))
-        if key not in solved:
-            try:
-                solved[key] = solve_heat(M, datum, key[0], grid_size=key[1],
-                                         scheme=key[2])
-            except Exception as exc:
-                solved[key] = exc
-        if isinstance(solved[key], Exception):
-            raise solved[key]
-        return solved[key]
+        return solve(entry["t"], entry.get("grid_size"),
+                     entry.get("pde_scheme", "spectral"))
 
     rows = []
     for entry, plan in zip(entries, planned):
@@ -410,12 +424,12 @@ def run_experiment(config: ExperimentConfig) -> Report:
     M = manifold_from_dict(config.manifold)
     datum = initial_datum(config.initial_datum["id"],
                           config.initial_datum.get("params", {}))
+    solve = _state_solver(M, datum)
     solver_rows, bound_blocks = [], []
     states: dict[float, HeatState] = {}
     for t in map(float, config.times):  # one spelling of t in every row
         try:
-            state = solve_heat(M, datum, t, grid_size=config.grid_size,
-                               scheme=config.scheme)
+            state = solve(t, config.grid_size, config.scheme)
             states[t] = state
             solver_rows.append({"t": t, "scheme": state.scheme,
                                 "grid_size": int(state.grid.size),
@@ -435,7 +449,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
                     bound_blocks.append(BoundBlock(dict(
                         _empty_bound_row(M, t, entry["id"], params),
                         error=f"{type(exc).__name__}: {exc}")))
-    mc_rows = _run_mc(config.mc, M, datum, config.seed)
+    mc_rows = _run_mc(config.mc, M, datum, config.seed, solve)
     meta = {"package": __version__, "numpy": np.__version__,
             "seed": config.seed}
     return Report(config=asdict(config), solver_rows=solver_rows,

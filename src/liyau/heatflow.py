@@ -8,12 +8,13 @@ differences with ghost-node walls elsewhere, periodic on the circle.
 Schemes:
 
   * "spectral": exact-in-time evolution in an eigenbasis.  Fourier modes
-    on the circle, cosine modes on the interval (DCT-I), and the
-    eigenvectors of the symmetrised tridiagonal L on the sphere /
-    hyperbolic radial reductions.
-  * "crank-nicolson-fd": second-order theta stepping of L with a banded
-    solve per step, dt = h; the circle's two corners enter by one
-    Sherman-Morrison correction.
+    on the circle, cosine modes on the interval (DCT-I), and on the
+    sphere / hyperbolic radial reductions the eigenvectors of the
+    symmetrised tridiagonal L with lam t <= 50 only, computed per solve
+    (_MODE_CUT): every dropped mode is weighted by e^{-lam t} < 2e-22.
+  * "crank-nicolson-fd": second-order theta stepping of L, dt = h, with
+    I - dt/2 L factored once and a tridiagonal solve per step; the
+    circle's two corners enter by one Sherman-Morrison correction.
   * "kernel": closed-form evolution of the constant and gaussian data
     on the unbounded flat families (line, half line, flat radial).
 
@@ -330,52 +331,68 @@ def _apply(dn, dg, up, u):
     return dg * u + dn * np.roll(u, 1) + up * np.roll(u, -1)
 
 
-class _RadialOperator:
-    """Eigenbasis of the flux-form generator on the sphere / hyperbolic grid."""
-
-    def __init__(self, M: ModelManifold, size: int):
-        from scipy import linalg  # on first use: interval runs never need it
-
-        self.grid, dn, dg, up = _generator(M, size)
-        self.diagonals = (dn, dg, up)
-        # symmetrised by D = diag(sqrt(w)): S = D L D^{-1} is symmetric up
-        # to rounding, and its off-diagonal is taken as the mean of the two
-        d = np.sqrt(M.weight(self.grid))
-        off = 0.5 * (d[:-1] * up[:-1] / d[1:] + d[1:] * dn[1:] / d[:-1])
-        # eigenpairs of -S ascend, so lam descends: lam[0] ~ 0 (constant mode)
-        mu, self.V = linalg.eigh_tridiagonal(-dg, -off)
-        self.lam = -mu
-        self.d = d
-
-    def evolve(self, u0: np.ndarray, t: float) -> np.ndarray:
-        coef = self.V.T @ (self.d * u0)
-        return (self.V @ (np.exp(self.lam * t) * coef)) / self.d
-
-    def eigenfunction(self, index: int) -> tuple[float, np.ndarray]:
-        vec = self.V[:, index] / self.d
-        vec = vec / np.max(np.abs(vec))
-        if vec[0] < 0:
-            vec = -vec
-        return float(-self.lam[index]), vec
+# A mode with lam t > _MODE_CUT is weighted by e^{-lam t} < 2e-22, below
+# what a double holds beside the kept modes.  With D = diag(sqrt(w)) and
+# |.| the Euclidean norm, dropping every such mode moves D u by at most
+# e^{-50} |D u0| and D Lu by at most (50/t) e^{-50} |D u0|.
+_MODE_CUT = 50.0
 
 
 @functools.lru_cache(maxsize=32)
-def _radial_operator(M: ModelManifold, size: int) -> _RadialOperator:
+def _radial_symmetric(M: ModelManifold, size: int):
+    """(grid, dn, dg, up, d, off): the flux-form generator on M.grid(size)
+    and its symmetrisation S = D L D^{-1}, D = diag(d), d = sqrt(w).
+
+    S has main diagonal dg and off-diagonal off; it is symmetric up to
+    rounding, and off is taken as the mean of its two off-diagonals.  All
+    six arrays are O(N) and read-only.
+    """
     if M.drift_id != "none":
         raise SolverError("radial eigen solver supports Z = 0 only")
-    return _RadialOperator(M, size)
+    grid, dn, dg, up = _generator(M, size)
+    d = np.sqrt(M.weight(grid))
+    off = 0.5 * (d[:-1] * up[:-1] / d[1:] + d[1:] * dn[1:] / d[:-1])
+    arrays = (grid, dn, dg, up, d, off)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
+def _radial_modes(M: ModelManifold, size: int, select: str, select_range):
+    """(mu, V): eigenpairs of -S by scipy's select / select_range.
+
+    mu ascends (mu[0] ~ 0 is the constant mode) and the columns of V are
+    orthonormal; only the selected columns are computed.
+    """
+    from scipy import linalg  # on first use: interval runs never need it
+
+    _, _, dg, _, _, off = _radial_symmetric(M, size)
+    return linalg.eigh_tridiagonal(-dg, -off, select=select,
+                                   select_range=select_range)
+
+
+@functools.lru_cache(maxsize=32)
 def radial_eigenpair(M: ModelManifold, size: int, index: int):
-    """(eigenvalue, eigenfunction values) of the discrete radial generator."""
-    return _radial_operator(M, size).eigenfunction(index)
+    """(eigenvalue, eigenfunction values) of the discrete radial generator.
+
+    index 0 is the constant mode and eigenvalues ascend with index; the
+    eigenfunction is scaled to max |v| = 1 with v[0] > 0, and is read-only.
+    """
+    mu, V = _radial_modes(M, size, "i", (index, index))
+    vec = V[:, 0] / _radial_symmetric(M, size)[4]
+    vec = vec / np.max(np.abs(vec))
+    if vec[0] < 0:
+        vec = -vec
+    vec.flags.writeable = False
+    return float(mu[0]), vec
 
 
 # ---------------------------------------------------------------------------
 # solvers
 
 
-def _default_grid_size(M: ModelManifold) -> int:
+def default_grid_size(M: ModelManifold) -> int:
+    """The grid size solve_heat takes when it is given none."""
     return {geometry.CIRCLE: 256, geometry.INTERVAL: 257}.get(M.family, 401)
 
 
@@ -391,7 +408,7 @@ def solve_heat(M: ModelManifold, u0: InitialDatum, t: float,
     if scheme not in ("spectral", "crank-nicolson-fd", "kernel"):
         raise ValueError(f"unknown scheme {scheme!r}")
     if grid_size is None:
-        grid_size = _default_grid_size(M)
+        grid_size = default_grid_size(M)
     if M.has_boundary:
         u0.check_neumann(M)
     u0v = u0.values(M, M.grid(grid_size))
@@ -463,15 +480,21 @@ def _solve_interval_spectral(M, u0v, t, size):
 
 
 def _solve_radial_eigen(M, u0v, t, size):
-    op = _radial_operator(M, size)
-    u = op.evolve(u0v, t)
-    Lu = _apply(*op.diagonals, u)
-    du = np.gradient(u, op.grid, edge_order=2)
-    return HeatState(M, t, op.grid, u, du, Lu, scheme="spectral")
+    """Evolve u0v in the modes with lam t <= _MODE_CUT (all at t = 0)."""
+    grid, dn, dg, up, d, _ = _radial_symmetric(M, size)
+    mu, V = _radial_modes(M, size, "v",
+                          (-np.inf, _MODE_CUT / t if t > 0 else np.inf))
+    # L 1 = 0, so the constant mode is stationary: its computed eigenvalue
+    # is rounding of order eps |S| (1e-10 at N = 2401), not decay
+    mu[0] = 0.0
+    u = (V @ (np.exp(-mu * t) * (V.T @ (d * u0v)))) / d
+    Lu = _apply(dn, dg, up, u)
+    du = np.gradient(u, grid, edge_order=2)
+    return HeatState(M, t, grid, u, du, Lu, scheme="spectral")
 
 
 def _solve_crank_nicolson(M, u0v, t, size):
-    from scipy import linalg  # on first use: interval runs never need it
+    from scipy.linalg import lapack  # on first use, as in _radial_modes
 
     grid, dn, dg, up = _generator(M, size)
     h = grid[1] - grid[0]
@@ -479,25 +502,33 @@ def _solve_crank_nicolson(M, u0v, t, size):
     steps = max(int(math.ceil(t / dt)), 1) if t > 0 else 0
     if steps:
         dt = t / steps
-    # I - dt/2 L in banded storage (ab[0, 0] and ab[2, -1] are unused)
-    ab = -0.5 * dt * np.array([np.roll(up, 1), dg, np.roll(dn, -1)])
-    ab[1] += 1.0
+    # sub-, main and super-diagonal of I - dt/2 L
+    sub, sup = -0.5 * dt * dn[1:], -0.5 * dt * up[:-1]
+    main = -0.5 * dt * dg + 1.0
     periodic = M.family == geometry.CIRCLE
     if periodic:
         # corners p = lhs[0, -1], q = lhs[-1, 0] by Sherman-Morrison:
         # lhs = T + s r^T with s = g e_0 + q e_-1, r = e_0 + (p / g) e_-1
-        # and T the banded ab after the two diagonal edits below
+        # and T the tridiagonal after the two diagonal edits below
         p, q = -0.5 * dt * dn[0], -0.5 * dt * up[-1]
-        g = -ab[1, 0]
-        ab[1, 0] -= g
-        ab[1, -1] -= q * p / g
+        g = -main[0]
+        main[0] -= g
+        main[-1] -= q * p / g
+    *factors, info = lapack.dgttrf(sub, main, sup)  # once for every step
+    if info:
+        raise SolverError("singular Crank-Nicolson matrix")
+
+    def solve(b):
+        return lapack.dgttrs(*factors, b)[0]
+
+    if periodic:
         s = np.zeros(grid.size)
         s[0], s[-1] = g, q
-        z = linalg.solve_banded((1, 1), ab, s)
+        z = solve(s)
         rz = 1.0 + z[0] + p / g * z[-1]
     u = u0v
     for _ in range(steps):
-        u = linalg.solve_banded((1, 1), ab, u + 0.5 * dt * _apply(dn, dg, up, u))
+        u = solve(u + 0.5 * dt * _apply(dn, dg, up, u))
         if periodic:
             u -= (u[0] + p / g * u[-1]) / rz * z
     Lu = _apply(dn, dg, up, u)
@@ -535,7 +566,7 @@ def gaussian_kernel_state(M: ModelManifold, t: float, grid=None) -> HeatState:
     if t <= 0:
         raise ValueError("t must be positive")
     if grid is None:
-        grid = M.grid(_default_grid_size(M))
+        grid = M.grid(default_grid_size(M))
     grid = np.asarray(grid, dtype=float)
     m = M.m
     u = (4.0 * math.pi * t) ** (-m / 2.0) * np.exp(-grid**2 / (4.0 * t))

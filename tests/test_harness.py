@@ -305,6 +305,25 @@ class TestEnsemblePlan:
                           (0.5, None, "spectral"), (0.4, None, "spectral"),
                           (0.1, None, "spectral")]
 
+    def test_grid_and_mc_states_share_one_cache(self, monkeypatch):
+        # configs/interval_mc.json: the MC targets leave grid_size unset,
+        # which resolves to the config's 257, so (0.5, 257, spectral) is
+        # solved once; fewer paths leave the solves as they are
+        solved = []
+
+        def counting_solve(M, datum, t, **kwargs):
+            solved.append(t)
+            return solve_heat(M, datum, t, **kwargs)
+
+        cfg = ExperimentConfig.from_json(
+            Path(liyau.__file__).parents[2] / "configs" / "interval_mc.json")
+        assert cfg.grid_size == 257
+        cfg = replace(cfg, mc=[dict(e, n_paths=200) for e in cfg.mc])
+        monkeypatch.setattr(harness, "solve_heat", counting_solve)
+        report = run_experiment(cfg)
+        assert sorted(solved) == [0.1, 0.25, 0.4, 0.5, 1.0]
+        assert all("error" not in row for row in report.mc_rows)
+
     def test_a_raising_accumulator_fails_only_its_row(self, monkeypatch):
         cfg = interval_mc_config()
         before = run_experiment(cfg).mc_rows
@@ -668,9 +687,20 @@ class TestCli:
         res = CliRunner().invoke(main, ["verify", "--config",
                                         str(self.write_config(tmp_path)),
                                         "--tol", "-1"])
-        assert res.exit_code == 1
-        assert isinstance(res.exception, ValueError)
-        assert "tolerance must be positive" in str(res.exception)
+        # a config the checks reject is a usage error: one Error: line
+        assert res.exit_code == 2, res.output
+        assert res.output.splitlines()[-1].startswith("Error: invalid config")
+        assert "tolerance must be positive" in res.output
+        assert [line.startswith("Error:")
+                for line in res.output.splitlines()].count(True) == 1
+
+    def test_unknown_manifold_key_is_a_usage_error(self, tmp_path):
+        res = self.verify(tmp_path, manifold={"family": "circle", "m": 1,
+                                              "curvature": 1.0},
+                          initial_datum={"id": "constant"}, times=[1.0])
+        assert res.exit_code == 2, res.output
+        assert "unknown keys ['curvature'] in the manifold" in res.output
+        assert not isinstance(res.exception, ValueError)
 
     def test_json_report_does_not_depend_on_the_out_directory(self, tmp_path):
         cfg = str(self.write_config(tmp_path))

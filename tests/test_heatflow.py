@@ -6,9 +6,11 @@ import pytest
 from liyau import (exact_kernel, gaussian_kernel_state, harnack_quantities,
                    initial_datum, make_model_manifold, solve_heat)
 from liyau.geometry import register_drift
-from liyau.heatflow import (_circle_kernel_spectral, _circle_kernel_wrapped,
-                            _generator, _interval_kernel_images,
-                            _interval_kernel_spectral, _radial_operator,
+from liyau import heatflow
+from liyau.heatflow import (_MODE_CUT, _apply, _circle_kernel_spectral,
+                            _circle_kernel_wrapped, _generator,
+                            _interval_kernel_images, _interval_kernel_spectral,
+                            _radial_symmetric, _solve_radial_eigen,
                             radial_eigenpair)
 from liyau.numerics import SolverError
 
@@ -130,8 +132,7 @@ class TestSolvers:
                 u2 = np.fft.irfft(np.fft.rfft(b.u) * np.exp(-freq**2 * 0.5),
                                   n=b.u.size)
             else:
-                from liyau.heatflow import _radial_operator
-                u2 = _radial_operator(M, b.u.size).evolve(b.u, 0.5)
+                u2 = _solve_radial_eigen(M, b.u, 0.5, b.u.size).u
             assert np.max(np.abs(u2 - a.u)) < 1e-8
 
     def test_self_convergence_order(self, sphere2):
@@ -196,15 +197,74 @@ class TestSolvers:
         M = make_model_manifold(family, m=2)
         _, dn, dg, up = _generator(M, size)
         tol = 1e-13 * np.max(np.abs(dg))
-        lam = _radial_operator(M, size).lam
-        assert np.all(np.diff(lam) < 0)
-        assert abs(lam[0]) < tol
+        lams = []
         for index in (0, 1, 2, 10, size // 2, size - 1):
             lam_i, v = radial_eigenpair(M, size, index)
+            lams.append(lam_i)
             Lv = dg * v
             Lv[:-1] += up[:-1] * v[1:]
             Lv[1:] += dn[1:] * v[:-1]
             assert np.max(np.abs(Lv + lam_i * v)) < tol, index
+        assert np.all(np.diff(lams) > 0)
+        assert abs(lams[0]) < tol
+
+    @pytest.mark.parametrize("family, size", [("hyperbolic-radial", 2401),
+                                              ("sphere-radial", 301)])
+    def test_eigen_datum_is_the_exact_discrete_solution(self, family, size):
+        # u = 1 + amp e^{-lam1 t} v1 solves the discrete flow exactly
+        M = make_model_manifold(family, m=2)
+        lam, v = radial_eigenpair(M, size, 1)
+        _, dn, dg, up = _generator(M, size)
+        datum = initial_datum("eigen", {"index": 1, "amp": 0.5})
+        for t in (0.05, 0.5, 2.0):
+            st = solve_heat(M, datum, t, grid_size=size)
+            exact = 1 + 0.5 * math.exp(-lam * t) * v
+            assert np.max(np.abs(st.u - exact)) < 1e-10, t
+            Y = _apply(dn, dg, up, exact) / exact
+            assert np.max(np.abs(st.Y() - Y)) < 1.5e-8, t
+
+    @pytest.mark.parametrize("family, size", [("hyperbolic-radial", 2401),
+                                              ("sphere-radial", 301)])
+    def test_kept_modes_match_the_full_basis(self, family, size):
+        from scipy import linalg
+        M = make_model_manifold(family, m=2)
+        datum = initial_datum("cosine", {"k": 3, "amp": 0.4})
+        _, _, dg, _, d, off = _radial_symmetric(M, size)
+        mu, V = linalg.eigh_tridiagonal(-dg, -off)   # every mode, N x N
+        mu[0] = 0.0   # L 1 = 0: mu[0] is rounding (6e-11 at hyperbolic 2401)
+        coef = V.T @ (d * datum.values(M, M.grid(size)))
+        for t in (0.05, 0.5, 2.0):
+            full = (V @ (np.exp(-mu * t) * coef)) / d
+            st = solve_heat(M, datum, t, grid_size=size)
+            assert np.max(np.abs(st.u - full)) < 1e-10, t
+
+    def test_small_time_keeps_few_modes(self, monkeypatch):
+        kept = []
+        modes = heatflow._radial_modes
+
+        def recording(*args):
+            mu, V = modes(*args)
+            kept.append(V.shape)
+            return mu, V
+
+        monkeypatch.setattr(heatflow, "_radial_modes", recording)
+        M = make_model_manifold("hyperbolic-radial", m=2)
+        st = solve_heat(M, initial_datum("eigen", {"index": 1, "amp": 0.5}),
+                        0.05, grid_size=2401)
+        (n, k), = kept
+        assert n == 2401 and k <= 64
+        lam, _ = radial_eigenpair(M, 2401, k)   # the first mode dropped
+        assert lam * st.t > _MODE_CUT
+
+    def test_radial_solves_are_pure(self):
+        # the result depends on (M, size, t, u0) only, not on earlier solves
+        M = make_model_manifold("hyperbolic-radial", m=2)
+        datum = initial_datum("cosine", {"k": 2, "amp": 0.5})
+        before = solve_heat(M, datum, 2.0, grid_size=2401)
+        solve_heat(M, datum, 0.01, grid_size=2401)
+        after = solve_heat(M, datum, 2.0, grid_size=2401)
+        for name in ("u", "grad_u", "Lu"):
+            assert np.array_equal(getattr(before, name), getattr(after, name))
 
     def test_half_line_kernel_scheme_closed_form(self, half_line):
         datum = initial_datum("gaussian", {"amp": 1.0, "width": 0.3})
@@ -228,13 +288,15 @@ class TestSolvers:
         assert np.max(np.abs(st.Lu - exact)) <= 1e-13 * np.max(np.abs(exact))
         assert np.max(np.abs(st.u - 1.0 - 0.7 * scale * e)) < 1e-15
 
-    def test_radial_operator_cached_on_equal_manifolds(self):
+    def test_radial_diagonals_cached_on_equal_manifolds(self):
         a = make_model_manifold("sphere-radial", m=2)
         b = make_model_manifold("sphere-radial", m=2)
         assert a == b and a is not b
-        assert _radial_operator(a, 65) is _radial_operator(b, 65)
+        assert _radial_symmetric(a, 65) is _radial_symmetric(b, 65)
+        assert radial_eigenpair(a, 65, 1) is radial_eigenpair(b, 65, 1)
         c = make_model_manifold("sphere-radial", m=3)
-        assert _radial_operator(c, 65) is not _radial_operator(a, 65)
+        assert _radial_symmetric(c, 65) is not _radial_symmetric(a, 65)
+        assert not _radial_symmetric(a, 65)[2].flags.writeable
 
     def test_positivity_and_max_principle_enforced(self, circle):
         datum = initial_datum("eigen", {"index": 2, "amp": 0.25})
