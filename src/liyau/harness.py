@@ -7,13 +7,16 @@ reported in units of 1/time; a bound row passes when
     margin >= -tol * (1 + |c|),
 
 tol defaulting to 1e-6.  MC rows pass at three standard errors.  MC rows
-that share an ensemble (x0, n_paths, dt, seed) share one pass of paths,
-and the passes run concurrently on the process's cores; no row depends on
-the number of threads.
+that share an ensemble (x0, n_paths, dt, seed) share one pass of paths.
+The passes are launched on forked worker processes before the first grid
+solve and collected after the bound rows, so they overlap the solves and
+bound evaluation; no row depends on the number of workers.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
 import json
 import math
@@ -285,35 +288,76 @@ def _plan_mc_row(entry: dict, M: ModelManifold, datum, seed: int) -> _McRow:
     return _McRow(entry, row, ens, acc, clock)
 
 
-def _run_ensembles(plans: list) -> dict:
-    """Each plan's estimate or exception, by id(plan); one pass per ensemble.
+@contextlib.contextmanager
+def _run_ensembles(plans: list):
+    """Launch one pass per ensemble; yields collect() -> each plan's
+    estimate or exception, by id(plan).
 
-    The passes run concurrently on the process's cores, the largest
-    (n_paths x longest horizon) first; each has its own generator, and
-    numpy's draws and ufuncs release the GIL.
+    With two ensembles or more and two usable cores, the passes start at
+    once on min(#ensembles, cores) forked worker processes, largest
+    (n_paths x longest horizon) first, and the caller goes on while they
+    run: a thread pool barely scaled, as each step makes some 30 small
+    numpy calls that hand the GIL over.  The workers inherit the passes by
+    fork; only a pass index goes in and the outcomes come back pickled.
+    Otherwise, or without the fork start method, collect runs the passes
+    in-process.  Each pass has its own seeded generator, so no estimate
+    depends on where it ran, and no worker outlives the with block.
     """
     groups: dict[stoch.Ensemble, list] = {}
     for plan in plans:
         groups.setdefault(plan.ensemble, []).append(plan)
     order = sorted(groups, key=lambda ens: -ens.n_paths * max(
         plan.accumulator.steps for plan in groups[ens]))
+    members = [groups[ens] for ens in order]
+    runs = [functools.partial(_run_pass, ens, [p.accumulator for p in group])
+            for ens, group in zip(order, members)]
+    workers, pool = min(len(runs), _cores()), None
+    if workers > 1:
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+            pool = ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork"),
+                initializer=_adopt_passes, initargs=(runs,))
+    try:
+        if pool is None:   # lazily: the passes run when collected
+            passes = (run() for run in runs)
+        else:
+            futures = [pool.submit(_run_adopted, i) for i in range(len(runs))]
+            passes = (_outcomes(future, len(group))
+                      for future, group in zip(futures, members))
+        yield lambda: {id(plan): out
+                       for group, outcomes in zip(members, passes)
+                       for plan, out in zip(group, outcomes)}
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
-    def run(ens):
-        members = groups[ens]
-        try:
-            return stoch.run_ensemble(ens, [p.accumulator for p in members])
-        except Exception as exc:  # a pass that cannot start fails its rows
-            return [exc] * len(members)
 
-    workers = min(len(order), _cores())
-    if workers <= 1:
-        passes = list(map(run, order))
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(workers) as pool:
-            passes = list(pool.map(run, order))
-    return {id(plan): out for ens, outs in zip(order, passes)
-            for plan, out in zip(groups[ens], outs)}
+def _run_pass(ens: stoch.Ensemble, accumulators: list) -> list:
+    try:
+        return stoch.run_ensemble(ens, accumulators)
+    except Exception as exc:  # a pass that cannot start fails its rows
+        return [exc] * len(accumulators)
+
+
+_ADOPTED: list = []   # in a worker process: the passes it inherited
+
+
+def _adopt_passes(runs: list) -> None:
+    _ADOPTED[:] = runs
+
+
+def _run_adopted(index: int) -> list:
+    return _ADOPTED[index]()
+
+
+def _outcomes(future, size: int) -> list:
+    """A worker's pass outcomes; a lost worker fails all its rows."""
+    try:
+        return future.result()
+    except Exception as exc:
+        return [exc] * size
 
 
 def _cores() -> int:
@@ -382,13 +426,11 @@ def _state_solver(M: ModelManifold, datum):
     return solve
 
 
-def _run_mc(entries: list, M: ModelManifold, datum, seed: int,
-            solve) -> list:
-    """The MC rows in config order; errors are captured per row.
-
-    Rows are planned, then run one pass per ensemble, then compared with
-    their target states from solve (see _state_solver).
-    """
+@contextlib.contextmanager
+def _start_mc(entries: list, M: ModelManifold, datum, seed: int):
+    """Plan the MC rows and launch their passes (_run_ensembles); yields
+    finish(solve) -> the rows in config order.  Errors are captured per
+    row."""
     planned = []   # each entry's plan, or the error that stopped it
     for entry in entries:
         try:
@@ -396,7 +438,14 @@ def _run_mc(entries: list, M: ModelManifold, datum, seed: int,
         except Exception as exc:
             planned.append(exc)
     plans = [plan for plan in planned if isinstance(plan, _McRow)]
-    estimates = _run_ensembles(plans)
+    with _run_ensembles(plans) as collect:
+        yield functools.partial(_finish_mc, entries, planned, collect)
+
+
+def _finish_mc(entries: list, planned: list, collect, solve) -> list:
+    """Collect the estimates and compare each with its target state from
+    solve (see _state_solver)."""
+    estimates = collect()
 
     def target_state(entry):
         return solve(entry["t"], entry.get("grid_size"),
@@ -416,15 +465,8 @@ def _run_mc(entries: list, M: ModelManifold, datum, seed: int,
     return rows
 
 
-def run_experiment(config: ExperimentConfig) -> Report:
-    """Solve once per time, evaluate all bounds on the grid, run MC rows.
-
-    Module errors are captured per row, never fatal to the run.
-    """
-    M = manifold_from_dict(config.manifold)
-    datum = initial_datum(config.initial_datum["id"],
-                          config.initial_datum.get("params", {}))
-    solve = _state_solver(M, datum)
+def _grid_rows(config: ExperimentConfig, M: ModelManifold, solve):
+    """The solver rows and the bound blocks of the config's time grid."""
     solver_rows, bound_blocks = [], []
     states: dict[float, HeatState] = {}
     for t in map(float, config.times):  # one spelling of t in every row
@@ -449,7 +491,22 @@ def run_experiment(config: ExperimentConfig) -> Report:
                     bound_blocks.append(BoundBlock(dict(
                         _empty_bound_row(M, t, entry["id"], params),
                         error=f"{type(exc).__name__}: {exc}")))
-    mc_rows = _run_mc(config.mc, M, datum, config.seed, solve)
+    return solver_rows, bound_blocks
+
+
+def run_experiment(config: ExperimentConfig) -> Report:
+    """Solve once per time, evaluate all bounds on the grid, run MC rows.
+
+    Module errors are captured per row, never fatal to the run.
+    """
+    M = manifold_from_dict(config.manifold)
+    datum = initial_datum(config.initial_datum["id"],
+                          config.initial_datum.get("params", {}))
+    solve = _state_solver(M, datum)
+    with _start_mc(config.mc, M, datum, config.seed) as finish_mc:
+        # the MC passes run from here on, beside the solves and bounds
+        solver_rows, bound_blocks = _grid_rows(config, M, solve)
+        mc_rows = finish_mc(solve)
     meta = {"package": __version__, "numpy": np.__version__,
             "seed": config.seed}
     return Report(config=asdict(config), solver_rows=solver_rows,

@@ -8,7 +8,8 @@ differences with ghost-node walls elsewhere, periodic on the circle.
 Schemes:
 
   * "spectral": exact-in-time evolution in an eigenbasis.  Fourier modes
-    on the circle, cosine modes on the interval (DCT-I), and on the
+    on the circle, cosine modes on the interval (DCT-I as numpy's real
+    FFT of the even extension: it loads no scipy), and on the
     sphere / hyperbolic radial reductions the eigenvectors of the
     symmetrised tridiagonal L with lam t <= 50 only, computed per solve
     (_MODE_CUT): every dropped mode is weighted by e^{-lam t} < 2e-22.
@@ -364,7 +365,7 @@ def _radial_modes(M: ModelManifold, size: int, select: str, select_range):
     mu ascends (mu[0] ~ 0 is the constant mode) and the columns of V are
     orthonormal; only the selected columns are computed.
     """
-    from scipy import linalg  # on first use: interval runs never need it
+    from scipy import linalg  # on first use: spectral interval runs load none
 
     _, _, dg, _, _, off = _radial_symmetric(M, size)
     return linalg.eigh_tridiagonal(-dg, -off, select=select,
@@ -375,8 +376,10 @@ def _radial_modes(M: ModelManifold, size: int, select: str, select_range):
 def radial_eigenpair(M: ModelManifold, size: int, index: int):
     """(eigenvalue, eigenfunction values) of the discrete radial generator.
 
-    index 0 is the constant mode and eigenvalues ascend with index; the
-    eigenfunction is scaled to max |v| = 1 with v[0] > 0, and is read-only.
+    index 0 is the constant mode, whose eigenvalue is exactly 0 (L 1 = 0;
+    the computed one is rounding, as in _solve_radial_eigen), and
+    eigenvalues ascend with index; the eigenfunction is scaled to
+    max |v| = 1 with v[0] > 0, and is read-only.
     """
     mu, V = _radial_modes(M, size, "i", (index, index))
     vec = V[:, 0] / _radial_symmetric(M, size)[4]
@@ -384,7 +387,7 @@ def radial_eigenpair(M: ModelManifold, size: int, index: int):
     if vec[0] < 0:
         vec = -vec
     vec.flags.writeable = False
-    return float(mu[0]), vec
+    return (0.0 if index == 0 else float(mu[0])), vec
 
 
 # ---------------------------------------------------------------------------
@@ -469,13 +472,13 @@ def _solve_interval_spectral(M, u0v, t, size):
     if M.drift_id != "none":
         raise SolverError("spectral interval solver supports Z = 0 only; "
                           "use crank-nicolson-fd")
-    from scipy.fft import dct, idct, idst
+    # DCT-I as the real FFT of the even extension, period 2 (size - 1)
+    period = 2 * (size - 1)
     k = np.arange(size) * math.pi / M.length  # cosine wave numbers
-    co = dct(u0v, type=1) * np.exp(-k**2 * t)
-    u = idct(co, type=1)
-    Lu = idct(-k**2 * co, type=1)
-    du = np.zeros(size)  # the sine series vanishes at both walls
-    du[1:-1] = idst(-k[1:-1] * co[1:-1], type=1)
+    co = np.fft.rfft(np.concatenate((u0v, u0v[-2:0:-1]))).real
+    co *= np.exp(-k**2 * t)
+    u, Lu, du = np.fft.irfft([co, -k**2 * co, 1j * k * co], period)[:, :size]
+    du[[0, -1]] = 0.0  # the sine series vanishes at both walls
     return HeatState(M, t, grid, u, du, Lu, scheme="spectral")
 
 

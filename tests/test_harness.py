@@ -2,10 +2,11 @@ import csv
 import io
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -253,7 +254,7 @@ def estimate_alone(M, datum, entry, seed):
 
 class TestEnsemblePlan:
     """MC rows that share (x0, n_paths, dt, seed) share one pass, and the
-    passes run concurrently, without changing a bit of any row."""
+    passes run on forked workers, without changing a bit of any row."""
 
     @pytest.mark.parametrize("sigma", [None, -0.4])
     def test_rows_match_the_estimators_run_one_at_a_time(self, sigma):
@@ -280,12 +281,8 @@ class TestEnsemblePlan:
         for workers in (1, None, 4):
             if workers is not None:
                 monkeypatch.setattr(harness, "_cores", lambda: workers)
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)   # switch threads as often as possible
-            try:
-                report = run_experiment(cfg)
-            finally:
-                sys.setswitchinterval(interval)
+            report = run_experiment(cfg)
+            assert multiprocessing.active_children() == []   # none outlives
             paths[workers] = emit_report(report, tmp_path / str(workers))
             monkeypatch.undo()
         for a, b, c in zip(*paths.values()):
@@ -328,6 +325,7 @@ class TestEnsemblePlan:
         cfg = interval_mc_config()
         before = run_experiment(cfg).mc_rows
         build = stochastic.value_accumulator
+        raised_in = []   # a worker's appends stay in the worker
 
         def failing(ens, u0, t):
             acc = build(ens, u0, t)
@@ -335,18 +333,63 @@ class TestEnsemblePlan:
                 return acc
 
             def finish(x, rejected):
+                raised_in.append(os.getpid())
                 raise FloatingPointError("datum overflow")
 
             return stochastic.Accumulator(acc.steps, finish, acc.work)
 
         monkeypatch.setattr(stochastic, "value_accumulator", failing)
-        after = run_experiment(cfg).mc_rows
-        assert after[0] == {"functional_id": "expected_value",
-                            "error": "FloatingPointError: datum overflow",
-                            "passed": False}
-        # its ensemble siblings (rows 3, 4 and 7) and every other row stand
-        assert after[1:] == before[1:]
-        assert all(row.get("value") is not None for row in after[1:])
+        for workers in (1, 2):   # in-process, then on forked workers
+            monkeypatch.setattr(harness, "_cores", lambda: workers)
+            raised_in.clear()
+            after = run_experiment(cfg).mc_rows
+            assert raised_in == ([os.getpid()] if workers == 1 else [])
+            assert after[0] == {"functional_id": "expected_value",
+                                "error": "FloatingPointError: datum overflow",
+                                "passed": False}
+            # its ensemble siblings (rows 3, 4 and 7) and every other row
+            # stand
+            assert after[1:] == before[1:]
+            assert all(row.get("value") is not None for row in after[1:])
+
+    def test_a_lost_worker_fails_its_rows_and_verify(self, tmp_path,
+                                                     monkeypatch):
+        # os._exit in a pass stands in for a worker the OOM killer ends
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("the workers need the fork start method")
+        monkeypatch.setattr(harness, "_cores", lambda: 2)
+        parent = os.getpid()
+        build = stochastic.local_time_accumulator
+
+        def dying(ens, t, p=None):
+            acc = build(ens, t, p)
+
+            def finish(x, rejected):
+                if os.getpid() == parent:
+                    raise AssertionError("the pass ran in-process")
+                os._exit(3)
+
+            return stochastic.Accumulator(acc.steps, finish, acc.work)
+
+        monkeypatch.setattr(stochastic, "local_time_accumulator", dying)
+        doc = asdict(interval_mc_config())
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        res = CliRunner().invoke(main, ["verify", "--config", str(path),
+                                        "--format", "json", "--out",
+                                        str(tmp_path / "out")])
+        assert res.exit_code == 1, res.output
+        rows = load_report(tmp_path / "out" / "report.json").mc_rows
+        lost = [row for row in rows if "error" in row]
+        # rows 6 and 8 share the dying pass; passes the pool had not
+        # finished when it broke fail too
+        assert rows[5] in lost and rows[7] in lost
+        for row in lost:
+            assert row["error"].startswith("BrokenProcessPool: "), row
+            assert row["passed"] is False
+        assert all(row.get("value") is not None
+                   for row in rows if row not in lost)
+        assert multiprocessing.active_children() == []
 
 
 class TestPerNodeBoundRows:
@@ -651,7 +694,8 @@ class TestCli:
     def test_cli_import_leaves_quadrature_out(self):
         # scipy modules that start-up, and a verify of each shipped config,
         # must not load: only the collar constants use quad, only radial
-        # and Crank-Nicolson solves use scipy.linalg
+        # and Crank-Nicolson solves use scipy.linalg, and an interval run
+        # loads no scipy at all
         src = Path(liyau.__file__).parents[1]
         code = ("import sys, liyau.cli\n"
                 "if sys.argv[1:]:\n"
@@ -664,8 +708,7 @@ class TestCli:
         for args, banned in (
                 ([], ("scipy",)),
                 ([configs / "sphere.json"], ("scipy.integrate",)),
-                ([configs / "interval_mc.json"],
-                 ("scipy.integrate", "scipy.linalg"))):
+                ([configs / "interval_mc.json"], ("scipy",))):
             out = subprocess.run([sys.executable, "-c", code, *map(str, args)],
                                  check=True, capture_output=True, text=True,
                                  env=dict(os.environ, PYTHONPATH=str(src)))
@@ -674,14 +717,16 @@ class TestCli:
                         if m == b or m.startswith(b + ".")], (args, loaded)
 
     def test_cli_import_leaves_the_thread_pool_out(self):
-        # the MC pool is imported by the first run with two ensembles
+        # the MC worker pool is imported by the first run with two
+        # ensembles on two cores
         src = Path(liyau.__file__).parents[1]
         code = ("import sys, liyau.cli\n"
-                "print('concurrent.futures' in sys.modules)\n")
+                "print('concurrent.futures' in sys.modules,"
+                " 'multiprocessing' in sys.modules)\n")
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True,
                              env=dict(os.environ, PYTHONPATH=str(src)))
-        assert out.stdout.split() == ["False"]
+        assert out.stdout.split() == ["False", "False"]
 
     def test_command_line_values_are_checked(self, tmp_path):
         res = CliRunner().invoke(main, ["verify", "--config",

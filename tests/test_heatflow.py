@@ -210,6 +210,37 @@ class TestSolvers:
 
     @pytest.mark.parametrize("family, size", [("hyperbolic-radial", 2401),
                                               ("sphere-radial", 301)])
+    def test_constant_mode_eigenvalue_is_exactly_zero(self, family, size):
+        # L 1 = 0; the computed eigenvalue is rounding whose sign depends
+        # on the bisection, as _radial_modes shows
+        M = make_model_manifold(family, m=2)
+        computed, _ = heatflow._radial_modes(M, size, "i", (0, 0))
+        lam, v = radial_eigenpair(M, size, 0)
+        assert lam == 0.0 and computed[0] != 0.0
+        assert np.max(np.abs(v - 1.0)) < 1e-9
+
+    def test_interval_spectral_is_the_cosine_series(self, interval):
+        # the DCT-I by real FFT against the cosine series summed directly,
+        # on samples that are no single mode
+        size = 65
+        u0v = 1.0 + np.random.default_rng(3).random(size)
+        n = np.arange(size)
+        angle = np.pi * np.outer(n, n) / (size - 1)
+        w = np.where((n == 0) | (n == size - 1), 1.0, 2.0)
+        co = np.cos(angle) @ (w * u0v)   # DCT-I
+        k = n * math.pi / interval.length
+        for t in (0.0, 0.01, 0.3):
+            c = w * co * np.exp(-k**2 * t) / (2 * (size - 1))
+            st = heatflow._solve_interval_spectral(interval, u0v, t, size)
+            assert np.max(np.abs(st.u - np.cos(angle) @ c)) < 1e-13, t
+            assert np.max(np.abs(st.Lu - np.cos(angle) @ (-k**2 * c))) < (
+                1e-13 * np.max(k**2)), t
+            du = np.sin(angle) @ (-k * c)
+            assert np.max(np.abs(st.grad_u - du)) < 1e-13 * np.max(k), t
+            assert st.grad_u[0] == st.grad_u[-1] == 0.0
+
+    @pytest.mark.parametrize("family, size", [("hyperbolic-radial", 2401),
+                                              ("sphere-radial", 301)])
     def test_eigen_datum_is_the_exact_discrete_solution(self, family, size):
         # u = 1 + amp e^{-lam1 t} v1 solves the discrete flow exactly
         M = make_model_manifold(family, m=2)
