@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import sys
@@ -35,6 +36,16 @@ def _run_options(command):
 _tol_option = click.option("--tol", type=float, default=None)
 
 
+@contextlib.contextmanager
+def _usage_errors(what: str):
+    """Bad input raised in the block is a usage error: one Error: line and
+    exit 2, where exit 1 is a failed row."""
+    try:
+        yield
+    except (ValueError, TypeError, KeyError) as exc:  # JSON errors included
+        raise click.UsageError(f"{what}: {type(exc).__name__}: {exc}")
+
+
 def _run(config_path, seed, out, fmt, tol=None, mc_only=False,
          bounds_only=False):
     """Run a config, write its report files under out, exit 0 iff all pass."""
@@ -44,12 +55,9 @@ def _run(config_path, seed, out, fmt, tol=None, mc_only=False,
         changes["bounds"] = []
     if bounds_only:
         changes["mc"] = []
-    try:
+    with _usage_errors(f"invalid config {config_path}"):
         config = harness.ExperimentConfig.from_json(config_path)
         config = dataclasses.replace(config, **changes)  # checks again
-    except (ValueError, TypeError, KeyError) as exc:  # JSON errors included
-        raise click.UsageError(f"invalid config {config_path}: "
-                               f"{type(exc).__name__}: {exc}")
     report = harness.run_experiment(config)
     if out:
         for path in harness.emit_report(report, out, fmt):
@@ -93,7 +101,8 @@ def sweep(config_path, seed, out, fmt, tol):
               help="JSON object, e.g. '{\"n\": 2, \"t\": 1, \"K\": 0, \"alpha\": 2}'")
 def bounds_cmd(bound_id, params_json):
     """Evaluate one bound id into its normal form."""
-    form = bounds_mod.eval_bound(bound_id, json.loads(params_json))
+    with _usage_errors("invalid --params"):
+        form = bounds_mod.eval_bound(bound_id, json.loads(params_json))
     click.echo(json.dumps(form.to_dict(), sort_keys=True))
 
 
@@ -109,8 +118,9 @@ def kernel(family, m, t, x, y, length):
     doc = {"family": family, "m": m}
     if length is not None:
         doc["length"] = length
-    M = manifold_from_dict(doc)
-    click.echo(repr(exact_kernel(M, t, x, y)))
+    with _usage_errors("invalid kernel query"):
+        value = exact_kernel(manifold_from_dict(doc), t, x, y)
+    click.echo(repr(value))
 
 
 if __name__ == "__main__":

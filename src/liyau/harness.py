@@ -16,7 +16,6 @@ bound evaluation; no row depends on the number of workers.
 from __future__ import annotations
 
 import contextlib
-import functools
 import itertools
 import json
 import math
@@ -39,7 +38,7 @@ CSV_COLUMNS = ("bound_id", "family", "m", "n", "K", "t", "x", "alpha", "eps",
 
 _GRID_KEYS = ("alpha", "eps", "K_prime", "R", "K_region")
 _BOUND_KEYS = ("id", "params")
-# every key _plan_mc_row and _finish_mc_row read
+# every key _mc_ensemble, _plan_mc_row and _mc_row read
 _MC_KEYS = ("functional", "t", "x0", "n_paths", "dt", "seed", "p", "target",
             "grid_size", "pde_scheme", "clock", "compare", "K_field", "alpha")
 # every MC functional id and the compare modes its rows admit
@@ -96,6 +95,15 @@ class ExperimentConfig:
             if entry.get("compare") == "wx0" and M.sigma:
                 raise ValueError("compare 'wx0' is the quadrature form of "
                                  "convex walls: it needs sigma = 0")
+            if "t" not in entry:
+                raise ValueError(f"an mc entry ({fid}) needs a horizon t")
+            ens = _mc_ensemble(entry, M, self.seed)
+            lo, hi, kind = M.domain()
+            if not (lo <= ens.x0 < hi if kind == "periodic"
+                    else lo <= ens.x0 <= hi):
+                raise ValueError(f"x0 = {ens.x0} lies outside the domain "
+                                 f"[{lo}, {hi}] of {M.family}")
+            stoch._step_count(float(entry["t"]), ens.dt)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -231,7 +239,10 @@ def _empty_bound_row(M: ModelManifold, t, bound_id: str, params: dict) -> dict:
             "K": M.K, "t": t, "x": None, "alpha": params.get("alpha"),
             "eps": params.get("eps"), "X": None, "Y": None, "gamma": None,
             "a": None, "c": 0.0, "margin": None, "domain_ok": False,
-            "note": ""}
+            "note": "",
+            # the swept keys outside CSV_COLUMNS, where the params carry them
+            **{key: params[key] for key in ("K_prime", "R", "K_region")
+               if key in params}}
 
 
 def _bound_block(state: HeatState, nodes: tuple, bound_id: str,
@@ -251,25 +262,26 @@ def _bound_block(state: HeatState, nodes: tuple, bound_id: str,
 
 @dataclass
 class _McRow:
-    """One mc entry planned: its report head, ensemble and accumulator."""
+    """One mc entry planned: its ensemble, accumulator and clock."""
 
-    entry: dict
-    row: dict
     ensemble: stoch.Ensemble
     accumulator: stoch.Accumulator
     clock: clocks_mod.Clock | None
 
 
+def _mc_ensemble(entry: dict, M: ModelManifold, seed: int) -> stoch.Ensemble:
+    """The paths of an mc entry; the one home of the x0, n_paths, dt and
+    seed defaults."""
+    return stoch.Ensemble(M, float(entry.get("x0", 0.5)),
+                          int(entry.get("n_paths", 20000)),
+                          float(entry.get("dt", 1e-3)),
+                          int(entry.get("seed", seed)))
+
+
 def _plan_mc_row(entry: dict, M: ModelManifold, datum, seed: int) -> _McRow:
     fid = entry["functional"]
     t = float(entry["t"])
-    dt = float(entry.get("dt", 1e-3))
-    n_paths = int(entry.get("n_paths", 20000))
-    x0 = float(entry.get("x0", 0.5))
-    seed = int(entry.get("seed", seed))
-    row = {"functional_id": fid, "family": M.family, "t": t, "x0": x0,
-           "dt": dt, "n_paths": n_paths, "seed": seed}
-    ens = stoch.Ensemble(M, x0, n_paths, dt, seed)
+    ens = _mc_ensemble(entry, M, seed)
     clock = None
     if fid == "local_time_moment":
         acc = stoch.local_time_accumulator(ens, t, float(entry.get("p", 1.0)))
@@ -285,13 +297,13 @@ def _plan_mc_row(entry: dict, M: ModelManifold, datum, seed: int) -> _McRow:
         acc = stoch.functional_accumulator(
             ens, datum, t, clock, fid, K_field=entry.get("K_field"),
             alpha=entry.get("alpha"))
-    return _McRow(entry, row, ens, acc, clock)
+    return _McRow(ens, acc, clock)
 
 
 @contextlib.contextmanager
-def _run_ensembles(plans: list):
-    """Launch one pass per ensemble; yields collect() -> each plan's
-    estimate or exception, by id(plan).
+def _mc_passes(plans: list):
+    """Launch one pass per ensemble of plans (an exception among them is
+    its own outcome); yields outcome(plan) -> its estimate or exception.
 
     With two ensembles or more and two usable cores, the passes start at
     once on min(#ensembles, cores) forked worker processes, largest
@@ -299,65 +311,56 @@ def _run_ensembles(plans: list):
     run: a thread pool barely scaled, as each step makes some 30 small
     numpy calls that hand the GIL over.  The workers inherit the passes by
     fork; only a pass index goes in and the outcomes come back pickled.
-    Otherwise, or without the fork start method, collect runs the passes
-    in-process.  Each pass has its own seeded generator, so no estimate
-    depends on where it ran, and no worker outlives the with block.
+    Otherwise, or without the fork start method, a pass runs in-process
+    when its first outcome is asked for.  Each pass has its own seeded
+    generator, so no estimate depends on where it ran, and no worker
+    outlives the with block.
     """
     groups: dict[stoch.Ensemble, list] = {}
     for plan in plans:
-        groups.setdefault(plan.ensemble, []).append(plan)
+        if isinstance(plan, _McRow):
+            groups.setdefault(plan.ensemble, []).append(plan)
     order = sorted(groups, key=lambda ens: -ens.n_paths * max(
         plan.accumulator.steps for plan in groups[ens]))
-    members = [groups[ens] for ens in order]
-    runs = [functools.partial(_run_pass, ens, [p.accumulator for p in group])
-            for ens, group in zip(order, members)]
-    workers, pool = min(len(runs), _cores()), None
+    passes = [(ens, [plan.accumulator for plan in groups[ens]])
+              for ens in order]
+    workers, pool = min(len(passes), _cores()), None
     if workers > 1:
         import multiprocessing
         if "fork" in multiprocessing.get_all_start_methods():
             from concurrent.futures import ProcessPoolExecutor
             pool = ProcessPoolExecutor(
                 workers, mp_context=multiprocessing.get_context("fork"),
-                initializer=_adopt_passes, initargs=(runs,))
+                initializer=_INHERITED.extend, initargs=(passes,))
+    outcomes: dict[int, object] = {}   # by id(plan), a pass at a time
+
+    def outcome(plan):
+        if isinstance(plan, Exception):
+            return plan
+        if id(plan) not in outcomes:
+            i = order.index(plan.ensemble)
+            try:   # a pass that cannot start, or a lost worker, fails its rows
+                outs = futures[i].result() if pool else _run_pass(i, passes)
+            except Exception as exc:
+                outs = [exc] * len(passes[i][1])
+            outcomes.update(zip(map(id, groups[plan.ensemble]), outs))
+        return outcomes[id(plan)]
+
     try:
-        if pool is None:   # lazily: the passes run when collected
-            passes = (run() for run in runs)
-        else:
-            futures = [pool.submit(_run_adopted, i) for i in range(len(runs))]
-            passes = (_outcomes(future, len(group))
-                      for future, group in zip(futures, members))
-        yield lambda: {id(plan): out
-                       for group, outcomes in zip(members, passes)
-                       for plan, out in zip(group, outcomes)}
+        futures = [pool.submit(_run_pass, i)
+                   for i in range(len(passes))] if pool else None
+        yield outcome
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
 
 
-def _run_pass(ens: stoch.Ensemble, accumulators: list) -> list:
-    try:
-        return stoch.run_ensemble(ens, accumulators)
-    except Exception as exc:  # a pass that cannot start fails its rows
-        return [exc] * len(accumulators)
+_INHERITED: list = []   # in a forked worker: the passes of its pool
 
 
-_ADOPTED: list = []   # in a worker process: the passes it inherited
-
-
-def _adopt_passes(runs: list) -> None:
-    _ADOPTED[:] = runs
-
-
-def _run_adopted(index: int) -> list:
-    return _ADOPTED[index]()
-
-
-def _outcomes(future, size: int) -> list:
-    """A worker's pass outcomes; a lost worker fails all its rows."""
-    try:
-        return future.result()
-    except Exception as exc:
-        return [exc] * size
+def _run_pass(index: int, passes: list = _INHERITED) -> list:
+    """The outcomes of pass index of passes, by default the inherited."""
+    return stoch.run_ensemble(*passes[index])
 
 
 def _cores() -> int:
@@ -367,41 +370,46 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
-def _finish_mc_row(plan: _McRow, est: stoch.Estimate, target_state) -> dict:
-    """The report row of one estimate, with its target where it has one."""
-    entry, row, M = plan.entry, plan.row, plan.ensemble.M
-    fid, x0, compare = row["functional_id"], row["x0"], entry.get("compare")
-    row.update(value=est.value, stderr=est.stderr, passed=None)
-    if fid == "expected_local_time" and "target" in entry:
-        # e.g. 2/sqrt(pi) for the flat wall at t = 1
-        target = float(entry["target"])
-    elif fid == "expected_value":
-        state = target_state(entry)
-        target = float(np.interp(x0, state.grid, state.u))
-    elif compare == "state":
-        state = target_state(entry)
-        i = state.index_of(x0)
-        if fid == "harnack_rhs":
-            target = float(state.W()[i])
+def _mc_row(entry: dict, plan, outcome, solve) -> dict:
+    """The report row of one mc entry: its estimate against its target
+    state from solve (see _state_solver), or the error that stopped it."""
+    try:
+        if isinstance(outcome, Exception):
+            raise outcome
+        ens, fid = plan.ensemble, entry["functional"]
+        compare = entry.get("compare")
+        row = {"functional_id": fid, "family": ens.M.family,
+               "t": float(entry["t"]), "x0": ens.x0, "dt": ens.dt,
+               "n_paths": ens.n_paths, "seed": ens.seed,
+               "value": outcome.value, "stderr": outcome.stderr,
+               "passed": None}
+        if fid == "expected_local_time" and "target" in entry:
+            # e.g. 2/sqrt(pi) for the flat wall at t = 1
+            target = float(entry["target"])
+        elif fid == "expected_value" or compare:
+            state = solve(entry["t"], entry.get("grid_size"),
+                          entry.get("pde_scheme", "spectral"))
+            i = state.index_of(ens.x0)
+            if fid == "expected_value":
+                target = float(np.interp(ens.x0, state.grid, state.u))
+            elif compare == "state":
+                target = float(state.W()[i] if fid == "harnack_rhs"
+                               else abs(state.grad_u[i]))
+            else:   # wx0: harnack_rhs in quadrature, constant K, sigma = 0
+                ints = clocks_mod.clock_integrals(
+                    plan.clock, float(entry.get("K_field", ens.M.K)))
+                target = (0.5 * ens.M.n * ints["deriv_sq"] * float(state.u[i])
+                          - ints["sq_prime"] * float(state.Lu[i]))
         else:
-            target = float(abs(state.grad_u[i]))
-    elif compare == "wx0":
-        # deterministic quadrature form of harnack_rhs for constant K,
-        # sigma = 0
-        K = float(entry.get("K_field", M.K))
-        ints = clocks_mod.clock_integrals(plan.clock, K)
-        state = target_state(entry)
-        i = state.index_of(x0)
-        target = (0.5 * M.n * ints["deriv_sq"] * float(state.u[i])
-                  - ints["sq_prime"] * float(state.Lu[i]))
-    else:
-        return row
-    # within three standard errors; a "state" target is a lower bound
-    slack = 3.0 * est.stderr
-    passed = (target <= est.value + slack if compare == "state"
-              else abs(est.value - target) <= slack)
-    row.update(target=target, passed=bool(passed))
-    return row
+            return row
+        # within three standard errors; a "state" target is a lower bound
+        slack = 3.0 * outcome.stderr
+        passed = (target <= outcome.value + slack if compare == "state"
+                  else abs(outcome.value - target) <= slack)
+        return dict(row, target=target, passed=bool(passed))
+    except Exception as exc:
+        return {"functional_id": entry.get("functional"),
+                "error": f"{type(exc).__name__}: {exc}", "passed": False}
 
 
 def _state_solver(M: ModelManifold, datum):
@@ -424,45 +432,6 @@ def _state_solver(M: ModelManifold, datum):
         return solved[key]
 
     return solve
-
-
-@contextlib.contextmanager
-def _start_mc(entries: list, M: ModelManifold, datum, seed: int):
-    """Plan the MC rows and launch their passes (_run_ensembles); yields
-    finish(solve) -> the rows in config order.  Errors are captured per
-    row."""
-    planned = []   # each entry's plan, or the error that stopped it
-    for entry in entries:
-        try:
-            planned.append(_plan_mc_row(entry, M, datum, seed))
-        except Exception as exc:
-            planned.append(exc)
-    plans = [plan for plan in planned if isinstance(plan, _McRow)]
-    with _run_ensembles(plans) as collect:
-        yield functools.partial(_finish_mc, entries, planned, collect)
-
-
-def _finish_mc(entries: list, planned: list, collect, solve) -> list:
-    """Collect the estimates and compare each with its target state from
-    solve (see _state_solver)."""
-    estimates = collect()
-
-    def target_state(entry):
-        return solve(entry["t"], entry.get("grid_size"),
-                     entry.get("pde_scheme", "spectral"))
-
-    rows = []
-    for entry, plan in zip(entries, planned):
-        est = estimates.get(id(plan), plan)
-        try:
-            if isinstance(est, Exception):
-                raise est
-            rows.append(_finish_mc_row(plan, est, target_state))
-        except Exception as exc:
-            rows.append({"functional_id": entry.get("functional"),
-                         "error": f"{type(exc).__name__}: {exc}",
-                         "passed": False})
-    return rows
 
 
 def _grid_rows(config: ExperimentConfig, M: ModelManifold, solve):
@@ -503,10 +472,17 @@ def run_experiment(config: ExperimentConfig) -> Report:
     datum = initial_datum(config.initial_datum["id"],
                           config.initial_datum.get("params", {}))
     solve = _state_solver(M, datum)
-    with _start_mc(config.mc, M, datum, config.seed) as finish_mc:
+    plans = []   # each mc entry's plan, or the error that stopped it
+    for entry in config.mc:
+        try:
+            plans.append(_plan_mc_row(entry, M, datum, config.seed))
+        except Exception as exc:
+            plans.append(exc)
+    with _mc_passes(plans) as outcome:
         # the MC passes run from here on, beside the solves and bounds
         solver_rows, bound_blocks = _grid_rows(config, M, solve)
-        mc_rows = finish_mc(solve)
+        mc_rows = [_mc_row(entry, plan, outcome(plan), solve)
+                   for entry, plan in zip(config.mc, plans)]
     meta = {"package": __version__, "numpy": np.__version__,
             "seed": config.seed}
     return Report(config=asdict(config), solver_rows=solver_rows,

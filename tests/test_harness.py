@@ -14,14 +14,21 @@ import pytest
 from click.testing import CliRunner
 
 import liyau
-from liyau import (HeatState, check_inequality, eval_bound, harness,
-                   initial_datum, make_clock, manifold_from_dict, solve_heat,
-                   stochastic)
+from liyau import (HeatState, bound_margins, check_inequality, eval_bound,
+                   harness, initial_datum, make_clock, manifold_from_dict,
+                   solve_heat, stochastic)
 from liyau.cli import main
 from liyau.geometry import register_drift
 from liyau.harness import (CSV_COLUMNS, BoundBlock, ExperimentConfig,
                            Report, _bound_block, emit_report, load_report,
                            run_experiment)
+
+
+CONFIGS = Path(liyau.__file__).parents[2] / "configs"
+
+
+def error_lines(output: str) -> list:
+    return [line for line in output.splitlines() if line.startswith("Error:")]
 
 
 def register_ou_drift():
@@ -156,6 +163,60 @@ class TestRunExperiment:
                 ({"id": "sine", "params": {}}, "sine")):
             with pytest.raises(ValueError, match=match):
                 minimal_config(initial_datum=datum)
+
+    def test_x0_may_sit_on_a_wall_but_not_past_the_domain(self):
+        for manifold, x0, inside in (
+                ({"family": "interval-neumann"}, 0.0, True),
+                ({"family": "interval-neumann"}, math.pi, True),
+                ({"family": "half-line-neumann"}, -1e-9, False),
+                ({"family": "circle"}, 0.0, True),
+                ({"family": "circle"}, 2.0 * math.pi, False),
+                ({"family": "sphere-radial", "m": 2}, 1e-3, True),
+                ({"family": "sphere-radial", "m": 2}, math.pi, False)):
+            cfg = dict(manifold=manifold,
+                       initial_datum={"id": "constant"},
+                       mc=[{"functional": "expected_value", "t": 0.1,
+                            "x0": x0, "n_paths": 10}])
+            if inside:
+                minimal_config(**cfg)
+            else:
+                with pytest.raises(ValueError, match="outside the domain"):
+                    minimal_config(**cfg)
+
+    def test_shipped_configs_load(self):
+        for path in sorted(CONFIGS.glob("*.json")):
+            ExperimentConfig.from_json(path)
+
+    def test_swept_rows_record_their_parameters(self, tmp_path):
+        # configs/local_bounds.json sweeps the ball radius R of two bounds:
+        # each JSON row records the R (and K_region) it was computed at,
+        # while report.csv keeps its columns
+        cfg = replace(ExperimentConfig.from_json(CONFIGS / "local_bounds.json"),
+                      times=[0.5])
+        report = run_experiment(cfg)
+        emit_report(report, tmp_path, "json")
+        emit_report(report, tmp_path, "csv")
+        with (tmp_path / "report.csv").open() as fh:
+            assert tuple(next(csv.reader(fh))) == CSV_COLUMNS
+        rows = load_report(tmp_path / "report.json").bound_rows
+        radii = (0.4, 0.8, 1.2, 1.5)
+        assert sorted({(r["bound_id"], r["R"]) for r in rows}) == sorted(
+            (bid, R) for bid in ("local-alpha", "local-grad") for R in radii)
+        assert all(r["K_region"] == 0.0 and "K_prime" not in r for r in rows)
+        state = solve_heat(manifold_from_dict(cfg.manifold),
+                           initial_datum("eigen", {"index": 1, "amp": 0.5}),
+                           0.5)
+        for R in radii:
+            m = bound_margins("local-grad", {"eps": 1.0, "R": R,
+                                             "K_region": 0.0, "n": 2,
+                                             "t": 0.5, "K": 1.0},
+                              state.X(), state.Y())
+            assert min(r["margin"] for r in rows if r["R"] == R
+                       and r["bound_id"] == "local-grad"
+                       and r["domain_ok"]) == m.margin[m.domain_ok].min()
+        # a config without these keys records none of them
+        plain = run_experiment(minimal_config()).bound_rows
+        assert not {"R", "K_prime", "K_region"} & set(plain[0])
 
     def test_compare_modes(self):
         row = {"functional": "harnack_rhs", "t": 0.5, "x0": 2.0,
@@ -312,8 +373,7 @@ class TestEnsemblePlan:
             solved.append(t)
             return solve_heat(M, datum, t, **kwargs)
 
-        cfg = ExperimentConfig.from_json(
-            Path(liyau.__file__).parents[2] / "configs" / "interval_mc.json")
+        cfg = ExperimentConfig.from_json(CONFIGS / "interval_mc.json")
         assert cfg.grid_size == 257
         cfg = replace(cfg, mc=[dict(e, n_paths=200) for e in cfg.mc])
         monkeypatch.setattr(harness, "solve_heat", counting_solve)
@@ -704,11 +764,10 @@ class TestCli:
                 "    except SystemExit as exc:\n"
                 "        assert exc.code == 0, exc.code\n"
                 "print(*(m for m in sys.modules if m.startswith('scipy')))\n")
-        configs = src.parent / "configs"
         for args, banned in (
                 ([], ("scipy",)),
-                ([configs / "sphere.json"], ("scipy.integrate",)),
-                ([configs / "interval_mc.json"], ("scipy",))):
+                ([CONFIGS / "sphere.json"], ("scipy.integrate",)),
+                ([CONFIGS / "interval_mc.json"], ("scipy",))):
             out = subprocess.run([sys.executable, "-c", code, *map(str, args)],
                                  check=True, capture_output=True, text=True,
                                  env=dict(os.environ, PYTHONPATH=str(src)))
@@ -738,6 +797,41 @@ class TestCli:
         assert "tolerance must be positive" in res.output
         assert [line.startswith("Error:")
                 for line in res.output.splitlines()].count(True) == 1
+
+    def test_mc_entries_are_checked_at_load(self, tmp_path):
+        # an x0 past the walls would start the paths outside and read the
+        # target at the clamped end node; a t that is no whole number of
+        # steps used to fail its row at run time only
+        interval = dict(manifold={"family": "interval-neumann"},
+                        initial_datum={"id": "cosine", "params": {"k": 1}},
+                        times=[0.5])
+        sphere = dict(manifold={"family": "sphere-radial", "m": 2},
+                      initial_datum={"id": "legendre",
+                                     "params": {"index": 1, "amp": 0.4}},
+                      times=[0.5])
+        row = {"functional": "expected_value", "t": 0.25, "x0": 1.0,
+               "n_paths": 100, "dt": 1e-3}
+        no_t = {k: v for k, v in row.items() if k != "t"}
+        for doc, entry, message in (
+                (interval, dict(row, x0=9.0), "x0 = 9.0 lies outside"),
+                (sphere, dict(row, functional="gradient_rhs",
+                              compare="state", x0=0.0),
+                 "x0 = 0.0 lies outside"),
+                # the defaults are the ones the run reads: x0 = 0.5, dt = 1e-3
+                (dict(interval, manifold={"family": "interval-neumann",
+                                          "length": 0.4}),
+                 {"functional": "expected_value", "t": 0.25},
+                 "x0 = 0.5 lies outside"),
+                (interval, dict(no_t), "needs a horizon t"),
+                (interval, dict(row, t=0.0), "need t > 0"),
+                (interval, dict(row, t=-0.5), "need t > 0"),
+                (interval, dict(row, t=0.2505), "not a multiple of dt"),
+                (interval, {"functional": "expected_value", "x0": 1.0,
+                            "t": 0.0105}, "not a multiple of dt = 0.001")):
+            res = self.verify(tmp_path, mc=[entry], **doc)
+            assert res.exit_code == 2, res.output
+            errors = error_lines(res.output)
+            assert len(errors) == 1 and message in errors[0], res.output
 
     def test_unknown_manifold_key_is_a_usage_error(self, tmp_path):
         res = self.verify(tmp_path, manifold={"family": "circle", "m": 1,
@@ -772,6 +866,28 @@ class TestCli:
         assert res.exit_code == 0
         doc = json.loads(res.output)
         assert doc["c"] == 4.0
+
+    def test_bounds_command_rejects_bad_params(self):
+        for params in ('{bad', '{"t": 1, "K": 0, "alpha": 2}',
+                       '{"n": 2, "t": 0, "K": 0, "alpha": 2}', '[1]'):
+            res = CliRunner().invoke(main, ["bounds", "--id", "davies",
+                                            "--params", params])
+            # exit 1 is a failed row; bad input is a usage error
+            assert res.exit_code == 2, res.output
+            errors = error_lines(res.output)
+            assert len(errors) == 1, res.output
+            assert errors[0].startswith("Error: invalid --params: ")
+
+    def test_kernel_command_rejects_bad_input(self):
+        for args in (["--family", "nope", "--t", "1"],
+                     ["--family", "euclidean-line", "--t", "0"],
+                     ["--family", "circle", "--m", "0", "--t", "1"],
+                     ["--family", "sphere-radial", "--m", "2", "--t", "1"]):
+            res = CliRunner().invoke(main, ["kernel", *args, "--x", "0.5"])
+            assert res.exit_code == 2, res.output
+            errors = error_lines(res.output)
+            assert len(errors) == 1, res.output
+            assert errors[0].startswith("Error: invalid kernel query: ")
 
     def test_kernel_command(self):
         runner = CliRunner()

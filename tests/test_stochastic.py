@@ -263,6 +263,22 @@ class TestLocalTime:
                                 dt=0.05, seed=seed)
         assert abs(est.value - local_time_mgf(p, 1.0)) <= 3.0 * est.stderr
 
+    # the projection scheme misses the excursions past the wall between
+    # steps: E[L_1] falls short by 0.5826 sigma sqrt(dt), the step's
+    # standard deviation being sigma sqrt(dt) = sqrt(2 dt), with 0.5826 =
+    # -zeta(1/2)/sqrt(2 pi) (Broadie, Glasserman and Kou 1997, Math.
+    # Finance 7); the bridge scheme is exact.  At dt = 4e-3 the deficit is
+    # some 8 standard errors.
+    @pytest.mark.parametrize("dt", [4e-3, 1e-3])
+    @pytest.mark.parametrize("scheme,deficit", [
+        ("bridge", 0.0), ("projection", 0.5826 * math.sqrt(2.0))])
+    def test_wall_scheme_local_time_deficit(self, half_line, scheme, deficit,
+                                            dt):
+        est = expected_local_time(half_line, 0.0, 1.0, 20000, dt, seed=11,
+                                  scheme=scheme)
+        target = TWO_OVER_ROOT_PI - deficit * math.sqrt(dt)
+        assert abs(est.value - target) <= 3.0 * est.stderr
+
     def test_moment_is_one_at_p_zero(self, half_line):
         est = local_time_moment(half_line, 0.0, 1.0, 0.0, 100, 1e-2, seed=1)
         assert est.value == 1.0 and est.stderr == 0.0
