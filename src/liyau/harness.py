@@ -98,6 +98,9 @@ class ExperimentConfig:
             if "t" not in entry:
                 raise ValueError(f"an mc entry ({fid}) needs a horizon t")
             ens = _mc_ensemble(entry, M, self.seed)
+            if ens.n_paths < 2:
+                raise ValueError(f"n_paths = {ens.n_paths}: an mc entry needs "
+                                 "at least 2 paths")
             lo, hi, kind = M.domain()
             if not (lo <= ens.x0 < hi if kind == "periodic"
                     else lo <= ens.x0 <= hi):
@@ -226,9 +229,6 @@ def _expand_params(spec: dict):
     """Cartesian product over list-valued parameter entries."""
     keys = [k for k in _GRID_KEYS if k in spec]
     lists = [spec[k] if isinstance(spec[k], list) else [spec[k]] for k in keys]
-    if not keys:
-        yield {}
-        return
     for combo in itertools.product(*lists):
         yield dict(zip(keys, combo))
 
@@ -520,7 +520,7 @@ def emit_report(report: Report, out_dir, fmt: str = "csv") -> list:
             for row in report.mc_rows:
                 fh.write(_line(_cell(row.get(c)) for c in cols))
         written.append(mc_path)
-    # plot data: worst margin per (bound, t)
+    # plot data: worst margin per (bound, t) over the bound's parameter sets
     series: dict[str, dict[float, float]] = {}
     for block in report.bound_blocks:
         worst = block.worst()

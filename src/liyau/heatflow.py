@@ -8,8 +8,9 @@ differences with ghost-node walls elsewhere, periodic on the circle.
 Schemes:
 
   * "spectral": exact-in-time evolution in an eigenbasis.  Fourier modes
-    on the circle, cosine modes on the interval (DCT-I as numpy's real
-    FFT of the even extension: it loads no scipy), and on the
+    on the circle and on the interval, which is the even half of the
+    circle of length 2L (its DCT-I is numpy's real FFT of the even
+    extension: it loads no scipy), and on the
     sphere / hyperbolic radial reductions the eigenvectors of the
     symmetrised tridiagonal L with lam t <= 50 only, computed per solve
     (_MODE_CUT): every dropped mode is weighted by e^{-lam t} < 2e-22.
@@ -53,34 +54,27 @@ def _gauss(d, t):
     return (4.0 * math.pi * t) ** -0.5 * np.exp(-d * d / (4.0 * t))
 
 
-def _circle_kernel_wrapped(theta, t):
+def _kernel_wrapped(theta, t, period):
     terms = int(math.ceil((math.sqrt(340.0 * t) + abs(float(theta)))
-                          / (2.0 * math.pi))) + 1
+                          / period)) + 1
     j = np.arange(-terms, terms + 1)
-    return float(np.sum(_gauss(theta + 2.0 * math.pi * j, t)))
+    return float(np.sum(_gauss(theta + period * j, t)))
 
 
-def _circle_kernel_spectral(theta, t):
-    kmax = int(math.ceil(math.sqrt(40.0 / t))) + 2
-    k = np.arange(1, kmax + 1)
+def _kernel_spectral(theta, t, period):
+    w1 = 2.0 * math.pi / period  # the wave number of the first mode
+    kmax = int(math.ceil(math.sqrt(40.0 / t) / w1)) + 2
+    k = np.arange(1, kmax + 1) * w1
     return float((1.0 + 2.0 * np.sum(np.exp(-k * k * t) * np.cos(k * theta)))
-                 / (2.0 * math.pi))
+                 / period)
 
 
-def _interval_kernel_images(x, y, t, L):
-    terms = int(math.ceil((math.sqrt(340.0 * t) + 2.0 * L) / (2.0 * L))) + 1
-    j = np.arange(-terms, terms + 1)
-    return float(np.sum(_gauss(x - y + 2.0 * L * j, t))
-                 + np.sum(_gauss(x + y + 2.0 * L * j, t)))
-
-
-def _interval_kernel_spectral(x, y, t, L):
-    kmax = int(math.ceil(math.sqrt(40.0 / t) * L / math.pi)) + 2
-    k = np.arange(1, kmax + 1)
-    lam = (k * math.pi / L) ** 2
-    return float((1.0 + 2.0 * np.sum(np.exp(-lam * t)
-                                     * np.cos(k * math.pi * x / L)
-                                     * np.cos(k * math.pi * y / L))) / L)
+def _circle_kernel(theta, t, period):
+    """Heat kernel of the circle of length period at arc theta: the
+    wrapped Gaussian at small t, the theta series otherwise."""
+    if t < 0.5 * (period / (2.0 * math.pi)) ** 2:
+        return _kernel_wrapped(theta, t, period)
+    return _kernel_spectral(theta, t, period)
 
 
 def exact_kernel(M: ModelManifold, t: float, x: float, y: float) -> float:
@@ -88,9 +82,10 @@ def exact_kernel(M: ModelManifold, t: float, x: float, y: float) -> float:
 
     Gaussian on the line, centered radial Gaussian for the flat radial
     coordinate (y must be 0 there), wrapped Gaussian / theta sum on the
-    circle, and reflection-principle image sums on the half line and the
-    Neumann interval.  Sphere and hyperbolic space have no elementary
-    kernel here; use solve_heat.
+    circle, and reflection-principle images on the half line and the
+    Neumann interval: [0, L] is the even half of the circle of length 2L,
+    so its kernel is that circle's at x - y plus at x + y.  Sphere and
+    hyperbolic space have no elementary kernel here; use solve_heat.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -103,16 +98,13 @@ def exact_kernel(M: ModelManifold, t: float, x: float, y: float) -> float:
         return float((4.0 * math.pi * t) ** (-M.m / 2.0)
                      * math.exp(-x * x / (4.0 * t)))
     if fam == geometry.CIRCLE:
-        d = (x - y) % (2.0 * math.pi)
-        if t < 0.5:
-            return _circle_kernel_wrapped(d, t)
-        return _circle_kernel_spectral(d, t)
+        return _circle_kernel((x - y) % (2.0 * math.pi), t, 2.0 * math.pi)
     if fam == geometry.HALF_LINE:
         return float(_gauss(x - y, t) + _gauss(x + y, t))
     if fam == geometry.INTERVAL:
-        if t < 0.3 * (M.length / math.pi) ** 2:
-            return _interval_kernel_images(x, y, t, M.length)
-        return _interval_kernel_spectral(x, y, t, M.length)
+        period = 2.0 * M.length
+        return (_circle_kernel(x - y, t, period)
+                + _circle_kernel(x + y, t, period))
     raise ValueError(f"no exact kernel for {fam}; use solve_heat")
 
 
@@ -176,8 +168,7 @@ def harnack_quantities(state: HeatState, x: float) -> tuple[float, float, float]
     u = float(state.u[i])
     if u < POSITIVITY_FLOOR:
         raise SolverError(f"u({state.grid[i]}) = {u} below positivity floor")
-    g = float(state.grad_u[i])
-    return (g / u) ** 2, float(state.Lu[i]) / u, g * g / u
+    return float(state.X()[i]), float(state.Y()[i]), float(state.W()[i])
 
 
 # every datum id and the params it reads
@@ -198,7 +189,6 @@ class InitialDatum:
 
     expr: str
     params: dict = field(default_factory=dict)
-    floor: float = 0.0
 
     def values(self, M: ModelManifold, grid: np.ndarray) -> np.ndarray:
         """u0 sampled on the grid."""
@@ -207,7 +197,8 @@ class InitialDatum:
             u0 = 1.0 + float(self.params.get("amp", 0.5)) * vec
         else:
             u0 = self.callables(M)[0](grid)
-        self._check_positive(u0)
+        if np.min(u0) < 0.0:
+            raise ValueError("initial datum takes negative values")
         return u0
 
     def callables(self, M: ModelManifold):
@@ -277,10 +268,6 @@ class InitialDatum:
                                      - 1.0 / (2.0 * s0)) * e(x))
         raise ValueError(f"unknown datum {self.expr!r}")
 
-    def _check_positive(self, u0):
-        if np.min(u0) < self.floor or np.min(u0) < 0.0:
-            raise ValueError("initial datum violates the positivity floor")
-
     def check_neumann(self, M: ModelManifold, tol: float = 1e-8) -> None:
         """Reject data whose normal derivative does not vanish at walls."""
         if not M.has_boundary:
@@ -348,8 +335,6 @@ def _radial_symmetric(M: ModelManifold, size: int):
     rounding, and off is taken as the mean of its two off-diagonals.  All
     six arrays are O(N) and read-only.
     """
-    if M.drift_id != "none":
-        raise SolverError("radial eigen solver supports Z = 0 only")
     grid, dn, dg, up = _generator(M, size)
     d = np.sqrt(M.weight(grid))
     off = 0.5 * (d[:-1] * up[:-1] / d[1:] + d[1:] * dn[1:] / d[:-1])
@@ -377,7 +362,7 @@ def radial_eigenpair(M: ModelManifold, size: int, index: int):
     """(eigenvalue, eigenfunction values) of the discrete radial generator.
 
     index 0 is the constant mode, whose eigenvalue is exactly 0 (L 1 = 0;
-    the computed one is rounding, as in _solve_radial_eigen), and
+    the computed one is rounding, as in _radial_spectral), and
     eigenvalues ascend with index; the eigenfunction is scaled to
     max |v| = 1 with v[0] > 0, and is read-only.
     """
@@ -403,8 +388,11 @@ def solve_heat(M: ModelManifold, u0: InitialDatum, t: float,
                grid_size: int | None = None, scheme: str = "spectral") -> HeatState:
     """Propagate u0 to time t and return the state with grad u and Lu.
 
-    Raises SolverError when positivity, the maximum principle, or (Z = 0,
-    closed/Neumann domains) mass conservation fail beyond solver tolerance.
+    The unbounded flat families take the kernel scheme unless
+    crank-nicolson-fd is asked for; the exact schemes (spectral, kernel)
+    need Z = 0.  Raises SolverError when positivity, the maximum
+    principle, or (Z = 0, closed/Neumann domains) mass conservation fail
+    beyond solver tolerance.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -414,27 +402,35 @@ def solve_heat(M: ModelManifold, u0: InitialDatum, t: float,
         grid_size = default_grid_size(M)
     if M.has_boundary:
         u0.check_neumann(M)
-    u0v = u0.values(M, M.grid(grid_size))
+    grid = M.grid(grid_size)
+    u0v = u0.values(M, grid)
 
     fam = M.family
     if fam in _UNBOUNDED_FLAT and scheme != "crank-nicolson-fd":
-        if M.drift_id != "none":
-            raise SolverError("the kernel scheme needs Z = 0; "
-                              "use crank-nicolson-fd on a truncated grid")
-        state = _solve_kernel(M, u0, t, grid_size)
+        scheme = "kernel"
     elif scheme == "kernel":
         raise ValueError(f"no kernel evolution on {fam}")
-    elif fam == geometry.CIRCLE and scheme == "spectral":
-        state = _solve_circle_spectral(M, u0v, t, grid_size)
-    elif fam == geometry.INTERVAL and scheme == "spectral":
-        state = _solve_interval_spectral(M, u0v, t, grid_size)
-    elif fam in _FLUX_FORM and scheme == "spectral":
-        state = _solve_radial_eigen(M, u0v, t, grid_size)
-    elif scheme == "crank-nicolson-fd":
-        state = _solve_crank_nicolson(M, u0v, t, grid_size)
-    else:
-        raise ValueError(f"scheme {scheme!r} unavailable on {fam}")
+    if scheme != "crank-nicolson-fd" and M.drift_id != "none":
+        raise SolverError(f"the {scheme} scheme needs Z = 0; "
+                          "use crank-nicolson-fd")
 
+    if scheme == "kernel":
+        u, du, Lu = _kernel_evolution(M, u0, t, grid)
+    elif scheme == "spectral" and fam not in _FLUX_FORM:
+        u, du, Lu = _fourier(M, u0v, t)
+    else:
+        _, dn, dg, up = _generator(M, grid_size)
+        h = grid[1] - grid[0]
+        if scheme == "spectral":
+            u = _radial_spectral(M, u0v, t)
+        else:
+            u = _crank_nicolson(M, u0v, t, h, dn, dg, up)
+        Lu = _apply(dn, dg, up, u)
+        if fam == geometry.CIRCLE:
+            du = (np.roll(u, -1) - np.roll(u, 1)) / (2.0 * h)
+        else:
+            du = np.gradient(u, grid, edge_order=2)
+    state = HeatState(M, t, grid, u, du, Lu, scheme=scheme)
     _check_state(M, u0v, state)
     return state
 
@@ -455,52 +451,42 @@ def _check_state(M, u0v, state):
             raise SolverError(f"mass drift {mt - m0}")
 
 
-def _solve_circle_spectral(M, u0v, t, size):
-    grid = M.grid(size)
-    if M.drift_id != "none":
-        raise SolverError("spectral circle solver supports Z = 0 only")
-    freq = np.fft.rfftfreq(size, d=1.0 / size)  # integer wave numbers
-    co = np.fft.rfft(u0v) * np.exp(-freq**2 * t)
-    u = np.fft.irfft(co, n=size)
-    du = np.fft.irfft(1j * freq * co, n=size)
-    Lu = np.fft.irfft(-(freq**2) * co, n=size)
-    return HeatState(M, t, grid, u, du, Lu, scheme="spectral")
+def _fourier(M, u0v, t):
+    """(u, du, Lu) at t in the Fourier modes of the circle.
+
+    The interval [0, L] is the even half of the circle of length 2L: its
+    samples extended evenly have real coefficients (the DCT-I), and the
+    sine series of du vanishes at both walls.
+    """
+    size = u0v.size
+    if M.family == geometry.CIRCLE:
+        n, k = size, np.fft.rfftfreq(size, d=1.0 / size)
+        co = np.fft.rfft(u0v)
+    else:
+        n, k = 2 * (size - 1), np.arange(size) * math.pi / M.length
+        co = np.fft.rfft(np.concatenate((u0v, u0v[-2:0:-1]))).real
+    co = co * np.exp(-k**2 * t)
+    u, du, Lu = np.fft.irfft([co, 1j * k * co, -k**2 * co], n)[:, :size]
+    if M.family == geometry.INTERVAL:
+        du[[0, -1]] = 0.0
+    return u, du, Lu
 
 
-def _solve_interval_spectral(M, u0v, t, size):
-    grid = M.grid(size)
-    if M.drift_id != "none":
-        raise SolverError("spectral interval solver supports Z = 0 only; "
-                          "use crank-nicolson-fd")
-    # DCT-I as the real FFT of the even extension, period 2 (size - 1)
-    period = 2 * (size - 1)
-    k = np.arange(size) * math.pi / M.length  # cosine wave numbers
-    co = np.fft.rfft(np.concatenate((u0v, u0v[-2:0:-1]))).real
-    co *= np.exp(-k**2 * t)
-    u, Lu, du = np.fft.irfft([co, -k**2 * co, 1j * k * co], period)[:, :size]
-    du[[0, -1]] = 0.0  # the sine series vanishes at both walls
-    return HeatState(M, t, grid, u, du, Lu, scheme="spectral")
-
-
-def _solve_radial_eigen(M, u0v, t, size):
-    """Evolve u0v in the modes with lam t <= _MODE_CUT (all at t = 0)."""
-    grid, dn, dg, up, d, _ = _radial_symmetric(M, size)
-    mu, V = _radial_modes(M, size, "v",
+def _radial_spectral(M, u0v, t):
+    """u0v evolved in the modes with lam t <= _MODE_CUT (all at t = 0)."""
+    d = _radial_symmetric(M, u0v.size)[4]
+    mu, V = _radial_modes(M, u0v.size, "v",
                           (-np.inf, _MODE_CUT / t if t > 0 else np.inf))
     # L 1 = 0, so the constant mode is stationary: its computed eigenvalue
     # is rounding of order eps |S| (1e-10 at N = 2401), not decay
     mu[0] = 0.0
-    u = (V @ (np.exp(-mu * t) * (V.T @ (d * u0v)))) / d
-    Lu = _apply(dn, dg, up, u)
-    du = np.gradient(u, grid, edge_order=2)
-    return HeatState(M, t, grid, u, du, Lu, scheme="spectral")
+    return (V @ (np.exp(-mu * t) * (V.T @ (d * u0v)))) / d
 
 
-def _solve_crank_nicolson(M, u0v, t, size):
+def _crank_nicolson(M, u0v, t, h, dn, dg, up):
+    """u0v stepped to t by Crank-Nicolson on the three diagonals of L."""
     from scipy.linalg import lapack  # on first use, as in _radial_modes
 
-    grid, dn, dg, up = _generator(M, size)
-    h = grid[1] - grid[0]
     dt = h  # unconditionally stable, second order
     steps = max(int(math.ceil(t / dt)), 1) if t > 0 else 0
     if steps:
@@ -525,7 +511,7 @@ def _solve_crank_nicolson(M, u0v, t, size):
         return lapack.dgttrs(*factors, b)[0]
 
     if periodic:
-        s = np.zeros(grid.size)
+        s = np.zeros(u0v.size)
         s[0], s[-1] = g, q
         z = solve(s)
         rz = 1.0 + z[0] + p / g * z[-1]
@@ -534,28 +520,23 @@ def _solve_crank_nicolson(M, u0v, t, size):
         u = solve(u + 0.5 * dt * _apply(dn, dg, up, u))
         if periodic:
             u -= (u[0] + p / g * u[-1]) / rz * z
-    Lu = _apply(dn, dg, up, u)
-    du = np.gradient(u, grid, edge_order=2)
-    if periodic:
-        du = (np.roll(u, -1) - np.roll(u, 1)) / (2.0 * h)
-    return HeatState(M, t, grid, u, du, Lu, scheme="crank-nicolson-fd")
+    return u
 
 
-def _solve_kernel(M, u0, t, size):
-    """Closed-form evolution on the unbounded flat families.
+def _kernel_evolution(M, u0, t, grid):
+    """(u, du, Lu) at t in closed form on the unbounded flat families.
 
     The constant datum is stationary; the gaussian datum of width s0
     evolves to the gaussian of width s0 + t, its amp scaled by
     (s0/(s0+t))^{m/2}.  Every other datum has no closed form on these
     families, and its callables raise ValueError.
     """
-    grid = M.grid(size)
     if u0.expr == "gaussian":
         s0 = float(u0.params.get("width", 0.25))
         amp = float(u0.params.get("amp", 1.0)) * (s0 / (s0 + t)) ** (M.m / 2.0)
         u0 = initial_datum("gaussian", dict(u0.params, amp=amp, width=s0 + t))
     u, du, d2u = (f(grid) for f in u0.callables(M))
-    return HeatState(M, t, grid, u, du, d2u + M.b(grid) * du, scheme="kernel")
+    return u, du, d2u + M.b(grid) * du
 
 
 def gaussian_kernel_state(M: ModelManifold, t: float, grid=None) -> HeatState:

@@ -338,8 +338,7 @@ FUNCTIONALS = ("harnack_rhs", "harnack_alpha_rhs", "gradient_rhs")
 def estimate_functional(M: ModelManifold, u0, x: float, t: float,
                         clock: Clock | None, functional_id: str,
                         n_paths: int, dt: float, seed: int,
-                        K_field=None, sigma_field=None,
-                        alpha: float | None = None,
+                        K_field=None, alpha: float | None = None,
                         scheme: str = "bridge") -> Estimate:
     """Monte Carlo estimate of one probabilistic right-hand side.
 
@@ -352,20 +351,18 @@ def estimate_functional(M: ModelManifold, u0, x: float, t: float,
         E[ |grad u0|(X_t) e^{-int (K dr + sigma dL)} ].
 
     u0 must expose callables on the manifold (analytic datum ids).
-    K_field is a number or a callable K(x); sigma_field is a number.  When
+    K_field is a number or a callable K(x); sigma is the model's.  When
     K is a constant and sigma vanishes the clock integrals are
     deterministic and computed once; only the endpoint evaluation of u0
     carries Monte Carlo noise then.
     """
     ens = Ensemble(M, x, n_paths, dt, seed, scheme)
     return _run_alone(ens, functional_accumulator(
-        ens, u0, t, clock, functional_id, K_field=K_field,
-        sigma_field=sigma_field, alpha=alpha))
+        ens, u0, t, clock, functional_id, K_field=K_field, alpha=alpha))
 
 
 def functional_accumulator(ens: Ensemble, u0, t: float, clock: Clock | None,
                            functional_id: str, K_field=None,
-                           sigma_field=None,
                            alpha: float | None = None) -> Accumulator:
     """The accumulator of estimate_functional on the ensemble ens."""
     M, n_paths, dt = ens.M, ens.n_paths, ens.dt
@@ -378,7 +375,7 @@ def functional_accumulator(ens: Ensemble, u0, t: float, clock: Clock | None,
     steps = _step_count(t, dt)
     u_call, du_call, d2u_call = u0.callables(M)
     kc, kf = _as_field(K_field, M.K)
-    sigma = _sigma(M, sigma_field)
+    sigma = _sigma(M, None)
 
     need_alpha = functional_id == "harnack_alpha_rhs"
     if need_alpha and (alpha is None or alpha <= 1):

@@ -801,7 +801,8 @@ class TestCli:
     def test_mc_entries_are_checked_at_load(self, tmp_path):
         # an x0 past the walls would start the paths outside and read the
         # target at the clamped end node; a t that is no whole number of
-        # steps used to fail its row at run time only
+        # steps, or fewer than two paths, used to fail its row at run time
+        # only
         interval = dict(manifold={"family": "interval-neumann"},
                         initial_datum={"id": "cosine", "params": {"k": 1}},
                         times=[0.5])
@@ -826,6 +827,9 @@ class TestCli:
                 (interval, dict(row, t=0.0), "need t > 0"),
                 (interval, dict(row, t=-0.5), "need t > 0"),
                 (interval, dict(row, t=0.2505), "not a multiple of dt"),
+                (interval, dict(row, n_paths=0), "n_paths = 0: an mc entry"),
+                (interval, dict(row, n_paths=1), "n_paths = 1: an mc entry"),
+                (interval, dict(row, n_paths=-5), "n_paths = -5: an mc entry"),
                 (interval, {"functional": "expected_value", "x0": 1.0,
                             "t": 0.0105}, "not a multiple of dt = 0.001")):
             res = self.verify(tmp_path, mc=[entry], **doc)

@@ -7,11 +7,9 @@ from liyau import (exact_kernel, gaussian_kernel_state, harnack_quantities,
                    initial_datum, make_model_manifold, solve_heat)
 from liyau.geometry import register_drift
 from liyau import heatflow
-from liyau.heatflow import (_MODE_CUT, _apply, _circle_kernel_spectral,
-                            _circle_kernel_wrapped, _generator,
-                            _interval_kernel_images, _interval_kernel_spectral,
-                            _radial_symmetric, _solve_radial_eigen,
-                            radial_eigenpair)
+from liyau.heatflow import (_MODE_CUT, _apply, _generator, _kernel_spectral,
+                            _kernel_wrapped, _radial_spectral,
+                            _radial_symmetric, radial_eigenpair)
 from liyau.numerics import SolverError
 
 
@@ -29,16 +27,20 @@ class TestKernels:
     def test_circle_dual_representations(self):
         for t in (0.01, 0.05, 0.4, 1.0, 5.0):
             for d in (0.0, 0.7, 3.1):
-                w = _circle_kernel_wrapped(d, t)
-                s = _circle_kernel_spectral(d, t)
+                w = _kernel_wrapped(d, t, 2.0 * math.pi)
+                s = _kernel_spectral(d, t, 2.0 * math.pi)
                 assert abs(w - s) < 1e-12
 
     def test_interval_dual_representations(self):
+        # the interval's kernel is the circle's of length 2L at x - y and
+        # x + y, in either form
         L = math.pi
         for t in (0.02, 0.3, 1.5):
             for x, y in ((0.3, 1.1), (0.0, 0.0), (3.0, 0.2)):
-                a = _interval_kernel_images(x, y, t, L)
-                b = _interval_kernel_spectral(x, y, t, L)
+                a = (_kernel_wrapped(x - y, t, 2.0 * L)
+                     + _kernel_wrapped(x + y, t, 2.0 * L))
+                b = (_kernel_spectral(x - y, t, 2.0 * L)
+                     + _kernel_spectral(x + y, t, 2.0 * L))
                 assert abs(a - b) < 1e-11
 
     def test_kernel_mass_is_one(self, half_line, interval, line):
@@ -132,7 +134,7 @@ class TestSolvers:
                 u2 = np.fft.irfft(np.fft.rfft(b.u) * np.exp(-freq**2 * 0.5),
                                   n=b.u.size)
             else:
-                u2 = _solve_radial_eigen(M, b.u, 0.5, b.u.size).u
+                u2 = _radial_spectral(M, b.u, 0.5)
             assert np.max(np.abs(u2 - a.u)) < 1e-8
 
     def test_self_convergence_order(self, sphere2):
@@ -231,13 +233,13 @@ class TestSolvers:
         k = n * math.pi / interval.length
         for t in (0.0, 0.01, 0.3):
             c = w * co * np.exp(-k**2 * t) / (2 * (size - 1))
-            st = heatflow._solve_interval_spectral(interval, u0v, t, size)
-            assert np.max(np.abs(st.u - np.cos(angle) @ c)) < 1e-13, t
-            assert np.max(np.abs(st.Lu - np.cos(angle) @ (-k**2 * c))) < (
+            u, grad_u, Lu = heatflow._fourier(interval, u0v, t)
+            assert np.max(np.abs(u - np.cos(angle) @ c)) < 1e-13, t
+            assert np.max(np.abs(Lu - np.cos(angle) @ (-k**2 * c))) < (
                 1e-13 * np.max(k**2)), t
             du = np.sin(angle) @ (-k * c)
-            assert np.max(np.abs(st.grad_u - du)) < 1e-13 * np.max(k), t
-            assert st.grad_u[0] == st.grad_u[-1] == 0.0
+            assert np.max(np.abs(grad_u - du)) < 1e-13 * np.max(k), t
+            assert grad_u[0] == grad_u[-1] == 0.0
 
     @pytest.mark.parametrize("family, size", [("hyperbolic-radial", 2401),
                                               ("sphere-radial", 301)])
@@ -344,6 +346,19 @@ class TestSolvers:
         datum = initial_datum("cosine", {"k": 1, "amp": 0.5})
         with pytest.raises(ValueError, match="no closed form"):
             solve_heat(line, datum, 0.5)
+
+    def test_exact_schemes_need_zero_drift(self, circle, interval, sphere2):
+        register_drift("heatflow-sin", lambda x: 0.3 * np.sin(x))
+        datum = initial_datum("constant")
+        for family, scheme in (("circle", "spectral"),
+                               ("interval-neumann", "spectral"),
+                               ("euclidean-line", "kernel")):
+            M = make_model_manifold(family, drift="heatflow-sin", K=-0.3)
+            with pytest.raises(SolverError, match="needs Z = 0"):
+                solve_heat(M, datum, 0.5, scheme=scheme)
+        for M in (circle, interval, sphere2):
+            with pytest.raises(ValueError, match="no kernel evolution"):
+                solve_heat(M, datum, 0.5, scheme="kernel")
 
     def test_nonpositive_datum_rejected(self, circle):
         with pytest.raises(ValueError):

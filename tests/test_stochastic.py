@@ -316,16 +316,11 @@ class TestWeights:
         assert w == pytest.approx(math.exp(-2 * L), rel=1e-12)
         assert w <= 1.0
 
-    def test_callable_sigma_field_raises(self, half_line, interval):
+    def test_callable_sigma_field_raises(self, half_line):
         # sigma is one constant per model wall, never a field
         ps = simulate_reflected_path(half_line, 0.0, 0.1, 1e-3, seed=8)
         with pytest.raises(TypeError, match="sigma_field"):
             path_weight(ps, sigma_field=lambda x: -0.5)
-        datum = initial_datum("cosine", {"k": 1, "amp": 0.5})
-        with pytest.raises(TypeError, match="sigma_field"):
-            estimate_functional(interval, datum, 1.0, 0.1, None,
-                                "gradient_rhs", 100, 1e-3, 3,
-                                sigma_field=lambda x: -0.5)
 
     def test_manifold_defaults(self, half_line):
         ps = simulate_reflected_path(half_line, 0.3, 0.4, 1e-3, seed=9)
