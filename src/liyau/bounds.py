@@ -439,8 +439,7 @@ class NonconvexData:
 
 
 def nonconvex_constants(k: float, theta: float, sigma: float, r0: float,
-                        d: int, zrho_norm: float = 0.0,
-                        tol: float = 1e-12) -> NonconvexData:
+                        d: int, zrho_norm: float = 0.0) -> NonconvexData:
     """Collar constants (delta, kappa, gamma) for a non-convex boundary.
 
     Requires sigma < 0 (a convex boundary needs no correction) and a
@@ -460,13 +459,13 @@ def nonconvex_constants(k: float, theta: float, sigma: float, r0: float,
         raise ValueError("h - h(r0) must stay positive on [0, r0)")
 
     hm = lambda s: data.h(s) - h_r0
-    base = integrate_adaptive(lambda s: hm(s) ** (d - 1), 0.0, r0, tol)
+    base = integrate_adaptive(lambda s: hm(s) ** (d - 1), 0.0, r0, 1e-12)
     if base <= 0.0 or 1.0 - h_r0 <= 0.0:
         raise ValueError("degenerate collar: flat profile")
     delta = -sigma * (1.0 - h_r0) ** (d - 1) / base
 
     def inner(s):
-        return integrate_adaptive(lambda r: hm(r) ** (d - 1), s, r0, tol)
+        return integrate_adaptive(lambda r: hm(r) ** (d - 1), s, r0, 1e-12)
 
     kappa = 1.0 + delta * integrate_adaptive(
         lambda s: hm(s) ** (1 - d) * inner(s), 0.0, r0 * (1.0 - 1e-12), 1e-11)

@@ -68,7 +68,7 @@ def _run(config_path, seed, out, fmt, tol=None, mc_only=False,
                f" worst_margin={worst:.3e} failures={n_fail}")
     if not report.checked():
         click.echo("warning: no bound or MC row was checked", err=True)
-    sys.exit(1 if n_fail else 0)
+    sys.exit(report.exit_code)
 
 
 @main.command()

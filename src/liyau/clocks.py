@@ -144,20 +144,20 @@ def _eval(family, t, p, s, order):
 # weighted integrals
 
 
-def clock_integrals(clock: Clock, K: float, tol: float = 1e-10) -> dict:
+def clock_integrals(clock: Clock, K: float) -> dict:
     """Weighted integrals of the clock against e^{-2 K s}.
 
     Returns {"deriv_sq", "sq_prime", "sq"} for
         int l'^2 e^{-2Ks},  int (l^2)' e^{-2Ks},  int l^2 e^{-2Ks}.
     Families with closed forms are cross-checked against the quadrature
-    to 1e-9 and raise on disagreement.
+    to 1e-9 and raise on disagreement.  The quadrature tolerance is 1e-10.
     """
     t = clock.t
     w = lambda s: np.exp(-2.0 * K * s)
-    deriv_sq = integrate_smooth(lambda s: clock.dl(s) ** 2 * w(s), 0.0, t, tol)
-    sq = integrate_smooth(lambda s: clock.l(s) ** 2 * w(s), 0.0, t, tol)
+    deriv_sq = integrate_smooth(lambda s: clock.dl(s) ** 2 * w(s), 0.0, t)
+    sq = integrate_smooth(lambda s: clock.l(s) ** 2 * w(s), 0.0, t)
     sq_prime = integrate_smooth(
-        lambda s: 2.0 * clock.l(s) * clock.dl(s) * w(s), 0.0, t, tol)
+        lambda s: 2.0 * clock.l(s) * clock.dl(s) * w(s), 0.0, t)
 
     closed = _closed_forms(clock, K)
     for name, value in closed.items():
@@ -195,7 +195,7 @@ def _closed_forms(clock: Clock, K: float) -> dict:
     return out
 
 
-def gamma_integral(clock: Clock, K0: float, alpha: float, tol: float = 1e-12) -> float:
+def gamma_integral(clock: Clock, K0: float, alpha: float) -> float:
     """Sharpening constant  2 K0 int_0^t l^2 e^{2 a K0 s/(a-1)} ds.
 
     Strictly exceeds 1/alpha - 1 for every admissible monotone clock; the
@@ -209,7 +209,7 @@ def gamma_integral(clock: Clock, K0: float, alpha: float, tol: float = 1e-12) ->
     if abs(c) * t > 690.0:
         raise QuadratureError("gamma weight overflows; shrink K0*t/(alpha-1)")
     val = 2.0 * K0 * integrate_smooth(
-        lambda s: clock.l(s) ** 2 * np.exp(c * s), 0.0, t, tol)
+        lambda s: clock.l(s) ** 2 * np.exp(c * s), 0.0, t, 1e-12)
     if (clock.family == "exp-integral" and K0 == clock.params["K"]
             and alpha == clock.params["alpha"] and K0 != 0.0):
         closed = _gamma_exp_integral(K0, alpha, t)
@@ -241,8 +241,7 @@ def _gamma_exp_integral(K: float, alpha: float, t: float) -> float:
     return 2.0 * K * num / den
 
 
-def alpha_form_integral(clock: Clock, K: float, alpha: float,
-                        tol: float = 1e-12) -> float:
+def alpha_form_integral(clock: Clock, K: float, alpha: float) -> float:
     """Quadratic clock cost  int_0^t e^{2Ks/(a-1)} (K l/(a-1) + l')^2 ds.
 
     This is the constant produced by the alpha-form pathwise estimate for
@@ -253,7 +252,6 @@ def alpha_form_integral(clock: Clock, K: float, alpha: float,
         raise ValueError("alpha must exceed 1")
     beta = K / (alpha - 1.0)
     t = clock.t
-    val = integrate_smooth(
+    return integrate_smooth(
         lambda s: np.exp(2.0 * beta * s) * (beta * clock.l(s) + clock.dl(s)) ** 2,
-        0.0, t, tol)
-    return val
+        0.0, t, 1e-12)

@@ -6,20 +6,18 @@ reported in units of 1/time; a bound row passes when
 
     margin >= -tol * (1 + |c|),
 
-tol defaulting to 1e-6.  MC rows pass at three standard errors.  MC rows
-that share an ensemble (x0, n_paths, dt, seed) share one pass of paths.
-The passes are launched on forked worker processes before the first grid
-solve and collected after the bound rows, so they overlap the solves and
-bound evaluation; no row depends on the number of workers.
+tol defaulting to 1e-6.  MC rows pass at three standard errors.  Each mc
+entry is a task of `stochastic.run_passes`, which owns the worker pool and
+starts one pass per ensemble (x0, n_paths, dt, seed) before the first grid
+solve, so the passes overlap the solves and bound evaluation; no row
+depends on where its pass ran.
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import json
 import math
-import os
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -300,76 +298,6 @@ def _plan_mc_row(entry: dict, M: ModelManifold, datum, seed: int) -> _McRow:
     return _McRow(ens, acc, clock)
 
 
-@contextlib.contextmanager
-def _mc_passes(plans: list):
-    """Launch one pass per ensemble of plans (an exception among them is
-    its own outcome); yields outcome(plan) -> its estimate or exception.
-
-    With two ensembles or more and two usable cores, the passes start at
-    once on min(#ensembles, cores) forked worker processes, largest
-    (n_paths x longest horizon) first, and the caller goes on while they
-    run: a thread pool barely scaled, as each step makes some 30 small
-    numpy calls that hand the GIL over.  The workers inherit the passes by
-    fork; only a pass index goes in and the outcomes come back pickled.
-    Otherwise, or without the fork start method, a pass runs in-process
-    when its first outcome is asked for.  Each pass has its own seeded
-    generator, so no estimate depends on where it ran, and no worker
-    outlives the with block.
-    """
-    groups: dict[stoch.Ensemble, list] = {}
-    for plan in plans:
-        if isinstance(plan, _McRow):
-            groups.setdefault(plan.ensemble, []).append(plan)
-    order = sorted(groups, key=lambda ens: -ens.n_paths * max(
-        plan.accumulator.steps for plan in groups[ens]))
-    passes = [(ens, [plan.accumulator for plan in groups[ens]])
-              for ens in order]
-    workers, pool = min(len(passes), _cores()), None
-    if workers > 1:
-        import multiprocessing
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-            pool = ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork"),
-                initializer=_INHERITED.extend, initargs=(passes,))
-    outcomes: dict[int, object] = {}   # by id(plan), a pass at a time
-
-    def outcome(plan):
-        if isinstance(plan, Exception):
-            return plan
-        if id(plan) not in outcomes:
-            i = order.index(plan.ensemble)
-            try:   # a pass that cannot start, or a lost worker, fails its rows
-                outs = futures[i].result() if pool else _run_pass(i, passes)
-            except Exception as exc:
-                outs = [exc] * len(passes[i][1])
-            outcomes.update(zip(map(id, groups[plan.ensemble]), outs))
-        return outcomes[id(plan)]
-
-    try:
-        futures = [pool.submit(_run_pass, i)
-                   for i in range(len(passes))] if pool else None
-        yield outcome
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
-
-
-_INHERITED: list = []   # in a forked worker: the passes of its pool
-
-
-def _run_pass(index: int, passes: list = _INHERITED) -> list:
-    """The outcomes of pass index of passes, by default the inherited."""
-    return stoch.run_ensemble(*passes[index])
-
-
-def _cores() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _mc_row(entry: dict, plan, outcome, solve) -> dict:
     """The report row of one mc entry: its estimate against its target
     state from solve (see _state_solver), or the error that stopped it."""
@@ -472,16 +400,20 @@ def run_experiment(config: ExperimentConfig) -> Report:
     datum = initial_datum(config.initial_datum["id"],
                           config.initial_datum.get("params", {}))
     solve = _state_solver(M, datum)
-    plans = []   # each mc entry's plan, or the error that stopped it
+    plans, tasks = [], []   # each mc entry's plan, or its error; the tasks
     for entry in config.mc:
         try:
-            plans.append(_plan_mc_row(entry, M, datum, config.seed))
+            plan = _plan_mc_row(entry, M, datum, config.seed)
+            tasks.append((plan.ensemble, plan.accumulator))
         except Exception as exc:
-            plans.append(exc)
-    with _mc_passes(plans) as outcome:
+            plan = exc
+        plans.append(plan)
+    with stoch.run_passes(tasks) as outcome:
         # the MC passes run from here on, beside the solves and bounds
         solver_rows, bound_blocks = _grid_rows(config, M, solve)
-        mc_rows = [_mc_row(entry, plan, outcome(plan), solve)
+        task = itertools.count()   # the planned entries' task indices
+        mc_rows = [_mc_row(entry, plan, plan if isinstance(plan, Exception)
+                           else outcome(next(task)), solve)
                    for entry, plan in zip(config.mc, plans)]
     meta = {"package": __version__, "numpy": np.__version__,
             "seed": config.seed}

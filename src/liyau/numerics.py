@@ -138,7 +138,7 @@ def sign_changes(g, a, b, n=512):
     return sorted(map(float, roots))
 
 
-def integrate_adaptive(f, a, b, tol=1e-10, limit=200):
+def integrate_adaptive(f, a, b, tol=1e-10):
     """Adaptive quadrature with an absolute tolerance and a failure check.
 
     Only for integrands that a fixed rule cannot take, such as the
@@ -147,12 +147,12 @@ def integrate_adaptive(f, a, b, tol=1e-10, limit=200):
     from scipy import integrate  # on first use: only the collar constants
 
     val, err, info, *rest = integrate.quad(
-        f, a, b, epsabs=tol, epsrel=1e-12, limit=limit, full_output=True
+        f, a, b, epsabs=tol, epsrel=1e-12, limit=200, full_output=True
     )
     if rest:  # quad appends a message when ier != 0
         # Retries with more subdivisions before giving up.
         val, err, info, *rest = integrate.quad(
-            f, a, b, epsabs=tol, epsrel=1e-11, limit=4 * limit, full_output=True
+            f, a, b, epsabs=tol, epsrel=1e-11, limit=800, full_output=True
         )
     if rest and err > 1e3 * tol * (1.0 + abs(val)):
         raise QuadratureError(

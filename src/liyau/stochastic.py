@@ -26,15 +26,18 @@ its step count.  Draws come in a fixed order and depend only on the
 ensemble and the step index, so a shorter horizon sees a bit-identical
 prefix of a longer pass, and estimators that share an ensemble can share
 its pass.  Means are compensated sums, so results are bit-reproducible
-for a given ensemble.  The public estimators run their accumulator as a
-pass of its own; the harness groups its MC rows by ensemble.  On the flat
-families `_Stepper` overwrites and returns its input positions, through
-buffers allocated once per path count.
+for a given ensemble.  `run_passes` schedules every pass, on forked
+workers where it has the cores: the harness's MC rows are its tasks, and
+each public estimator is a call with one task.  On the flat families
+`_Stepper` overwrites and returns its input positions, through buffers
+allocated once per path count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -268,12 +271,81 @@ def run_ensemble(ens: Ensemble, accumulators) -> list:
     return [outcomes[i] for i in range(len(accs))]
 
 
+@contextlib.contextmanager
+def run_passes(tasks):
+    """Run (Ensemble, Accumulator) tasks, one pass per ensemble; yields
+    outcome(i) -> task i's result, or the exception that ended it.
+
+    With two ensembles or more and two usable cores, the passes start at
+    once on min(#ensembles, cores) forked worker processes, largest
+    (n_paths x longest horizon) first, and the caller goes on while they
+    run: a thread pool barely scaled, as each step makes some 30 small
+    numpy calls that hand the GIL over.  The workers inherit the passes by
+    fork; only a pass index goes in and the outcomes come back pickled.
+    Otherwise, or without the fork start method, a pass runs in-process
+    when its first outcome is asked for.  Each pass has its own seeded
+    generator, so no outcome depends on where it ran.  A pass that cannot
+    start, or a lost worker, fails its tasks, and no worker outlives the
+    with block.
+    """
+    tasks = list(tasks)
+    groups: dict[Ensemble, list] = {}   # task indices by ensemble
+    for i, (ens, _) in enumerate(tasks):
+        groups.setdefault(ens, []).append(i)
+    order = sorted(groups, key=lambda ens: -ens.n_paths * max(
+        tasks[i][1].steps for i in groups[ens]))
+    passes = [(ens, [tasks[i][1] for i in groups[ens]]) for ens in order]
+    workers, pool = min(len(passes), _cores()), None
+    if workers > 1:
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+            pool = ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork"),
+                initializer=_INHERITED.extend, initargs=(passes,))
+    outcomes: dict[int, object] = {}   # by task index, a pass at a time
+
+    def outcome(i):
+        if i not in outcomes:
+            j = order.index(tasks[i][0])
+            try:   # a pass that cannot start, or a lost worker, fails its tasks
+                outs = futures[j].result() if pool else _run_pass(j, passes)
+            except Exception as exc:
+                outs = [exc] * len(passes[j][1])
+            outcomes.update(zip(groups[order[j]], outs))
+        return outcomes[i]
+
+    try:
+        futures = [pool.submit(_run_pass, j)
+                   for j in range(len(passes))] if pool else None
+        yield outcome
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+
+
+_INHERITED: list = []   # in a forked worker: the passes of its pool
+
+
+def _run_pass(index: int, passes: list = _INHERITED) -> list:
+    """The outcomes of pass index of passes, by default the inherited."""
+    return run_ensemble(*passes[index])
+
+
+def _cores() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_alone(ens: Ensemble, acc: Accumulator):
     """One accumulator as its own pass; its exception is raised."""
-    outcome, = run_ensemble(ens, [acc])
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    with run_passes([(ens, acc)]) as outcome:
+        result = outcome(0)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def simulate_reflected_path(M: ModelManifold, x0: float, t: float, dt: float,
@@ -416,8 +488,7 @@ def functional_accumulator(ens: Ensemble, u0, t: float, clock: Clock | None,
             I2 += 2.0 * lv[k] * dlv[k] * w * dt
         elif need_alpha:
             v = np.exp(2.0 * A / (alpha - 1.0))
-            kk = kf if kc else kf(xp)
-            I1 += (kk * lv[k] / (alpha - 1.0) + dlv[k]) ** 2 * v * dt
+            I1 += (kf(xp) * lv[k] / (alpha - 1.0) + dlv[k]) ** 2 * v * dt
         if not kc:
             A += kf(xp) * dt
         if track_B:
@@ -510,6 +581,8 @@ def value_accumulator(ens: Ensemble, u0, t: float) -> Accumulator:
 # ---------------------------------------------------------------------------
 # time change by a cutoff function
 
+_F_FLOOR = 1e-8   # a path has left the cutoff's support where f <= this
+
 
 @dataclass(frozen=True)
 class TimeChange:
@@ -540,21 +613,19 @@ class TimeChange:
         return out if out.ndim else float(out)
 
 
-def time_change(sample: PathSample, f, f_floor: float = 1e-8) -> TimeChange:
+def time_change(sample: PathSample, f) -> TimeChange:
     """Clock of the time-changed diffusion for a cutoff f on one path.
 
     f must take values in (0, 1] inside the domain and 0 on the inner
-    boundary; the path is truncated and flagged where f drops below the
-    floor before a recorded exit.
+    boundary; the path is truncated and flagged where f drops to _F_FLOOR
+    before a recorded exit.
     """
     fv = np.asarray(f(sample.x), dtype=float)
     if np.any(fv > 1.0 + 1e-12):
         raise ValueError("cutoff must satisfy f <= 1")
-    exit_idx = None
-    truncated = False
-    n = fv.size
-    stop = n
-    below = np.nonzero(fv <= f_floor)[0]
+    exit_idx, truncated = None, False
+    n = stop = fv.size
+    below = np.nonzero(fv <= _F_FLOOR)[0]
     if below.size:
         stop = int(below[0])
         exit_idx = stop - 1 if stop > 0 else 0
@@ -588,7 +659,7 @@ def cutoff_growth_check(M: ModelManifold, x0: float, f, checkpoints,
     def advance_clock(k, x, dL):
         nonlocal T, alive
         fv = np.asarray(f(x), dtype=float)
-        alive &= ~(fv <= 1e-8)
+        alive &= ~(fv <= _F_FLOOR)
         inv = np.where(alive, fv, 1.0) ** -2.0
         T += np.where(alive, inv * dt, 0.0)
         for j, s in enumerate(checkpoints):

@@ -341,7 +341,7 @@ class TestEnsemblePlan:
         paths = {}
         for workers in (1, None, 4):
             if workers is not None:
-                monkeypatch.setattr(harness, "_cores", lambda: workers)
+                monkeypatch.setattr(stochastic, "_cores", lambda: workers)
             report = run_experiment(cfg)
             assert multiprocessing.active_children() == []   # none outlives
             paths[workers] = emit_report(report, tmp_path / str(workers))
@@ -400,7 +400,7 @@ class TestEnsemblePlan:
 
         monkeypatch.setattr(stochastic, "value_accumulator", failing)
         for workers in (1, 2):   # in-process, then on forked workers
-            monkeypatch.setattr(harness, "_cores", lambda: workers)
+            monkeypatch.setattr(stochastic, "_cores", lambda: workers)
             raised_in.clear()
             after = run_experiment(cfg).mc_rows
             assert raised_in == ([os.getpid()] if workers == 1 else [])
@@ -412,12 +412,42 @@ class TestEnsemblePlan:
             assert after[1:] == before[1:]
             assert all(row.get("value") is not None for row in after[1:])
 
+    def test_every_pass_is_scheduled_by_stochastic(self, monkeypatch):
+        # run_passes asks for the cores once per call: once per run, and
+        # once per direct call of a public entry point
+        calls = []
+        monkeypatch.setattr(stochastic, "_cores",
+                            lambda: calls.append(1) or 1)
+        run_experiment(interval_mc_config())
+        assert len(calls) == 1
+        M = manifold_from_dict({"family": "interval-neumann"})
+        datum = initial_datum("cosine", {"k": 1, "amp": 0.5})
+        clock = make_clock("linear", t=0.1)
+        entry_points = [
+            lambda: stochastic.estimate_functional(
+                M, datum, 1.0, 0.1, clock, "harnack_rhs", 50, 0.01, seed=1),
+            lambda: stochastic.local_time_moment(M, 0.0, 0.1, 1.0, 50, 0.01,
+                                                 seed=1),
+            lambda: stochastic.expected_local_time(M, 0.0, 0.1, 50, 0.01,
+                                                   seed=1),
+            lambda: stochastic.expected_value_at(M, datum, 1.0, 0.1, 50,
+                                                 0.01, seed=1),
+            lambda: stochastic.simulate_reflected_path(M, 1.0, 0.1, 0.01,
+                                                       seed=1),
+            lambda: stochastic.cutoff_growth_check(
+                M, 1.0, lambda x: np.full_like(x, 0.5), [0.05], 0.1, 0.01,
+                50, seed=1)]
+        for call in entry_points:
+            calls.clear()
+            call()
+            assert len(calls) == 1
+
     def test_a_lost_worker_fails_its_rows_and_verify(self, tmp_path,
                                                      monkeypatch):
         # os._exit in a pass stands in for a worker the OOM killer ends
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("the workers need the fork start method")
-        monkeypatch.setattr(harness, "_cores", lambda: 2)
+        monkeypatch.setattr(stochastic, "_cores", lambda: 2)
         parent = os.getpid()
         build = stochastic.local_time_accumulator
 
@@ -786,6 +816,21 @@ class TestCli:
                              capture_output=True, text=True,
                              env=dict(os.environ, PYTHONPATH=str(src)))
         assert out.stdout.split() == ["False", "False"]
+
+    def test_mc_runs_the_mc_rows_alone(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(asdict(interval_mc_config())))
+        reports = {}
+        for command in ("verify", "mc"):
+            res = CliRunner().invoke(main, [command, "--config", str(path),
+                                            "--format", "json", "--out",
+                                            str(tmp_path / command)])
+            reports[command] = load_report(tmp_path / command / "report.json")
+            assert res.exit_code == reports[command].exit_code, res.output
+        verify, mc = reports["verify"], reports["mc"]
+        assert verify.n_bound_rows > 0 and mc.bound_rows == []
+        assert mc.mc_rows == verify.mc_rows
+        assert len(mc.mc_rows) == 8
 
     def test_command_line_values_are_checked(self, tmp_path):
         res = CliRunner().invoke(main, ["verify", "--config",

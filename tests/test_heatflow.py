@@ -43,10 +43,10 @@ class TestKernels:
                      + _kernel_spectral(x + y, t, 2.0 * L))
                 assert abs(a - b) < 1e-11
 
-    def test_kernel_mass_is_one(self, half_line, interval, line):
+    def test_kernel_mass_is_one(self, half_line, interval, line, circle):
         from scipy.integrate import quad
         for M, lo, hi in ((line, -12, 12), (half_line, 0, 14),
-                          (interval, 0, math.pi)):
+                          (interval, 0, math.pi), (circle, 0, 2 * math.pi)):
             val, _ = quad(lambda y: exact_kernel(M, 0.7, 0.9, y), lo, hi,
                           epsabs=1e-12, limit=200)
             assert val == pytest.approx(1.0, abs=1e-9)

@@ -9,6 +9,7 @@ from liyau import (clock_integrals, cutoff_growth_check, estimate_functional,
                    local_time_moment, make_clock, make_model_manifold,
                    simulate_reflected_path, solve_heat, path_weight,
                    time_change)
+from liyau.geometry import register_drift
 from liyau.stochastic import (Accumulator, Ensemble, _Stepper,
                               local_time_accumulator, run_ensemble,
                               value_accumulator)
@@ -22,8 +23,10 @@ def local_time_mgf(q, t):
 
 
 def reference_flat_step(M, dt, scheme, x, rng):
-    """The allocating flat-wall step the in-place stepper must reproduce."""
-    y = x + math.sqrt(2.0 * dt) * rng.standard_normal(x.shape)
+    """The allocating flat-wall step the in-place stepper must reproduce:
+    with a drift, y = x + b_total(x) dt + c xi."""
+    start = x + M.b_total(x) * dt if M.drift_id != "none" else x
+    y = start + math.sqrt(2.0 * dt) * rng.standard_normal(x.shape)
     dL = np.zeros_like(x)
     for pos, direction in M.boundaries():
         if scheme == "bridge":
@@ -153,10 +156,19 @@ class TestInPlaceStepper:
 
     @pytest.mark.parametrize("scheme", ["bridge", "projection"])
     @pytest.mark.parametrize("family", ["half-line-neumann",
-                                        "interval-neumann"])
+                                        "interval-neumann",
+                                        "interval-with-drift"])
     def test_bit_identical_to_allocating_formulas(self, family, scheme):
-        M = make_model_manifold(family)
-        top = M.boundaries()[-1][0] if family == "interval-neumann" else 3.0
+        if family == "interval-with-drift":
+            try:
+                register_drift("stochastic-pull", lambda x: 2.0 - x)
+            except ValueError:
+                pass  # already registered by an earlier parameter
+            M = make_model_manifold("interval-neumann",
+                                    drift="stochastic-pull", K=0.0)
+        else:
+            M = make_model_manifold(family)
+        top = M.boundaries()[-1][0] if M.family == "interval-neumann" else 3.0
         starts = [0.0, 0.0, 1e-3, 0.05, 0.5, top / 2, top - 0.05, top]
         x = np.tile(starts, 25)  # mixed starts, some on a wall
         ref = x.copy()
@@ -412,16 +424,17 @@ class TestFunctionals:
         assert abs(est.value - target) <= tol
 
     def test_pathwise_weight_route_agrees(self, interval):
-        # a callable constant field must reproduce the scalar fast path
+        # a callable constant field must reproduce the scalar fast path:
+        # clock_integrals for harnack_rhs, alpha_form_integral for the
+        # alpha form
         datum = initial_datum("cosine", {"k": 1, "amp": 0.5})
         clock = make_clock("linear", t=0.4)
-        a = estimate_functional(interval, datum, 1.0, 0.4, clock,
-                                "harnack_rhs", 4000, 5e-4, seed=54,
-                                K_field=0.5)
-        b = estimate_functional(interval, datum, 1.0, 0.4, clock,
-                                "harnack_rhs", 4000, 5e-4, seed=54,
-                                K_field=lambda x: np.full_like(x, 0.5))
-        assert b.value == pytest.approx(a.value, rel=2e-3)
+        for fid, alpha in (("harnack_rhs", None), ("harnack_alpha_rhs", 2.0)):
+            a, b = (estimate_functional(interval, datum, 1.0, 0.4, clock, fid,
+                                        4000, 5e-4, seed=54, K_field=K,
+                                        alpha=alpha)
+                    for K in (0.5, lambda x: np.full_like(x, 0.5)))
+            assert b.value == pytest.approx(a.value, rel=2e-3), fid
 
     def test_harnack_inequality_holds(self, interval):
         # W = |grad u_t|^2/u_t at x is below the estimated right side
@@ -534,6 +547,28 @@ class TestTimeChange:
         ts = np.linspace(0, float(tc.T[tc.last]) * 0.9, 12)
         assert tc.roundtrip_error(ts) < 1e-10
         assert np.all(tc.tau(ts) <= ts + 1e-12)
+
+    def test_exit_from_the_support(self, sphere2):
+        R, x0 = 0.1, 1.3
+        ps = simulate_reflected_path(sphere2, x0, 0.4, 1e-3, seed=62)
+        inside = np.abs(ps.x - x0) < R
+        k = int(np.argmin(inside))   # the first position outside
+        assert k > 0 and not inside[k]
+        # outside the support the cutoff is 0, an exit, or 1e-9, below the
+        # floor but positive, which truncates the path
+        for outside, truncated in ((0.0, False), (1e-9, True)):
+            def f(r):
+                return np.where(np.abs(r - x0) < R,
+                                np.cos(math.pi * np.abs(r - x0) / (2 * R)),
+                                outside)
+
+            tc = time_change(ps, f)
+            assert (tc.exit_index, tc.truncated) == (k - 1, truncated)
+            assert tc.last == k - 1
+            assert np.all(tc.T[k:] == tc.T[k])   # flat after the exit
+            assert tc.T[k] == pytest.approx(
+                np.sum(f(ps.x[:k]) ** -2.0) * ps.dt, rel=1e-12)
+            assert np.all(np.diff(tc.T[:k + 1]) > 0.0)
 
     def test_cutoff_growth_bound(self, sphere2):
         from liyau import cutoff_growth_check
