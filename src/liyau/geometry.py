@@ -79,17 +79,21 @@ class ModelManifold:
 
     # -- coefficients of the reduction --------------------------------------
 
-    def b(self, x):
-        """Volume-element drift of the radial reduction."""
+    def b(self, x, out=None):
+        """Volume-element drift of the radial reduction, into out if given."""
         x = np.asarray(x, dtype=float)
         if self.family == EUCLIDEAN_RADIAL:
-            out = (self.m - 1) / x
+            out = np.divide(self.m - 1, x, out=out)
         elif self.family == SPHERE:
-            out = (self.m - 1) / np.tan(x)
+            out = np.divide(self.m - 1, np.tan(x, out=out), out=out)
         elif self.family == HYPERBOLIC:
-            out = (self.m - 1) * (1.0 + 2.0 / np.expm1(2.0 * x))
-        else:
+            out = np.expm1(np.multiply(2.0, x, out=out), out=out)
+            out = np.multiply(self.m - 1, np.add(
+                1.0, np.divide(2.0, out, out=out), out=out), out=out)
+        elif out is None:
             out = np.zeros_like(x)
+        else:
+            out.fill(0.0)
         return out if out.ndim else float(out)
 
     def drift(self, x):
@@ -100,9 +104,12 @@ class ModelManifold:
             return out if out.ndim else float(out)
         return fn(x)
 
-    def b_total(self, x):
-        """Full first-order coefficient b(x) + Z(x) of the generator."""
-        return self.b(x) + self.drift(x)
+    def b_total(self, x, out=None):
+        """Full first-order coefficient b(x) + Z(x) of the generator, into
+        out if given (the zero drift adds 0.0, as its zeros would)."""
+        drift = 0.0 if self.drift_id == "none" else self.drift(x)
+        out = np.add(self.b(x, out), drift, out=out)
+        return out if out.ndim else float(out)
 
     def weight(self, x):
         """Density of the Riemannian volume element in the coordinate."""

@@ -28,9 +28,12 @@ prefix of a longer pass, and estimators that share an ensemble can share
 its pass.  Means are compensated sums, so results are bit-reproducible
 for a given ensemble.  `run_passes` schedules every pass, on forked
 workers where it has the cores: the harness's MC rows are its tasks, and
-each public estimator is a call with one task.  On the flat families
-`_Stepper` overwrites and returns its input positions, through buffers
-allocated once per path count.
+each public estimator is a call with one task.  `_Stepper` writes each
+step over the positions of the step before, in buffers allocated once per
+path count.  A wall's bridge push max(0, -0.5 (a + b - sqrt((a - b)^2 +
+4 dt E))), with a, b a path's distances from the wall before and after the
+step, is nonzero only when a b < dt E: only the paths with min(a, b) below
+sqrt(dt max E) evaluate it, so skipping the others keeps every bit.
 """
 
 from __future__ import annotations
@@ -124,69 +127,67 @@ class _Stepper:
         self.wrap = kind == "periodic"
         self.guard = (lo + 1e-9, hi - 1e-9) if kind == "pole-open" else None
         self.rejected = 0
-        self.buf = np.empty((0, 0))   # flat-step buffers, one row each
+        self.buf = np.empty(0)   # the step's normals, then each wall's E
 
     def __call__(self, x: np.ndarray, rng, dL: np.ndarray) -> np.ndarray:
         """Advance x one step and write the step's local time into dL.
 
-        Flat families update x in place, rounding as y = x + c xi, then
-        per wall push = max(0, -0.5 (a + b - sqrt((a - b)^2 + 4 dt E)))
-        with a, b = +-(x - pos), +-(y - pos); y += direction push.
+        Returns y = (x + b dt) + c xi (no b dt on flat families without
+        drift), pushed off each flat wall where min(a, b) <= T =
+        sqrt(dt max E) (1 + 1e-6), or by max(0, -b) under projection with
+        T = 0, and keeps x as self.before.
         """
-        dt, c = self.dt, self.c
+        dt, c, bridge = self.dt, self.c, self.scheme == "bridge"
+        if self.buf.size != x.size:   # no positions to write over yet
+            self.buf, self.before = np.empty_like(x), None
+        y, self.before = self.before, x
+        if y is None or y is x:
+            y = np.empty_like(x)
+        xi = np.multiply(rng.standard_normal(out=self.buf), c, out=self.buf)
+        start = x
+        if self.guard is not None or self.M.drift_id != "none":
+            start = self.M.b_total(x, out=y)
+            np.add(x, np.multiply(start, dt, out=start), out=start)
+        np.add(start, xi, out=y)
         if self.guard is not None:
-            y = x + self.M.b_total(x) * dt + c * rng.standard_normal(x.shape)
             lo_g, hi_g = self.guard
-            bad = (y <= lo_g) | (y >= hi_g)
             for _ in range(101):
-                if not np.any(bad):
+                bad = np.flatnonzero((y <= lo_g) | (y >= hi_g))
+                if not bad.size:
                     break
-                self.rejected += int(np.count_nonzero(bad))
-                xi_new = rng.standard_normal(int(np.count_nonzero(bad)))
+                self.rejected += bad.size
+                xi_new = rng.standard_normal(out=xi[:bad.size])
                 y[bad] = (x[bad] + self.M.b_total(x[bad]) * dt + c * xi_new)
-                bad = (y <= lo_g) | (y >= hi_g)
             else:
                 np.clip(y, lo_g, hi_g, out=y)
-            return y
-        if self.buf.shape[1] != x.size:
-            self.buf = np.empty((3 + len(self.boundaries), x.size))
-        xi, b, s, *dist = self.buf
-        E = xi   # the exponential draws come after x has taken its xi
-        walls = list(zip(dist, self.boundaries))
-        rng.standard_normal(out=xi)
-        np.multiply(xi, c, out=xi)
-        if self.scheme == "bridge":  # wall distances before the step
-            for a, (pos, direction) in walls:
-                _inside(x, pos, direction, a)
-        if self.M.drift_id != "none":
-            np.add(x, self.M.b_total(x) * dt, out=x)
-        np.add(x, xi, out=x)
         if self.wrap:
-            return np.mod(x, 2.0 * math.pi, out=x)
+            np.mod(y, 2.0 * math.pi, out=y)
         dL.fill(0.0)
-        for a, (pos, direction) in walls:
-            if self.scheme == "bridge":
-                rng.standard_exponential(out=E)
-                _inside(x, pos, direction, b)
-                np.subtract(a, b, out=s)
-                np.multiply(s, s, out=s)
-                np.multiply(E, 4.0 * dt, out=E)
-                np.add(s, E, out=s)
-                np.sqrt(s, out=s)
-                np.add(a, b, out=b)
-                np.subtract(b, s, out=b)
-                np.multiply(b, -0.5, out=b)   # -(0.5 v), exactly
+        for pos, direction in self.boundaries:
+            T = 0.0
+            if bridge:   # this wall's draws follow those of the walls before
+                E = rng.standard_exponential(out=xi)
+                T = math.sqrt(dt * E.max()) * (1.0 + 1e-6)
+            lim = pos + direction * T   # min(a, b) <= T on the wall's side
+            idx = np.flatnonzero((x <= lim) | (y <= lim) if direction > 0
+                                 else (x >= lim) | (y >= lim))
+            y_near = y.take(idx)
+            if bridge:
+                a = _inside(x.take(idx), pos, direction)
+                b = _inside(y_near, pos, direction)
+                d, E_near = a - b, E.take(idx) * (4.0 * dt)
+                push = -0.5 * ((a + b) - np.sqrt(d * d + E_near))
             else:  # (pos - y) direction; a zero's sign cannot reach y or dL
-                _inside(x, pos, -direction, b)
-            np.maximum(0.0, b, out=b)   # push
-            (np.add if direction > 0 else np.subtract)(x, b, out=x)
-            np.add(dL, b, out=dL)
-        return x
+                push = _inside(y_near, pos, -direction)
+            np.maximum(0.0, push, out=push)
+            y[idx] = y_near + push if direction > 0 else y_near - push
+            dL[idx] += push
+        return y
 
 
-def _inside(x, pos, direction, out):
+def _inside(x, pos, direction):
     """+-(x - pos): distance of x from a wall, positive inside the domain."""
-    return np.subtract(*((x, pos) if direction > 0 else (pos, x)), out=out)
+    return x - pos if direction > 0 else pos - x
 
 
 def _step_count(t: float, dt: float) -> int:
@@ -242,10 +243,8 @@ def run_ensemble(ens: Ensemble, accumulators) -> list:
     accs = list(accumulators)
     rng = np.random.default_rng(ens.seed)
     stepper = _Stepper(ens.M, ens.dt, ens.scheme)
-    x = np.full(ens.n_paths, float(ens.x0))
-    dL = np.zeros(ens.n_paths)
+    x, dL = np.full(ens.n_paths, float(ens.x0)), np.zeros(ens.n_paths)
     working = [i for i, acc in enumerate(accs) if acc.work is not None]
-    before = np.empty(ens.n_paths) if working else None
     outcomes: dict[int, object] = {}   # filled when an accumulator leaves
 
     def attempt(i, call, *args):
@@ -257,13 +256,11 @@ def run_ensemble(ens: Ensemble, accumulators) -> list:
     horizon = max(acc.steps for acc in accs)
     for k in range(horizon):
         busy = [i for i in working if k < accs[i].steps and i not in outcomes]
-        if busy:
-            np.copyto(before, x)
         x = stepper(x, rng, dL)
         for i in busy:
-            attempt(i, accs[i].work, k, before, dL)
+            attempt(i, accs[i].work, k, stepper.before, dL)
         if k + 1 == horizon:  # free the step buffers for the last finishes
-            stepper.buf = dL = before = None
+            stepper.buf = stepper.before = dL = None
         for i, acc in enumerate(accs):
             if acc.steps == k + 1 and i not in outcomes:
                 result = attempt(i, acc.finish, x, stepper.rejected)
@@ -479,6 +476,7 @@ def functional_accumulator(ens: Ensemble, u0, t: float, clock: Clock | None,
 
     def accumulate(k, xp, dL):
         nonlocal A, B, I1, I2
+        K = kf if kc else kf(xp)   # one evaluation a step, for I1 and A
         if functional_id == "harnack_rhs":
             if kc:
                 w = np.exp(-2.0 * (kf * svals[k] + B))
@@ -488,9 +486,9 @@ def functional_accumulator(ens: Ensemble, u0, t: float, clock: Clock | None,
             I2 += 2.0 * lv[k] * dlv[k] * w * dt
         elif need_alpha:
             v = np.exp(2.0 * A / (alpha - 1.0))
-            I1 += (kf(xp) * lv[k] / (alpha - 1.0) + dlv[k]) ** 2 * v * dt
+            I1 += (K * lv[k] / (alpha - 1.0) + dlv[k]) ** 2 * v * dt
         if not kc:
-            A += kf(xp) * dt
+            A += K * dt
         if track_B:
             B += sigma * dL
 

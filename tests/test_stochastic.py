@@ -45,6 +45,25 @@ def reference_flat_step(M, dt, scheme, x, rng):
     return y, dL
 
 
+def reference_curved_step(M, dt, x, rng):
+    """The allocating chart-guarded step the buffered stepper must
+    reproduce: y = x + b_total(x) dt + c xi, redrawing the paths that leave
+    the chart."""
+    c = math.sqrt(2.0 * dt)
+    lo, hi, _ = M.domain()
+    lo, hi = lo + 1e-9, hi - 1e-9
+    y = x + M.b_total(x) * dt + c * rng.standard_normal(x.shape)
+    for _ in range(101):
+        bad = (y <= lo) | (y >= hi)
+        if not np.any(bad):
+            break
+        y[bad] = (x[bad] + M.b_total(x[bad]) * dt
+                  + c * rng.standard_normal(int(np.count_nonzero(bad))))
+    else:
+        np.clip(y, lo, hi, out=y)
+    return y
+
+
 class TestPathEngine:
     def test_circle_has_no_local_time(self, circle):
         ps = simulate_reflected_path(circle, 1.0, 0.5, 1e-3, seed=3)
@@ -151,14 +170,15 @@ class TestBridgeExactness:
 
 
 class TestInPlaceStepper:
-    """The flat-wall stepper updates its input in place with exactly the
-    draws and rounding of the allocating formulas."""
+    """The stepper writes each step into its buffers with exactly the draws
+    and rounding of the allocating formulas."""
 
+    @pytest.mark.parametrize("dt", [0.01, 1e-4])
     @pytest.mark.parametrize("scheme", ["bridge", "projection"])
     @pytest.mark.parametrize("family", ["half-line-neumann",
                                         "interval-neumann",
                                         "interval-with-drift"])
-    def test_bit_identical_to_allocating_formulas(self, family, scheme):
+    def test_bit_identical_to_allocating_formulas(self, family, scheme, dt):
         if family == "interval-with-drift":
             try:
                 register_drift("stochastic-pull", lambda x: 2.0 - x)
@@ -173,18 +193,37 @@ class TestInPlaceStepper:
         x = np.tile(starts, 25)  # mixed starts, some on a wall
         ref = x.copy()
         dL = np.zeros_like(x)
-        stepper = _Stepper(M, 0.01, scheme)
+        stepper = _Stepper(M, dt, scheme)
         rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
         pushed = 0
         for _ in range(50):
-            ref, ref_dL = reference_flat_step(M, 0.01, scheme, ref, ref_rng)
-            assert stepper(x, rng, dL) is x
+            ref, ref_dL = reference_flat_step(M, dt, scheme, ref, ref_rng)
+            x = stepper(x, rng, dL)
             # bit patterns, so a changed sign of zero shows as well
             assert np.array_equal(x.view(np.uint64), ref.view(np.uint64))
             assert np.array_equal(dL.view(np.uint64),
                                   ref_dL.view(np.uint64))
+            # at dt = 1e-4 most paths are too far from a wall to be pushed,
+            # so the near-wall filter decides for both kinds every step
+            assert 0 < np.count_nonzero(dL) < x.size
             pushed += np.count_nonzero(dL)
         assert pushed > 100  # the walls were exercised
+
+    @pytest.mark.parametrize("family", ["sphere-radial", "hyperbolic-radial"])
+    def test_curved_step_bit_identical_to_allocating_formula(self, family):
+        M = make_model_manifold(family, m=2)
+        x = np.tile([1e-3, 0.01, 0.3, 1.0, 2.0], 40)   # some near the pole
+        ref, dL = x.copy(), np.zeros_like(x)
+        stepper = _Stepper(M, 1e-3, "bridge")
+        rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
+        for _ in range(50):
+            ref = reference_curved_step(M, 1e-3, ref, ref_rng)
+            before = x
+            x = stepper(x, rng, dL)
+            assert stepper.before is before and x is not before
+            assert np.array_equal(x.view(np.uint64), ref.view(np.uint64))
+            assert not dL.any()
+        assert stepper.rejected > 0   # the redraw was exercised
 
 
 def snapshot(x, rejected):
@@ -217,6 +256,21 @@ class TestEnsemble:
         for _ in range(250):
             x = stepper(x, rng, dL)
         assert same_bits(x, at_250)
+
+    @pytest.mark.parametrize("family", ["interval-neumann", "sphere-radial"])
+    def test_work_sees_the_positions_before_each_step(self, family):
+        M = make_model_manifold(family, m=2 if family == "sphere-radial"
+                                else 1)
+        ens = Ensemble(M, 0.05, 300, 1e-3, seed=9)
+        seen = []
+        run_ensemble(ens, [Accumulator(
+            40, snapshot, lambda k, x, dL: seen.append(x.copy()))])
+        rng, stepper = np.random.default_rng(9), _Stepper(M, 1e-3, "bridge")
+        x, dL = np.full(300, 0.05), np.zeros(300)
+        for k in range(40):
+            assert same_bits(seen[k], x), k
+            x = stepper(x.copy(), rng, dL)
+        assert len(seen) == 40
 
     def test_public_estimators_are_one_row_ensembles(self, interval):
         datum = initial_datum("cosine", {"k": 1, "amp": 0.5})
@@ -518,6 +572,19 @@ class TestFunctionals:
         Lu = -2 * a_t * math.cos(x0)
         lhs = (1 + gam) * W - alpha * Lu
         assert lhs <= est.value + 3.0 * est.stderr
+
+    def test_callable_field_is_evaluated_once_a_step(self, interval):
+        calls = []
+
+        def K(x):
+            calls.append(x.size)
+            return np.full_like(x, 0.5)
+
+        estimate_functional(interval, initial_datum("cosine", {"k": 1}),
+                            1.0, 0.01, make_clock("linear", t=0.01),
+                            "harnack_alpha_rhs", 20, 1e-3, seed=1,
+                            K_field=K, alpha=2.0)
+        assert calls == [20] * 10   # one call per step, for I1 and A
 
     def test_validation(self, interval):
         datum = initial_datum("cosine", {"k": 1, "amp": 0.5})
