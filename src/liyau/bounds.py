@@ -15,13 +15,13 @@ alpha -> 1, (Kt) ^ pi) by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .clocks import Clock
-from .numerics import (coth, decay_rate, em1int, integrate_adaptive,
-                       integrate_smooth, sign_changes, xcot, xcoth)
+from .numerics import (coth, decay_rate, em1int, integrate_smooth,
+                       sign_changes, xcot, xcoth)
 
 BOUND_IDS = (
     "davies",            # alpha-form with the K^-/(alpha-1) constant
@@ -445,7 +445,8 @@ def nonconvex_constants(k: float, theta: float, sigma: float, r0: float,
     Requires sigma < 0 (a convex boundary needs no correction) and a
     profile h that stays above h(r0) on [0, r0).  The kappa double
     integral has a bounded integrand despite the (h - h_{r0})^{1-d}
-    factor, and is evaluated with open-endpoint adaptive rules.
+    factor (near r0 it behaves like (r0 - s)/d), so integrate_smooth
+    takes it, as it takes the other two integrals.
     """
     if sigma >= 0:
         raise ValueError("sigma must be negative (non-convex boundary)")
@@ -459,20 +460,22 @@ def nonconvex_constants(k: float, theta: float, sigma: float, r0: float,
         raise ValueError("h - h(r0) must stay positive on [0, r0)")
 
     hm = lambda s: data.h(s) - h_r0
-    base = integrate_adaptive(lambda s: hm(s) ** (d - 1), 0.0, r0, 1e-12)
+    w = lambda r: hm(r) ** (d - 1)
+    base = integrate_smooth(w, 0.0, r0, 1e-12)
     if base <= 0.0 or 1.0 - h_r0 <= 0.0:
         raise ValueError("degenerate collar: flat profile")
     delta = -sigma * (1.0 - h_r0) ** (d - 1) / base
 
-    def inner(s):
-        return integrate_adaptive(lambda r: hm(r) ** (d - 1), s, r0, 1e-12)
+    def inner(s):  # int_s^r0 w at each node of the outer rule
+        return np.array([integrate_smooth(w, si, r0, 1e-12) for si in s])
 
-    kappa = 1.0 + delta * integrate_adaptive(
-        lambda s: hm(s) ** (1 - d) * inner(s), 0.0, r0 * (1.0 - 1e-12), 1e-11)
+    # the kappa integrand bends in a layer at r0 that thins to nothing as
+    # r0 nears the turn of h; pieces graded towards r0 resolve it
+    kappa = 1.0 + delta * integrate_smooth(
+        lambda s: hm(s) ** (1 - d) * inner(s), 0.0, r0, 1e-11,
+        breaks=(r0 * (1.0 - 16.0**-1), r0 * (1.0 - 16.0**-2)))
     gamma = delta * (1.0 - h_r0) ** (1 - d) * base
-    return NonconvexData(k=k, theta=theta, sigma=sigma, r0=r0, d=d,
-                         zrho_norm=zrho_norm, delta=delta, kappa=kappa,
-                         gamma=gamma)
+    return replace(data, delta=delta, kappa=kappa, gamma=gamma)
 
 
 def nonconvex_bound_rhs(data: NonconvexData, clock: Clock, t: float,

@@ -189,13 +189,13 @@ class Report:
     def n_bound_rows(self) -> int:
         return sum(block.size for block in self.bound_blocks)
 
-    def failures(self, tol: float | None = None) -> list:
+    def failures(self) -> list:
         """Failing rows: solver and bound errors, violated margins, MC misses.
 
         A bound row outside its domain without an error is a skip, not a
         failure.
         """
-        tol = self.config.get("tol", 1e-6) if tol is None else tol
+        tol = self.config["tol"]
         out = [row for row in self.solver_rows if row.get("error")]
         for block in self.bound_blocks:
             out.extend(block.failing(tol))

@@ -37,6 +37,7 @@ from .geometry import ModelManifold
 from .numerics import SolverError
 
 POSITIVITY_FLOOR = 1e-12
+NEUMANN_TOL = 1e-8  # |u0'| allowed at a reflecting wall
 
 # the radial reductions solved in the flux form, and the unbounded flat
 # families the kernel scheme evolves in closed form
@@ -268,13 +269,13 @@ class InitialDatum:
                                      - 1.0 / (2.0 * s0)) * e(x))
         raise ValueError(f"unknown datum {self.expr!r}")
 
-    def check_neumann(self, M: ModelManifold, tol: float = 1e-8) -> None:
+    def check_neumann(self, M: ModelManifold) -> None:
         """Reject data whose normal derivative does not vanish at walls."""
         if not M.has_boundary:
             return
         _, du, _ = self.callables(M)
         for pos, _ in M.boundaries():
-            if abs(float(du(pos))) > tol:
+            if abs(float(du(pos))) > NEUMANN_TOL:
                 raise ValueError(
                     f"initial datum is not Neumann compatible at x={pos}")
 
@@ -400,8 +401,7 @@ def solve_heat(M: ModelManifold, u0: InitialDatum, t: float,
         raise ValueError(f"unknown scheme {scheme!r}")
     if grid_size is None:
         grid_size = default_grid_size(M)
-    if M.has_boundary:
-        u0.check_neumann(M)
+    u0.check_neumann(M)
     grid = M.grid(grid_size)
     u0v = u0.values(M, grid)
 

@@ -4,21 +4,18 @@ All hyperbolic/trigonometric ratios that degenerate near zero are written
 through expm1 so that the K -> 0 and alpha -> 1 limits of the bound
 constants come out exact instead of cancelling catastrophically.
 
-Quadrature comes in three kinds:
+Quadrature comes in two kinds:
 
 - integrate_smooth, a 64-node Gauss-Legendre rule checked against 32
-  nodes, for the smooth integrands on [0, t]: the clock integrals of
+  nodes, for the smooth or bounded integrands: the clock integrals of
   clocks (clock_integrals, gamma_integral, alpha_form_integral), the
   coefficients of bounds.nonconvex_bound_rhs (split by sign_changes where
-  a turning clock puts a kink in |l'| or |l l'|) and the small beta t
-  branch of the local-grad Y coefficient (bounds._g3_y_coeff), where its
-  closed form cancels;
+  a turning clock puts a kink in |l'| or |l l'|), the small beta t branch
+  of the local-grad Y coefficient (bounds._g3_y_coeff), where its closed
+  form cancels, and the collar integrals of bounds.nonconvex_constants;
 - closed forms, with no quadrature at run time: the local-grad Y
   coefficient for beta t >= 1e-2, whose integrand is too peaked at large
-  beta for the fixed rule, and the exp-alpha left-hand side;
-- integrate_adaptive, scipy's adaptive quad imported on first use, only
-  for the collar integrals of bounds.nonconvex_constants, which are
-  singular at an open endpoint.
+  beta for the fixed rule, and the exp-alpha left-hand side.
 """
 
 from __future__ import annotations
@@ -136,29 +133,6 @@ def sign_changes(g, a, b, n=512):
             mid = 0.5 * (lo + hi)
         roots.append(lo)
     return sorted(map(float, roots))
-
-
-def integrate_adaptive(f, a, b, tol=1e-10):
-    """Adaptive quadrature with an absolute tolerance and a failure check.
-
-    Only for integrands that a fixed rule cannot take, such as the
-    open-endpoint singular collar integrals of nonconvex_constants.
-    """
-    from scipy import integrate  # on first use: only the collar constants
-
-    val, err, info, *rest = integrate.quad(
-        f, a, b, epsabs=tol, epsrel=1e-12, limit=200, full_output=True
-    )
-    if rest:  # quad appends a message when ier != 0
-        # Retries with more subdivisions before giving up.
-        val, err, info, *rest = integrate.quad(
-            f, a, b, epsabs=tol, epsrel=1e-11, limit=800, full_output=True
-        )
-    if rest and err > 1e3 * tol * (1.0 + abs(val)):
-        raise QuadratureError(
-            f"quadrature did not converge on [{a}, {b}]: value={val}, err={err}"
-        )
-    return val
 
 
 def mean_and_stderr(values):

@@ -672,10 +672,19 @@ class TestEmit:
             assert pa.read_bytes() == pb.read_bytes()
 
     def test_json_round_trip(self, tmp_path):
-        report = run_experiment(minimal_config())
-        paths = emit_report(report, tmp_path, "json")
-        loaded = load_report(paths[0])
-        assert loaded.to_dict() == report.to_dict()
+        # the mixed report has failing, skipped and error rows; read back,
+        # every block is one head row, and no verdict may move
+        for name, report in (("minimal", run_experiment(minimal_config())),
+                             ("mixed", mixed_report())):
+            paths = emit_report(report, tmp_path / name, "json")
+            loaded = load_report(paths[0])
+            assert loaded.to_dict() == report.to_dict()
+            assert loaded.failures() == report.failures()
+            assert loaded.worst_margin() == report.worst_margin()
+            assert loaded.exit_code == report.exit_code
+            assert loaded.checked() == report.checked()
+        assert report.exit_code == 1 and report.checked()
+        assert all(block.nodes is None for block in loaded.bound_blocks)
 
     def test_plot_series_emitted(self, tmp_path):
         cfg = minimal_config(times=[0.5, 1.0, 2.0])
@@ -782,28 +791,34 @@ class TestCli:
         assert res.exit_code == 0 and res.stderr == "", res.output
 
     def test_cli_import_leaves_quadrature_out(self):
-        # scipy modules that start-up, and a verify of each shipped config,
-        # must not load: only the collar constants use quad, only radial
-        # and Crank-Nicolson solves use scipy.linalg, and an interval run
-        # loads no scipy at all
+        # scipy modules that start-up, a verify of each shipped config and
+        # the collar constants must not load: the package integrates with
+        # its own Gauss-Legendre rule, only radial and Crank-Nicolson solves
+        # use scipy.linalg, and an interval run loads no scipy at all
         src = Path(liyau.__file__).parents[1]
-        code = ("import sys, liyau.cli\n"
-                "if sys.argv[1:]:\n"
-                "    try:\n"
-                "        liyau.cli.main(['verify', '--config', sys.argv[1]])\n"
-                "    except SystemExit as exc:\n"
-                "        assert exc.code == 0, exc.code\n"
-                "print(*(m for m in sys.modules if m.startswith('scipy')))\n")
-        for args, banned in (
-                ([], ("scipy",)),
-                ([CONFIGS / "sphere.json"], ("scipy.integrate",)),
-                ([CONFIGS / "interval_mc.json"], ("scipy",))):
-            out = subprocess.run([sys.executable, "-c", code, *map(str, args)],
-                                 check=True, capture_output=True, text=True,
+        verify = ("try:\n"
+                  "    liyau.cli.main(['verify', '--config', {!r}])\n"
+                  "except SystemExit as exc:\n"
+                  "    assert exc.code == 0, exc.code\n")
+        collar = ("data = liyau.nonconvex_constants(k=0.5, theta=0.4,"
+                  " sigma=-0.7, r0=0.6, d=3)\n"
+                  "liyau.nonconvex_bound_rhs(data, liyau.make_clock("
+                  "'linear', t=1.0), 1.0, eps=1.0, n=2.0, K=0.0)\n")
+        for run, banned in (
+                ("", ("scipy",)),
+                (verify.format(str(CONFIGS / "sphere.json")),
+                 ("scipy.integrate",)),
+                (verify.format(str(CONFIGS / "interval_mc.json")), ("scipy",)),
+                (collar, ("scipy",))):
+            code = ("import sys, liyau, liyau.cli\n" + run
+                    + "print(*(m for m in sys.modules"
+                    " if m.startswith('scipy')))\n")
+            out = subprocess.run([sys.executable, "-c", code], check=True,
+                                 capture_output=True, text=True,
                                  env=dict(os.environ, PYTHONPATH=str(src)))
             loaded = out.stdout.splitlines()[-1].split()
             assert not [m for m in loaded for b in banned
-                        if m == b or m.startswith(b + ".")], (args, loaded)
+                        if m == b or m.startswith(b + ".")], (run, loaded)
 
     def test_cli_import_leaves_the_thread_pool_out(self):
         # the MC worker pool is imported by the first run with two

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -342,6 +343,28 @@ class TestSolvers:
         with pytest.raises(ValueError):
             solve_heat(interval, bad, 0.1)
 
+    def test_neumann_check_rejects_a_sloped_wall(self, interval):
+        # the cosine of half a wave number has u0'(L) = -amp w, w = pi / 2L
+        bad = initial_datum("cosine", {"k": 0.5, "amp": 0.5})
+        with pytest.raises(ValueError, match="not Neumann compatible"):
+            solve_heat(interval, bad, 0.1)
+
+    @pytest.mark.parametrize("bend, match", [
+        (lambda u: np.put(u, 3, 0.0), "positivity lost"),
+        (lambda u: np.put(u, 3, 1.5 + 1e-6), "maximum principle"),
+        (lambda u: u.fill(1.2), "mass drift")])
+    def test_state_invariants_raise(self, circle, bend, match):
+        # a hand-built state of the circle against u0 = 1 + 0.5 cos x
+        grid = circle.grid(16)
+        u0v = 1.0 + 0.5 * np.cos(grid)
+        u = u0v.copy()
+        bend(u)
+        state = heatflow.HeatState(circle, 0.5, grid, u, np.zeros(16),
+                                   np.zeros(16), scheme="spectral")
+        with pytest.raises(SolverError, match=match):
+            heatflow._check_state(circle, u0v, state)
+        heatflow._check_state(circle, u0v, replace(state, u=u0v))
+
     def test_no_closed_form_datum_rejected_on_line(self, line):
         datum = initial_datum("cosine", {"k": 1, "amp": 0.5})
         with pytest.raises(ValueError, match="no closed form"):
@@ -364,6 +387,23 @@ class TestSolvers:
         with pytest.raises(ValueError):
             solve_heat(circle, initial_datum("cosine", {"k": 1, "amp": 1.5}),
                        0.1)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_second_legendre_mode(self, m):
+        # ((m+1) cos^2 r - 1)/m is the zonal eigenfunction of eigenvalue
+        # 2(m+1) on the m-sphere, so u0 - base decays as e^{-2(m+1) t}
+        M = make_model_manifold("sphere-radial", m=m)
+        base, lam = 1.0, 2.0 * (m + 1)
+        datum = initial_datum("legendre", {"index": 2, "amp": 0.5,
+                                           "base": base})
+        u0, du0, d2u0 = datum.callables(M)
+        x = M.grid(401)
+        Lu0 = d2u0(x) + M.b(x) * du0(x)
+        assert np.max(np.abs(Lu0 + lam * (u0(x) - base))) < 1e-12
+        for t in (0.05, 0.5):
+            st = solve_heat(M, datum, t)
+            exact = base + (u0(st.grid) - base) * math.exp(-lam * t)
+            assert np.max(np.abs(st.u - exact)) < 1e-4, t
 
     def test_mass_conservation_reported(self, sphere2):
         datum = initial_datum("legendre", {"index": 1, "amp": 0.5})

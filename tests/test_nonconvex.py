@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,15 +7,33 @@ from conftest import simpson
 from liyau import make_clock, nonconvex_bound_rhs, nonconvex_constants
 
 
-def test_hand_integrated_constants():
-    # k=0, theta=1: h = 1-s; r0=1/2, d=2:
-    #   delta = (1/2) / int_0^{1/2} (1/2 - s) ds = (1/2)/(1/8) = 4
-    #   kappa = 1 + 4 int (1/2-s)^{-1} [(1/2-s)^2/2] ds = 1 + 2/8 = 5/4
-    #   gamma = 4 * (1/2)^{-1} * 1/8 = 1
-    data = nonconvex_constants(k=0.0, theta=1.0, sigma=-1.0, r0=0.5, d=2)
-    assert data.delta == pytest.approx(4.0, abs=1e-10)
-    assert data.kappa == pytest.approx(1.25, abs=1e-10)
-    assert data.gamma == pytest.approx(1.0, abs=1e-10)
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_hand_integrated_constants(d):
+    # k=0, theta=1: h = 1-s, h - h(r0) = r0 - s, so with sigma = -1
+    #   delta = (-sigma) r0^{d-1} / int_0^r0 (r0-s)^{d-1} ds = -sigma d / r0
+    #   kappa = 1 + delta int (r0-s)^{1-d} (r0-s)^d / d ds = 1 - sigma r0 / 2
+    #   gamma = delta r0^{1-d} r0^d / d = -sigma
+    # and at r0 = 1/2: 2d, 5/4 and 1
+    data = nonconvex_constants(k=0.0, theta=1.0, sigma=-1.0, r0=0.5, d=d)
+    assert data.delta == pytest.approx(2.0 * d, abs=1e-12)
+    assert data.kappa == pytest.approx(1.25, abs=1e-12)
+    assert data.gamma == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("k, theta, d, x, kappa_ref", [
+    (1.0, 1.0, 3, 3, 2.005551312649987),
+    (1.0, 1.0, 7, 5, 1.9189756106280784),
+    (1.0, 1.0, 2, 8, 2.060060329730801),
+    (4.0, 2.5, 7, 5, 1.450931873785614)])
+def test_collar_near_the_turn(k, theta, d, x, kappa_ref):
+    # r0 = (1 - 10^-x) of the turn of h, where h'(r0) -> 0: the kappa
+    # integrand bends in a layer at r0 about as wide as turn - r0.
+    # References by mpmath at 30 digits
+    turn = (math.pi - math.atan(theta / math.sqrt(k))) / math.sqrt(k)
+    data = nonconvex_constants(k=k, theta=theta, sigma=-1.0,
+                               r0=(1 - 10.0**-x) * turn, d=d)
+    assert data.kappa == pytest.approx(kappa_ref, rel=1e-11)
+    assert data.gamma == pytest.approx(1.0, rel=1e-12)  # -sigma
 
 
 def test_trig_profile_against_simpson():
