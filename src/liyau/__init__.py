@@ -21,11 +21,9 @@ from .bounds import (BoundForm, CheckResult, Margins, NonconvexData,
                      beta_t_alpha, bound_margins,
                      check_inequality, eval_bound, local_betas,
                      nonconvex_bound_rhs, nonconvex_constants, phi_bbg)
-from .stochastic import (Estimate, PathSample, TimeChange,
-                         cutoff_growth_check, estimate_functional,
+from .stochastic import (Estimate, cutoff_growth_check, estimate_functional,
                          expected_local_time, expected_value_at,
-                         local_time_moment, path_weight,
-                         simulate_reflected_path, time_change)
+                         local_time_moment)
 from .harness import ExperimentConfig, Report, emit_report, run_experiment
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -455,7 +455,17 @@ def nonconvex_constants(k: float, theta: float, sigma: float, r0: float,
     data = NonconvexData(k=k, theta=theta, sigma=sigma, r0=r0, d=d,
                          zrho_norm=zrho_norm, delta=0.0, kappa=1.0, gamma=0.0)
     h_r0 = float(data.h(r0))
-    probe = data.h(np.linspace(0.0, r0 * (1.0 - 1e-9), 211)) - h_r0
+    # h(s) - h(r0) as a product that does not cancel where s nears r0 and
+    # the difference falls below the rounding of h: exactly theta (r0 - s)
+    # at k = 0, and for k > 0 the cos and the sin difference each carry
+    # sin(sqrt(k) (s - r0) / 2)
+    s = np.linspace(0.0, r0 * (1.0 - 1e-9), 211)
+    if k == 0.0:
+        probe = theta * (r0 - s)
+    else:
+        rk, mid = math.sqrt(k), 0.5 * math.sqrt(k) * (s + r0)
+        probe = (-2.0 * np.sin(0.5 * rk * (s - r0))
+                 * (np.sin(mid) + (theta / rk) * np.cos(mid)))
     if np.min(probe) <= 0.0:
         raise ValueError("h - h(r0) must stay positive on [0, r0)")
 

@@ -25,7 +25,6 @@ import numpy as np
 
 from . import __version__
 from . import bounds as bounds_mod
-from . import clocks as clocks_mod
 from . import stochastic as stoch
 from .geometry import MANIFOLD_KEYS, ModelManifold, manifold_from_dict
 from .heatflow import (DATUM_PARAMS, HeatState, default_grid_size,
@@ -36,13 +35,6 @@ CSV_COLUMNS = ("bound_id", "family", "m", "n", "K", "t", "x", "alpha", "eps",
 
 _GRID_KEYS = ("alpha", "eps", "K_prime", "R", "K_region")
 _BOUND_KEYS = ("id", "params")
-# every key _mc_ensemble, _plan_mc_row and _mc_row read
-_MC_KEYS = ("functional", "t", "x0", "n_paths", "dt", "seed", "p", "target",
-            "grid_size", "pde_scheme", "clock", "compare", "K_field", "alpha")
-# every MC functional id and the compare modes its rows admit
-_COMPARE = {"harnack_rhs": ("state", "wx0"), "harnack_alpha_rhs": (),
-            "gradient_rhs": ("state",), "local_time_moment": (),
-            "expected_local_time": (), "expected_value": ()}
 
 
 def _reject_unknown(entry: dict, known: tuple, what: str) -> None:
@@ -83,13 +75,16 @@ class ExperimentConfig:
             _reject_unknown(entry.get("params", {}), _GRID_KEYS,
                             f"the parameters of bound {entry['id']!r}")
         for entry in self.mc:
-            _reject_unknown(entry, _MC_KEYS, "an mc entry")
-            fid = entry["functional"]
-            if fid not in _COMPARE:
-                raise ValueError(f"unknown functional {fid!r}")
-            if "compare" in entry and entry["compare"] not in _COMPARE[fid]:
+            fid = entry.get("functional")
+            if fid not in stoch.FUNCTIONALS:
+                raise ValueError(f"unknown functional {fid!r}; known: "
+                                 f"{tuple(stoch.FUNCTIONALS)}")
+            fn = stoch.FUNCTIONALS[fid]
+            if "compare" in entry and entry["compare"] not in fn.compare_modes:
                 raise ValueError(f"{fid} rows admit compare modes "
-                                 f"{_COMPARE[fid]}, not {entry['compare']!r}")
+                                 f"{fn.compare_modes}, not {entry['compare']!r}")
+            # a key the functional does not read would hide an unchecked row
+            _reject_unknown(entry, fn.entry_keys(entry), f"an mc entry ({fid})")
             if entry.get("compare") == "wx0" and M.sigma:
                 raise ValueError("compare 'wx0' is the quadrature form of "
                                  "convex walls: it needs sigma = 0")
@@ -105,6 +100,7 @@ class ExperimentConfig:
                 raise ValueError(f"x0 = {ens.x0} lies outside the domain "
                                  f"[{lo}, {hi}] of {M.family}")
             stoch._step_count(float(entry["t"]), ens.dt)
+            fn.clock(entry)   # a bad clock fails here, not after the passes
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -264,7 +260,7 @@ class _McRow:
 
     ensemble: stoch.Ensemble
     accumulator: stoch.Accumulator
-    clock: clocks_mod.Clock | None
+    clock: stoch.Clock | None
 
 
 def _mc_ensemble(entry: dict, M: ModelManifold, seed: int) -> stoch.Ensemble:
@@ -277,57 +273,31 @@ def _mc_ensemble(entry: dict, M: ModelManifold, seed: int) -> stoch.Ensemble:
 
 
 def _plan_mc_row(entry: dict, M: ModelManifold, datum, seed: int) -> _McRow:
-    fid = entry["functional"]
-    t = float(entry["t"])
-    ens = _mc_ensemble(entry, M, seed)
-    clock = None
-    if fid == "local_time_moment":
-        acc = stoch.local_time_accumulator(ens, t, float(entry.get("p", 1.0)))
-    elif fid == "expected_local_time":
-        acc = stoch.local_time_accumulator(ens, t)
-    elif fid == "expected_value":
-        acc = stoch.value_accumulator(ens, datum, t)
-    else:
-        if fid != "gradient_rhs":
-            cspec = entry.get("clock", {"family": "linear"})
-            clock = clocks_mod.make_clock(cspec["family"],
-                                          cspec.get("params", {}), t)
-        acc = stoch.functional_accumulator(
-            ens, datum, t, clock, fid, K_field=entry.get("K_field"),
-            alpha=entry.get("alpha"))
-    return _McRow(ens, acc, clock)
+    fn = stoch.FUNCTIONALS[entry["functional"]]
+    ens, clock = _mc_ensemble(entry, M, seed), fn.clock(entry)
+    return _McRow(ens, fn.accumulator(ens, entry, datum, clock), clock)
 
 
 def _mc_row(entry: dict, plan, outcome, solve) -> dict:
     """The report row of one mc entry: its estimate against its target
-    state from solve (see _state_solver), or the error that stopped it."""
+    (the entry's own, or its functional's from the state that solve gives,
+    see _state_solver), or the error that stopped it."""
     try:
         if isinstance(outcome, Exception):
             raise outcome
-        ens, fid = plan.ensemble, entry["functional"]
-        compare = entry.get("compare")
-        row = {"functional_id": fid, "family": ens.M.family,
+        ens, compare = plan.ensemble, entry.get("compare")
+        row = {"functional_id": entry["functional"], "family": ens.M.family,
                "t": float(entry["t"]), "x0": ens.x0, "dt": ens.dt,
                "n_paths": ens.n_paths, "seed": ens.seed,
                "value": outcome.value, "stderr": outcome.stderr,
                "passed": None}
-        if fid == "expected_local_time" and "target" in entry:
-            # e.g. 2/sqrt(pi) for the flat wall at t = 1
+        target_of = stoch.FUNCTIONALS[entry["functional"]].targets.get(compare)
+        if "target" in entry:
             target = float(entry["target"])
-        elif fid == "expected_value" or compare:
+        elif target_of is not None:
             state = solve(entry["t"], entry.get("grid_size"),
                           entry.get("pde_scheme", "spectral"))
-            i = state.index_of(ens.x0)
-            if fid == "expected_value":
-                target = float(np.interp(ens.x0, state.grid, state.u))
-            elif compare == "state":
-                target = float(state.W()[i] if fid == "harnack_rhs"
-                               else abs(state.grad_u[i]))
-            else:   # wx0: harnack_rhs in quadrature, constant K, sigma = 0
-                ints = clocks_mod.clock_integrals(
-                    plan.clock, float(entry.get("K_field", ens.M.K)))
-                target = (0.5 * ens.M.n * ints["deriv_sq"] * float(state.u[i])
-                          - ints["sq_prime"] * float(state.Lu[i]))
+            target = target_of(state, ens, entry, plan.clock)
         else:
             return row
         # within three standard errors; a "state" target is a lower bound

@@ -46,38 +46,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import clocks   # the mc entries' clocks and targets, called by module
 from .clocks import Clock, alpha_form_integral, clock_integrals
 from .geometry import ModelManifold
 from .numerics import mean_and_stderr
-
-
-@dataclass(frozen=True)
-class PathSample:
-    """One discretised reflected trajectory with accumulated integrals."""
-
-    manifold: ModelManifold
-    dt: float
-    seed: int
-    scheme: str
-    times: np.ndarray          # s_k = k dt, length steps+1
-    x: np.ndarray              # positions, length steps+1
-    dL: np.ndarray             # per-step local-time increments, length steps
-    A: np.ndarray              # int_0^{s_k} K(X_r) dr (left point)
-    B: np.ndarray              # int_0^{s_k} sigma(X_r) dL_r
-    rejected: int = 0          # chart-guard resample events
-
-    @property
-    def L(self) -> np.ndarray:
-        return np.concatenate([[0.0], np.cumsum(self.dL)])
-
-    def to_csv(self, path) -> None:
-        """Raw per-step dump (diagnostics): s, x, dL, A, B."""
-        header = (f"family={self.manifold.family},dt={self.dt},"
-                  f"seed={self.seed},scheme={self.scheme},"
-                  f"rejected={self.rejected}\ns,x,dL,A,B")
-        dL = np.concatenate([[0.0], self.dL])
-        data = np.column_stack([self.times, self.x, dL, self.A, self.B])
-        np.savetxt(path, data, delimiter=",", header=header, comments="# ")
 
 
 @dataclass(frozen=True)
@@ -101,15 +73,6 @@ def _as_field(value, default: float):
     if callable(value):
         return False, value
     return True, float(default if value is None else value)
-
-
-def _sigma(M: ModelManifold, sigma_field) -> float:
-    """The wall constant sigma: sigma_field if given, else M's (0 if none)."""
-    if callable(sigma_field):
-        raise TypeError("sigma_field is a number: sigma is one constant "
-                        "per model wall")
-    value = M.sigma if sigma_field is None else sigma_field
-    return 0.0 if value is None else float(value)
 
 
 class _Stepper:
@@ -345,64 +308,8 @@ def _run_alone(ens: Ensemble, acc: Accumulator):
     return result
 
 
-def simulate_reflected_path(M: ModelManifold, x0: float, t: float, dt: float,
-                            seed: int, scheme: str = "bridge") -> PathSample:
-    """One reflected trajectory on [0, t] with local time and weights.
-
-    Reproducible for fixed (seed, dt); the path weight integrals A and B
-    are accumulated with the manifold's constant K and sigma by the
-    left-point rule.
-    """
-    steps = _step_count(t, dt)
-    xs, dLs = np.empty(steps + 1), np.empty(steps)
-
-    def record(k, x, dL):
-        xs[k], dLs[k] = x[0], dL[0]
-
-    def finish(x, rejected):
-        xs[steps] = x[0]
-        return rejected
-
-    rejected = _run_alone(Ensemble(M, x0, 1, dt, seed, scheme),
-                          Accumulator(steps, finish, record))
-    sigma = _sigma(M, None)
-    # running sums from 0.0 in step order (accumulate does not pair terms)
-    return PathSample(manifold=M, dt=dt, seed=seed, scheme=scheme,
-                      times=np.arange(steps + 1) * dt, x=xs, dL=dLs,
-                      A=np.cumsum(np.r_[0.0, np.full(steps, M.K * dt)]),
-                      B=np.cumsum(np.r_[0.0, sigma * dLs]), rejected=rejected)
-
-
-def path_weight(sample: PathSample, K_field=None, sigma_field=None,
-                s: float | None = None) -> float:
-    """Exponential weight e^{-2 (A(s) + B(s))} along one stored path.
-
-    Fields default to the manifold constants the sample was built with;
-    a callable K_field re-accumulates by the left-point rule over the
-    stored path.  sigma_field is a number.
-    """
-    sigma = _sigma(sample.manifold, sigma_field)
-    t_end = sample.times[-1]
-    if s is None:
-        s = t_end
-    if s < 0 or s > t_end + 1e-12:
-        raise ValueError("s outside the sampled horizon")
-    k = min(int(round(s / sample.dt)), sample.times.size - 1)
-    if K_field is None and sigma_field is None:
-        return math.exp(-2.0 * (sample.A[k] + sample.B[k]))
-    kc, kf = _as_field(K_field, sample.manifold.K)
-    if kc:
-        A = kf * sample.dt * k
-    else:  # left-point rule over the first k stored positions
-        A = float(np.sum(kf(sample.x[:k])) * sample.dt) if k else 0.0
-    return math.exp(-2.0 * (A + sigma * float(np.sum(sample.dL[:k]))))
-
-
 # ---------------------------------------------------------------------------
 # batched estimators
-
-FUNCTIONALS = ("harnack_rhs", "harnack_alpha_rhs", "gradient_rhs")
-
 
 def estimate_functional(M: ModelManifold, u0, x: float, t: float,
                         clock: Clock | None, functional_id: str,
@@ -435,7 +342,8 @@ def functional_accumulator(ens: Ensemble, u0, t: float, clock: Clock | None,
                            alpha: float | None = None) -> Accumulator:
     """The accumulator of estimate_functional on the ensemble ens."""
     M, n_paths, dt = ens.M, ens.n_paths, ens.dt
-    if functional_id not in FUNCTIONALS:
+    if functional_id not in ("harnack_rhs", "harnack_alpha_rhs",
+                             "gradient_rhs"):
         raise ValueError(f"unknown functional {functional_id!r}")
     if n_paths < 2:
         raise ValueError("need at least two paths")
@@ -444,7 +352,7 @@ def functional_accumulator(ens: Ensemble, u0, t: float, clock: Clock | None,
     steps = _step_count(t, dt)
     u_call, du_call, d2u_call = u0.callables(M)
     kc, kf = _as_field(K_field, M.K)
-    sigma = _sigma(M, None)
+    sigma = float(M.sigma or 0.0)   # None off a wall
 
     need_alpha = functional_id == "harnack_alpha_rhs"
     if need_alpha and (alpha is None or alpha <= 1):
@@ -577,65 +485,100 @@ def value_accumulator(ens: Ensemble, u0, t: float) -> Accumulator:
 
 
 # ---------------------------------------------------------------------------
-# time change by a cutoff function
+# the functionals an mc entry of an experiment config names
 
-_F_FLOOR = 1e-8   # a path has left the cutoff's support where f <= this
+ENSEMBLE_KEYS = ("functional", "t", "x0", "n_paths", "dt", "seed")
+SOLVE_KEYS = ("grid_size", "pde_scheme")
 
 
 @dataclass(frozen=True)
-class TimeChange:
-    """Discrete clock T(s) = int f^{-2}(X) dr and its inverse on one path."""
+class Functional:
+    """One MC functional as an mc entry names it.
 
-    times: np.ndarray
-    T: np.ndarray
-    f_values: np.ndarray
-    exit_index: int | None
-    truncated: bool
+    accumulator(ens, entry, datum, clock) is the entry's part of the pass
+    of ens.  keys are the entry keys it reads besides ENSEMBLE_KEYS; with
+    "clock" among them it runs on the entry's clock, and with "target" an
+    entry may give its target.  targets maps each compare mode, and None
+    for an entry without one, to target(state, ens, entry, clock): the
+    row's target from the state solved at its t, which also reads
+    SOLVE_KEYS.
+    """
 
-    def tau(self, t):
-        """Inverse clock by linear interpolation; tau(t) <= t when f <= 1."""
-        t = np.asarray(t, dtype=float)
-        out = np.interp(t, self.T[:self.last + 1], self.times[:self.last + 1])
-        return out if out.ndim else float(out)
+    accumulator: Callable
+    keys: tuple = ()
+    targets: dict = field(default_factory=dict)
 
     @property
-    def last(self) -> int:
-        return self.exit_index if self.exit_index is not None else self.T.size - 1
+    def compare_modes(self) -> tuple:
+        return tuple(mode for mode in self.targets if mode is not None)
 
-    def roundtrip_error(self, t) -> float:
-        return float(np.max(np.abs(self.T_of(self.tau(t)) - np.asarray(t))))
+    def entry_keys(self, entry: dict) -> tuple:
+        """Every key entry may hold."""
+        keys = ENSEMBLE_KEYS + self.keys
+        if self.compare_modes:
+            keys += ("compare",)
+        if entry.get("compare") in self.targets:
+            keys += SOLVE_KEYS
+        return keys
 
-    def T_of(self, s):
-        s = np.asarray(s, dtype=float)
-        out = np.interp(s, self.times[:self.last + 1], self.T[:self.last + 1])
-        return out if out.ndim else float(out)
+    def clock(self, entry: dict) -> Clock | None:
+        """The entry's clock, linear by default, if the functional runs on
+        one; a bad clock spec raises."""
+        if "clock" not in self.keys:
+            return None
+        spec = entry.get("clock", {"family": "linear"})
+        return clocks.make_clock(spec["family"], spec.get("params", {}),
+                                 float(entry["t"]))
 
 
-def time_change(sample: PathSample, f) -> TimeChange:
-    """Clock of the time-changed diffusion for a cutoff f on one path.
+def _path_functional(ens, entry, datum, clock):
+    return functional_accumulator(ens, datum, float(entry["t"]), clock,
+                                  entry["functional"],
+                                  K_field=entry.get("K_field"),
+                                  alpha=entry.get("alpha"))
 
-    f must take values in (0, 1] inside the domain and 0 on the inner
-    boundary; the path is truncated and flagged where f drops to _F_FLOOR
-    before a recorded exit.
-    """
-    fv = np.asarray(f(sample.x), dtype=float)
-    if np.any(fv > 1.0 + 1e-12):
-        raise ValueError("cutoff must satisfy f <= 1")
-    exit_idx, truncated = None, False
-    n = stop = fv.size
-    below = np.nonzero(fv <= _F_FLOOR)[0]
-    if below.size:
-        stop = int(below[0])
-        exit_idx = stop - 1 if stop > 0 else 0
-        truncated = bool(fv[stop] > 0.0)
-    T = np.zeros(n)
-    inv = np.zeros(n)
-    inv[:max(stop, 1)] = fv[:max(stop, 1)] ** -2.0
-    T[1:] = np.cumsum(inv[:-1] * sample.dt)
-    if stop < n:
-        T[stop:] = T[stop]
-    return TimeChange(times=sample.times, T=T, f_values=fv,
-                      exit_index=exit_idx, truncated=truncated)
+
+def _harnack_quadrature(state, ens, entry, clock):
+    """harnack_rhs in quadrature: a constant K and sigma = 0 leave the
+    clock integrals deterministic."""
+    ints = clocks.clock_integrals(clock, float(entry.get("K_field", ens.M.K)))
+    i = state.index_of(ens.x0)
+    return (0.5 * ens.M.n * ints["deriv_sq"] * float(state.u[i])
+            - ints["sq_prime"] * float(state.Lu[i]))
+
+
+FUNCTIONALS = {
+    "expected_value": Functional(
+        lambda ens, entry, datum, clock: value_accumulator(
+            ens, datum, float(entry["t"])),
+        targets={None: lambda state, ens, entry, clock: float(
+            np.interp(ens.x0, state.grid, state.u))}),
+    "expected_local_time": Functional(
+        lambda ens, entry, datum, clock: local_time_accumulator(
+            ens, float(entry["t"])),
+        keys=("target",)),   # e.g. 2/sqrt(pi) for the flat wall at t = 1
+    "local_time_moment": Functional(
+        lambda ens, entry, datum, clock: local_time_accumulator(
+            ens, float(entry["t"]), float(entry.get("p", 1.0))),
+        keys=("p",)),
+    "harnack_rhs": Functional(
+        _path_functional, keys=("clock", "K_field"),
+        targets={"state": lambda state, ens, entry, clock: float(
+                     state.W()[state.index_of(ens.x0)]),
+                 "wx0": _harnack_quadrature}),
+    "harnack_alpha_rhs": Functional(
+        _path_functional, keys=("clock", "K_field", "alpha")),
+    "gradient_rhs": Functional(
+        _path_functional, keys=("K_field",),
+        targets={"state": lambda state, ens, entry, clock: float(
+            abs(state.grad_u[state.index_of(ens.x0)]))}),
+}
+
+
+# ---------------------------------------------------------------------------
+# time change by a cutoff function
+
+_F_FLOOR = 1e-8   # a path has left the cutoff's support where f <= this
 
 
 def cutoff_growth_check(M: ModelManifold, x0: float, f, checkpoints,

@@ -219,8 +219,9 @@ class TestRunExperiment:
         assert not {"R", "K_prime", "K_region"} & set(plain[0])
 
     def test_compare_modes(self):
+        # harnack_rhs reads the linear clock by default
         row = {"functional": "harnack_rhs", "t": 0.5, "x0": 2.0,
-               "n_paths": 100, "dt": 1e-3, "clock": {"family": "linear"}}
+               "n_paths": 100, "dt": 1e-3}
         for fid, compare in (("harnack_rhs", "State"),
                              ("harnack_alpha_rhs", "wx0"),
                              ("gradient_rhs", "wx0"),
@@ -311,6 +312,71 @@ def estimate_alone(M, datum, entry, seed):
                            entry["clock"].get("params", {}), t)
     return stochastic.estimate_functional(M, datum, x0, t, clock, fid, n, dt,
                                           seed, alpha=entry.get("alpha"))
+
+
+class TestFunctionalTable:
+    """stochastic.FUNCTIONALS is the one description of an mc entry: the
+    keys it reads, its compare modes and its targets."""
+
+    def test_every_target_reaches_a_verdict(self):
+        cfg = interval_mc_config()
+        # E[L_t] from a wall of the interval, whose other wall is pi away
+        cfg.mc[7]["target"] = 2.0 * math.sqrt(0.3 / math.pi)
+        cfg = replace(cfg)   # checked again
+        rows = run_experiment(cfg).mc_rows
+        verdicts = set()
+        for entry, row in zip(cfg.mc, rows):
+            fn = stochastic.FUNCTIONALS[entry["functional"]]
+            mode = entry.get("compare")
+            has_target = "target" in entry or mode in fn.targets
+            assert (row["passed"] is not None) == has_target, row
+            if has_target:
+                assert row["passed"] is True, row
+                verdicts.add((entry["functional"], mode))
+        wanted = {(fid, mode) for fid, fn in stochastic.FUNCTIONALS.items()
+                  for mode in fn.targets}
+        wanted |= {(fid, None) for fid, fn in stochastic.FUNCTIONALS.items()
+                   if "target" in fn.keys}
+        assert verdicts == wanted
+        # every functional has a row, the two without a target (the alpha
+        # form and the moment of L_t) among them
+        assert {row["functional_id"] for row in rows} == set(
+            stochastic.FUNCTIONALS)
+
+    def test_unread_keys_and_unlisted_modes_are_rejected(self):
+        cfg = interval_mc_config()
+        every_key = {key for fn in stochastic.FUNCTIONALS.values()
+                     for key in fn.keys} | set(stochastic.SOLVE_KEYS)
+        for entry in cfg.mc:
+            fid = entry["functional"]
+            fn = stochastic.FUNCTIONALS[fid]
+            for key in sorted(every_key - set(fn.entry_keys(entry))):
+                with pytest.raises(ValueError, match=f"'{key}'.*{fid}"):
+                    replace(cfg, mc=[dict(entry, **{key: 1.0})])
+            with pytest.raises(ValueError, match="'nope'"):
+                replace(cfg, mc=[dict(entry, compare="nope")])
+        # a solve key only on a row that solves for its target
+        row = cfg.mc[2]   # harnack_rhs, compare state
+        replace(cfg, mc=[dict(row, grid_size=65, pde_scheme="spectral")])
+        without = {k: v for k, v in row.items() if k != "compare"}
+        with pytest.raises(ValueError, match="'grid_size'"):
+            replace(cfg, mc=[dict(without, grid_size=65)])
+
+    def test_a_bad_clock_fails_at_load(self, monkeypatch):
+        cfg = interval_mc_config()
+        for key, value in (("family", "lineer"), ("params", {"alpha": 0.5})):
+            spec = dict(cfg.mc[4]["clock"], **{key: value})
+            with pytest.raises(ValueError, match="clock"):
+                replace(cfg, mc=[dict(cfg.mc[4], clock=spec)])
+
+        # building the clock at load builds no accumulator and no paths
+        def no_plan(*args, **kwargs):
+            raise AssertionError("an accumulator was built at load")
+
+        for name in ("functional_accumulator", "value_accumulator",
+                     "local_time_accumulator"):
+            monkeypatch.setattr(stochastic, name, no_plan)
+        replace(cfg)
 
 
 class TestEnsemblePlan:
@@ -432,8 +498,10 @@ class TestEnsemblePlan:
                                                    seed=1),
             lambda: stochastic.expected_value_at(M, datum, 1.0, 0.1, 50,
                                                  0.01, seed=1),
-            lambda: stochastic.simulate_reflected_path(M, 1.0, 0.1, 0.01,
-                                                       seed=1),
+            lambda: stochastic._run_alone(   # a recording accumulator
+                stochastic.Ensemble(M, 1.0, 1, 0.01, seed=1),
+                stochastic.Accumulator(10, lambda x, rejected: x.copy(),
+                                       lambda k, x, dL: None)),
             lambda: stochastic.cutoff_growth_check(
                 M, 1.0, lambda x: np.full_like(x, 0.5), [0.05], 0.1, 0.01,
                 50, seed=1)]
@@ -893,6 +961,28 @@ class TestCli:
                 (interval, {"functional": "expected_value", "x0": 1.0,
                             "t": 0.0105}, "not a multiple of dt = 0.001")):
             res = self.verify(tmp_path, mc=[entry], **doc)
+            assert res.exit_code == 2, res.output
+            errors = error_lines(res.output)
+            assert len(errors) == 1 and message in errors[0], res.output
+
+    def test_shipped_mc_config_with_an_unread_key_or_bad_clock(
+            self, tmp_path, monkeypatch):
+        # a target on the local_time_moment row, which reads none, and a
+        # misspelt clock family are usage errors before any solve or pass
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran")
+
+        monkeypatch.setattr(harness, "solve_heat", no_solve)
+        doc = json.loads((CONFIGS / "interval_mc.json").read_text())
+        for i, key, value, message in (
+                (4, "target", 5.0, "unknown keys ['target']"),
+                (1, "clock", {"family": "lineer"},
+                 "unknown clock family 'lineer'")):
+            bad = json.loads(json.dumps(doc))
+            bad["mc"][i][key] = value
+            path = tmp_path / f"{key}.json"
+            path.write_text(json.dumps(bad))
+            res = CliRunner().invoke(main, ["verify", "--config", str(path)])
             assert res.exit_code == 2, res.output
             errors = error_lines(res.output)
             assert len(errors) == 1 and message in errors[0], res.output

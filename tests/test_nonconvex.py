@@ -36,6 +36,22 @@ def test_collar_near_the_turn(k, theta, d, x, kappa_ref):
     assert data.gamma == pytest.approx(1.0, rel=1e-12)  # -sigma
 
 
+@pytest.mark.parametrize("d", [2, 3, 7])
+def test_collar_a_hair_before_the_turn(d):
+    # at r0 = (1 - 1e-8) turn, h(s) - h(r0) near s = r0 is some 1e-18, below
+    # the rounding of h, so the probe takes it in product form
+    k, theta = 4.0, 2.5
+    turn = (math.pi - math.atan(theta / math.sqrt(k))) / math.sqrt(k)
+    data = nonconvex_constants(k=k, theta=theta, sigma=-1.0,
+                               r0=(1 - 1e-8) * turn, d=d)
+    assert data.kappa > 1.0 and data.delta > 0.0
+    assert data.gamma == pytest.approx(1.0, rel=1e-12)  # -sigma
+    # a profile that turns before r0 comes back up to h(r0) and is refused
+    for r0 in ((1 + 1e-6) * turn, 1.1 * turn):
+        with pytest.raises(ValueError, match="stay positive"):
+            nonconvex_constants(k=k, theta=theta, sigma=-1.0, r0=r0, d=d)
+
+
 def test_trig_profile_against_simpson():
     data = nonconvex_constants(k=0.5, theta=0.4, sigma=-0.7, r0=0.6, d=3)
     h_r0 = float(data.h(0.6))

@@ -7,11 +7,11 @@ from scipy import integrate, stats
 from liyau import (clock_integrals, cutoff_growth_check, estimate_functional,
                    expected_local_time, expected_value_at, initial_datum,
                    local_time_moment, make_clock, make_model_manifold,
-                   simulate_reflected_path, solve_heat, path_weight,
-                   time_change)
+                   solve_heat)
 from liyau.geometry import register_drift
-from liyau.stochastic import (Accumulator, Ensemble, _Stepper,
-                              local_time_accumulator, run_ensemble,
+from liyau.numerics import mean_and_stderr
+from liyau.stochastic import (_F_FLOOR, Accumulator, Ensemble, _step_count,
+                              _Stepper, local_time_accumulator, run_ensemble,
                               value_accumulator)
 
 TWO_OVER_ROOT_PI = 1.1283791670955126  # E[L_1] for the reflected flat wall
@@ -64,49 +64,69 @@ def reference_curved_step(M, dt, x, rng):
     return y
 
 
+def record_paths(M, x0, t, dt, seed, scheme="bridge", n_paths=1):
+    """Every position x (steps + 1, n_paths) and local-time increment dL
+    (steps, n_paths) of a pass, recorded by an accumulator on
+    run_ensemble; t must be a whole number of steps."""
+    steps = _step_count(t, dt)
+    xs, dLs = np.empty((steps + 1, n_paths)), np.empty((steps, n_paths))
+
+    def record(k, x, dL):
+        xs[k], dLs[k] = x, dL
+
+    def finish(x, rejected):
+        xs[steps] = x
+        return rejected
+
+    run_ensemble(Ensemble(M, x0, n_paths, dt, seed, scheme),
+                 [Accumulator(steps, finish, record)])
+    return xs, dLs
+
+
 class TestPathEngine:
     def test_circle_has_no_local_time(self, circle):
-        ps = simulate_reflected_path(circle, 1.0, 0.5, 1e-3, seed=3)
-        assert np.all(ps.dL == 0.0)
-        assert np.all((ps.x >= 0.0) & (ps.x < 2 * math.pi))
+        x, dL = record_paths(circle, 1.0, 0.5, 1e-3, seed=3)
+        assert np.all(dL == 0.0)
+        assert np.all((x >= 0.0) & (x < 2 * math.pi))
 
     def test_half_line_stays_nonnegative(self, half_line):
-        ps = simulate_reflected_path(half_line, 0.0, 1.0, 1e-3, seed=4)
-        assert np.min(ps.x) >= 0.0
-        assert ps.L[-1] > 0.0
+        x, dL = record_paths(half_line, 0.0, 1.0, 1e-3, seed=4)
+        assert np.min(x) >= 0.0
+        assert dL.sum() > 0.0
 
     def test_interval_stays_inside(self, interval):
-        ps = simulate_reflected_path(interval, 0.1, 2.0, 1e-3, seed=5)
-        assert np.min(ps.x) >= 0.0
-        assert np.max(ps.x) <= interval.length
+        x, _ = record_paths(interval, 0.1, 2.0, 1e-3, seed=5)
+        assert np.min(x) >= 0.0
+        assert np.max(x) <= interval.length
 
     def test_determinism(self, half_line):
-        a = simulate_reflected_path(half_line, 0.2, 0.5, 1e-3, seed=9)
-        b = simulate_reflected_path(half_line, 0.2, 0.5, 1e-3, seed=9)
-        assert np.array_equal(a.x, b.x)
-        assert np.array_equal(a.dL, b.dL)
-        c = simulate_reflected_path(half_line, 0.2, 0.5, 1e-3, seed=10)
-        assert not np.array_equal(a.x, c.x)
+        a = record_paths(half_line, 0.2, 0.5, 1e-3, seed=9)
+        b = record_paths(half_line, 0.2, 0.5, 1e-3, seed=9)
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
+        c = record_paths(half_line, 0.2, 0.5, 1e-3, seed=10)
+        assert not np.array_equal(a[0], c[0])
 
     def test_projection_scheme_zero_push_off_wall(self, half_line):
         # with the projection rule, dL > 0 only when the Euler point left
         # the domain; the bridge rule may push from inside by design
-        ps = simulate_reflected_path(half_line, 0.5, 0.5, 1e-3, seed=11,
-                                     scheme="projection")
-        free = ps.x[:-1] + np.diff(ps.x) - ps.dL  # reconstruct free endpoint
-        assert np.all(ps.dL[free > 0] == 0.0)
+        x, dL = record_paths(half_line, 0.5, 0.5, 1e-3, seed=11,
+                             scheme="projection", n_paths=50)
+        free = x[1:] - dL   # the free endpoint of each step
+        assert np.all(dL[free > 0] == 0.0)
+        assert np.any(dL > 0.0)   # the wall was reached
 
     def test_sphere_chart_guard(self, sphere2):
-        ps = simulate_reflected_path(sphere2, 1.5, 0.5, 1e-3, seed=12)
-        assert np.all((ps.x > 0.0) & (ps.x < math.pi))
-        assert ps.dL.sum() == 0.0
+        x, dL = record_paths(sphere2, 1.5, 0.5, 1e-3, seed=12)
+        assert np.all((x > 0.0) & (x < math.pi))
+        assert dL.sum() == 0.0
 
 
 class TestStepCount:
     """Every entry point runs a whole number of steps or refuses."""
 
     @pytest.mark.parametrize("run", [
-        lambda M, t, dt: simulate_reflected_path(M, 0.2, t, dt, seed=1),
+        lambda M, t, dt: record_paths(M, 0.2, t, dt, seed=1),
         lambda M, t, dt: estimate_functional(
             M, initial_datum("gaussian", {"amp": 1.0, "width": 0.3}), 0.2,
             t, None, "gradient_rhs", 10, dt, seed=1),
@@ -118,7 +138,7 @@ class TestStepCount:
         lambda M, t, dt: cutoff_growth_check(
             M, 0.2, np.ones_like, [0.1], horizon=t, dt=dt, n_paths=10,
             seed=1),
-    ], ids=["simulate_reflected_path", "estimate_functional",
+    ], ids=["record_paths", "estimate_functional",
             "local_time_moment", "expected_local_time", "expected_value_at",
             "cutoff_growth_check"])
     def test_horizon_must_be_whole_steps(self, half_line, run):
@@ -366,39 +386,48 @@ class TestLocalTime:
 
 
 class TestWeights:
-    def test_unit_weight_without_fields(self, half_line):
-        ps = simulate_reflected_path(half_line, 0.5, 0.4, 1e-3, seed=7)
-        assert path_weight(ps, K_field=0.0, sigma_field=0.0) == 1.0
+    """gradient_rhs's per-path weight e^{-int (K dr + sigma dL)} against the
+    endpoints and local times of the same ensemble, recorded."""
+
+    DATUM = initial_datum("gaussian", {"amp": 1.0, "width": 0.3})
+
+    def weighted_gradient(self, M, x0, t, seed, weight):
+        """mean_and_stderr of |u0'(X_t)| weight(L_t) over recorded paths."""
+        x, dL = record_paths(M, x0, t, 1e-3, seed, n_paths=300)
+        du = self.DATUM.callables(M)[1]
+        return mean_and_stderr(np.abs(du(x[-1])) * weight(dL.sum(axis=0)))
+
+    @pytest.mark.parametrize("K", [None, 0.0])
+    def test_unit_weight_without_fields(self, half_line, K):
+        # K = 0 and sigma = 0 on the half line, given or by default
+        est = estimate_functional(half_line, self.DATUM, 0.5, 0.4, None,
+                                  "gradient_rhs", 300, 1e-3, seed=7,
+                                  K_field=K)
+        ref = self.weighted_gradient(half_line, 0.5, 0.4, 7,
+                                     lambda L: np.ones_like(L))
+        assert (est.value, est.stderr) == ref
 
     def test_constant_curvature_weight(self, half_line):
-        ps = simulate_reflected_path(half_line, 0.5, 0.4, 1e-3, seed=7)
-        w = path_weight(ps, K_field=0.7, sigma_field=0.0, s=0.25)
-        assert w == pytest.approx(math.exp(-2 * 0.7 * 0.25), rel=1e-9)
+        est = estimate_functional(half_line, self.DATUM, 0.5, 0.25, None,
+                                  "gradient_rhs", 300, 1e-3, seed=7,
+                                  K_field=0.7)
+        ref = self.weighted_gradient(half_line, 0.5, 0.25, 7,
+                                     lambda L: math.exp(-0.7 * 0.25))
+        assert (est.value, est.stderr) == pytest.approx(ref, rel=1e-12)
 
-    def test_boundary_weight_uses_local_time(self, half_line):
-        ps = simulate_reflected_path(half_line, 0.0, 0.6, 1e-3, seed=8)
-        w = path_weight(ps, K_field=0.0, sigma_field=1.0)
-        L = float(np.sum(ps.dL))
-        assert w == pytest.approx(math.exp(-2 * L), rel=1e-12)
-        assert w <= 1.0
+    def test_boundary_weight_uses_local_time(self):
+        M = make_model_manifold("half-line-neumann", sigma=-0.5)
+        est = estimate_functional(M, self.DATUM, 0.0, 0.6, None,
+                                  "gradient_rhs", 300, 1e-3, seed=8)
+        ref = self.weighted_gradient(M, 0.0, 0.6, 8,
+                                     lambda L: np.exp(0.5 * L))
+        assert (est.value, est.stderr) == pytest.approx(ref, rel=1e-12)
+        # the weight e^{-sigma L} exceeds 1 once a path has touched the wall
+        plain = self.weighted_gradient(M, 0.0, 0.6, 8,
+                                       lambda L: np.ones_like(L))
+        assert est.value > plain[0]
 
-    def test_callable_sigma_field_raises(self, half_line):
-        # sigma is one constant per model wall, never a field
-        ps = simulate_reflected_path(half_line, 0.0, 0.1, 1e-3, seed=8)
-        with pytest.raises(TypeError, match="sigma_field"):
-            path_weight(ps, sigma_field=lambda x: -0.5)
-
-    def test_manifold_defaults(self, half_line):
-        ps = simulate_reflected_path(half_line, 0.3, 0.4, 1e-3, seed=9)
-        assert path_weight(ps) == 1.0  # K = 0, sigma = 0 on the half line
-
-    def test_path_dump_and_estimate_serialization(self, half_line, tmp_path):
-        ps = simulate_reflected_path(half_line, 0.3, 0.1, 1e-3, seed=9)
-        out = tmp_path / "path.csv"
-        ps.to_csv(out)
-        lines = out.read_text().splitlines()
-        assert lines[1].endswith("s,x,dL,A,B")
-        assert len(lines) == 2 + ps.times.size
+    def test_estimate_serialization(self, half_line):
         est = local_time_moment(half_line, 0.0, 0.1, 1.0, 200, 1e-3, seed=2)
         doc = est.to_dict()
         for key in ("functional_id", "value", "stderr", "n_paths", "dt",
@@ -598,44 +627,43 @@ class TestFunctionals:
 
 
 class TestTimeChange:
-    def test_identity_cutoff(self, sphere2):
-        ps = simulate_reflected_path(sphere2, 1.3, 0.4, 1e-3, seed=61)
-        tc = time_change(ps, lambda r: np.ones_like(r))
-        ts = np.linspace(0, 0.35, 8)
-        assert np.max(np.abs(tc.tau(ts) - ts)) < 1e-12
+    """cutoff_growth_check's clock T(s) = int f^{-2}(X) dr, which stops
+    where f falls to _F_FLOOR."""
 
-    def test_roundtrip_and_slowdown(self, sphere2):
-        R, x0 = 1.0, 1.3
-        f = lambda r: np.where(np.abs(r - x0) < R,
-                               np.cos(math.pi * np.abs(r - x0) / (2 * R)),
-                               0.0)
-        ps = simulate_reflected_path(sphere2, x0, 0.4, 1e-3, seed=62)
-        tc = time_change(ps, f)
-        ts = np.linspace(0, float(tc.T[tc.last]) * 0.9, 12)
-        assert tc.roundtrip_error(ts) < 1e-10
-        assert np.all(tc.tau(ts) <= ts + 1e-12)
+    def test_identity_cutoff(self, sphere2):
+        # f = 1: the clock is the time, every path reaches every checkpoint
+        means, ses, covered = cutoff_growth_check(
+            sphere2, 1.3, np.ones_like, [0.05, 0.2, 0.35], horizon=0.4,
+            dt=1e-3, n_paths=50, seed=61)
+        assert covered == 1.0
+        assert np.all(means == 1.0) and np.all(ses == 0.0)
 
     def test_exit_from_the_support(self, sphere2):
-        R, x0 = 0.1, 1.3
-        ps = simulate_reflected_path(sphere2, x0, 0.4, 1e-3, seed=62)
-        inside = np.abs(ps.x - x0) < R
-        k = int(np.argmin(inside))   # the first position outside
-        assert k > 0 and not inside[k]
+        R, x0, s, n = 0.1, 1.3, 0.01, 400
+        x, _ = record_paths(sphere2, x0, 0.04, 1e-3, seed=62, n_paths=n)
         # outside the support the cutoff is 0, an exit, or 1e-9, below the
-        # floor but positive, which truncates the path
-        for outside, truncated in ((0.0, False), (1e-9, True)):
+        # floor but positive: either way the path's clock stops there
+        for outside in (0.0, 1e-9):
             def f(r):
                 return np.where(np.abs(r - x0) < R,
                                 np.cos(math.pi * np.abs(r - x0) / (2 * R)),
                                 outside)
 
-            tc = time_change(ps, f)
-            assert (tc.exit_index, tc.truncated) == (k - 1, truncated)
-            assert tc.last == k - 1
-            assert np.all(tc.T[k:] == tc.T[k])   # flat after the exit
-            assert tc.T[k] == pytest.approx(
-                np.sum(f(ps.x[:k]) ** -2.0) * ps.dt, rel=1e-12)
-            assert np.all(np.diff(tc.T[:k + 1]) > 0.0)
+            _, _, covered = cutoff_growth_check(
+                sphere2, x0, f, [s], horizon=0.04, dt=1e-3, n_paths=n,
+                seed=62)
+            # the share of recorded paths whose clock, summed by the
+            # left-point rule, reached s before f fell to the floor
+            T, alive = np.zeros(n), np.ones(n, dtype=bool)
+            reached = np.zeros(n, dtype=bool)
+            for xk in x[:-1]:
+                fk = f(xk)
+                alive &= fk > _F_FLOOR
+                T += np.where(alive, np.where(alive, fk, 1.0) ** -2.0 * 1e-3,
+                              0.0)
+                reached |= alive & (T >= s)
+            assert 0.0 < covered < 1.0   # some paths leave before s
+            assert covered == np.count_nonzero(reached) / n
 
     def test_cutoff_growth_bound(self, sphere2):
         from liyau import cutoff_growth_check
