@@ -106,9 +106,10 @@ class ModelManifold:
 
     def b_total(self, x, out=None):
         """Full first-order coefficient b(x) + Z(x) of the generator, into
-        out if given (the zero drift adds 0.0, as its zeros would)."""
-        drift = 0.0 if self.drift_id == "none" else self.drift(x)
-        out = np.add(self.b(x, out), drift, out=out)
+        out if given: b itself when the model has no drift."""
+        if self.drift_id == "none":
+            return self.b(x, out)
+        out = np.add(self.b(x, out), self.drift(x), out=out)
         return out if out.ndim else float(out)
 
     def weight(self, x):

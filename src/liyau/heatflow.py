@@ -10,15 +10,23 @@ Schemes:
   * "spectral": exact-in-time evolution in an eigenbasis.  Fourier modes
     on the circle and on the interval, which is the even half of the
     circle of length 2L (its DCT-I is numpy's real FFT of the even
-    extension: it loads no scipy), and on the
-    sphere / hyperbolic radial reductions the eigenvectors of the
-    symmetrised tridiagonal L with lam t <= 50 only, computed per solve
+    extension), and on the sphere / hyperbolic radial reductions the
+    eigenvectors of the symmetrised tridiagonal L with lam t <= 50 only
     (_MODE_CUT): every dropped mode is weighted by e^{-lam t} < 2e-22.
+    Up to 1024 nodes those modes come from numpy (Sturm multisection and
+    twisted factorisations), each computed once per grid and kept for
+    every time; larger grids compute them per solve with scipy's
+    eigh_tridiagonal, the only scipy call of the package.
   * "crank-nicolson-fd": second-order theta stepping of L, dt = h, with
-    I - dt/2 L factored once and a tridiagonal solve per step; the
-    circle's two corners enter by one Sherman-Morrison correction.
+    I - dt/2 L factored once into Thomas's pivots and solved each step by
+    two log-depth scans in numpy; the circle's two corners enter by one
+    Sherman-Morrison correction.
   * "kernel": closed-form evolution of the constant and gaussian data
     on the unbounded flat families (line, half line, flat radial).
+
+The numpy radial modes and the Crank-Nicolson solves use elementwise
+numpy and numpy's reductions only, never BLAS or LAPACK, so no bit of
+their output depends on the BLAS thread count.
 
 Every solve enforces positivity, the maximum principle, and (for Z = 0)
 conservation of the weighted mass, and raises SolverError on violation.
@@ -345,17 +353,141 @@ def _radial_symmetric(M: ModelManifold, size: int):
     return arrays
 
 
+# Grids of up to this many nodes take their radial modes from numpy
+# (_tridiagonal_modes), larger ones from scipy's eigh_tridiagonal.  The
+# residual of a numpy pair grows with the grid: on the m = 2 sphere it is
+# 0.88 of 1e-13 max|L| at 1024 nodes and 1.1 at 2401, where hyperbolic's
+# eigen datum also misses 1e-10 (2.2e-10).
+_NUMPY_MODES_MAX = 1024
+_SECTIONS = 15   # points a multisection sweep puts in every bracket
+
+
 def _radial_modes(M: ModelManifold, size: int, select: str, select_range):
     """(mu, V): eigenpairs of -S by scipy's select / select_range.
 
-    mu ascends (mu[0] ~ 0 is the constant mode) and the columns of V are
-    orthonormal; only the selected columns are computed.
+    "i" selects the indices in select_range, "v" the eigenvalues in its
+    half-open interval.  mu ascends (mu[0] ~ 0 is the constant mode) and
+    the columns of V are orthonormal; only the selected columns are
+    computed.  Up to _NUMPY_MODES_MAX nodes every mode is computed once per
+    (M, size), alone or in a batch with the same bits, and kept for every
+    later time and radial_eigenpair (_mode_table).  Larger grids call
+    scipy's eigh_tridiagonal, the only use of scipy in the package.
     """
-    from scipy import linalg  # on first use: spectral interval runs load none
-
     _, _, dg, _, _, off = _radial_symmetric(M, size)
-    return linalg.eigh_tridiagonal(-dg, -off, select=select,
-                                   select_range=select_range)
+    if size > _NUMPY_MODES_MAX:
+        from scipy import linalg  # on first use: no other run loads scipy
+
+        return linalg.eigh_tridiagonal(-dg, -off, select=select,
+                                       select_range=select_range)
+    first, last = select_range
+    if select == "v":
+        first, last = _sturm_counts(-dg, off * off, np.array(select_range))
+        last -= 1
+    indices = range(int(first), int(last) + 1)
+    table = _mode_table(M, size)
+    missing = [i for i in indices if i not in table]
+    batch = max(16, 2**15 // size)   # bounds the (size, modes) work arrays
+    for j in range(0, len(missing), batch):
+        index = np.array(missing[j:j + batch])
+        mu, V = _tridiagonal_modes(-dg, -off, index)
+        table.update(zip(index.tolist(), zip(mu.tolist(), V)))
+    return (np.array([table[i][0] for i in indices]),
+            np.array([table[i][1] for i in indices]).T)
+
+
+@functools.lru_cache(maxsize=32)
+def _mode_table(M: ModelManifold, size: int) -> dict:
+    """index -> (eigenvalue, unit eigenvector) of -S, filled by
+    _radial_modes."""
+    return {}
+
+
+def _pivots(a, b2, x):
+    """The pivots of T - x I = L D L^T, top down, one column for each shift
+    in x, of the symmetric tridiagonal T with diagonal a and squared
+    off-diagonal b2.  Each column reads its own shift only."""
+    q = np.subtract.outer(a, x)
+    # a zero pivot divides to -inf and the next pivot restarts at a - x;
+    # IEEE arithmetic keeps the Sturm count right there (Demmel, Dhillon
+    # and Ren 1995), so that division, and the overflow of b2 / q at a
+    # tiny pivot, are intended
+    with np.errstate(divide="ignore", over="ignore"):
+        for i in range(1, a.size):
+            q[i] -= b2[i - 1] / q[i - 1]
+    return q
+
+
+def _sturm_counts(a, b2, x):
+    """The number of eigenvalues of T below each shift in x: its negative
+    pivots (Sylvester's law of inertia)."""
+    return np.count_nonzero(_pivots(a, b2, x) < 0.0, axis=0)
+
+
+def _tridiagonal_modes(a, b, index):
+    """(mu, V): the eigenpairs of the given indices (0 the lowest) of the
+    symmetric tridiagonal T with diagonal a and off-diagonal b, V one unit
+    eigenvector a row.
+
+    Every eigenvalue is bracketed in the Gershgorin interval and the
+    bracket is cut at _SECTIONS points a sweep by Sturm counts until it is
+    4 eps |T| wide (multisection).  The twisted factorisation of T - lam I
+    at its midpoint lam then gives the eigenvector and the Rayleigh
+    correction of lam (Dhillon and Parlett 2004, Lin. Alg. Appl. 387).
+    Each pair reads its own bracket, column and row only, so it has the
+    same bits alone as in any batch.
+    """
+    b2 = b * b
+    radius = np.zeros(a.size)
+    radius[1:] += np.abs(b)
+    radius[:-1] += np.abs(b)
+    span = max(np.max(np.abs(a - radius)), np.max(np.abs(a + radius)))
+    tol = 4.0 * np.finfo(float).eps * span
+    lo = np.full(index.size, np.min(a - radius) - tol)
+    hi = np.full(index.size, np.max(a + radius) + tol)
+    frac = np.arange(1, _SECTIONS + 1) / (_SECTIONS + 1)
+    while True:
+        live = np.flatnonzero(hi - lo > tol)
+        if not live.size:
+            break
+        left, right, j = lo[live, None], hi[live, None], index[live, None]
+        points = left + (right - left) * frac
+        shifts, where = np.unique(points, return_inverse=True)
+        below = _sturm_counts(a, b2, shifts)[where].reshape(points.shape) <= j
+        lo[live] = np.where(below, points, left).max(axis=1)
+        hi[live] = np.where(~below & (points > lo[live, None]), points,
+                            right).min(axis=1)
+    return _twisted_vectors(a, b, lo + 0.5 * (hi - lo))
+
+
+def _twisted_vectors(a, b, lam):
+    """(mu, V): for each shift lam near an eigenvalue of the tridiagonal
+    (b, a, b), the vector z of the twisted factorisation of T - lam I,
+    (T - lam I) z = gamma_r e_r with z_r = 1 at the twist r of least
+    |gamma_r|, scaled to unit norm (one a row), and lam + gamma_r / |z|^2.
+    Raises SolverError when a pivot breaks the factorisation down."""
+    n, cols, b2 = a.size, np.arange(lam.size), b * b
+    dp = _pivots(a, b2, lam)   # T - lam I = L diag(dp) L^T
+    dm = _pivots(a[::-1], b2[::-1], lam)[::-1]   # = U diag(dm) U^T
+    # pivots z does not read (dp below the twist, dm above it) may be zero
+    # or infinite; one that z reads makes it nonfinite, which raises below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        gamma = dp + dm - np.subtract.outer(a, lam)
+        r = np.argmin(np.abs(gamma), axis=0)
+        # z_i = -b_i z_{i+1} / dp_i above r, z_{i+1} = -b_i z_i / dm_{i+1}
+        # below it: cumulative products from r outwards
+        above = np.arange(n - 1)[:, None] < r
+        rise = np.where(above, -b[:, None] / dp[:-1], 1.0)
+        fall = np.where(above, 1.0, -b[:, None] / dm[1:])
+    z = np.ones((n, lam.size))
+    z[:-1] = np.cumprod(rise[::-1], axis=0)[::-1]
+    z[1:] *= np.cumprod(fall, axis=0)
+    # one vector a row, so its norm sums along its own row
+    z = np.ascontiguousarray(z.T)
+    norm2 = np.sum(z * z, axis=1)
+    mu = lam + gamma[r, cols] / norm2
+    if not (np.all(np.isfinite(norm2)) and np.all(np.isfinite(mu))):
+        raise SolverError("twisted factorisation broke down")
+    return mu, z / np.sqrt(norm2)[:, None]
 
 
 @functools.lru_cache(maxsize=32)
@@ -473,20 +605,32 @@ def _fourier(M, u0v, t):
 
 
 def _radial_spectral(M, u0v, t):
-    """u0v evolved in the modes with lam t <= _MODE_CUT (all at t = 0)."""
+    """u0v evolved in the modes with lam t <= _MODE_CUT; u0v itself at t = 0.
+
+    L 1 = 0, so the constant mode d / |d| is stationary and carries the
+    weighted mean of u0v exactly.  Its computed eigenpair is rounding, an
+    eigenvalue of order eps |S| (1e-10 at N = 2401), not decay, so it is
+    skipped.  Every sum runs along the rows or down the columns of the
+    modes, in an order fixed by the number of modes.
+    """
+    if t == 0:
+        return u0v
     d = _radial_symmetric(M, u0v.size)[4]
-    mu, V = _radial_modes(M, u0v.size, "v",
-                          (-np.inf, _MODE_CUT / t if t > 0 else np.inf))
-    # L 1 = 0, so the constant mode is stationary: its computed eigenvalue
-    # is rounding of order eps |S| (1e-10 at N = 2401), not decay
-    mu[0] = 0.0
-    return (V @ (np.exp(-mu * t) * (V.T @ (d * u0v)))) / d
+    mu, V = _radial_modes(M, u0v.size, "v", (-np.inf, _MODE_CUT / t))
+    V = V.T[1:]   # one mode a row
+    coef = np.exp(-mu[1:] * t) * np.sum(V * (d * u0v), axis=1)
+    w = d * d
+    return (np.sum(w * u0v) / np.sum(w)
+            + np.sum(coef[:, None] * V, axis=0) / d)
 
 
 def _crank_nicolson(M, u0v, t, h, dn, dg, up):
-    """u0v stepped to t by Crank-Nicolson on the three diagonals of L."""
-    from scipy.linalg import lapack  # on first use, as in _radial_modes
+    """u0v stepped to t by Crank-Nicolson on the three diagonals of L.
 
+    I - dt/2 L is factored once into Thomas's pivots, and each step solves
+    it by two log-depth scans (_tridiagonal_solver); the circle's two
+    corners enter by one Sherman-Morrison correction.
+    """
     dt = h  # unconditionally stable, second order
     steps = max(int(math.ceil(t / dt)), 1) if t > 0 else 0
     if steps:
@@ -503,13 +647,7 @@ def _crank_nicolson(M, u0v, t, h, dn, dg, up):
         g = -main[0]
         main[0] -= g
         main[-1] -= q * p / g
-    *factors, info = lapack.dgttrf(sub, main, sup)  # once for every step
-    if info:
-        raise SolverError("singular Crank-Nicolson matrix")
-
-    def solve(b):
-        return lapack.dgttrs(*factors, b)[0]
-
+    solve = _tridiagonal_solver(sub, main, sup)   # once for every step
     if periodic:
         s = np.zeros(u0v.size)
         s[0], s[-1] = g, q
@@ -521,6 +659,62 @@ def _crank_nicolson(M, u0v, t, h, dn, dg, up):
         if periodic:
             u -= (u[0] + p / g * u[-1]) / rz * z
     return u
+
+
+def _tridiagonal_solver(sub, main, sup):
+    """solve(rhs) for the tridiagonal matrix (sub, main, sup).
+
+    The matrix is factored once, A = L U with Thomas's pivots, and every
+    solve runs the two bidiagonal sweeps as log-depth scans of their
+    first-order recurrences (recursive doubling, Stone 1973, J. ACM 20) in
+    elementwise numpy.  Raises SolverError unless A is strictly row
+    diagonally dominant, which keeps every pivot nonzero and every
+    multiplier of both sweeps below 1 in magnitude.  solve overwrites
+    rhs.
+    """
+    off = np.zeros(main.size)
+    off[1:] += np.abs(sub)
+    off[:-1] += np.abs(sup)
+    if not np.all(np.abs(main) > off):
+        raise SolverError("Crank-Nicolson matrix is not strictly "
+                          "diagonally dominant")
+    pivots, lower, upper = main.tolist(), sub.tolist(), sup.tolist()
+    mult = [0.0] * main.size
+    for i in range(1, main.size):
+        mult[i] = lower[i - 1] / pivots[i - 1]
+        pivots[i] -= mult[i] * upper[i - 1]
+    pivots = np.array(pivots)
+    # L y = rhs:  y_i = rhs_i - mult_i y_{i-1}
+    # U x = y:    x_i = y_i / pivot_i - (sup_i / pivot_i) x_{i+1}
+    forward = _doubling(-np.array(mult))
+    backward = _doubling(np.append(-sup / pivots[:-1], 0.0)[::-1])
+
+    def solve(rhs):
+        x = _scan(rhs, forward) / pivots
+        _scan(x[::-1], backward)
+        return x
+
+    return solve
+
+
+def _doubling(a):
+    """[(k, a_k)] for k = 1, 2, 4, ...: the multiplier a_k[i] of x_i on
+    x_{i-k} after the levels before k of the recurrence x_i = c_i +
+    a_i x_{i-1}, where a[0] is never read."""
+    levels, k, a = [], 1, a.copy()
+    while k < a.size:
+        levels.append((k, a[k:].copy()))
+        a[k:] *= a[:-k]
+        k *= 2
+    return levels
+
+
+def _scan(c, levels):
+    """x_i = c_i + a_i x_{i-1}, x_0 = c_0, in place in c, by the levels of
+    _doubling(a)."""
+    for k, a in levels:
+        c[k:] += a * c[:-k]
+    return c
 
 
 def _kernel_evolution(M, u0, t, grid):

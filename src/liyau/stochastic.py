@@ -547,6 +547,16 @@ def _harnack_quadrature(state, ens, entry, clock):
             - ints["sq_prime"] * float(state.Lu[i]))
 
 
+def _harnack_alpha_state(state, ens, entry, clock):
+    """The sharpened left side (1 + gamma) W - alpha Lu at x0 that
+    harnack_alpha_rhs bounds, gamma = gamma_integral(clock, K, alpha)."""
+    alpha = float(entry["alpha"])
+    gamma = clocks.gamma_integral(
+        clock, float(entry.get("K_field", ens.M.K)), alpha)
+    i = state.index_of(ens.x0)
+    return float((1.0 + gamma) * state.W()[i] - alpha * state.Lu[i])
+
+
 FUNCTIONALS = {
     "expected_value": Functional(
         lambda ens, entry, datum, clock: value_accumulator(
@@ -567,7 +577,8 @@ FUNCTIONALS = {
                      state.W()[state.index_of(ens.x0)]),
                  "wx0": _harnack_quadrature}),
     "harnack_alpha_rhs": Functional(
-        _path_functional, keys=("clock", "K_field", "alpha")),
+        _path_functional, keys=("clock", "K_field", "alpha"),
+        targets={"state": _harnack_alpha_state}),
     "gradient_rhs": Functional(
         _path_functional, keys=("K_field",),
         targets={"state": lambda state, ens, entry, clock: float(

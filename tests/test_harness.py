@@ -15,8 +15,8 @@ from click.testing import CliRunner
 
 import liyau
 from liyau import (HeatState, bound_margins, check_inequality, eval_bound,
-                   harness, initial_datum, make_clock, manifold_from_dict,
-                   solve_heat, stochastic)
+                   gamma_integral, harness, initial_datum, make_clock,
+                   manifold_from_dict, solve_heat, stochastic)
 from liyau.cli import main
 from liyau.geometry import register_drift
 from liyau.harness import (CSV_COLUMNS, BoundBlock, ExperimentConfig,
@@ -25,6 +25,7 @@ from liyau.harness import (CSV_COLUMNS, BoundBlock, ExperimentConfig,
 
 
 CONFIGS = Path(liyau.__file__).parents[2] / "configs"
+PERFBENCH_CONFIGS = Path(liyau.__file__).parents[2] / "perfbench" / "configs"
 
 
 def error_lines(output: str) -> list:
@@ -230,6 +231,7 @@ class TestRunExperiment:
                 minimal_config(mc=[dict(row, functional=fid,
                                         compare=compare)])
         for fid, compare in (("harnack_rhs", "state"), ("harnack_rhs", "wx0"),
+                             ("harnack_alpha_rhs", "state"),
                              ("gradient_rhs", "state")):
             minimal_config(mc=[dict(row, functional=fid, compare=compare)])
         # the wx0 target drops the sigma dL weight the estimate carries
@@ -280,7 +282,8 @@ def interval_mc_config():
         {"functional": "harnack_alpha_rhs", "t": 0.3, "x0": 1.0,
          "n_paths": 1500, "dt": 0.001, "alpha": 2.0,
          "clock": {"family": "exp-integral",
-                   "params": {"K": 0.0, "alpha": 2.0}}, "seed": 5},
+                   "params": {"K": 0.0, "alpha": 2.0}}, "seed": 5,
+         "compare": "state"},
         {"functional": "local_time_moment", "t": 0.6, "x0": 0.0, "p": 1.0,
          "n_paths": 1500, "dt": 0.001},
         {"functional": "expected_value", "t": 0.1, "x0": 1.0,
@@ -338,10 +341,39 @@ class TestFunctionalTable:
         wanted |= {(fid, None) for fid, fn in stochastic.FUNCTIONALS.items()
                    if "target" in fn.keys}
         assert verdicts == wanted
-        # every functional has a row, the two without a target (the alpha
-        # form and the moment of L_t) among them
+        # every functional has a row, the one without a target (the
+        # moment of L_t) among them
         assert {row["functional_id"] for row in rows} == set(
             stochastic.FUNCTIONALS)
+
+    def test_alpha_row_on_positive_curvature(self):
+        # the sphere case of test_alpha_functional_on_positive_curvature as
+        # a config row: the same paths, and the target (1 + gamma) W -
+        # alpha Lu read from the solved state at the node nearest x0
+        datum = {"id": "legendre", "params": {"index": 1, "amp": 0.4}}
+        clock = {"family": "exp-integral", "params": {"K": 1.0, "alpha": 2.0}}
+        entry = {"functional": "harnack_alpha_rhs", "t": 0.4, "x0": 1.2,
+                 "n_paths": 10000, "dt": 5e-4, "seed": 58, "alpha": 2.0,
+                 "clock": clock, "compare": "state"}
+        cfg = minimal_config(manifold={"family": "sphere-radial", "m": 2},
+                             initial_datum=datum, times=[0.4], bounds=[],
+                             mc=[entry])
+        row, = run_experiment(cfg).mc_rows
+        M = manifold_from_dict(cfg.manifold)
+        est = estimate_alone(M, initial_datum(datum["id"], datum["params"]),
+                             entry, cfg.seed)
+        assert (row["value"], row["stderr"]) == (est.value, est.stderr)
+        # closed-form state u = 1 + a e^{-2t} cos r at the target's node
+        grid = M.grid(401)
+        x = grid[np.argmin(np.abs(grid - 1.2))]
+        a_t = 0.4 * math.exp(-2 * 0.4)
+        u = 1 + a_t * math.cos(x)
+        W, Lu = (a_t * math.sin(x)) ** 2 / u, -2 * a_t * math.cos(x)
+        gam = gamma_integral(make_clock("exp-integral", clock["params"], 0.4),
+                             1.0, 2.0)
+        assert row["target"] == pytest.approx((1 + gam) * W - 2.0 * Lu,
+                                              abs=1e-4)
+        assert row["passed"] is True
 
     def test_unread_keys_and_unlisted_modes_are_rejected(self):
         cfg = interval_mc_config()
@@ -427,7 +459,7 @@ class TestEnsemblePlan:
         # the grid solve at t = 0.5, then the MC targets: t = 0.4 once
         assert solved == [(0.5, 65, "spectral"), (0.25, None, "spectral"),
                           (0.5, None, "spectral"), (0.4, None, "spectral"),
-                          (0.1, None, "spectral")]
+                          (0.3, None, "spectral"), (0.1, None, "spectral")]
 
     def test_grid_and_mc_states_share_one_cache(self, monkeypatch):
         # configs/interval_mc.json: the MC targets leave grid_size unset,
@@ -861,8 +893,10 @@ class TestCli:
     def test_cli_import_leaves_quadrature_out(self):
         # scipy modules that start-up, a verify of each shipped config and
         # the collar constants must not load: the package integrates with
-        # its own Gauss-Legendre rule, only radial and Crank-Nicolson solves
-        # use scipy.linalg, and an interval run loads no scipy at all
+        # its own Gauss-Legendre rule, and only a radial spectral solve on
+        # more than 1024 nodes uses scipy.linalg, so the radial sphere
+        # configs (spectral on 301 and 401 nodes, Crank-Nicolson on 1025)
+        # and an interval run load no scipy at all
         src = Path(liyau.__file__).parents[1]
         verify = ("try:\n"
                   "    liyau.cli.main(['verify', '--config', {!r}])\n"
@@ -872,21 +906,27 @@ class TestCli:
                   " sigma=-0.7, r0=0.6, d=3)\n"
                   "liyau.nonconvex_bound_rhs(data, liyau.make_clock("
                   "'linear', t=1.0), 1.0, eps=1.0, n=2.0, K=0.0)\n")
+        hyperbolic = ("liyau.solve_heat(liyau.make_model_manifold("
+                      "'hyperbolic-radial', m=2), liyau.initial_datum("
+                      "'cosine', {'k': 1}), 0.5, grid_size=2401)\n")
         for run, banned in (
                 ("", ("scipy",)),
-                (verify.format(str(CONFIGS / "sphere.json")),
-                 ("scipy.integrate",)),
+                (verify.format(str(CONFIGS / "sphere.json")), ("scipy",)),
+                (verify.format(str(PERFBENCH_CONFIGS / "sphere_radial.json")),
+                 ("scipy",)),
                 (verify.format(str(CONFIGS / "interval_mc.json")), ("scipy",)),
-                (collar, ("scipy",))):
+                (collar, ("scipy",)),
+                (hyperbolic, ("scipy.integrate",))):
             code = ("import sys, liyau, liyau.cli\n" + run
-                    + "print(*(m for m in sys.modules"
+                    + "print('modules:', *(m for m in sys.modules"
                     " if m.startswith('scipy')))\n")
             out = subprocess.run([sys.executable, "-c", code], check=True,
                                  capture_output=True, text=True,
                                  env=dict(os.environ, PYTHONPATH=str(src)))
-            loaded = out.stdout.splitlines()[-1].split()
+            loaded = out.stdout.splitlines()[-1].split()[1:]
             assert not [m for m in loaded for b in banned
                         if m == b or m.startswith(b + ".")], (run, loaded)
+        assert "scipy.linalg" in loaded   # the 2401-node solve
 
     def test_cli_import_leaves_the_thread_pool_out(self):
         # the MC worker pool is imported by the first run with two

@@ -290,6 +290,68 @@ class TestSolvers:
         lam, _ = radial_eigenpair(M, 2401, k)   # the first mode dropped
         assert lam * st.t > _MODE_CUT
 
+    def test_a_mode_has_the_same_bits_alone_and_in_a_batch(self):
+        M = make_model_manifold("sphere-radial", m=2)
+        _, _, dg, _, _, off = _radial_symmetric(M, 301)
+        mu, V = heatflow._tridiagonal_modes(-dg, -off, np.arange(40))
+        for j in (0, 1, 7, 39):
+            alone, vec = heatflow._tridiagonal_modes(-dg, -off, np.array([j]))
+            assert alone[0] == mu[j] and np.array_equal(vec[0], V[j]), j
+
+    def test_kept_modes_do_not_depend_on_the_solve_order(self):
+        # t = 2 keeps a few modes and t = 0.05 adds the rest to the table;
+        # the reverse order computes them all in one batch
+        M = make_model_manifold("hyperbolic-radial", m=2)
+        datum = initial_datum("cosine", {"k": 2, "amp": 0.5})
+        runs = []
+        for order in ((2.0, 0.05), (0.05, 2.0)):
+            heatflow._mode_table.cache_clear()
+            runs.append({t: solve_heat(M, datum, t, grid_size=401)
+                         for t in order})
+        for t in (2.0, 0.05):
+            for name in ("u", "grad_u", "Lu"):
+                assert np.array_equal(getattr(runs[0][t], name),
+                                      getattr(runs[1][t], name)), (t, name)
+
+    def test_a_solve_at_zero_returns_the_datum(self, sphere2):
+        datum = initial_datum("cosine", {"k": 2, "amp": 0.5})
+        st = solve_heat(sphere2, datum, 0.0)
+        assert np.array_equal(st.u, datum.values(sphere2, st.grid))
+
+    @pytest.mark.parametrize("family, size, t", [
+        ("sphere-radial", 1025, 0.05), ("sphere-radial", 1025, 2.0),
+        ("circle", 256, 0.5), ("interval-neumann", 257, 0.5)])
+    def test_crank_nicolson_scan_matches_lapack(self, monkeypatch, family,
+                                                size, t):
+        # the same steps with LAPACK's tridiagonal factor and solve
+        from scipy.linalg import lapack
+
+        def lapack_solver(sub, main, sup):
+            *factors, info = lapack.dgttrf(sub, main, sup)
+            assert info == 0
+            return lambda rhs: lapack.dgttrs(*factors, rhs)[0]
+
+        if family == "circle":   # unequal corners: Sherman-Morrison
+            register_drift("heatflow-sin", lambda x: 0.3 * np.sin(x))
+            M = make_model_manifold(family, drift="heatflow-sin", K=-0.3)
+        else:
+            M = make_model_manifold(family, m=2)
+        datum = initial_datum("cosine", {"k": 2, "amp": 0.5})
+        scan = solve_heat(M, datum, t, grid_size=size,
+                          scheme="crank-nicolson-fd")
+        monkeypatch.setattr(heatflow, "_tridiagonal_solver", lapack_solver)
+        ref = solve_heat(M, datum, t, grid_size=size,
+                         scheme="crank-nicolson-fd")
+        assert np.max(np.abs(scan.u - ref.u) / ref.u) < 1e-12
+
+    def test_crank_nicolson_needs_a_dominant_matrix(self):
+        # a drift of 400 sin x makes the stencil's weights change sign
+        register_drift("heatflow-steep", lambda x: 400.0 * np.sin(x))
+        M = make_model_manifold("circle", drift="heatflow-steep", K=-400.0)
+        with pytest.raises(SolverError, match="diagonally dominant"):
+            solve_heat(M, initial_datum("constant"), 0.1,
+                       scheme="crank-nicolson-fd")
+
     def test_radial_solves_are_pure(self):
         # the result depends on (M, size, t, u0) only, not on earlier solves
         M = make_model_manifold("hyperbolic-radial", m=2)
