@@ -14,35 +14,70 @@ alpha -> 1, (Kt) ^ pi) by construction.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .clocks import Clock
 from .numerics import (coth, decay_rate, em1int, integrate_smooth,
-                       sign_changes, xcot, xcoth)
+                       reject_unknown, sign_changes, xcot, xcoth)
 
-BOUND_IDS = (
-    "davies",            # alpha-form with the K^-/(alpha-1) constant
-    "bakry-qian",        # (1 + 2/3 K^- t) coefficient, linear-in-t constant
-    "li-xu",             # sinh/cosh coefficient, coth constant
-    "yau",               # sqrt form in W = |grad u|^2/u
-    "bakry-qian-sqrt",   # sqrt form in X
-    "bbg",               # Bakry-Bolley-Gentil form with the Phi function
-    "lu-range",          # one-sided range for Y = Lu/u alone
-    "exp-alpha",         # exp-integral clock, coth constant, sharpened lhs
-    "linear-alpha",      # linear clock, 1 + 2Kt/(3 alpha) lhs
-    "linear-unit",       # alpha = 1 specialisation, K > 0
-    "trig-alpha",        # trig clock with the completed-square root
-    "grad-decay",        # K > 0 gradient-only bound with exponential decay
-    "local-grad",        # time-changed cutoff bound, eps-form
-    "local-alpha",       # time-changed cutoff bound, alpha-form
-)
 
-# classical estimates stated for the plain Laplacian; a drift model must
-# skip them rather than test them against L = Delta + Z
-DRIFTLESS_ONLY = ("davies", "bakry-qian", "li-xu", "yau", "bakry-qian-sqrt")
+class Bound(NamedTuple):
+    params: dict = {}         # config param -> required, in sweep order
+    driftless: bool = False   # a classical estimate stated for Z = 0
+
+
+# The catalog: each id's config params, in the sweep order alpha, eps,
+# K_prime, R, K_region (K_prime defaults to K, K_region to K^-), and
+# whether a drift model skips it rather than test it on L = Delta + Z.
+BOUNDS = {
+    "davies": Bound({"alpha": True}, True),    # K^-/(alpha-1) constant
+    "bakry-qian": Bound(driftless=True),       # (1 + 2/3 K^- t) coefficient
+    "li-xu": Bound(driftless=True),            # sinh/cosh coefficient
+    "yau": Bound(driftless=True),              # sqrt form in W = |grad u|^2/u
+    "bakry-qian-sqrt": Bound(driftless=True),  # sqrt form in X
+    "bbg": Bound(),                            # Bakry-Bolley-Gentil, Phi
+    "lu-range": Bound(),                       # one-sided range for Y alone
+    "exp-alpha": Bound({"alpha": True}),       # exp-integral clock
+    "linear-alpha": Bound({"alpha": True}),    # linear clock
+    "linear-unit": Bound(),                    # alpha = 1, K > 0
+    "trig-alpha": Bound({"alpha": True}),      # trig clock
+    "grad-decay": Bound({"K_prime": False}),   # K > 0, exponential decay
+    "local-grad": Bound({"eps": True, "R": True, "K_region": False}),  # cutoff
+    "local-alpha": Bound({"alpha": True, "R": True, "K_region": False}),
+}
+BOUND_IDS = tuple(BOUNDS)
+
+
+def check_keys(bound_id: str, keys, extra: tuple | None = None) -> None:
+    """Raise ValueError unless bound_id is known and keys hold each param
+    it requires and nothing beyond its params and extra, by default the
+    other keys eval_bound reads: n, t, K and, for bbg, the observed Y."""
+    if extra is None:
+        extra = ("n", "t", "K") + (("Y",) if bound_id == "bbg" else ())
+    if bound_id not in BOUNDS:
+        raise ValueError(f"unknown bound id {bound_id!r}")
+    spec = BOUNDS[bound_id].params
+    missing = [k for k, required in spec.items() if required and k not in keys]
+    if missing:
+        raise ValueError(f"bound {bound_id!r} needs {missing}")
+    reject_unknown(keys, (*spec, *extra), f"the params of bound {bound_id!r}")
+
+
+def sweep(entry: dict) -> tuple:
+    """(id, parameter sets) of a config's bound entry {"id", "params"}: the
+    product of its list-valued params, in sweep order.  A key the entry or
+    its bound does not read, or a missing required param, raises."""
+    bound_id, spec = entry["id"], entry.get("params") or {}
+    reject_unknown(entry, ("id", "params"), f"bound {bound_id!r}")
+    check_keys(bound_id, spec, ())
+    keys = [k for k in BOUNDS[bound_id].params if k in spec]
+    lists = [spec[k] if isinstance(spec[k], list) else [spec[k]] for k in keys]
+    return bound_id, [dict(zip(keys, c)) for c in itertools.product(*lists)]
 
 
 @dataclass(frozen=True)
@@ -198,12 +233,13 @@ def _g3_y_coeff(beta: float, K_D: float, t: float, eps: float) -> float:
 def eval_bound(bound_id: str, params: dict) -> BoundForm:
     """Evaluate one bound id into its (gamma, a, c) normal form.
 
-    params carries n and t always, plus the bound-specific entries among
-    K, alpha, eps, K_prime, K_region, R and (for bbg only) the observed
-    Y needed to locate the comparison argument.  Domain violations are
-    reported through domain_ok = False with a note, never by raising.
+    params carries n and t always, K (default 0), the bound's own params
+    (BOUNDS; a missing required one raises KeyError, other keys are
+    ignored) and, for bbg only, the observed Y needed to locate the
+    comparison argument.  Domain violations are reported through
+    domain_ok = False with a note, never by raising.
     """
-    if bound_id not in BOUND_IDS:
+    if bound_id not in BOUNDS:
         raise ValueError(f"unknown bound id {bound_id!r}")
     n = float(params["n"])
     t = float(params["t"])
@@ -211,6 +247,10 @@ def eval_bound(bound_id: str, params: dict) -> BoundForm:
         raise ValueError("t must be positive")
     K = float(params.get("K", 0.0))
     Km = max(-K, 0.0)
+    spec = BOUNDS[bound_id].params
+    p = {k: float(params[k]) for k in spec if spec[k] or k in params}
+    alpha, eps, R = p.get("alpha"), p.get("eps"), p.get("R")
+    K_prime, K_region = p.get("K_prime", K), p.get("K_region", Km)
     out_params = {k: v for k, v in params.items() if k not in ("n", "t")}
 
     def bad(note: str) -> BoundForm:
@@ -223,7 +263,6 @@ def eval_bound(bound_id: str, params: dict) -> BoundForm:
         return BoundForm(bound_id, gamma, a, c, note=note, params=out_params)
 
     if bound_id == "davies":
-        alpha = float(params["alpha"])
         if alpha <= 1.0:
             return bad("alpha must exceed 1")
         c = n * Km * alpha**2 / (4.0 * (alpha - 1.0)) + n * alpha**2 / (2.0 * t)
@@ -251,7 +290,6 @@ def eval_bound(bound_id: str, params: dict) -> BoundForm:
         return form(0.0, 1.0, c, note="lower bound on Y")
 
     if bound_id == "exp-alpha":
-        alpha = float(params["alpha"])
         if alpha <= 1.0:
             return bad("alpha must exceed 1")
         gamma = _exp_alpha_lhs_coeff(K, t, alpha)
@@ -259,7 +297,6 @@ def eval_bound(bound_id: str, params: dict) -> BoundForm:
         return form(gamma, 1.0, c)
 
     if bound_id == "linear-alpha":
-        alpha = float(params["alpha"])
         if alpha < 1.0 or alpha < 1.0 + Km * t - 1e-15:
             return bad("alpha must satisfy alpha >= 1 + K^- t")
         gamma = 1.0 + 2.0 * K * t / (3.0 * alpha)
@@ -272,7 +309,6 @@ def eval_bound(bound_id: str, params: dict) -> BoundForm:
         return form(gamma, 1.0, n / (2.0 * t))
 
     if bound_id == "trig-alpha":
-        alpha = float(params["alpha"])
         if K == 0.0:
             return bad("needs K != 0")
         try:
@@ -288,7 +324,6 @@ def eval_bound(bound_id: str, params: dict) -> BoundForm:
     if bound_id == "grad-decay":
         if K <= 0:
             return bad("needs K > 0")
-        K_prime = float(params.get("K_prime", K))
         if K_prime < K:
             return bad("needs K_prime >= K")
         cut = min(1.0, K * t)
@@ -307,9 +342,6 @@ def eval_bound(bound_id: str, params: dict) -> BoundForm:
         return form(1.0, 1.0, float(m.c)) if m.domain_ok else bad(str(m.note))
 
     if bound_id == "local-grad":
-        eps = float(params["eps"])
-        K_region = float(params.get("K_region", max(-K, 0.0)))
-        R = float(params["R"])
         if eps <= 0:
             return bad("needs eps > 0")
         beta, _ = local_betas(n, K_region, R, eps, alpha=2.0)
@@ -318,9 +350,6 @@ def eval_bound(bound_id: str, params: dict) -> BoundForm:
         return form(1.0, a, c)
 
     if bound_id == "local-alpha":
-        alpha = float(params["alpha"])
-        K_region = float(params.get("K_region", max(-K, 0.0)))
-        R = float(params["R"])
         if alpha <= 1:
             return bad("alpha must exceed 1")
         _, beta = local_betas(n, K_region, R, eps=1.0, alpha=alpha)

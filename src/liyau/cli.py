@@ -102,7 +102,9 @@ def sweep(config_path, seed, out, fmt, tol):
 def bounds_cmd(bound_id, params_json):
     """Evaluate one bound id into its normal form."""
     with _usage_errors("invalid --params"):
-        form = bounds_mod.eval_bound(bound_id, json.loads(params_json))
+        params = json.loads(params_json)
+        bounds_mod.check_keys(bound_id, params)
+        form = bounds_mod.eval_bound(bound_id, params)
     click.echo(json.dumps(form.to_dict(), sort_keys=True))
 
 
@@ -115,9 +117,7 @@ def bounds_cmd(bound_id, params_json):
 @click.option("--length", type=float, default=None)
 def kernel(family, m, t, x, y, length):
     """Evaluate the exact kernel p_t(x, y) of a flat family."""
-    doc = {"family": family, "m": m}
-    if length is not None:
-        doc["length"] = length
+    doc = {"family": family, "m": m, "length": length}   # None: the default
     with _usage_errors("invalid kernel query"):
         value = exact_kernel(manifold_from_dict(doc), t, x, y)
     click.echo(repr(value))

@@ -172,15 +172,6 @@ class ModelManifold:
         return doc
 
 
-def _model_curvature(family: str, m: int) -> float:
-    """Curvature-dimension lower bound of the driftless model."""
-    if family == SPHERE:
-        return float(m - 1)
-    if family == HYPERBOLIC:
-        return -float(m - 1)
-    return 0.0
-
-
 def make_model_manifold(family: str, m: int = 1, n: float | None = None,
                         drift: str = "none", *, K: float | None = None,
                         sigma: float | None = None, length: float = math.pi,
@@ -210,7 +201,8 @@ def make_model_manifold(family: str, m: int = 1, n: float | None = None,
             raise ValueError("a drift model needs an explicit curvature bound K")
         model_K = K
     else:
-        model_K = _model_curvature(family, m)
+        # the sharp curvature lower bound of the driftless model
+        model_K = {SPHERE: m - 1.0, HYPERBOLIC: -(m - 1.0)}.get(family, 0.0)
         if K is not None:
             if K > model_K + 1e-12:
                 raise ValueError(

@@ -27,20 +27,11 @@ from . import __version__
 from . import bounds as bounds_mod
 from . import stochastic as stoch
 from .geometry import MANIFOLD_KEYS, ModelManifold, manifold_from_dict
-from .heatflow import (DATUM_PARAMS, HeatState, default_grid_size,
-                       initial_datum, solve_heat)
+from .heatflow import HeatState, default_grid_size, initial_datum, solve_heat
+from .numerics import reject_unknown
 
 CSV_COLUMNS = ("bound_id", "family", "m", "n", "K", "t", "x", "alpha", "eps",
                "X", "Y", "gamma", "a", "c", "margin", "domain_ok")
-
-_GRID_KEYS = ("alpha", "eps", "K_prime", "R", "K_region")
-_BOUND_KEYS = ("id", "params")
-
-
-def _reject_unknown(entry: dict, known: tuple, what: str) -> None:
-    unknown = sorted(set(entry) - set(known))
-    if unknown:
-        raise ValueError(f"unknown keys {unknown} in {what}; known: {known}")
 
 
 @dataclass
@@ -56,56 +47,30 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
-        if not self.times or any(t <= 0 for t in self.times):
-            raise ValueError("time grid must be strictly positive")
-        _reject_unknown(self.manifold, MANIFOLD_KEYS, "the manifold")
-        M = manifold_from_dict(self.manifold)   # a bad family, m, n or K fails
-        _reject_unknown(self.initial_datum, ("id", "params"), "the datum")
-        expr = self.initial_datum["id"]
-        if expr not in DATUM_PARAMS:
-            raise ValueError(f"unknown datum {expr!r}")
-        _reject_unknown(self.initial_datum.get("params") or {},
-                        DATUM_PARAMS[expr], f"the params of datum {expr!r}")
-        for entry in self.bounds:
-            if entry["id"] not in bounds_mod.BOUND_IDS:
-                raise ValueError(f"unknown bound id {entry['id']!r}")
-            _reject_unknown(entry, _BOUND_KEYS, f"bound {entry['id']!r}")
-            _reject_unknown(entry.get("params", {}), _GRID_KEYS,
-                            f"the parameters of bound {entry['id']!r}")
-        for entry in self.mc:
-            fid = entry.get("functional")
-            if fid not in stoch.FUNCTIONALS:
-                raise ValueError(f"unknown functional {fid!r}; known: "
-                                 f"{tuple(stoch.FUNCTIONALS)}")
-            fn = stoch.FUNCTIONALS[fid]
-            if "compare" in entry and entry["compare"] not in fn.compare_modes:
-                raise ValueError(f"{fid} rows admit compare modes "
-                                 f"{fn.compare_modes}, not {entry['compare']!r}")
-            # a key the functional does not read would hide an unchecked row
-            _reject_unknown(entry, fn.entry_keys(entry), f"an mc entry ({fid})")
-            if entry.get("compare") == "wx0" and M.sigma:
-                raise ValueError("compare 'wx0' is the quadrature form of "
-                                 "convex walls: it needs sigma = 0")
-            if "t" not in entry:
-                raise ValueError(f"an mc entry ({fid}) needs a horizon t")
-            ens = _mc_ensemble(entry, M, self.seed)
-            if ens.n_paths < 2:
-                raise ValueError(f"n_paths = {ens.n_paths}: an mc entry needs "
-                                 "at least 2 paths")
-            lo, hi, kind = M.domain()
-            if not (lo <= ens.x0 < hi if kind == "periodic"
-                    else lo <= ens.x0 <= hi):
-                raise ValueError(f"x0 = {ens.x0} lies outside the domain "
-                                 f"[{lo}, {hi}] of {M.family}")
-            stoch._step_count(float(entry["t"]), ens.dt)
-            fn.clock(entry)   # a bad clock fails here, not after the passes
+        resolve(self)   # a malformed config fails here, before any solve
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
         doc = json.loads(Path(path).read_text())
         return cls(**doc)
+
+
+def resolve(config: ExperimentConfig) -> tuple:
+    """(model, datum, each bound entry's (id, parameter sets), each mc
+    entry's (ensemble, clock)), each entry checked by its own module.  Load
+    and run both call it, so the config keeps nothing resolved."""
+    if config.tol <= 0:
+        raise ValueError("tolerance must be positive")
+    if not config.times or any(t <= 0 for t in config.times):
+        raise ValueError("time grid must be strictly positive")
+    reject_unknown(config.manifold, MANIFOLD_KEYS, "the manifold")
+    M = manifold_from_dict(config.manifold)   # a bad family, m, n or K fails
+    reject_unknown(config.initial_datum, ("id", "params"), "the datum")
+    datum = initial_datum(config.initial_datum["id"],
+                          config.initial_datum.get("params"))
+    datum.check(M)
+    return (M, datum, [bounds_mod.sweep(entry) for entry in config.bounds],
+            [stoch.resolve_entry(entry, M, config.seed) for entry in config.mc])
 
 
 @dataclass
@@ -114,7 +79,7 @@ class BoundBlock:
 
     head holds the cells every row of the block shares.  Without nodes it
     is the block's only row: a skip, an error, or a row read back from
-    JSON.  Otherwise nodes is the solved state's (x, X, Y), the same
+    JSON.  Otherwise nodes is the solved state's (x, X, Y, W), the same
     arrays for every block at that time, and margins the bound's verdicts
     at those nodes.
     """
@@ -132,7 +97,7 @@ class BoundBlock:
         if self.nodes is None:
             return [dict(self.head)]
         m = self.margins
-        grid, X, Y = self.nodes
+        grid, X, Y, _ = self.nodes
         # a shared c keeps one float object for all rows of a node-free form
         cs = m.c.tolist() if np.ndim(m.c) else [m.c] * grid.size
         cols = zip(grid.tolist(), X.tolist(), Y.tolist(), cs,
@@ -148,11 +113,8 @@ class BoundBlock:
     def worst(self) -> float | None:
         """Least margin over rows in domain and without error; None if none."""
         if self.nodes is None:
-            row = self.head
-            if (not row["domain_ok"] or row.get("error")
-                    or row["margin"] is None):
-                return None
-            return row["margin"]
+            ok = self.head["domain_ok"] and not self.head.get("error")
+            return self.head["margin"] if ok else None
         m = self.margins
         return float(m.margin[m.domain_ok].min()) if m.domain_ok.any() else None
 
@@ -203,9 +165,8 @@ class Report:
         return 1 if self.failures() else 0
 
     def worst_margin(self) -> float:
-        vals = [w for w in map(BoundBlock.worst, self.bound_blocks)
-                if w is not None]
-        return min(vals) if vals else math.inf
+        return min((w for w in map(BoundBlock.worst, self.bound_blocks)
+                    if w is not None), default=math.inf)
 
     def checked(self) -> bool:
         """Whether a bound row was in domain or an MC row reached a verdict."""
@@ -219,14 +180,6 @@ class Report:
                 "meta": self.meta}
 
 
-def _expand_params(spec: dict):
-    """Cartesian product over list-valued parameter entries."""
-    keys = [k for k in _GRID_KEYS if k in spec]
-    lists = [spec[k] if isinstance(spec[k], list) else [spec[k]] for k in keys]
-    for combo in itertools.product(*lists):
-        yield dict(zip(keys, combo))
-
-
 def _empty_bound_row(M: ModelManifold, t, bound_id: str, params: dict) -> dict:
     """A bound row without a node: a skip, or with an error a failure."""
     return {"bound_id": bound_id, "family": M.family, "m": M.m, "n": M.n,
@@ -234,75 +187,50 @@ def _empty_bound_row(M: ModelManifold, t, bound_id: str, params: dict) -> dict:
             "eps": params.get("eps"), "X": None, "Y": None, "gamma": None,
             "a": None, "c": 0.0, "margin": None, "domain_ok": False,
             "note": "",
-            # the swept keys outside CSV_COLUMNS, where the params carry them
-            **{key: params[key] for key in ("K_prime", "R", "K_region")
-               if key in params}}
+            # the swept params that CSV_COLUMNS has no column for
+            **{key: v for key, v in params.items() if key not in CSV_COLUMNS}}
 
 
 def _bound_block(state: HeatState, nodes: tuple, bound_id: str,
                  params: dict) -> BoundBlock:
-    """One bound at one state; nodes is the state's (x, X, Y)."""
+    """One bound at one state; nodes is the state's (x, X, Y, W)."""
     M = state.manifold
     head = _empty_bound_row(M, state.t, bound_id, params)
-    if M.drift_id != "none" and bound_id in bounds_mod.DRIFTLESS_ONLY:
+    if M.drift_id != "none" and bounds_mod.BOUNDS[bound_id].driftless:
         return BoundBlock(dict(head,
                                note="stated for Z = 0, skipped on a drift model"))
     full = dict(params, n=M.n, t=state.t, K=M.K)
-    m = bounds_mod.bound_margins(bound_id, full, nodes[1], nodes[2], state.W())
+    m = bounds_mod.bound_margins(bound_id, full, *nodes[1:])
     if m.skip_all:
         return BoundBlock(dict(head, note=str(m.note.flat[0])))
     return BoundBlock(head, nodes, m)
 
 
-@dataclass
-class _McRow:
-    """One mc entry planned: its ensemble, accumulator and clock."""
-
-    ensemble: stoch.Ensemble
-    accumulator: stoch.Accumulator
-    clock: stoch.Clock | None
-
-
-def _mc_ensemble(entry: dict, M: ModelManifold, seed: int) -> stoch.Ensemble:
-    """The paths of an mc entry; the one home of the x0, n_paths, dt and
-    seed defaults."""
-    return stoch.Ensemble(M, float(entry.get("x0", 0.5)),
-                          int(entry.get("n_paths", 20000)),
-                          float(entry.get("dt", 1e-3)),
-                          int(entry.get("seed", seed)))
-
-
-def _plan_mc_row(entry: dict, M: ModelManifold, datum, seed: int) -> _McRow:
-    fn = stoch.FUNCTIONALS[entry["functional"]]
-    ens, clock = _mc_ensemble(entry, M, seed), fn.clock(entry)
-    return _McRow(ens, fn.accumulator(ens, entry, datum, clock), clock)
-
-
-def _mc_row(entry: dict, plan, outcome, solve) -> dict:
+def _mc_row(entry: dict, ens: stoch.Ensemble, clock, outcome, solve) -> dict:
     """The report row of one mc entry: its estimate against its target
     (the entry's own, or its functional's from the state that solve gives,
     see _state_solver), or the error that stopped it."""
     try:
         if isinstance(outcome, Exception):
             raise outcome
-        ens, compare = plan.ensemble, entry.get("compare")
+        fn = stoch.FUNCTIONALS[entry["functional"]]
+        compare = entry.get("compare")
         row = {"functional_id": entry["functional"], "family": ens.M.family,
                "t": float(entry["t"]), "x0": ens.x0, "dt": ens.dt,
                "n_paths": ens.n_paths, "seed": ens.seed,
                "value": outcome.value, "stderr": outcome.stderr,
                "passed": None}
-        target_of = stoch.FUNCTIONALS[entry["functional"]].targets.get(compare)
         if "target" in entry:
             target = float(entry["target"])
-        elif target_of is not None:
+        elif compare in fn.targets:
             state = solve(entry["t"], entry.get("grid_size"),
                           entry.get("pde_scheme", "spectral"))
-            target = target_of(state, ens, entry, plan.clock)
+            target = fn.targets[compare](state, ens, entry, clock)
         else:
             return row
-        # within three standard errors; a "state" target is a lower bound
+        # |value - target| <= 3 se, or target <= value + 3 se if one-sided
         slack = 3.0 * outcome.stderr
-        passed = (target <= outcome.value + slack if compare == "state"
+        passed = (target <= outcome.value + slack if compare in fn.one_sided
                   else abs(outcome.value - target) <= slack)
         return dict(row, target=target, passed=bool(passed))
     except Exception as exc:
@@ -332,7 +260,8 @@ def _state_solver(M: ModelManifold, datum):
     return solve
 
 
-def _grid_rows(config: ExperimentConfig, M: ModelManifold, solve):
+def _grid_rows(config: ExperimentConfig, M: ModelManifold, sweeps: list,
+               solve):
     """The solver rows and the bound blocks of the config's time grid."""
     solver_rows, bound_blocks = [], []
     states: dict[float, HeatState] = {}
@@ -347,16 +276,16 @@ def _grid_rows(config: ExperimentConfig, M: ModelManifold, solve):
                                 "mass": state.mass(), "error": None})
         except Exception as exc:  # captured per row
             solver_rows.append({"t": t, "error": f"{type(exc).__name__}: {exc}"})
-    nodes = {t: (s.grid, s.X(), s.Y()) for t, s in states.items()}
-    for entry in config.bounds:
-        for params in _expand_params(entry.get("params", {})):
+    nodes = {t: (s.grid, s.X(), s.Y(), s.W()) for t, s in states.items()}
+    for bound_id, param_sets in sweeps:
+        for params in param_sets:
             for t, state in states.items():
                 try:
                     bound_blocks.append(_bound_block(state, nodes[t],
-                                                     entry["id"], params))
+                                                     bound_id, params))
                 except Exception as exc:
                     bound_blocks.append(BoundBlock(dict(
-                        _empty_bound_row(M, t, entry["id"], params),
+                        _empty_bound_row(M, t, bound_id, params),
                         error=f"{type(exc).__name__}: {exc}")))
     return solver_rows, bound_blocks
 
@@ -366,25 +295,23 @@ def run_experiment(config: ExperimentConfig) -> Report:
 
     Module errors are captured per row, never fatal to the run.
     """
-    M = manifold_from_dict(config.manifold)
-    datum = initial_datum(config.initial_datum["id"],
-                          config.initial_datum.get("params", {}))
+    M, datum, sweeps, entries = resolve(config)
     solve = _state_solver(M, datum)
-    plans, tasks = [], []   # each mc entry's plan, or its error; the tasks
-    for entry in config.mc:
+    accs = []   # each mc entry's accumulator, or the error that stopped it
+    for entry, (ens, clock) in zip(config.mc, entries):
         try:
-            plan = _plan_mc_row(entry, M, datum, config.seed)
-            tasks.append((plan.ensemble, plan.accumulator))
+            accs.append(stoch.FUNCTIONALS[entry["functional"]].accumulator(
+                ens, entry, datum, clock))
         except Exception as exc:
-            plan = exc
-        plans.append(plan)
-    with stoch.run_passes(tasks) as outcome:
+            accs.append(exc)
+    with stoch.run_passes([(ens, acc) for (ens, _), acc in zip(entries, accs)
+                           if not isinstance(acc, Exception)]) as outcome:
         # the MC passes run from here on, beside the solves and bounds
-        solver_rows, bound_blocks = _grid_rows(config, M, solve)
-        task = itertools.count()   # the planned entries' task indices
-        mc_rows = [_mc_row(entry, plan, plan if isinstance(plan, Exception)
+        solver_rows, bound_blocks = _grid_rows(config, M, sweeps, solve)
+        task = itertools.count()   # the built accumulators' task indices
+        mc_rows = [_mc_row(entry, ens, clock, acc if isinstance(acc, Exception)
                            else outcome(next(task)), solve)
-                   for entry, plan in zip(config.mc, plans)]
+                   for entry, (ens, clock), acc in zip(config.mc, entries, accs)]
     meta = {"package": __version__, "numpy": np.__version__,
             "seed": config.seed}
     return Report(config=asdict(config), solver_rows=solver_rows,
@@ -423,20 +350,17 @@ def emit_report(report: Report, out_dir, fmt: str = "csv") -> list:
                 fh.write(_line(_cell(row.get(c)) for c in cols))
         written.append(mc_path)
     # plot data: worst margin per (bound, t) over the bound's parameter sets
-    series: dict[str, dict[float, float]] = {}
+    series: dict[tuple, float] = {}
     for block in report.bound_blocks:
         worst = block.worst()
-        if worst is None:
-            continue
-        per_t = series.setdefault(block.head["bound_id"], {})
-        t = block.head["t"]
-        per_t[t] = min(per_t.get(t, math.inf), worst)
+        if worst is not None:
+            key = (block.head["bound_id"], block.head["t"])
+            series[key] = min(series.get(key, math.inf), worst)
     plot_path = out / "margin_vs_t.csv"
     with plot_path.open("w", newline="") as fh:
         fh.write(_line(("bound_id", "t", "min_margin")))
-        for bid in sorted(series):
-            for t in sorted(series[bid]):
-                fh.write(_line((_cell(bid), _cell(t), _cell(series[bid][t]))))
+        for (bid, t), worst in sorted(series.items()):
+            fh.write(_line((_cell(bid), _cell(t), _cell(worst))))
     written.append(plot_path)
     return written
 
@@ -456,7 +380,7 @@ def _write_bound_csv(fh, blocks) -> None:
             continue
         key = id(block.nodes)
         if key not in node_cells:
-            grid, X, Y = block.nodes
+            grid, X, Y, _ = block.nodes
             node_cells[key] = ([repr(x) for x in grid.tolist()],
                                [f"{Xi!r},{Yi!r}" for Xi, Yi
                                 in zip(X.tolist(), Y.tolist())])

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import geometry
 from .geometry import ModelManifold
-from .numerics import SolverError
+from .numerics import SolverError, reject_unknown
 
 POSITIVITY_FLOOR = 1e-12
 NEUMANN_TOL = 1e-8  # |u0'| allowed at a reflecting wall
@@ -181,8 +181,8 @@ def harnack_quantities(state: HeatState, x: float) -> tuple[float, float, float]
 
 
 # every datum id and the params it reads
-DATUM_PARAMS = {"constant": ("c",), "cosine": ("k", "index", "amp", "base"),
-                "eigen": ("k", "index", "amp", "base"),
+DATUM_PARAMS = {"constant": ("c",), "cosine": ("k", "amp", "base"),
+                "eigen": ("index", "amp", "base"),
                 "legendre": ("index", "amp", "base"),
                 "gaussian": ("amp", "width", "base")}
 
@@ -202,8 +202,9 @@ class InitialDatum:
     def values(self, M: ModelManifold, grid: np.ndarray) -> np.ndarray:
         """u0 sampled on the grid."""
         if self.expr == "eigen" and M.family in _FLUX_FORM:
-            _, vec = radial_eigenpair(M, grid.size, int(self.params["index"]))
-            u0 = 1.0 + float(self.params.get("amp", 0.5)) * vec
+            p = self.params
+            _, vec = radial_eigenpair(M, grid.size, int(p.get("index", 1)))
+            u0 = float(p.get("base", 1.0)) + float(p.get("amp", 0.5)) * vec
         else:
             u0 = self.callables(M)[0](grid)
         if np.min(u0) < 0.0:
@@ -222,15 +223,14 @@ class InitialDatum:
                     lambda x: np.zeros_like(np.asarray(x, float)))
         if self.expr in ("cosine", "eigen"):
             shift = 0.0
-            if M.family == geometry.CIRCLE:
-                w = float(p.get("k", p.get("index", 1)))
-            elif M.family == geometry.INTERVAL:
-                w = float(p.get("k", p.get("index", 1))) * math.pi / M.length
+            w = float(p.get("k" if self.expr == "cosine" else "index", 1))
+            if M.family == geometry.INTERVAL:
+                w = w * math.pi / M.length
             elif self.expr == "cosine" and M.family in _FLUX_FORM:
                 lo, hi, _ = M.domain()  # no-flux fit to the solver grid ends
-                w = float(p.get("k", 1)) * math.pi / (hi - lo)
+                w = w * math.pi / (hi - lo)
                 shift = lo
-            else:
+            elif M.family != geometry.CIRCLE:
                 raise ValueError(f"{self.expr} datum has no closed form on "
                                  f"{M.family}")
             amp = float(p.get("amp", 0.5))
@@ -277,9 +277,10 @@ class InitialDatum:
                                      - 1.0 / (2.0 * s0)) * e(x))
         raise ValueError(f"unknown datum {self.expr!r}")
 
-    def check_neumann(self, M: ModelManifold) -> None:
-        """Reject data whose normal derivative does not vanish at walls."""
-        if not M.has_boundary:
+    def check(self, M: ModelManifold) -> None:
+        """Raise as solve_heat would before sampling: no closed form on M
+        (the radial grid-only eigen datum aside), or a slope at a wall."""
+        if self.expr == "eigen" and M.family in _FLUX_FORM:
             return
         _, du, _ = self.callables(M)
         for pos, _ in M.boundaries():
@@ -289,6 +290,11 @@ class InitialDatum:
 
 
 def initial_datum(expr: str, params: dict | None = None) -> InitialDatum:
+    """The datum expr; an unknown id, or a param it does not read, raises."""
+    if expr not in DATUM_PARAMS:
+        raise ValueError(f"unknown datum {expr!r}")
+    reject_unknown(params or {}, DATUM_PARAMS[expr],
+                   f"the params of datum {expr!r}")
     return InitialDatum(expr=expr, params=dict(params or {}))
 
 
@@ -533,7 +539,7 @@ def solve_heat(M: ModelManifold, u0: InitialDatum, t: float,
         raise ValueError(f"unknown scheme {scheme!r}")
     if grid_size is None:
         grid_size = default_grid_size(M)
-    u0.check_neumann(M)
+    u0.check(M)
     grid = M.grid(grid_size)
     u0v = u0.values(M, grid)
 

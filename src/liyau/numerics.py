@@ -34,6 +34,13 @@ class SolverError(RuntimeError):
     """A PDE solve violated one of its runtime invariants."""
 
 
+def reject_unknown(entry, known: tuple, what: str) -> None:
+    """Raise ValueError naming each key of a config entry not in known."""
+    unknown = sorted(set(entry) - set(known))
+    if unknown:
+        raise ValueError(f"unknown keys {unknown} in {what}; known: {known}")
+
+
 def coth(x):
     """Hyperbolic cotangent, exact through the 1/x pole behaviour.
 

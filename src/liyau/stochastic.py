@@ -49,7 +49,7 @@ import numpy as np
 from . import clocks   # the mc entries' clocks and targets, called by module
 from .clocks import Clock, alpha_form_integral, clock_integrals
 from .geometry import ModelManifold
-from .numerics import mean_and_stderr
+from .numerics import mean_and_stderr, reject_unknown
 
 
 @dataclass(frozen=True)
@@ -349,17 +349,13 @@ def functional_accumulator(ens: Ensemble, u0, t: float, clock: Clock | None,
         raise ValueError("need at least two paths")
     if functional_id != "gradient_rhs" and clock is None:
         raise ValueError("this functional needs a deterministic clock")
+    need_alpha = functional_id == "harnack_alpha_rhs"
+    if need_alpha:
+        check_alpha_form(M, alpha)
     steps = _step_count(t, dt)
     u_call, du_call, d2u_call = u0.callables(M)
     kc, kf = _as_field(K_field, M.K)
     sigma = float(M.sigma or 0.0)   # None off a wall
-
-    need_alpha = functional_id == "harnack_alpha_rhs"
-    if need_alpha and (alpha is None or alpha <= 1):
-        raise ValueError("harnack_alpha_rhs needs alpha > 1")
-    if need_alpha and M.has_boundary and sigma != 0.0:
-        raise ValueError("the alpha functional is stated for convex walls "
-                         "(sigma = 0)")
 
     # deterministic weight: the clock integrals are constants, so evaluate
     # them by exact quadrature; the left-point rule is kept for pathwise
@@ -416,6 +412,15 @@ def functional_accumulator(ens: Ensemble, u0, t: float, clock: Clock | None,
                               "rejected": rejected})
 
     return Accumulator(steps, finish, None if const_weight else accumulate)
+
+
+def check_alpha_form(M: ModelManifold, alpha: float | None) -> None:
+    """Raise ValueError unless harnack_alpha_rhs takes alpha on M."""
+    if alpha is None or alpha <= 1:
+        raise ValueError("harnack_alpha_rhs needs alpha > 1")
+    if M.has_boundary and M.sigma:
+        raise ValueError("the alpha functional is stated for convex walls "
+                         "(sigma = 0)")
 
 
 def local_time_moment(M: ModelManifold, x0: float, t: float, p: float,
@@ -501,12 +506,17 @@ class Functional:
     entry may give its target.  targets maps each compare mode, and None
     for an entry without one, to target(state, ens, entry, clock): the
     row's target from the state solved at its t, which also reads
-    SOLVE_KEYS.
+    SOLVE_KEYS.  The estimate bounds a one_sided mode's target from above;
+    a convex mode, without the sigma dL weight, needs sigma = 0.  check(M,
+    entry) is the accumulator's own argument check.
     """
 
     accumulator: Callable
     keys: tuple = ()
     targets: dict = field(default_factory=dict)
+    one_sided: tuple = ()
+    convex: tuple = ()
+    check: Callable = lambda M, entry: None
 
     @property
     def compare_modes(self) -> tuple:
@@ -520,15 +530,6 @@ class Functional:
         if entry.get("compare") in self.targets:
             keys += SOLVE_KEYS
         return keys
-
-    def clock(self, entry: dict) -> Clock | None:
-        """The entry's clock, linear by default, if the functional runs on
-        one; a bad clock spec raises."""
-        if "clock" not in self.keys:
-            return None
-        spec = entry.get("clock", {"family": "linear"})
-        return clocks.make_clock(spec["family"], spec.get("params", {}),
-                                 float(entry["t"]))
 
 
 def _path_functional(ens, entry, datum, clock):
@@ -575,15 +576,56 @@ FUNCTIONALS = {
         _path_functional, keys=("clock", "K_field"),
         targets={"state": lambda state, ens, entry, clock: float(
                      state.W()[state.index_of(ens.x0)]),
-                 "wx0": _harnack_quadrature}),
+                 "wx0": _harnack_quadrature},
+        one_sided=("state",), convex=("wx0",)),
     "harnack_alpha_rhs": Functional(
         _path_functional, keys=("clock", "K_field", "alpha"),
-        targets={"state": _harnack_alpha_state}),
+        targets={"state": _harnack_alpha_state}, one_sided=("state",),
+        check=lambda M, entry: check_alpha_form(M, entry.get("alpha"))),
     "gradient_rhs": Functional(
         _path_functional, keys=("K_field",),
         targets={"state": lambda state, ens, entry, clock: float(
-            abs(state.grad_u[state.index_of(ens.x0)]))}),
+            abs(state.grad_u[state.index_of(ens.x0)]))},
+        one_sided=("state",)),
 }
+
+
+def resolve_entry(entry: dict, M: ModelManifold, seed: int) -> tuple:
+    """The (ensemble, clock) of an mc entry on M, the one home of the x0,
+    n_paths, dt and seed defaults; raises ValueError on an entry that its
+    functional would not run or check.  Builds no accumulator."""
+    fid = entry.get("functional")
+    if fid not in FUNCTIONALS:
+        raise ValueError(f"unknown functional {fid!r}; known: "
+                         f"{tuple(FUNCTIONALS)}")
+    fn, compare = FUNCTIONALS[fid], entry.get("compare")
+    if "compare" in entry and compare not in fn.compare_modes:
+        raise ValueError(f"{fid} rows admit compare modes "
+                         f"{fn.compare_modes}, not {compare!r}")
+    # a key the functional does not read would hide an unchecked row
+    reject_unknown(entry, fn.entry_keys(entry), f"an mc entry ({fid})")
+    if compare in fn.convex and M.sigma:
+        raise ValueError(f"compare {compare!r} drops the sigma dL weight: "
+                         "it needs sigma = 0")
+    if "t" not in entry:
+        raise ValueError(f"an mc entry ({fid}) needs a horizon t")
+    ens = Ensemble(M, float(entry.get("x0", 0.5)),
+                   int(entry.get("n_paths", 20000)),
+                   float(entry.get("dt", 1e-3)), int(entry.get("seed", seed)))
+    if ens.n_paths < 2:
+        raise ValueError(f"n_paths = {ens.n_paths}: an mc entry needs at "
+                         "least 2 paths")
+    lo, hi, kind = M.domain()
+    if not (lo <= ens.x0 < hi if kind == "periodic" else lo <= ens.x0 <= hi):
+        raise ValueError(f"x0 = {ens.x0} lies outside the domain "
+                         f"[{lo}, {hi}] of {M.family}")
+    _step_count(float(entry["t"]), ens.dt)
+    spec = entry.get("clock", {"family": "linear"})   # a bad one fails here
+    clock = (clocks.make_clock(spec["family"], spec.get("params", {}),
+                               float(entry["t"])) if "clock" in fn.keys
+             else None)
+    fn.check(M, entry)
+    return ens, clock
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import simpson
 from liyau import (beta_t_alpha, bound_margins, check_inequality, eval_bound,
                    gaussian_kernel_state, local_betas, phi_bbg)
-from liyau.bounds import BOUND_IDS
+from liyau.bounds import BOUND_IDS, BOUNDS, sweep
 
 
 class TestPhi:
@@ -225,8 +225,73 @@ class TestEvalBound:
 
     def test_catalog_is_enumerable(self):
         assert "davies" in BOUND_IDS
+        assert BOUND_IDS == tuple(BOUNDS)
         with pytest.raises(ValueError):
             eval_bound("made-up", {"n": 1, "t": 1.0})
+
+
+class TestBoundTable:
+    """BOUNDS lists the config params each id reads, required or not."""
+
+    SWEEP = ("alpha", "eps", "K_prime", "R", "K_region")
+    BASE = {"alpha": 2.0, "eps": 1.0, "K_prime": 1.5, "R": 1.0,
+            "K_region": 0.5}
+    MOVED = {"alpha": 3.0, "eps": 2.0, "K_prime": 2.0, "R": 2.0,
+             "K_region": 1.0}
+    # K = 1 and t = 3 put every id in domain, and t > 1/K lets K_prime act
+    STATE = {"n": 2.0, "t": 3.0, "K": 1.0, "Y": 0.1}
+
+    def constants(self, bound_id, params):
+        form = eval_bound(bound_id, dict(self.STATE, **params))
+        return repr((form.gamma, form.a, form.c, form.domain_ok, form.note))
+
+    def test_declared_params_are_exactly_the_read_ones(self):
+        for bid, bound in BOUNDS.items():
+            declared = list(bound.params)
+            assert declared == [k for k in self.SWEEP if k in declared], bid
+            params = {k: self.BASE[k] for k in declared}
+            base = self.constants(bid, params)
+            for key in self.SWEEP:
+                moved = self.constants(bid, {**params, key: self.MOVED[key]})
+                if key in declared and bid not in ("yau", "bakry-qian-sqrt"):
+                    assert moved != base, (bid, key)   # read
+                else:
+                    assert moved == base, (bid, key)   # ignored
+
+    def test_a_missing_required_param_raises(self):
+        for bid, bound in BOUNDS.items():
+            params = {k: self.BASE[k] for k in bound.params}
+            for key, required in bound.params.items():
+                fewer = {k: v for k, v in params.items() if k != key}
+                if required:
+                    with pytest.raises(KeyError, match=key):
+                        eval_bound(bid, dict(self.STATE, **fewer))
+                else:
+                    eval_bound(bid, dict(self.STATE, **fewer))
+
+    def test_optional_params_default_to_the_model(self):
+        # K_prime defaults to K, K_region to K^-
+        for bid, key, value in (("grad-decay", "K_prime", 1.0),
+                                ("local-grad", "K_region", 0.0),
+                                ("local-alpha", "K_region", 0.0)):
+            params = {k: self.BASE[k] for k in BOUNDS[bid].params if k != key}
+            assert (self.constants(bid, params)
+                    == self.constants(bid, dict(params, **{key: value})))
+
+    def test_a_sweep_is_the_product_in_sweep_order(self):
+        entry = {"id": "local-grad", "params": {"K_region": 0.0, "R": [0.5, 1.0],
+                                                "eps": [1.0, 2.0]}}
+        assert sweep(entry) == ("local-grad", [
+            {"eps": e, "R": R, "K_region": 0.0}
+            for e in (1.0, 2.0) for R in (0.5, 1.0)])
+        assert sweep({"id": "yau"}) == ("yau", [{}])
+        for entry in ({"id": "yau", "params": {"alpha": 3.0}},
+                      {"id": "davies"}, {"id": "davies", "parms": {}},
+                      {"id": "local-grad", "params": {"eps": 1.0}},
+                      {"id": "davies", "params": {"alpha": 2.0, "n": 3}},
+                      {"id": "made-up"}):
+            with pytest.raises(ValueError):
+                sweep(entry)
 
 
 class TestCheckInequality:

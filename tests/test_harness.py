@@ -14,11 +14,13 @@ import pytest
 from click.testing import CliRunner
 
 import liyau
-from liyau import (HeatState, bound_margins, check_inequality, eval_bound,
-                   gamma_integral, harness, initial_datum, make_clock,
-                   manifold_from_dict, solve_heat, stochastic)
+from liyau import (HeatState, bound_margins, bounds, check_inequality, clocks,
+                   eval_bound, gamma_integral, harness, heatflow,
+                   initial_datum, make_clock, manifold_from_dict, solve_heat,
+                   stochastic)
 from liyau.cli import main
 from liyau.geometry import register_drift
+from liyau.heatflow import SolverError
 from liyau.harness import (CSV_COLUMNS, BoundBlock, ExperimentConfig,
                            Report, _bound_block, emit_report, load_report,
                            run_experiment)
@@ -37,6 +39,27 @@ def register_ou_drift():
         register_drift("harness-ou", lambda x: -0.2 * x)
     except ValueError:
         pass  # already registered by an earlier test
+
+
+SOLVE_ERROR = "SolverError: u(0.0) = -0.5 below positivity floor"
+
+
+def failing_solve(*args, **kwargs):
+    """A solve that fails at run time, as solve_heat fails a bad state."""
+    raise SolverError(SOLVE_ERROR.split(": ", 1)[1])
+
+
+def failing_bound(bound_id):
+    """bound_margins, but raising for bound_id as a bound that fails at
+    run time."""
+    real = bounds.bound_margins
+
+    def margins(bid, *args, **kwargs):
+        if bid == bound_id:
+            raise FloatingPointError(f"{bid} overflowed")
+        return real(bid, *args, **kwargs)
+
+    return margins
 
 
 def minimal_config(**overrides):
@@ -82,11 +105,10 @@ class TestRunExperiment:
         # (2 alphas + 1) combos x 2 times x 64 grid points
         assert len(report.bound_rows) == 3 * 2 * 64
 
-    def test_solver_error_captured_per_row(self):
-        cfg = minimal_config(
-            initial_datum={"id": "cosine", "params": {"k": 1, "amp": 2.0}})
-        report = run_experiment(cfg)
-        assert report.solver_rows[0]["error"] is not None
+    def test_solver_error_captured_per_row(self, monkeypatch):
+        monkeypatch.setattr(harness, "solve_heat", failing_solve)
+        report = run_experiment(minimal_config())
+        assert report.solver_rows == [{"t": 1.0, "error": SOLVE_ERROR}]
         assert report.bound_rows == []  # nothing to evaluate, run not fatal
 
     def test_mc_rows(self):
@@ -185,8 +207,47 @@ class TestRunExperiment:
                     minimal_config(**cfg)
 
     def test_shipped_configs_load(self):
-        for path in sorted(CONFIGS.glob("*.json")):
+        for path in sorted([*CONFIGS.glob("*.json"),
+                            *PERFBENCH_CONFIGS.glob("*.json")]):
             ExperimentConfig.from_json(path)
+
+    def test_a_run_resolves_its_config_through_the_loader(self, monkeypatch):
+        # run_experiment builds the model, the ensembles and the clocks only
+        # through resolve, which also checks a config at load: each is
+        # built once at load and once per run
+        cfg = interval_mc_config()
+        inside, calls = [], []
+        real_resolve = harness.resolve
+
+        def resolve(config):
+            inside.append(True)
+            try:
+                return real_resolve(config)
+            finally:
+                inside.pop()
+
+        def spy(name, fn):
+            def call(*args, **kwargs):
+                assert inside, f"{name} called outside resolve"
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(harness, "resolve", resolve)
+        monkeypatch.setattr(harness, "manifold_from_dict",
+                            spy("manifold", manifold_from_dict))
+        monkeypatch.setattr(stochastic, "Ensemble",
+                            spy("ensemble", stochastic.Ensemble))
+        monkeypatch.setattr(clocks, "make_clock",
+                            spy("clock", clocks.make_clock))
+        cfg = replace(cfg)
+        at_load = sorted(calls)
+        assert at_load.count("manifold") == 1
+        assert at_load.count("ensemble") == len(cfg.mc)
+        assert at_load.count("clock") == 3   # the rows that run on a clock
+        calls.clear()
+        run_experiment(cfg)
+        assert sorted(calls) == at_load
 
     def test_swept_rows_record_their_parameters(self, tmp_path):
         # configs/local_bounds.json sweeps the ball radius R of two bounds:
@@ -233,7 +294,9 @@ class TestRunExperiment:
         for fid, compare in (("harnack_rhs", "state"), ("harnack_rhs", "wx0"),
                              ("harnack_alpha_rhs", "state"),
                              ("gradient_rhs", "state")):
-            minimal_config(mc=[dict(row, functional=fid, compare=compare)])
+            extra = {"alpha": 2.0} if fid == "harnack_alpha_rhs" else {}
+            minimal_config(mc=[dict(row, functional=fid, compare=compare,
+                                    **extra)])
         # the wx0 target drops the sigma dL weight the estimate carries
         with pytest.raises(ValueError, match="sigma = 0"):
             minimal_config(manifold={"family": "interval-neumann",
@@ -416,9 +479,25 @@ class TestEnsemblePlan:
     passes run on forked workers, without changing a bit of any row."""
 
     @pytest.mark.parametrize("sigma", [None, -0.4])
-    def test_rows_match_the_estimators_run_one_at_a_time(self, sigma):
+    def test_rows_match_the_estimators_run_one_at_a_time(self, sigma,
+                                                         monkeypatch):
         cfg = interval_mc_config()
-        cfg.manifold["sigma"] = sigma   # -0.4: pathwise weights, per-step work
+        # -0.4: pathwise weights, per-step work
+        manifold = dict(cfg.manifold, sigma=sigma)
+        if sigma is not None:
+            # the wx0 target drops the sigma dL weight: that row keeps its
+            # paths but not its target; the alpha row is stated for convex
+            # walls, so load rejects it, and here its accumulator raises
+            # that error at run time
+            mc = [{k: v for k, v in entry.items() if v != "wx0"}
+                  for entry in cfg.mc]
+            with pytest.raises(ValueError, match="sigma = 0"):
+                replace(cfg, manifold=manifold, mc=mc)
+            alpha = stochastic.FUNCTIONALS["harnack_alpha_rhs"]
+            monkeypatch.setitem(stochastic.FUNCTIONALS, "harnack_alpha_rhs",
+                                replace(alpha, check=lambda *args: None))
+            cfg = replace(cfg, mc=mc)
+        cfg = replace(cfg, manifold=manifold)
         M = manifold_from_dict(cfg.manifold)
         datum = initial_datum("cosine", {"k": 1, "amp": 0.5})
         rows = run_experiment(cfg).mc_rows
@@ -670,10 +749,9 @@ def mixed_report() -> Report:
         manifold={"family": "sphere-radial", "m": 2}, times=[1, 2],
         grid_size=21,
         bounds=[{"id": "davies", "params": {"alpha": [1.5, 4.0, "a,b"]}},
-                {"id": "bakry-qian", "params": {"alpha": [None],
-                                                "eps": [None]}},
-                {"id": "bbg"}, {"id": "yau"},
-                {"id": "local-grad", "params": {"eps": [None]}}]))
+                {"id": "bakry-qian"}, {"id": "bbg"}, {"id": "yau"},
+                {"id": "local-grad", "params": {"eps": [None],
+                                                "R": [1.5]}}]))
     hyperbolic = run_experiment(minimal_config(
         manifold={"family": "hyperbolic-radial", "m": 2}, times=[1, 2],
         grid_size=21, bounds=[{"id": "bbg"}]))
@@ -690,7 +768,8 @@ def mixed_report() -> Report:
     grid = M.grid(11)
     state = HeatState(M, 1.0, grid, np.ones(11), np.full(11, 0.1),
                       np.linspace(0.0, 10.0, 11))
-    window = _bound_block(state, (grid, state.X(), state.Y()), "bbg", {})
+    window = _bound_block(state, (grid, state.X(), state.Y(), state.W()),
+                          "bbg", {})
     assert 0 < window.margins.domain_ok.sum() < 11
     blocks = (sphere.bound_blocks + hyperbolic.bound_blocks
               + drift.bound_blocks + [window])
@@ -740,14 +819,15 @@ class TestEmit:
         assert report.worst_margin() == min(v for _, v in series.items())
         assert report.n_bound_rows == len(rows)
 
-    def test_times_have_one_spelling(self, tmp_path):
-        # integer times; local-grad without R gives error rows beside the
-        # node and skip rows of the same times
+    def test_times_have_one_spelling(self, tmp_path, monkeypatch):
+        # integer times; a local-grad that raises gives error rows beside
+        # the node and skip rows of the same times
+        monkeypatch.setattr(bounds, "bound_margins", failing_bound("local-grad"))
         report = run_experiment(minimal_config(
             manifold={"family": "sphere-radial", "m": 2}, times=[1, 2],
             grid_size=21, bounds=[{"id": "davies", "params": {"alpha": [2.0]}},
                                   {"id": "local-grad",
-                                   "params": {"eps": [1.0]}}]))
+                                   "params": {"eps": [1.0], "R": [1.5]}}]))
         assert {("error" in r, r["x"] is None)
                 for r in report.bound_rows} == {(False, False), (True, True)}
         emit_report(report, tmp_path, "csv")
@@ -852,22 +932,25 @@ class TestCli:
         path.write_text(json.dumps(doc))
         return CliRunner().invoke(main, ["verify", "--config", str(path)])
 
-    def test_verify_fails_on_bound_errors(self, tmp_path):
-        # local-grad needs a radius R: its row is a captured KeyError
+    def test_verify_fails_on_bound_errors(self, tmp_path, monkeypatch):
+        # a bound that raises at run time: its row is the captured error
+        monkeypatch.setattr(bounds, "bound_margins", failing_bound("local-grad"))
         res = self.verify(
             tmp_path, manifold={"family": "sphere-radial", "m": 2},
             initial_datum={"id": "legendre",
                            "params": {"index": 1, "amp": 0.4}},
-            times=[0.5], bounds=[{"id": "local-grad"}], grid_size=101)
+            times=[0.5], bounds=[{"id": "local-grad",
+                                  "params": {"eps": 1.0, "R": 1.5}}],
+            grid_size=101)
         assert res.exit_code == 1, res.output
         assert "bounds=1 mc=0 worst_margin=inf failures=1" in res.output
 
-    def test_verify_fails_on_solver_errors(self, tmp_path):
-        # the gaussian datum lives on the flat families: every solve raises
+    def test_verify_fails_on_solver_errors(self, tmp_path, monkeypatch):
+        # every solve raises at run time
+        monkeypatch.setattr(harness, "solve_heat", failing_solve)
         res = self.verify(
             tmp_path, manifold={"family": "hyperbolic-radial", "m": 2},
-            initial_datum={"id": "gaussian",
-                           "params": {"amp": 1.0, "width": 0.3}},
+            initial_datum={"id": "eigen", "params": {"index": 1, "amp": 0.5}},
             times=[0.5, 1.0],
             bounds=[{"id": "davies", "params": {"alpha": [2.0]}}],
             grid_size=101)
@@ -1027,6 +1110,59 @@ class TestCli:
             errors = error_lines(res.output)
             assert len(errors) == 1 and message in errors[0], res.output
 
+    def test_malformed_entries_are_usage_errors(self, tmp_path, monkeypatch):
+        # a bound param the bound does not read or a missing required one,
+        # a datum param its id does not read, a datum without a closed form
+        # on the model or with negative values, and an alpha row that its
+        # accumulator would refuse: each fails at load, before any solve,
+        # eigenpair or accumulator
+        def no_run(*args, **kwargs):
+            raise AssertionError("a solve, eigenpair or accumulator ran")
+
+        monkeypatch.setattr(harness, "solve_heat", no_run)
+        monkeypatch.setattr(heatflow, "radial_eigenpair", no_run)
+        monkeypatch.setattr(stochastic, "functional_accumulator", no_run)
+        sphere = dict(manifold={"family": "sphere-radial", "m": 2},
+                      initial_datum={"id": "eigen",
+                                     "params": {"index": 1, "amp": 0.5}},
+                      times=[0.5], grid_size=101)
+        interval = dict(manifold={"family": "interval-neumann"},
+                        initial_datum={"id": "cosine", "params": {"k": 1}},
+                        times=[0.5])
+        alpha_row = {"functional": "harnack_alpha_rhs", "t": 0.3, "x0": 1.0,
+                     "n_paths": 100, "alpha": 1.0}
+        for doc, message in (
+                (dict(sphere, bounds=[{"id": "yau", "params": {"alpha": 3.0}}]),
+                 "unknown keys ['alpha'] in the params of bound 'yau'"),
+                (dict(sphere, bounds=[{"id": "davies"}]),
+                 "bound 'davies' needs ['alpha']"),
+                (dict(sphere, bounds=[{"id": "local-grad",
+                                       "params": {"eps": 1.0}}]),
+                 "needs ['R']"),
+                (dict(sphere, initial_datum={"id": "cosine",
+                                             "params": {"index": 3}}),
+                 "unknown keys ['index'] in the params of datum 'cosine'"),
+                (dict(sphere, initial_datum={"id": "eigen",
+                                             "params": {"k": 2}}),
+                 "unknown keys ['k'] in the params of datum 'eigen'"),
+                (dict(interval, manifold={"family": "circle"},
+                      initial_datum={"id": "legendre"}),
+                 "legendre datum lives on the round sphere"),
+                (dict(interval, initial_datum={"id": "cosine",
+                                               "params": {"amp": 2}}),
+                 "cosine datum must stay nonnegative"),
+                (dict(interval, initial_datum={"id": "cosine",
+                                               "params": {"k": 0.5}}),
+                 "not Neumann compatible"),
+                (dict(interval, mc=[alpha_row]), "needs alpha > 1"),
+                (dict(interval, mc=[dict(alpha_row, alpha=2.0)],
+                      manifold={"family": "interval-neumann", "sigma": -0.4}),
+                 "stated for convex walls (sigma = 0)")):
+            res = self.verify(tmp_path, **doc)
+            assert res.exit_code == 2, res.output
+            errors = error_lines(res.output)
+            assert len(errors) == 1 and message in errors[0], res.output
+
     def test_unknown_manifold_key_is_a_usage_error(self, tmp_path):
         res = self.verify(tmp_path, manifold={"family": "circle", "m": 1,
                                               "curvature": 1.0},
@@ -1071,6 +1207,23 @@ class TestCli:
             errors = error_lines(res.output)
             assert len(errors) == 1, res.output
             assert errors[0].startswith("Error: invalid --params: ")
+
+    def test_bounds_command_reads_every_key_it_is_given(self):
+        # n, t and K always, the bound's own params, and bbg's observed Y
+        for bound_id, params, code in (
+                ("yau", {"n": 2, "t": 1, "K": -1}, 0),
+                ("yau", {"n": 2, "t": 1, "K": -1, "alpha": 2}, 2),
+                ("davies", {"n": 2, "t": 1, "alpha": 2, "Y": 0.1}, 2),
+                ("bbg", {"n": 2, "t": 1, "K": 1, "Y": 0.1}, 0),
+                ("grad-decay", {"n": 2, "t": 1, "K": 1, "K_prime": 2}, 0),
+                ("grad-decay", {"n": 2, "t": 1, "K": 1, "R": 2}, 2)):
+            res = CliRunner().invoke(main, ["bounds", "--id", bound_id,
+                                            "--params", json.dumps(params)])
+            assert res.exit_code == code, res.output
+            if code:
+                errors = error_lines(res.output)
+                assert len(errors) == 1, res.output
+                assert errors[0].startswith("Error: invalid --params: ")
 
     def test_kernel_command_rejects_bad_input(self):
         for args in (["--family", "nope", "--t", "1"],
