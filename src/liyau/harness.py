@@ -70,7 +70,7 @@ def resolve(config: ExperimentConfig) -> tuple:
                           config.initial_datum.get("params"))
     datum.check(M)
     return (M, datum, [bounds_mod.sweep(entry) for entry in config.bounds],
-            [stoch.resolve_entry(entry, M, config.seed) for entry in config.mc])
+            [stoch.resolve_entry(e, M, config.seed, datum) for e in config.mc])
 
 
 @dataclass

@@ -13,10 +13,9 @@ Schemes:
     extension), and on the sphere / hyperbolic radial reductions the
     eigenvectors of the symmetrised tridiagonal L with lam t <= 50 only
     (_MODE_CUT): every dropped mode is weighted by e^{-lam t} < 2e-22.
-    Up to 1024 nodes those modes come from numpy (Sturm multisection and
-    twisted factorisations), each computed once per grid and kept for
-    every time; larger grids compute them per solve with scipy's
-    eigh_tridiagonal, the only scipy call of the package.
+    Those modes come from numpy (Sturm multisection, twisted
+    factorisations and one step of inverse iteration), each computed once
+    per grid and kept for every time.
   * "crank-nicolson-fd": second-order theta stepping of L, dt = h, with
     I - dt/2 L factored once into Thomas's pivots and solved each step by
     two log-depth scans in numpy; the circle's two corners enter by one
@@ -24,9 +23,9 @@ Schemes:
   * "kernel": closed-form evolution of the constant and gaussian data
     on the unbounded flat families (line, half line, flat radial).
 
-The numpy radial modes and the Crank-Nicolson solves use elementwise
-numpy and numpy's reductions only, never BLAS or LAPACK, so no bit of
-their output depends on the BLAS thread count.
+The radial modes and the Crank-Nicolson solves use elementwise numpy and
+numpy's reductions only, never BLAS or LAPACK, so no bit of their output
+depends on the BLAS thread count; no solve needs more than numpy.
 
 Every solve enforces positivity, the maximum principle, and (for Z = 0)
 conservation of the weighted mass, and raises SolverError on violation.
@@ -359,32 +358,20 @@ def _radial_symmetric(M: ModelManifold, size: int):
     return arrays
 
 
-# Grids of up to this many nodes take their radial modes from numpy
-# (_tridiagonal_modes), larger ones from scipy's eigh_tridiagonal.  The
-# residual of a numpy pair grows with the grid: on the m = 2 sphere it is
-# 0.88 of 1e-13 max|L| at 1024 nodes and 1.1 at 2401, where hyperbolic's
-# eigen datum also misses 1e-10 (2.2e-10).
-_NUMPY_MODES_MAX = 1024
 _SECTIONS = 15   # points a multisection sweep puts in every bracket
 
 
 def _radial_modes(M: ModelManifold, size: int, select: str, select_range):
-    """(mu, V): eigenpairs of -S by scipy's select / select_range.
+    """(mu, V): eigenpairs of -S, "i" selecting the indices in
+    select_range and "v" the eigenvalues in its half-open interval.
 
-    "i" selects the indices in select_range, "v" the eigenvalues in its
-    half-open interval.  mu ascends (mu[0] ~ 0 is the constant mode) and
-    the columns of V are orthonormal; only the selected columns are
-    computed.  Up to _NUMPY_MODES_MAX nodes every mode is computed once per
-    (M, size), alone or in a batch with the same bits, and kept for every
-    later time and radial_eigenpair (_mode_table).  Larger grids call
-    scipy's eigh_tridiagonal, the only use of scipy in the package.
+    mu ascends (mu[0] ~ 0 is the constant mode) and the columns of V are
+    orthonormal; only the selected columns are computed.  Every mode is
+    computed once per (M, size) by _tridiagonal_modes, alone or in a batch
+    with the same bits, and kept for every later time and radial_eigenpair
+    (_mode_table).
     """
     _, _, dg, _, _, off = _radial_symmetric(M, size)
-    if size > _NUMPY_MODES_MAX:
-        from scipy import linalg  # on first use: no other run loads scipy
-
-        return linalg.eigh_tridiagonal(-dg, -off, select=select,
-                                       select_range=select_range)
     first, last = select_range
     if select == "v":
         first, last = _sturm_counts(-dg, off * off, np.array(select_range))
@@ -418,8 +405,8 @@ def _pivots(a, b2, x):
     # and Ren 1995), so that division, and the overflow of b2 / q at a
     # tiny pivot, are intended
     with np.errstate(divide="ignore", over="ignore"):
-        for i in range(1, a.size):
-            q[i] -= b2[i - 1] / q[i - 1]
+        for c, prev, row in zip(b2.tolist(), q, q[1:]):
+            row -= c / prev
     return q
 
 
@@ -437,10 +424,10 @@ def _tridiagonal_modes(a, b, index):
     Every eigenvalue is bracketed in the Gershgorin interval and the
     bracket is cut at _SECTIONS points a sweep by Sturm counts until it is
     4 eps |T| wide (multisection).  The twisted factorisation of T - lam I
-    at its midpoint lam then gives the eigenvector and the Rayleigh
-    correction of lam (Dhillon and Parlett 2004, Lin. Alg. Appl. 387).
-    Each pair reads its own bracket, column and row only, so it has the
-    same bits alone as in any batch.
+    at its midpoint lam then gives the eigenvector, refined by one step of
+    inverse iteration, and its Rayleigh quotient (Dhillon and Parlett
+    2004, Lin. Alg. Appl. 387).  Each pair reads its own bracket, column
+    and row only, so it has the same bits alone as in any batch.
     """
     b2 = b * b
     radius = np.zeros(a.size)
@@ -467,33 +454,59 @@ def _tridiagonal_modes(a, b, index):
 
 def _twisted_vectors(a, b, lam):
     """(mu, V): for each shift lam near an eigenvalue of the tridiagonal
-    (b, a, b), the vector z of the twisted factorisation of T - lam I,
-    (T - lam I) z = gamma_r e_r with z_r = 1 at the twist r of least
-    |gamma_r|, scaled to unit norm (one a row), and lam + gamma_r / |z|^2.
-    Raises SolverError when a pivot breaks the factorisation down."""
+    (b, a, b), one step of inverse iteration from the vector of its
+    twisted factorisation, unit vectors one a row.
+
+    T - lam I = N diag(dp<r, gamma_r, dm>r) N^T with N unit and lower
+    bidiagonal above the twist r of least |gamma_r|, upper bidiagonal below
+    it.  z solves N^T z = e_r, so (T - lam I) z = gamma_r e_r, and x solves
+    (T - lam I) x = z by the same factors; mu is x's Rayleigh quotient
+    lam + x.z / x.x.  Where gamma_r = 0, z is exact and is kept, with
+    mu = lam.  Raises SolverError when a pivot breaks the factorisation
+    down."""
     n, cols, b2 = a.size, np.arange(lam.size), b * b
     dp = _pivots(a, b2, lam)   # T - lam I = L diag(dp) L^T
     dm = _pivots(a[::-1], b2[::-1], lam)[::-1]   # = U diag(dm) U^T
-    # pivots z does not read (dp below the twist, dm above it) may be zero
-    # or infinite; one that z reads makes it nonfinite, which raises below
+    rows = np.arange(n)[:, None]
+    # pivots the solves do not read (dp below the twist, dm above it) may
+    # be zero or infinite; one that they read makes z or x nonfinite,
+    # which raises below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         gamma = dp + dm - np.subtract.outer(a, lam)
         r = np.argmin(np.abs(gamma), axis=0)
-        # z_i = -b_i z_{i+1} / dp_i above r, z_{i+1} = -b_i z_i / dm_{i+1}
-        # below it: cumulative products from r outwards
-        above = np.arange(n - 1)[:, None] < r
-        rise = np.where(above, -b[:, None] / dp[:-1], 1.0)
-        fall = np.where(above, 1.0, -b[:, None] / dm[1:])
-    z = np.ones((n, lam.size))
-    z[:-1] = np.cumprod(rise[::-1], axis=0)[::-1]
-    z[1:] *= np.cumprod(fall, axis=0)
-    # one vector a row, so its norm sums along its own row
-    z = np.ascontiguousarray(z.T)
-    norm2 = np.sum(z * z, axis=1)
-    mu = lam + gamma[r, cols] / norm2
+        exact = gamma[r, cols] == 0.0
+        # N's multipliers: b_i / dp_i above r, b_i / dm_{i+1} from r down
+        above = rows[:-1] < r
+        low = np.where(above, b[:, None] / dp[:-1], 0.0)
+        high = np.where(above, 0.0, b[:, None] / dm[1:])
+        pivot = np.where(rows < r, dp, dm)
+        pivot[r, cols] = np.where(exact, 1.0, gamma[r, cols])
+        # z_i = -low_i z_{i+1} above r, z_{i+1} = -high_i z_i below it:
+        # cumulative products from r outwards
+        z = np.ones((n, lam.size))
+        z[:-1] = np.cumprod(np.where(above, -low, 1.0)[::-1], axis=0)[::-1]
+        z[1:] *= np.cumprod(np.where(above, 1.0, -high), axis=0)
+        # N y = z: sweeps towards r; N^T x = y / pivot: sweeps away from it
+        x = z.copy()
+        _sweep(x, low)
+        _sweep(x[::-1], high[::-1])
+        x /= pivot
+        _sweep(x[::-1], low[::-1])
+        _sweep(x, high)
+    # one vector a row, so each sum runs along its own row
+    x, z = np.ascontiguousarray(x.T), np.ascontiguousarray(z.T)
+    x[exact] = z[exact]
+    norm2 = np.sum(x * x, axis=1)
+    mu = lam + np.where(exact, 0.0, np.sum(x * z, axis=1) / norm2)
     if not (np.all(np.isfinite(norm2)) and np.all(np.isfinite(mu))):
         raise SolverError("twisted factorisation broke down")
-    return mu, z / np.sqrt(norm2)[:, None]
+    return mu, x / np.sqrt(norm2)[:, None]
+
+
+def _sweep(x, mult):
+    """x_{i+1} -= mult_i x_i down the rows of x, in place."""
+    for m, prev, row in zip(mult, x, x[1:]):
+        row -= m * prev
 
 
 @functools.lru_cache(maxsize=32)

@@ -423,6 +423,12 @@ def check_alpha_form(M: ModelManifold, alpha: float | None) -> None:
                          "(sigma = 0)")
 
 
+def check_wall(M: ModelManifold) -> None:
+    """Raise ValueError unless M has a wall to accrue local time on."""
+    if not M.has_boundary:
+        raise ValueError("local time needs a boundary family")
+
+
 def local_time_moment(M: ModelManifold, x0: float, t: float, p: float,
                       n_paths: int, dt: float, seed: int,
                       scheme: str = "bridge") -> Estimate:
@@ -444,8 +450,7 @@ def local_time_accumulator(ens: Ensemble, t: float,
     """The local time L_t on ens, finished as E[e^{p L_t}] or, without p,
     as E[L_t]: local_time_moment and expected_local_time."""
     M, n_paths, dt, seed = ens.M, ens.n_paths, ens.dt, ens.seed
-    if not M.has_boundary:
-        raise ValueError("local time needs a boundary family")
+    check_wall(M)
     steps = _step_count(t, dt)
     L = np.zeros(n_paths)
 
@@ -517,6 +522,7 @@ class Functional:
     one_sided: tuple = ()
     convex: tuple = ()
     check: Callable = lambda M, entry: None
+    reads_datum: bool = True   # the accumulator reads datum.callables
 
     @property
     def compare_modes(self) -> tuple:
@@ -567,11 +573,13 @@ FUNCTIONALS = {
     "expected_local_time": Functional(
         lambda ens, entry, datum, clock: local_time_accumulator(
             ens, float(entry["t"])),
-        keys=("target",)),   # e.g. 2/sqrt(pi) for the flat wall at t = 1
+        keys=("target",),   # e.g. 2/sqrt(pi) for the flat wall at t = 1
+        check=lambda M, entry: check_wall(M), reads_datum=False),
     "local_time_moment": Functional(
         lambda ens, entry, datum, clock: local_time_accumulator(
             ens, float(entry["t"]), float(entry.get("p", 1.0))),
-        keys=("p",)),
+        keys=("p",), check=lambda M, entry: check_wall(M),
+        reads_datum=False),
     "harnack_rhs": Functional(
         _path_functional, keys=("clock", "K_field"),
         targets={"state": lambda state, ens, entry, clock: float(
@@ -590,10 +598,10 @@ FUNCTIONALS = {
 }
 
 
-def resolve_entry(entry: dict, M: ModelManifold, seed: int) -> tuple:
-    """The (ensemble, clock) of an mc entry on M, the one home of the x0,
-    n_paths, dt and seed defaults; raises ValueError on an entry that its
-    functional would not run or check.  Builds no accumulator."""
+def resolve_entry(entry: dict, M: ModelManifold, seed: int, datum) -> tuple:
+    """The (ensemble, clock) of an mc entry on M from datum, the one home of
+    the x0, n_paths, dt and seed defaults; raises ValueError on an entry
+    that its functional would not run or check.  Builds no accumulator."""
     fid = entry.get("functional")
     if fid not in FUNCTIONALS:
         raise ValueError(f"unknown functional {fid!r}; known: "
@@ -625,6 +633,8 @@ def resolve_entry(entry: dict, M: ModelManifold, seed: int) -> tuple:
                                float(entry["t"])) if "clock" in fn.keys
              else None)
     fn.check(M, entry)
+    if fn.reads_datum:
+        datum.callables(M)   # the grid-only eigen datum raises here
     return ens, clock
 
 

@@ -973,13 +973,11 @@ class TestCli:
         res = self.verify(tmp_path, **doc)
         assert res.exit_code == 0 and res.stderr == "", res.output
 
-    def test_cli_import_leaves_quadrature_out(self):
-        # scipy modules that start-up, a verify of each shipped config and
-        # the collar constants must not load: the package integrates with
-        # its own Gauss-Legendre rule, and only a radial spectral solve on
-        # more than 1024 nodes uses scipy.linalg, so the radial sphere
-        # configs (spectral on 301 and 401 nodes, Crank-Nicolson on 1025)
-        # and an interval run load no scipy at all
+    def test_no_run_loads_scipy(self):
+        # start-up, a verify of each shipped config, the collar constants
+        # and a 2401-node hyperbolic solve load no scipy module: the
+        # package integrates with its own Gauss-Legendre rule and computes
+        # every radial mode in numpy
         src = Path(liyau.__file__).parents[1]
         verify = ("try:\n"
                   "    liyau.cli.main(['verify', '--config', {!r}])\n"
@@ -992,24 +990,17 @@ class TestCli:
         hyperbolic = ("liyau.solve_heat(liyau.make_model_manifold("
                       "'hyperbolic-radial', m=2), liyau.initial_datum("
                       "'cosine', {'k': 1}), 0.5, grid_size=2401)\n")
-        for run, banned in (
-                ("", ("scipy",)),
-                (verify.format(str(CONFIGS / "sphere.json")), ("scipy",)),
-                (verify.format(str(PERFBENCH_CONFIGS / "sphere_radial.json")),
-                 ("scipy",)),
-                (verify.format(str(CONFIGS / "interval_mc.json")), ("scipy",)),
-                (collar, ("scipy",)),
-                (hyperbolic, ("scipy.integrate",))):
+        for run in ("", verify.format(str(CONFIGS / "sphere.json")),
+                    verify.format(str(PERFBENCH_CONFIGS / "sphere_radial.json")),
+                    verify.format(str(CONFIGS / "interval_mc.json")),
+                    collar, hyperbolic):
             code = ("import sys, liyau, liyau.cli\n" + run
                     + "print('modules:', *(m for m in sys.modules"
-                    " if m.startswith('scipy')))\n")
+                    " if m == 'scipy' or m.startswith('scipy.')))\n")
             out = subprocess.run([sys.executable, "-c", code], check=True,
                                  capture_output=True, text=True,
                                  env=dict(os.environ, PYTHONPATH=str(src)))
-            loaded = out.stdout.splitlines()[-1].split()[1:]
-            assert not [m for m in loaded for b in banned
-                        if m == b or m.startswith(b + ".")], (run, loaded)
-        assert "scipy.linalg" in loaded   # the 2401-node solve
+            assert out.stdout.splitlines()[-1] == "modules:", (run, out.stdout)
 
     def test_cli_import_leaves_the_thread_pool_out(self):
         # the MC worker pool is imported by the first run with two
@@ -1162,6 +1153,46 @@ class TestCli:
             assert res.exit_code == 2, res.output
             errors = error_lines(res.output)
             assert len(errors) == 1 and message in errors[0], res.output
+
+    def test_mc_rows_their_model_or_datum_cannot_feed(self, tmp_path,
+                                                      monkeypatch):
+        # local time on a model without a wall, and a functional that reads
+        # the datum's closed form beside the grid-only eigen datum, fail at
+        # load with no solve, eigenpair or accumulator; with a wall, or a
+        # cosine datum, the same rows load
+        def no_run(*args, **kwargs):
+            raise AssertionError("a solve, eigenpair or accumulator ran")
+
+        for module, name in ((harness, "solve_heat"),
+                             (heatflow, "_radial_modes"),
+                             (stochastic, "functional_accumulator"),
+                             (stochastic, "value_accumulator"),
+                             (stochastic, "local_time_accumulator")):
+            monkeypatch.setattr(module, name, no_run)
+        row = {"t": 0.3, "x0": 1.0, "n_paths": 100}
+        circle = dict(manifold={"family": "circle"},
+                      initial_datum={"id": "constant"}, times=[0.5])
+        wall = {"manifold": {"family": "interval-neumann"}}
+        cases = [(dict(circle, mc=[dict(row, functional=fid)]), wall,
+                  "local time needs a boundary family")
+                 for fid in ("expected_local_time", "local_time_moment")]
+        cosine = {"initial_datum": {"id": "cosine"}}
+        for family in ("sphere-radial", "hyperbolic-radial"):
+            eigen = dict(manifold={"family": family, "m": 2},
+                         initial_datum={"id": "eigen"}, times=[0.5],
+                         grid_size=101)
+            cases += [(dict(eigen, mc=[dict(row, functional=fid, **extra)]),
+                       cosine, f"eigen datum has no closed form on {family}")
+                      for fid, extra in (("expected_value", {}),
+                                         ("harnack_rhs", {}),
+                                         ("harnack_alpha_rhs", {"alpha": 2.0}),
+                                         ("gradient_rhs", {}))]
+        for doc, fix, message in cases:
+            res = self.verify(tmp_path, **doc)
+            assert res.exit_code == 2, res.output
+            errors = error_lines(res.output)
+            assert len(errors) == 1 and message in errors[0], res.output
+            ExperimentConfig(**dict(doc, **fix))
 
     def test_unknown_manifold_key_is_a_usage_error(self, tmp_path):
         res = self.verify(tmp_path, manifold={"family": "circle", "m": 1,

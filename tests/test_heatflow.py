@@ -290,15 +290,41 @@ class TestSolvers:
         lam, _ = radial_eigenpair(M, 2401, k)   # the first mode dropped
         assert lam * st.t > _MODE_CUT
 
-    def test_a_mode_has_the_same_bits_alone_and_in_a_batch(self):
-        M = make_model_manifold("sphere-radial", m=2)
-        _, _, dg, _, _, off = _radial_symmetric(M, 301)
-        mu, V = heatflow._tridiagonal_modes(-dg, -off, np.arange(40))
-        for j in (0, 1, 7, 39):
+    @pytest.mark.parametrize("family, size, count", [
+        ("sphere-radial", 301, 40), ("hyperbolic-radial", 2401, 16)])
+    def test_a_mode_has_the_same_bits_alone_and_in_a_batch(self, family,
+                                                           size, count):
+        M = make_model_manifold(family, m=2)
+        _, _, dg, _, _, off = _radial_symmetric(M, size)
+        mu, V = heatflow._tridiagonal_modes(-dg, -off, np.arange(count))
+        for j in (0, 1, 7, count - 1):
             alone, vec = heatflow._tridiagonal_modes(-dg, -off, np.array([j]))
             assert alone[0] == mu[j] and np.array_equal(vec[0], V[j]), j
 
-    def test_kept_modes_do_not_depend_on_the_solve_order(self):
+    @pytest.mark.parametrize("family, size", [("hyperbolic-radial", 2401),
+                                              ("hyperbolic-radial", 4801),
+                                              ("sphere-radial", 301)])
+    def test_refined_eigenpairs_have_tiny_residuals(self, family, size):
+        # one step of inverse iteration puts every pair 10x inside the
+        # 1e-13 max|L| of test_radial_eigenpair_residuals
+        M = make_model_manifold(family, m=2)
+        _, dn, dg, up = _generator(M, size)
+        for index in (0, 1, 2, 10, size // 2, size - 1):
+            lam, v = radial_eigenpair(M, size, index)
+            Lv = _apply(dn, dg, up, v)
+            assert np.max(np.abs(Lv + lam * v)) < 1e-14 * np.max(np.abs(dg)), (
+                index)
+
+    def test_an_exact_shift_keeps_the_twisted_vector(self):
+        # T - 3 I is singular, so gamma_r = 0 and z = (1, 2, 1) is an exact
+        # eigenvector; the solve would divide by gamma_r, so z is kept
+        a, b = np.array([1.0, 2.0, 1.0]), np.array([1.0, 1.0])
+        mu, V = heatflow._twisted_vectors(a, b, np.array([3.0]))
+        assert mu.tolist() == [3.0]
+        assert np.array_equal(V[0], np.array([1.0, 2.0, 1.0]) / np.sqrt(6.0))
+
+    @pytest.mark.parametrize("size", [401, 2401])
+    def test_kept_modes_do_not_depend_on_the_solve_order(self, size):
         # t = 2 keeps a few modes and t = 0.05 adds the rest to the table;
         # the reverse order computes them all in one batch
         M = make_model_manifold("hyperbolic-radial", m=2)
@@ -306,7 +332,7 @@ class TestSolvers:
         runs = []
         for order in ((2.0, 0.05), (0.05, 2.0)):
             heatflow._mode_table.cache_clear()
-            runs.append({t: solve_heat(M, datum, t, grid_size=401)
+            runs.append({t: solve_heat(M, datum, t, grid_size=size)
                          for t in order})
         for t in (2.0, 0.05):
             for name in ("u", "grad_u", "Lu"):
