@@ -22,8 +22,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .clocks import Clock
-from .numerics import (coth, decay_rate, em1int, integrate_smooth,
-                       reject_unknown, sign_changes, xcot, xcoth)
+from .numerics import (check_real, coth, decay_rate, em1int,
+                       integrate_smooth, reject_unknown, sign_changes, xcot,
+                       xcoth)
 
 
 class Bound(NamedTuple):
@@ -71,12 +72,16 @@ def check_keys(bound_id: str, keys, extra: tuple | None = None) -> None:
 def sweep(entry: dict) -> tuple:
     """(id, parameter sets) of a config's bound entry {"id", "params"}: the
     product of its list-valued params, in sweep order.  A key the entry or
-    its bound does not read, or a missing required param, raises."""
+    its bound does not read, a missing required param, or a value or list
+    element that is not a real number raises."""
     bound_id, spec = entry["id"], entry.get("params") or {}
     reject_unknown(entry, ("id", "params"), f"bound {bound_id!r}")
     check_keys(bound_id, spec, ())
     keys = [k for k in BOUNDS[bound_id].params if k in spec]
     lists = [spec[k] if isinstance(spec[k], list) else [spec[k]] for k in keys]
+    for key, values in zip(keys, lists):
+        for value in values:
+            check_real(value, f"param {key!r} of bound {bound_id!r}")
     return bound_id, [dict(zip(keys, c)) for c in itertools.product(*lists)]
 
 

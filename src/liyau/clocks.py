@@ -10,6 +10,9 @@ estimates into explicit constants.  Families:
     exp-linear    l = e^{-K s/(a-1)} (t-s)/t
     bbg           l = h_s e^{K s},  h the sinh / linear / sin comparison
     local-exp     l = (e^{-b s} - e^{-b t}) / (1 - e^{-b t})
+
+FAMILIES gives each family's params (a, K, alpha, lam, beta = b) and
+their defaults; make_clock takes nothing else, and real numbers only.
 """
 
 from __future__ import annotations
@@ -19,9 +22,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import QuadratureError, em1int, integrate_smooth
+from .numerics import (QuadratureError, check_real, em1int, integrate_smooth,
+                       reject_unknown)
 
-FAMILIES = ("linear", "trig", "exp-integral", "exp-linear", "bbg", "local-exp")
+# each family's params and their defaults; None marks a required one
+FAMILIES = {
+    "linear": {},
+    "trig": {"a": 0.0, "K": 0.0},
+    "exp-integral": {"alpha": None, "K": 0.0},
+    "exp-linear": {"alpha": None, "K": 0.0},
+    "bbg": {"K": None, "lam": None},
+    "local-exp": {"beta": 0.0},
+}
 
 _ENDPOINT_TOL = 1e-12
 
@@ -52,28 +64,27 @@ class Clock:
 
 
 def make_clock(family: str, params: dict | None = None, t: float = 1.0) -> Clock:
+    """The clock of family on [0, t] with the defaults of FAMILIES; an
+    unknown family or param, or a param out of its range, raises."""
     if family not in FAMILIES:
         raise ValueError(f"unknown clock family {family!r}")
     if t <= 0:
         raise ValueError("horizon t must be positive")
-    params = dict(params or {})
+    params = params or {}
+    reject_unknown(params, tuple(FAMILIES[family]),
+                   f"the params of clock {family!r}")
+    for key, value in params.items():
+        check_real(value, f"param {key!r} of clock {family!r}")
+    params = {**FAMILIES[family], **params}
     if family in ("exp-integral", "exp-linear"):
-        alpha = params.get("alpha")
-        if alpha is None or alpha <= 1.0:
+        if params["alpha"] is None or params["alpha"] <= 1.0:
             raise ValueError(f"{family} clock needs alpha > 1")
-        params.setdefault("K", 0.0)
-    elif family == "trig":
-        params.setdefault("a", 0.0)
-        params.setdefault("K", 0.0)
     elif family == "bbg":
-        K = params.get("K")
-        lam = params.get("lam")
+        K, lam = params["K"], params["lam"]
         if K is None or K <= 0:
             raise ValueError("bbg clock needs K > 0")
         if lam is None or lam <= -math.pi**2 / (K * t) ** 2:
             raise ValueError("bbg clock needs lam > -pi^2/(K t)^2")
-    elif family == "local-exp":
-        params.setdefault("beta", 0.0)
     clock = Clock(family=family, t=float(t), params=params)
     l0 = float(clock.l(0.0))
     lt = float(clock.l(t))

@@ -11,35 +11,57 @@ descriptor stores the curvature-dimension constants (K, n) and, when a
 boundary exists, the convexity lower bound sigma of its second
 fundamental form.  Those three numbers parameterise every bound in the
 catalog and every exponential path weight in the Monte Carlo layer.
+FAMILIES holds each family's Family record, which heatflow and
+stochastic read through ModelManifold.spec.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
-EUCLIDEAN_LINE = "euclidean-line"
-EUCLIDEAN_RADIAL = "euclidean-radial"
-CIRCLE = "circle"
-HALF_LINE = "half-line-neumann"
-INTERVAL = "interval-neumann"
-SPHERE = "sphere-radial"
-HYPERBOLIC = "hyperbolic-radial"
 
-FAMILIES = (
-    EUCLIDEAN_LINE,
-    EUCLIDEAN_RADIAL,
-    CIRCLE,
-    HALF_LINE,
-    INTERVAL,
-    SPHERE,
-    HYPERBOLIC,
-)
+class Family(NamedTuple):
+    """The facts of one model family; README's family table lists them."""
 
-_BOUNDARY_FAMILIES = (HALF_LINE, INTERVAL)
-_RADIAL_FAMILIES = (EUCLIDEAN_RADIAL, SPHERE, HYPERBOLIC)
+    keys: tuple                     # the manifold fields that ends reads
+    ends: Callable                  # their values -> the (lo, hi) grid ends
+    walls: tuple = (False, False)   # which of lo, hi reflect
+    periodic: bool = False          # the grid leaves hi out
+    radial: bool = False            # an open pole end: the chart guard
+    flux_form: bool = False         # solved as w^{-1} (w u')'
+    kernel: bool = False            # the kernel scheme's closed form
+    compact: bool = False           # the grid covers the whole space
+    sharp_K: Callable = lambda m: 0.0   # the driftless model's K
+    profile: Callable = np.ones_like    # volume density profile^(m-1)
+    rmax: float = 8.0
+    grid_size: int = 401
+
+
+FAMILIES = {
+    "euclidean-line": Family(("rmax",), lambda r: (-r, r), kernel=True),
+    "euclidean-radial": Family(("pole_cut", "rmax"), lambda c, r: (c, r),
+                               radial=True, kernel=True,
+                               profile=lambda x: x),
+    "circle": Family((), lambda: (0.0, 2.0 * math.pi), periodic=True,
+                     compact=True, grid_size=256),
+    "half-line-neumann": Family(("rmax",), lambda r: (0.0, r),
+                                walls=(True, False), kernel=True),
+    "interval-neumann": Family(("length",), lambda L: (0.0, L),
+                               walls=(True, True), compact=True,
+                               grid_size=257),
+    "sphere-radial": Family(("pole_cut",), lambda c: (c, math.pi - c),
+                            radial=True, flux_form=True, compact=True,
+                            sharp_K=lambda m: m - 1.0, profile=np.sin),
+    "hyperbolic-radial": Family(("pole_cut", "rmax"), lambda c, r: (c, r),
+                                radial=True, flux_form=True,
+                                sharp_K=lambda m: -(m - 1.0), rmax=3.0,
+                                profile=np.sinh),
+}
 
 # Named drift coefficients; a driftless model uses "none".
 _DRIFTS: dict[str, object] = {"none": None}
@@ -69,24 +91,23 @@ class ModelManifold:
     # -- structural queries -------------------------------------------------
 
     @property
-    def has_boundary(self) -> bool:
-        return self.family in _BOUNDARY_FAMILIES
+    def spec(self) -> Family:
+        return FAMILIES[self.family]
 
     @property
-    def is_compact_grid(self) -> bool:
-        """True when the default grid covers the whole space."""
-        return self.family in (CIRCLE, INTERVAL, SPHERE)
+    def has_boundary(self) -> bool:
+        return any(self.spec.walls)
 
     # -- coefficients of the reduction --------------------------------------
 
     def b(self, x, out=None):
         """Volume-element drift of the radial reduction, into out if given."""
         x = np.asarray(x, dtype=float)
-        if self.family == EUCLIDEAN_RADIAL:
+        if self.family == "euclidean-radial":
             out = np.divide(self.m - 1, x, out=out)
-        elif self.family == SPHERE:
+        elif self.family == "sphere-radial":
             out = np.divide(self.m - 1, np.tan(x, out=out), out=out)
-        elif self.family == HYPERBOLIC:
+        elif self.family == "hyperbolic-radial":
             out = np.expm1(np.multiply(2.0, x, out=out), out=out)
             out = np.multiply(self.m - 1, np.add(
                 1.0, np.divide(2.0, out, out=out), out=out), out=out)
@@ -114,61 +135,33 @@ class ModelManifold:
 
     def weight(self, x):
         """Density of the Riemannian volume element in the coordinate."""
-        x = np.asarray(x, dtype=float)
-        if self.family == EUCLIDEAN_RADIAL:
-            out = x ** (self.m - 1)
-        elif self.family == SPHERE:
-            out = np.sin(x) ** (self.m - 1)
-        elif self.family == HYPERBOLIC:
-            out = np.sinh(x) ** (self.m - 1)
-        else:
-            out = np.ones_like(x)
+        out = self.spec.profile(np.asarray(x, dtype=float)) ** (self.m - 1)
         return out if out.ndim else float(out)
 
     # -- domains and grids ---------------------------------------------------
 
     def domain(self):
-        """Coordinate range covered by solver grids (lo, hi, kind)."""
-        if self.family == EUCLIDEAN_LINE:
-            return -self.rmax, self.rmax, "open"
-        if self.family == EUCLIDEAN_RADIAL:
-            return self.pole_cut, self.rmax, "pole-open"
-        if self.family == CIRCLE:
-            return 0.0, 2.0 * math.pi, "periodic"
-        if self.family == HALF_LINE:
-            return 0.0, self.rmax, "boundary-lo"
-        if self.family == INTERVAL:
-            return 0.0, self.length, "boundary-both"
-        if self.family == SPHERE:
-            return self.pole_cut, math.pi - self.pole_cut, "pole-open"
-        if self.family == HYPERBOLIC:
-            return self.pole_cut, self.rmax, "pole-open"
-        raise ValueError(f"unknown family {self.family!r}")
+        """Coordinate range (lo, hi) covered by solver grids."""
+        spec = self.spec
+        return spec.ends(*(getattr(self, key) for key in spec.keys))
 
     def grid(self, size: int) -> np.ndarray:
-        lo, hi, kind = self.domain()
-        if kind == "periodic":
-            return np.linspace(lo, hi, size, endpoint=False)
-        return np.linspace(lo, hi, size)
+        lo, hi = self.domain()
+        return np.linspace(lo, hi, size, endpoint=not self.spec.periodic)
 
     def boundaries(self):
         """Reflecting walls as (coordinate, inward direction) pairs."""
-        if self.family == HALF_LINE:
-            return ((0.0, +1.0),)
-        if self.family == INTERVAL:
-            return ((0.0, +1.0), (self.length, -1.0))
-        return ()
+        return tuple((pos, direction) for pos, direction, wall
+                     in zip(self.domain(), (+1.0, -1.0), self.spec.walls)
+                     if wall)
 
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> dict:
+        """Every field the family reads, for manifold_from_dict."""
         doc = {"family": self.family, "m": self.m, "n": self.n,
-               "K": self.K, "drift": self.drift_id}
-        doc["sigma"] = self.sigma
-        if self.family == INTERVAL:
-            doc["length"] = self.length
-        if self.family in (EUCLIDEAN_LINE, EUCLIDEAN_RADIAL, HALF_LINE, HYPERBOLIC):
-            doc["rmax"] = self.rmax
+               "K": self.K, "drift": self.drift_id, "sigma": self.sigma}
+        doc.update((key, getattr(self, key)) for key in self.spec.keys)
         return doc
 
 
@@ -186,23 +179,23 @@ def make_model_manifold(family: str, m: int = 1, n: float | None = None,
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
+    spec = FAMILIES[family]
     if m < 1 or m != int(m):
         raise ValueError("m must be a positive integer")
-    if n is None:
-        n = float(m)
+    n = float(m) if n is None else n
     if n < m:
         raise ValueError(f"effective dimension n={n} must be >= m={m}")
     if drift not in _DRIFTS:
         raise ValueError(f"unregistered drift {drift!r}")
     if drift != "none":
-        if family in _RADIAL_FAMILIES:
+        if spec.radial:
             raise ValueError(f"drift not supported on {family}: no radial reduction")
         if K is None:
             raise ValueError("a drift model needs an explicit curvature bound K")
         model_K = K
     else:
         # the sharp curvature lower bound of the driftless model
-        model_K = {SPHERE: m - 1.0, HYPERBOLIC: -(m - 1.0)}.get(family, 0.0)
+        model_K = spec.sharp_K(m)
         if K is not None:
             if K > model_K + 1e-12:
                 raise ValueError(
@@ -210,20 +203,15 @@ def make_model_manifold(family: str, m: int = 1, n: float | None = None,
                 )
             model_K = K
 
-    if family in _BOUNDARY_FAMILIES:
-        model_sigma = 0.0 if sigma is None else sigma
-        if model_sigma > 1e-12:
-            raise ValueError("flat boundaries are totally geodesic: sigma <= 0 only")
-    else:
-        if sigma is not None:
-            raise ValueError(f"{family} has no boundary, sigma must be absent")
-        model_sigma = None
-
-    if rmax is None:
-        rmax = 3.0 if family == HYPERBOLIC else 8.0
+    if sigma is not None and not any(spec.walls):
+        raise ValueError(f"{family} has no boundary, sigma must be absent")
+    if sigma is not None and sigma > 1e-12:
+        raise ValueError("flat boundaries are totally geodesic: sigma <= 0 only")
+    model_sigma = (0.0 if sigma is None else sigma) if any(spec.walls) else None
     return ModelManifold(family=family, m=int(m), n=float(n), K=float(model_K),
                          sigma=model_sigma, drift_id=drift, length=float(length),
-                         rmax=float(rmax), pole_cut=float(pole_cut))
+                         rmax=float(spec.rmax if rmax is None else rmax),
+                         pole_cut=float(pole_cut))
 
 
 _OPTIONAL_KEYS = ("K", "sigma", "length", "rmax", "pole_cut")
@@ -232,10 +220,8 @@ MANIFOLD_KEYS = ("family", "m", "n", "drift") + _OPTIONAL_KEYS
 
 
 def manifold_from_dict(doc: dict) -> ModelManifold:
-    kwargs = {}
-    for key in _OPTIONAL_KEYS:
-        if key in doc and doc[key] is not None:
-            kwargs[key] = doc[key]
+    kwargs = {key: doc[key] for key in _OPTIONAL_KEYS
+              if doc.get(key) is not None}
     return make_model_manifold(doc["family"], m=doc.get("m", 1),
                                n=doc.get("n"), drift=doc.get("drift", "none"),
                                **kwargs)

@@ -27,7 +27,7 @@ from . import __version__
 from . import bounds as bounds_mod
 from . import stochastic as stoch
 from .geometry import MANIFOLD_KEYS, ModelManifold, manifold_from_dict
-from .heatflow import HeatState, default_grid_size, initial_datum, solve_heat
+from .heatflow import HeatState, initial_datum, solve_heat
 from .numerics import reject_unknown
 
 CSV_COLUMNS = ("bound_id", "family", "m", "n", "K", "t", "x", "alpha", "eps",
@@ -245,7 +245,7 @@ def _state_solver(M: ModelManifold, datum):
     solved: dict[tuple, object] = {}
 
     def solve(t, grid_size, scheme):
-        key = (float(t), default_grid_size(M) if grid_size is None
+        key = (float(t), M.spec.grid_size if grid_size is None
                else grid_size, scheme)
         if key not in solved:
             try:

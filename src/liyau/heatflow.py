@@ -23,6 +23,10 @@ Schemes:
   * "kernel": closed-form evolution of the constant and gaussian data
     on the unbounded flat families (line, half line, flat radial).
 
+Each family's route is read from its geometry.Family record (M.spec), and
+each initial datum from DATA: its params with their defaults and the
+families where it has a closed form.
+
 The radial modes and the Crank-Nicolson solves use elementwise numpy and
 numpy's reductions only, never BLAS or LAPACK, so no bit of their output
 depends on the BLAS thread count; no solve needs more than numpy.
@@ -36,21 +40,15 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from . import geometry
-from .geometry import ModelManifold
-from .numerics import SolverError, reject_unknown
+from .geometry import FAMILIES, ModelManifold
+from .numerics import SolverError, check_real, reject_unknown
 
 POSITIVITY_FLOOR = 1e-12
 NEUMANN_TOL = 1e-8  # |u0'| allowed at a reflecting wall
-
-# the radial reductions solved in the flux form, and the unbounded flat
-# families the kernel scheme evolves in closed form
-_FLUX_FORM = (geometry.SPHERE, geometry.HYPERBOLIC)
-_UNBOUNDED_FLAT = (geometry.EUCLIDEAN_LINE, geometry.HALF_LINE,
-                   geometry.EUCLIDEAN_RADIAL)
 
 
 # ---------------------------------------------------------------------------
@@ -97,23 +95,20 @@ def exact_kernel(M: ModelManifold, t: float, x: float, y: float) -> float:
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    fam = M.family
-    if fam == geometry.EUCLIDEAN_LINE:
-        return float(_gauss(x - y, t))
-    if fam == geometry.EUCLIDEAN_RADIAL:
+    if M.spec.flux_form:
+        raise ValueError(f"no exact kernel for {M.family}; use solve_heat")
+    if M.spec.radial:
         if y != 0.0:
             raise ValueError("flat radial kernel is centered: y must be 0")
         return float((4.0 * math.pi * t) ** (-M.m / 2.0)
                      * math.exp(-x * x / (4.0 * t)))
-    if fam == geometry.CIRCLE:
-        return _circle_kernel((x - y) % (2.0 * math.pi), t, 2.0 * math.pi)
-    if fam == geometry.HALF_LINE:
-        return float(_gauss(x - y, t) + _gauss(x + y, t))
-    if fam == geometry.INTERVAL:
-        period = 2.0 * M.length
-        return (_circle_kernel(x - y, t, period)
-                + _circle_kernel(x + y, t, period))
-    raise ValueError(f"no exact kernel for {fam}; use solve_heat")
+    images = (x - y, x + y) if M.has_boundary else (x - y,)   # wall at 0
+    if not M.spec.compact:
+        return float(sum(_gauss(d, t) for d in images))
+    _, hi = M.domain()
+    if M.spec.periodic:
+        return _circle_kernel((x - y) % hi, t, hi)
+    return sum(_circle_kernel(d, t, 2.0 * hi) for d in images)
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +137,7 @@ class HeatState:
         return self.grad_u**2 / self.u
 
     def index_of(self, x: float) -> int:
-        i = int(np.argmin(np.abs(self.grid - x)))
-        return i
+        return int(np.argmin(np.abs(self.grid - x)))
 
     def mass(self) -> float:
         return _mass(self.manifold, self.grid, self.u)
@@ -165,7 +159,7 @@ def _mass(M: ModelManifold, grid, u) -> float:
     form).  Interval: the trapezoid, which is the zero cosine mode.
     """
     w = M.weight(grid)
-    if M.family == geometry.CIRCLE or M.family in _FLUX_FORM:
+    if M.spec.periodic or M.spec.flux_form:
         return float((grid[1] - grid[0]) * math.fsum(u * w))
     return float(np.trapezoid(u * w, grid))
 
@@ -179,17 +173,32 @@ def harnack_quantities(state: HeatState, x: float) -> tuple[float, float, float]
     return float(state.X()[i]), float(state.Y()[i]), float(state.W()[i])
 
 
-# every datum id and the params it reads
-DATUM_PARAMS = {"constant": ("c",), "cosine": ("k", "amp", "base"),
-                "eigen": ("index", "amp", "base"),
-                "legendre": ("index", "amp", "base"),
-                "gaussian": ("amp", "width", "base")}
+class Datum(NamedTuple):
+    params: dict     # param -> default
+    families: tuple  # the families where the datum has a closed form
+
+
+# The datum catalog: every param a real number, k and index whole ones;
+# the flux-form eigen datum lives on the solver grid (InitialDatum.values).
+DATA = {
+    "constant": Datum({"c": 1.0}, tuple(FAMILIES)),
+    "cosine": Datum({"k": 1, "amp": 0.5, "base": 1.0},
+                    ("circle", "interval-neumann", "sphere-radial",
+                     "hyperbolic-radial")),
+    "eigen": Datum({"index": 1, "amp": 0.5, "base": 1.0},
+                   ("circle", "interval-neumann")),
+    "legendre": Datum({"index": 1, "amp": 0.5, "base": 1.0},
+                      ("sphere-radial",)),
+    "gaussian": Datum({"amp": 1.0, "width": 0.25, "base": 1.0},
+                      ("euclidean-line", "half-line-neumann",
+                       "euclidean-radial")),
+}
 
 
 @dataclass(frozen=True)
 class InitialDatum:
-    """Initial profile from the expression catalog (ids and params in
-    DATUM_PARAMS).
+    """Initial profile from the datum catalog DATA, with every param of its
+    id (initial_datum fills in the defaults).
 
     Analytic ids expose callables; the discrete-eigen data on the curved
     reductions exist only as grid values tied to the solver operator.
@@ -200,10 +209,10 @@ class InitialDatum:
 
     def values(self, M: ModelManifold, grid: np.ndarray) -> np.ndarray:
         """u0 sampled on the grid."""
-        if self.expr == "eigen" and M.family in _FLUX_FORM:
-            p = self.params
-            _, vec = radial_eigenpair(M, grid.size, int(p.get("index", 1)))
-            u0 = float(p.get("base", 1.0)) + float(p.get("amp", 0.5)) * vec
+        p = self.params
+        if self.expr == "eigen" and M.spec.flux_form:   # on the grid only
+            _, vec = radial_eigenpair(M, grid.size, int(p["index"]))
+            u0 = float(p["base"]) + float(p["amp"]) * vec
         else:
             u0 = self.callables(M)[0](grid)
         if np.min(u0) < 0.0:
@@ -213,27 +222,22 @@ class InitialDatum:
     def callables(self, M: ModelManifold):
         """(u0, u0', u0'') as vectorised callables for analytic ids."""
         p = self.params
+        if M.family not in DATA[self.expr].families:
+            raise ValueError(f"{self.expr} datum has no closed form on "
+                             f"{M.family}")
         if self.expr == "constant":
-            c = float(p.get("c", 1.0))
+            c = float(p["c"])
             if c <= 0:
                 raise ValueError("constant datum must be positive")
             return (lambda x: np.full_like(np.asarray(x, float), c),
                     lambda x: np.zeros_like(np.asarray(x, float)),
                     lambda x: np.zeros_like(np.asarray(x, float)))
+        amp, base = float(p["amp"]), float(p["base"])
         if self.expr in ("cosine", "eigen"):
-            shift = 0.0
-            w = float(p.get("k" if self.expr == "cosine" else "index", 1))
-            if M.family == geometry.INTERVAL:
-                w = w * math.pi / M.length
-            elif self.expr == "cosine" and M.family in _FLUX_FORM:
-                lo, hi, _ = M.domain()  # no-flux fit to the solver grid ends
-                w = w * math.pi / (hi - lo)
-                shift = lo
-            elif M.family != geometry.CIRCLE:
-                raise ValueError(f"{self.expr} datum has no closed form on "
-                                 f"{M.family}")
-            amp = float(p.get("amp", 0.5))
-            base = float(p.get("base", 1.0))
+            w, shift = float(p["k" if self.expr == "cosine" else "index"]), 0.0
+            if not M.spec.periodic:   # no-flux fit to the solver grid ends
+                lo, hi = M.domain()
+                w, shift = w * math.pi / (hi - lo), lo
             if base - abs(amp) < 0:
                 raise ValueError("cosine datum must stay nonnegative")
             arg = lambda x: w * (np.asarray(x, float) - shift)
@@ -241,12 +245,7 @@ class InitialDatum:
                     lambda x: -amp * w * np.sin(arg(x)),
                     lambda x: -amp * w * w * np.cos(arg(x)))
         if self.expr == "legendre":
-            if M.family != geometry.SPHERE:
-                raise ValueError("legendre datum lives on the round sphere")
-            index = int(p.get("index", 1))
-            amp = float(p.get("amp", 0.5))
-            base = float(p.get("base", 1.0))
-            m = M.m
+            index, m = int(p["index"]), M.m
             if index == 1:
                 # L cos r = -m cos r on the m-sphere
                 return (lambda x: base + amp * np.cos(np.asarray(x, float)),
@@ -261,40 +260,40 @@ class InitialDatum:
                         lambda x: -2.0 * amp * (m + 1)
                         * np.cos(2.0 * np.asarray(x, float)) / m)
             raise ValueError("legendre datum supports index 1 or 2")
-        if self.expr == "gaussian":
-            if M.family not in _UNBOUNDED_FLAT:
-                raise ValueError("gaussian datum lives on the flat families")
-            amp = float(p.get("amp", 1.0))
-            s0 = float(p.get("width", 0.25))
-            base = float(p.get("base", 1.0))
-            if base <= 0 or base + min(amp, 0.0) < 0 or s0 <= 0:
-                raise ValueError("gaussian datum must stay nonnegative")
-            e = lambda x: np.exp(-np.asarray(x, float) ** 2 / (4.0 * s0))
-            return (lambda x: base + amp * e(x),
-                    lambda x: -amp * np.asarray(x, float) / (2.0 * s0) * e(x),
-                    lambda x: amp * (np.asarray(x, float) ** 2 / (4.0 * s0**2)
-                                     - 1.0 / (2.0 * s0)) * e(x))
-        raise ValueError(f"unknown datum {self.expr!r}")
+        s0 = float(p["width"])   # the gaussian
+        if base <= 0 or base + min(amp, 0.0) < 0 or s0 <= 0:
+            raise ValueError("gaussian datum must stay nonnegative")
+        e = lambda x: np.exp(-np.asarray(x, float) ** 2 / (4.0 * s0))
+        return (lambda x: base + amp * e(x),
+                lambda x: -amp * np.asarray(x, float) / (2.0 * s0) * e(x),
+                lambda x: amp * (np.asarray(x, float) ** 2 / (4.0 * s0**2)
+                                 - 1.0 / (2.0 * s0)) * e(x))
 
     def check(self, M: ModelManifold) -> None:
         """Raise as solve_heat would before sampling: no closed form on M
-        (the radial grid-only eigen datum aside), or a slope at a wall."""
-        if self.expr == "eigen" and M.family in _FLUX_FORM:
-            return
-        _, du, _ = self.callables(M)
-        for pos, _ in M.boundaries():
-            if abs(float(du(pos))) > NEUMANN_TOL:
-                raise ValueError(
-                    f"initial datum is not Neumann compatible at x={pos}")
+        (the radial grid-only eigen datum aside), a slope at a wall, or a k
+        or index that is not whole (a cosine fits both ends for whole k)."""
+        if not (self.expr == "eigen" and M.spec.flux_form):
+            _, du, _ = self.callables(M)
+            for pos, _ in M.boundaries():
+                if abs(float(du(pos))) > NEUMANN_TOL:
+                    raise ValueError(
+                        f"initial datum is not Neumann compatible at x={pos}")
+        for key in self.params.keys() & {"k", "index"}:
+            check_real(self.params[key], f"param {key!r} of datum "
+                       f"{self.expr!r}", integral=True)
 
 
 def initial_datum(expr: str, params: dict | None = None) -> InitialDatum:
-    """The datum expr; an unknown id, or a param it does not read, raises."""
-    if expr not in DATUM_PARAMS:
+    """The datum expr with its defaults filled in; an unknown id, or a
+    param it does not read or that is not a real number, raises."""
+    if expr not in DATA:
         raise ValueError(f"unknown datum {expr!r}")
-    reject_unknown(params or {}, DATUM_PARAMS[expr],
-                   f"the params of datum {expr!r}")
-    return InitialDatum(expr=expr, params=dict(params or {}))
+    params, defaults = params or {}, DATA[expr].params
+    reject_unknown(params, tuple(defaults), f"the params of datum {expr!r}")
+    for key, value in params.items():
+        check_real(value, f"param {key!r} of datum {expr!r}")
+    return InitialDatum(expr=expr, params={**defaults, **params})
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +311,8 @@ def _generator(M: ModelManifold, size: int):
     """
     grid = M.grid(size)
     h = grid[1] - grid[0]
-    if M.family in _FLUX_FORM:
-        lo, hi, _ = M.domain()
+    if M.spec.flux_form:
+        lo, hi = M.domain()
         w = M.weight(grid)
         up = M.weight(np.minimum(grid + 0.5 * h, hi)) / (h * h * w)
         dn = M.weight(np.maximum(grid - 0.5 * h, lo)) / (h * h * w)
@@ -322,7 +321,7 @@ def _generator(M: ModelManifold, size: int):
     b = M.b_total(grid)
     up = 1.0 / h**2 + b / (2.0 * h)
     dn = 1.0 / h**2 - b / (2.0 * h)
-    if M.family != geometry.CIRCLE:
+    if not M.spec.periodic:
         up[0] = dn[-1] = 2.0 / h**2
         dn[0] = up[-1] = 0.0
     return grid, dn, np.full(grid.size, -2.0 / h**2), up
@@ -531,11 +530,6 @@ def radial_eigenpair(M: ModelManifold, size: int, index: int):
 # solvers
 
 
-def default_grid_size(M: ModelManifold) -> int:
-    """The grid size solve_heat takes when it is given none."""
-    return {geometry.CIRCLE: 256, geometry.INTERVAL: 257}.get(M.family, 401)
-
-
 def solve_heat(M: ModelManifold, u0: InitialDatum, t: float,
                grid_size: int | None = None, scheme: str = "spectral") -> HeatState:
     """Propagate u0 to time t and return the state with grad u and Lu.
@@ -551,23 +545,22 @@ def solve_heat(M: ModelManifold, u0: InitialDatum, t: float,
     if scheme not in ("spectral", "crank-nicolson-fd", "kernel"):
         raise ValueError(f"unknown scheme {scheme!r}")
     if grid_size is None:
-        grid_size = default_grid_size(M)
+        grid_size = M.spec.grid_size
     u0.check(M)
     grid = M.grid(grid_size)
     u0v = u0.values(M, grid)
 
-    fam = M.family
-    if fam in _UNBOUNDED_FLAT and scheme != "crank-nicolson-fd":
+    if M.spec.kernel and scheme != "crank-nicolson-fd":
         scheme = "kernel"
     elif scheme == "kernel":
-        raise ValueError(f"no kernel evolution on {fam}")
+        raise ValueError(f"no kernel evolution on {M.family}")
     if scheme != "crank-nicolson-fd" and M.drift_id != "none":
         raise SolverError(f"the {scheme} scheme needs Z = 0; "
                           "use crank-nicolson-fd")
 
     if scheme == "kernel":
         u, du, Lu = _kernel_evolution(M, u0, t, grid)
-    elif scheme == "spectral" and fam not in _FLUX_FORM:
+    elif scheme == "spectral" and not M.spec.flux_form:
         u, du, Lu = _fourier(M, u0v, t)
     else:
         _, dn, dg, up = _generator(M, grid_size)
@@ -577,7 +570,7 @@ def solve_heat(M: ModelManifold, u0: InitialDatum, t: float,
         else:
             u = _crank_nicolson(M, u0v, t, h, dn, dg, up)
         Lu = _apply(dn, dg, up, u)
-        if fam == geometry.CIRCLE:
+        if M.spec.periodic:
             du = (np.roll(u, -1) - np.roll(u, 1)) / (2.0 * h)
         else:
             du = np.gradient(u, grid, edge_order=2)
@@ -595,7 +588,7 @@ def _check_state(M, u0v, state):
     if (np.max(state.u) > np.max(u0v) + slack
             or np.min(state.u) < np.min(u0v) - slack):
         raise SolverError("maximum principle violated")
-    if M.drift_id == "none" and M.is_compact_grid and state.scheme != "kernel":
+    if M.drift_id == "none" and M.spec.compact:   # no kernel scheme there
         m0 = _mass(M, grid, u0v)
         mt = state.mass()
         if abs(mt - m0) > 1e-8 * (1.0 + abs(m0)):
@@ -610,7 +603,7 @@ def _fourier(M, u0v, t):
     sine series of du vanishes at both walls.
     """
     size = u0v.size
-    if M.family == geometry.CIRCLE:
+    if M.spec.periodic:
         n, k = size, np.fft.rfftfreq(size, d=1.0 / size)
         co = np.fft.rfft(u0v)
     else:
@@ -618,7 +611,7 @@ def _fourier(M, u0v, t):
         co = np.fft.rfft(np.concatenate((u0v, u0v[-2:0:-1]))).real
     co = co * np.exp(-k**2 * t)
     u, du, Lu = np.fft.irfft([co, 1j * k * co, -k**2 * co], n)[:, :size]
-    if M.family == geometry.INTERVAL:
+    if not M.spec.periodic:
         du[[0, -1]] = 0.0
     return u, du, Lu
 
@@ -657,7 +650,7 @@ def _crank_nicolson(M, u0v, t, h, dn, dg, up):
     # sub-, main and super-diagonal of I - dt/2 L
     sub, sup = -0.5 * dt * dn[1:], -0.5 * dt * up[:-1]
     main = -0.5 * dt * dg + 1.0
-    periodic = M.family == geometry.CIRCLE
+    periodic = M.spec.periodic
     if periodic:
         # corners p = lhs[0, -1], q = lhs[-1, 0] by Sherman-Morrison:
         # lhs = T + s r^T with s = g e_0 + q e_-1, r = e_0 + (p / g) e_-1
@@ -745,9 +738,9 @@ def _kernel_evolution(M, u0, t, grid):
     families, and its callables raise ValueError.
     """
     if u0.expr == "gaussian":
-        s0 = float(u0.params.get("width", 0.25))
-        amp = float(u0.params.get("amp", 1.0)) * (s0 / (s0 + t)) ** (M.m / 2.0)
-        u0 = initial_datum("gaussian", dict(u0.params, amp=amp, width=s0 + t))
+        s0 = float(u0.params["width"])
+        amp = float(u0.params["amp"]) * (s0 / (s0 + t)) ** (M.m / 2.0)
+        u0 = InitialDatum("gaussian", dict(u0.params, amp=amp, width=s0 + t))
     u, du, d2u = (f(grid) for f in u0.callables(M))
     return u, du, d2u + M.b(grid) * du
 
@@ -758,13 +751,12 @@ def gaussian_kernel_state(M: ModelManifold, t: float, grid=None) -> HeatState:
     u_t = p_t(., 0) on the line / flat radial family; the saturation
     identity X - Y = n/(2t) holds pointwise for these states.
     """
-    if M.family not in (geometry.EUCLIDEAN_LINE, geometry.EUCLIDEAN_RADIAL):
+    if not M.spec.kernel or M.has_boundary:
         raise ValueError("kernel states are for the flat families")
     if t <= 0:
         raise ValueError("t must be positive")
-    if grid is None:
-        grid = M.grid(default_grid_size(M))
-    grid = np.asarray(grid, dtype=float)
+    grid = np.asarray(M.grid(M.spec.grid_size) if grid is None else grid,
+                      dtype=float)
     m = M.m
     u = (4.0 * math.pi * t) ** (-m / 2.0) * np.exp(-grid**2 / (4.0 * t))
     du = -grid / (2.0 * t) * u

@@ -41,6 +41,15 @@ def reject_unknown(entry, known: tuple, what: str) -> None:
         raise ValueError(f"unknown keys {unknown} in {what}; known: {known}")
 
 
+def check_real(value, what: str, integral: bool = False) -> None:
+    """Raise ValueError unless a config value is a real number (an int or a
+    float, never a bool or a str), and a whole one if integral."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or integral and not float(value).is_integer()):
+        raise ValueError(f"{what} must be a {'whole' if integral else 'real'}"
+                         f" number, not {value!r}")
+
+
 def coth(x):
     """Hyperbolic cotangent, exact through the 1/x pole behaviour.
 

@@ -68,13 +68,6 @@ class Estimate:
                 "dt": self.dt, "seed": self.seed, **self.meta}
 
 
-def _as_field(value, default: float):
-    """Normalise a field spec (None | scalar | callable) to (is_const, f)."""
-    if callable(value):
-        return False, value
-    return True, float(default if value is None else value)
-
-
 class _Stepper:
     """Vectorised one-step transition for a batch of paths."""
 
@@ -86,9 +79,9 @@ class _Stepper:
         self.scheme = scheme
         self.c = math.sqrt(2.0 * dt)
         self.boundaries = M.boundaries()
-        lo, hi, kind = M.domain()
-        self.wrap = kind == "periodic"
-        self.guard = (lo + 1e-9, hi - 1e-9) if kind == "pole-open" else None
+        lo, hi = M.domain()
+        self.wrap = M.spec.periodic
+        self.guard = (lo + 1e-9, hi - 1e-9) if M.spec.radial else None
         self.rejected = 0
         self.buf = np.empty(0)   # the step's normals, then each wall's E
 
@@ -354,7 +347,9 @@ def functional_accumulator(ens: Ensemble, u0, t: float, clock: Clock | None,
         check_alpha_form(M, alpha)
     steps = _step_count(t, dt)
     u_call, du_call, d2u_call = u0.callables(M)
-    kc, kf = _as_field(K_field, M.K)
+    # K_field: None (the model's K), a number, or a callable K(x)
+    kc = not callable(K_field)
+    kf = float(M.K if K_field is None else K_field) if kc else K_field
     sigma = float(M.sigma or 0.0)   # None off a wall
 
     # deterministic weight: the clock integrals are constants, so evaluate
@@ -623,12 +618,13 @@ def resolve_entry(entry: dict, M: ModelManifold, seed: int, datum) -> tuple:
     if ens.n_paths < 2:
         raise ValueError(f"n_paths = {ens.n_paths}: an mc entry needs at "
                          "least 2 paths")
-    lo, hi, kind = M.domain()
-    if not (lo <= ens.x0 < hi if kind == "periodic" else lo <= ens.x0 <= hi):
+    lo, hi = M.domain()
+    if not (lo <= ens.x0 < hi if M.spec.periodic else lo <= ens.x0 <= hi):
         raise ValueError(f"x0 = {ens.x0} lies outside the domain "
                          f"[{lo}, {hi}] of {M.family}")
     _step_count(float(entry["t"]), ens.dt)
     spec = entry.get("clock", {"family": "linear"})   # a bad one fails here
+    reject_unknown(spec, ("family", "params"), f"the clock of {fid}")
     clock = (clocks.make_clock(spec["family"], spec.get("params", {}),
                                float(entry["t"])) if "clock" in fn.keys
              else None)

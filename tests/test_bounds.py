@@ -293,6 +293,13 @@ class TestBoundTable:
             with pytest.raises(ValueError):
                 sweep(entry)
 
+    def test_a_sweep_takes_real_numbers_only(self):
+        assert sweep({"id": "davies", "params": {"alpha": [2, 2.5]}}) == (
+            "davies", [{"alpha": 2}, {"alpha": 2.5}])
+        for alpha in ("2", True, None, [1.5, "2"], [2.0, False], {"a": 2}):
+            with pytest.raises(ValueError, match="must be a real number"):
+                sweep({"id": "davies", "params": {"alpha": alpha}})
+
 
 class TestCheckInequality:
     def test_constant_state_margin_is_c(self):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -174,3 +175,19 @@ def test_make_clock_validation():
         make_clock("bbg", {"K": 1.0, "lam": -12.0}, t=1.0)
     with pytest.raises(ValueError):
         make_clock("warp", {}, t=1.0)
+
+
+def test_make_clock_params_come_from_its_family():
+    # the defaults of clocks.FAMILIES fill in; a param the family does not
+    # read, or one that is not a real number, raises
+    assert make_clock("trig", {"K": 0.5}, 1.0).params == {"a": 0.0, "K": 0.5}
+    assert make_clock("linear", None, 1.0).params == {}
+    for family, params, message in (
+            ("linear", {"alpha": 2.0}, "unknown keys ['alpha']"),
+            ("local-exp", {"b": 1.0}, "unknown keys ['b']"),
+            ("trig", {"a": "0.5"}, "param 'a' of clock 'trig' must be a real"),
+            ("exp-integral", {"alpha": True}, "must be a real number"),
+            ("exp-linear", {"K": 1.0}, "exp-linear clock needs alpha > 1"),
+            ("bbg", {"lam": 0.5}, "bbg clock needs K > 0")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make_clock(family, params, 1.0)

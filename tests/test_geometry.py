@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liyau import cd_check, laplacian_comparison, make_model_manifold
-from liyau.geometry import manifold_from_dict
+from liyau.geometry import FAMILIES, manifold_from_dict
 
 
 class TestMakeManifold:
@@ -47,9 +47,36 @@ class TestMakeManifold:
         assert M.drift(0.5) == -0.5
 
     def test_serialization_round_trip(self):
-        M = make_model_manifold("interval-neumann", length=2.0)
-        M2 = manifold_from_dict(M.to_dict())
-        assert M2 == M
+        # every family, each field it reads away from its default
+        for family, kwargs in (
+                ("euclidean-line", {"rmax": 5.0}),
+                ("euclidean-radial", {"m": 2, "rmax": 5.0, "pole_cut": 1e-2}),
+                ("circle", {"m": 1, "n": 2.0}),
+                ("half-line-neumann", {"rmax": 5.0, "sigma": -0.3}),
+                ("interval-neumann", {"length": 2.0, "sigma": -0.3}),
+                ("sphere-radial", {"m": 2, "pole_cut": 1e-2}),
+                ("hyperbolic-radial", {"m": 3, "rmax": 5.0,
+                                       "pole_cut": 1e-2})):
+            M = make_model_manifold(family, **kwargs)
+            M2 = manifold_from_dict(M.to_dict())
+            assert M2 == M, family
+
+    def test_family_records(self):
+        # the grid, walls and defaults each family's record gives
+        for family, spec in FAMILIES.items():
+            M = make_model_manifold(family, m=2)
+            lo, hi = M.domain()
+            grid = M.grid(9)
+            assert grid[0] == lo and (grid[-1] < hi if spec.periodic
+                                      else grid[-1] == hi), family
+            walls = [pos for pos, wall in zip((lo, hi), spec.walls) if wall]
+            assert [pos for pos, _ in M.boundaries()] == walls, family
+            assert M.has_boundary == bool(walls)
+            assert M.rmax == spec.rmax and M.K == spec.sharp_K(2)
+            assert set(M.to_dict()) == {"family", "m", "n", "K", "drift",
+                                        "sigma", *spec.keys}
+        assert [f for f, s in FAMILIES.items() if s.radial] == [
+            "euclidean-radial", "sphere-radial", "hyperbolic-radial"]
 
 
 class TestCdCheck:
@@ -77,7 +104,7 @@ class TestCdCheck:
                                        lambda r: r + 0.3 * np.sin(2 * r)])
     def test_model_probes_nonnegative(self, family, m, probe):
         M = make_model_manifold(family, m=m)
-        lo, hi, _ = M.domain()
+        lo, hi = M.domain()
         grid = np.linspace(lo + 0.25, min(hi, 3.0) - 0.1, 50)
         rep = cd_check(M, probe, grid, h=1e-4 * (grid[-1] - grid[0]))
         # central differences leave an O(h^2) floor

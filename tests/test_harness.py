@@ -748,10 +748,10 @@ def mixed_report() -> Report:
     sphere = run_experiment(minimal_config(
         manifold={"family": "sphere-radial", "m": 2}, times=[1, 2],
         grid_size=21,
-        bounds=[{"id": "davies", "params": {"alpha": [1.5, 4.0, "a,b"]}},
+        bounds=[{"id": "davies", "params": {"alpha": [1.5, 4.0]}},
                 {"id": "bakry-qian"}, {"id": "bbg"}, {"id": "yau"},
-                {"id": "local-grad", "params": {"eps": [None],
-                                                "R": [1.5]}}]))
+                {"id": "local-grad", "params": {"eps": [1.0],
+                                                "R": [-1.5]}}]))
     hyperbolic = run_experiment(minimal_config(
         manifold={"family": "hyperbolic-radial", "m": 2}, times=[1, 2],
         grid_size=21, bounds=[{"id": "bbg"}]))
@@ -1138,7 +1138,7 @@ class TestCli:
                  "unknown keys ['k'] in the params of datum 'eigen'"),
                 (dict(interval, manifold={"family": "circle"},
                       initial_datum={"id": "legendre"}),
-                 "legendre datum lives on the round sphere"),
+                 "legendre datum has no closed form on circle"),
                 (dict(interval, initial_datum={"id": "cosine",
                                                "params": {"amp": 2}}),
                  "cosine datum must stay nonnegative"),
@@ -1193,6 +1193,72 @@ class TestCli:
             errors = error_lines(res.output)
             assert len(errors) == 1 and message in errors[0], res.output
             ExperimentConfig(**dict(doc, **fix))
+
+    def test_param_values_and_clock_keys_are_checked_at_load(
+            self, tmp_path, monkeypatch):
+        # a bound, datum or clock param that is not a real number, a k or
+        # index that is not whole, a clock key other than family and params,
+        # and a clock param its family does not read: each fails at load
+        # with no solve, eigenpair or accumulator, and loads once mended
+        def no_run(*args, **kwargs):
+            raise AssertionError("a solve, eigenpair or accumulator ran")
+
+        for module, name in ((harness, "solve_heat"),
+                             (heatflow, "_radial_modes"),
+                             (stochastic, "functional_accumulator"),
+                             (stochastic, "value_accumulator"),
+                             (stochastic, "local_time_accumulator")):
+            monkeypatch.setattr(module, name, no_run)
+        sphere = json.loads((CONFIGS / "sphere.json").read_text())
+        circle = json.loads((CONFIGS / "suite_circle.json").read_text())
+        mc = json.loads((CONFIGS / "interval_mc.json").read_text())
+
+        def changed(doc, edit):
+            doc = json.loads(json.dumps(doc))
+            edit(doc)
+            return doc
+
+        def bound_alpha(value):
+            return lambda doc: doc["bounds"][0].update(params={"alpha": value})
+
+        def datum(params, expr="cosine"):
+            return lambda doc: doc.update(
+                initial_datum={"id": expr, "params": params})
+
+        def clock(spec):
+            return lambda doc: doc["mc"][1].update(clock=spec)
+
+        cases = (
+            (sphere, bound_alpha("2"), bound_alpha(2),
+             "param 'alpha' of bound 'davies' must be a real number, not '2'"),
+            (sphere, bound_alpha(True), bound_alpha(2.0),
+             "param 'alpha' of bound 'davies' must be a real number"),
+            (sphere, bound_alpha([1.5, None]), bound_alpha([1.5, 3]),
+             "must be a real number, not None"),
+            (circle, datum({"k": 1.5}), datum({"k": 1}),
+             "param 'k' of datum 'cosine' must be a whole number, not 1.5"),
+            (circle, datum({"k": "2"}), datum({"k": 2.0}),
+             "param 'k' of datum 'cosine' must be a real number, not '2'"),
+            (circle, datum({"amp": True}), datum({"amp": 1}),
+             "param 'amp' of datum 'cosine' must be a real number"),
+            (sphere, datum({"index": 1.7}, "eigen"), datum({"index": 2},
+                                                           "eigen"),
+             "param 'index' of datum 'eigen' must be a whole number, not 1.7"),
+            (mc, clock({"family": "linear", "parms": {"K": 1}}),
+             clock({"family": "linear", "params": {}}),
+             "unknown keys ['parms'] in the clock of harnack_rhs"),
+            (mc, clock({"family": "linear", "params": {"alpha": 2.0}}),
+             clock({"family": "exp-linear", "params": {"alpha": 2.0}}),
+             "unknown keys ['alpha'] in the params of clock 'linear'"),
+            (mc, clock({"family": "trig", "params": {"a": "0.5"}}),
+             clock({"family": "trig", "params": {"a": 0.5}}),
+             "param 'a' of clock 'trig' must be a real number"))
+        for doc, edit, mend, message in cases:
+            res = self.verify(tmp_path, **changed(doc, edit))
+            assert res.exit_code == 2, res.output
+            errors = error_lines(res.output)
+            assert len(errors) == 1 and message in errors[0], res.output
+            ExperimentConfig(**changed(doc, mend))
 
     def test_unknown_manifold_key_is_a_usage_error(self, tmp_path):
         res = self.verify(tmp_path, manifold={"family": "circle", "m": 1,

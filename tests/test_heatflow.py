@@ -6,7 +6,7 @@ import pytest
 
 from liyau import (exact_kernel, gaussian_kernel_state, harnack_quantities,
                    initial_datum, make_model_manifold, solve_heat)
-from liyau.geometry import register_drift
+from liyau.geometry import FAMILIES, register_drift
 from liyau import heatflow
 from liyau.heatflow import (_MODE_CUT, _apply, _generator, _kernel_spectral,
                             _kernel_wrapped, _radial_spectral,
@@ -452,6 +452,44 @@ class TestSolvers:
         with pytest.raises(SolverError, match=match):
             heatflow._check_state(circle, u0v, state)
         heatflow._check_state(circle, u0v, replace(state, u=u0v))
+
+    def test_datum_table(self):
+        # initial_datum fills in DATA's defaults, and a datum has a closed
+        # form exactly on the families DATA lists (the grid-only radial
+        # eigen datum aside)
+        assert initial_datum("cosine", {"amp": 0.25}).params == {
+            "k": 1, "amp": 0.25, "base": 1.0}
+        for expr, (defaults, families) in heatflow.DATA.items():
+            datum = initial_datum(expr)
+            assert datum.params == defaults
+            for family in FAMILIES:
+                M = make_model_manifold(family, m=2)
+                if family in families:
+                    datum.callables(M)
+                    continue
+                with pytest.raises(ValueError, match=f"{expr} datum has no "
+                                   f"closed form on {family}"):
+                    datum.callables(M)
+                if not (expr == "eigen" and M.spec.flux_form):
+                    with pytest.raises(ValueError, match="no closed form"):
+                        datum.check(M)
+
+    def test_datum_params_are_real_numbers(self, circle, sphere2):
+        for expr, params, message in (
+                ("cosine", {"k": "2"}, "param 'k' of datum 'cosine' must be "
+                                       "a real number, not '2'"),
+                ("gaussian", {"width": None}, "must be a real number"),
+                ("constant", {"c": True}, "must be a real number")):
+            with pytest.raises(ValueError, match=message):
+                initial_datum(expr, params)
+        # k and index must be whole: the cosine of k = 1.5 jumps at 0 = 2 pi
+        for M, expr, params in ((circle, "cosine", {"k": 1.5}),
+                                (circle, "eigen", {"index": 2.5}),
+                                (sphere2, "eigen", {"index": 1.7}),
+                                (sphere2, "legendre", {"index": 1.5})):
+            with pytest.raises(ValueError, match="must be a whole number"):
+                initial_datum(expr, params).check(M)
+        initial_datum("cosine", {"k": 2.0}).check(circle)
 
     def test_no_closed_form_datum_rejected_on_line(self, line):
         datum = initial_datum("cosine", {"k": 1, "amp": 0.5})

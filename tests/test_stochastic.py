@@ -50,7 +50,7 @@ def reference_curved_step(M, dt, x, rng):
     reproduce: y = x + b_total(x) dt + c xi, redrawing the paths that leave
     the chart."""
     c = math.sqrt(2.0 * dt)
-    lo, hi, _ = M.domain()
+    lo, hi = M.domain()
     lo, hi = lo + 1e-9, hi - 1e-9
     y = x + M.b_total(x) * dt + c * rng.standard_normal(x.shape)
     for _ in range(101):
