@@ -72,14 +72,17 @@ def check_keys(bound_id: str, keys, extra: tuple | None = None) -> None:
 def sweep(entry: dict) -> tuple:
     """(id, parameter sets) of a config's bound entry {"id", "params"}: the
     product of its list-valued params, in sweep order.  A key the entry or
-    its bound does not read, a missing required param, or a value or list
-    element that is not a real number raises."""
+    its bound does not read, a missing required param, an empty list, or a
+    value or list element that is not a real number raises."""
     bound_id, spec = entry["id"], entry.get("params") or {}
     reject_unknown(entry, ("id", "params"), f"bound {bound_id!r}")
     check_keys(bound_id, spec, ())
     keys = [k for k in BOUNDS[bound_id].params if k in spec]
     lists = [spec[k] if isinstance(spec[k], list) else [spec[k]] for k in keys]
     for key, values in zip(keys, lists):
+        if not values:
+            raise ValueError(f"param {key!r} of bound {bound_id!r} sweeps "
+                             "an empty list")
         for value in values:
             check_real(value, f"param {key!r} of bound {bound_id!r}")
     return bound_id, [dict(zip(keys, c)) for c in itertools.product(*lists)]

@@ -24,6 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .numerics import check_real
+
 
 class Family(NamedTuple):
     """The facts of one model family; README's family table lists them."""
@@ -180,6 +182,11 @@ def make_model_manifold(family: str, m: int = 1, n: float | None = None,
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     spec = FAMILIES[family]
+    for key, value in (("m", m), ("n", n), ("K", K), ("sigma", sigma),
+                       ("length", length), ("rmax", rmax),
+                       ("pole_cut", pole_cut)):
+        if value is not None:
+            check_real(value, f"manifold key {key!r}")
     if m < 1 or m != int(m):
         raise ValueError("m must be a positive integer")
     n = float(m) if n is None else n

@@ -28,7 +28,7 @@ from . import bounds as bounds_mod
 from . import stochastic as stoch
 from .geometry import MANIFOLD_KEYS, ModelManifold, manifold_from_dict
 from .heatflow import HeatState, initial_datum, solve_heat
-from .numerics import reject_unknown
+from .numerics import check_real, reject_unknown
 
 CSV_COLUMNS = ("bound_id", "family", "m", "n", "K", "t", "x", "alpha", "eps",
                "X", "Y", "gamma", "a", "c", "margin", "domain_ok")
@@ -59,6 +59,9 @@ def resolve(config: ExperimentConfig) -> tuple:
     """(model, datum, each bound entry's (id, parameter sets), each mc
     entry's (ensemble, clock)), each entry checked by its own module.  Load
     and run both call it, so the config keeps nothing resolved."""
+    check_real(config.seed, "the seed", integral=True)
+    if config.grid_size is not None:
+        check_real(config.grid_size, "the grid size", integral=True)
     if config.tol <= 0:
         raise ValueError("tolerance must be positive")
     if not config.times or any(t <= 0 for t in config.times):

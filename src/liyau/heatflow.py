@@ -15,7 +15,8 @@ Schemes:
     (_MODE_CUT): every dropped mode is weighted by e^{-lam t} < 2e-22.
     Those modes come from numpy (Sturm multisection, twisted
     factorisations and one step of inverse iteration), each computed once
-    per grid and kept for every time.
+    per grid, in one multisection with every other mode its solve lacks,
+    and kept for every time.
   * "crank-nicolson-fd": second-order theta stepping of L, dt = h, with
     I - dt/2 L factored once into Thomas's pivots and solved each step by
     two log-depth scans in numpy; the circle's two corners enter by one
@@ -328,8 +329,11 @@ def _generator(M: ModelManifold, size: int):
 
 
 def _apply(dn, dg, up, u):
-    """L u for the three diagonals of _generator, in O(N)."""
-    return dg * u + dn * np.roll(u, 1) + up * np.roll(u, -1)
+    """L u for the three diagonals of _generator, in O(N); u's neighbours
+    below and above are taken cyclically, as the circle's corners read
+    them."""
+    return (dg * u + dn * np.concatenate((u[-1:], u[:-1]))
+            + up * np.concatenate((u[1:], u[:1])))
 
 
 # A mode with lam t > _MODE_CUT is weighted by e^{-lam t} < 2e-22, below
@@ -358,6 +362,7 @@ def _radial_symmetric(M: ModelManifold, size: int):
 
 
 _SECTIONS = 15   # points a multisection sweep puts in every bracket
+_BLOCK = 256     # rows of pivots a Sturm count holds at a time
 
 
 def _radial_modes(M: ModelManifold, size: int, select: str, select_range):
@@ -366,9 +371,10 @@ def _radial_modes(M: ModelManifold, size: int, select: str, select_range):
 
     mu ascends (mu[0] ~ 0 is the constant mode) and the columns of V are
     orthonormal; only the selected columns are computed.  Every mode is
-    computed once per (M, size) by _tridiagonal_modes, alone or in a batch
-    with the same bits, and kept for every later time and radial_eigenpair
-    (_mode_table).
+    computed once per (M, size) and kept for every later time and
+    radial_eigenpair (_mode_table): the selected modes not yet kept go
+    through one call of _tridiagonal_modes, whose pairs have the same bits
+    in any batch.
     """
     _, _, dg, _, _, off = _radial_symmetric(M, size)
     first, last = select_range
@@ -377,12 +383,10 @@ def _radial_modes(M: ModelManifold, size: int, select: str, select_range):
         last -= 1
     indices = range(int(first), int(last) + 1)
     table = _mode_table(M, size)
-    missing = [i for i in indices if i not in table]
-    batch = max(16, 2**15 // size)   # bounds the (size, modes) work arrays
-    for j in range(0, len(missing), batch):
-        index = np.array(missing[j:j + batch])
-        mu, V = _tridiagonal_modes(-dg, -off, index)
-        table.update(zip(index.tolist(), zip(mu.tolist(), V)))
+    missing = np.array([i for i in indices if i not in table], dtype=int)
+    if missing.size:
+        mu, V = _tridiagonal_modes(-dg, -off, missing)
+        table.update(zip(missing.tolist(), zip(mu.tolist(), V)))
     return (np.array([table[i][0] for i in indices]),
             np.array([table[i][1] for i in indices]).T)
 
@@ -394,11 +398,15 @@ def _mode_table(M: ModelManifold, size: int) -> dict:
     return {}
 
 
-def _pivots(a, b2, x):
+def _pivots(a, b2, x, top=None):
     """The pivots of T - x I = L D L^T, top down, one column for each shift
     in x, of the symmetric tridiagonal T with diagonal a and squared
-    off-diagonal b2.  Each column reads its own shift only."""
+    off-diagonal b2.  Each column reads its own shift only.  top, when
+    given, is the pivot row of a[0] that an earlier block of rows ended
+    with (_sturm_counts)."""
     q = np.subtract.outer(a, x)
+    if top is not None:
+        q[0] = top
     # a zero pivot divides to -inf and the next pivot restarts at a - x;
     # IEEE arithmetic keeps the Sturm count right there (Demmel, Dhillon
     # and Ren 1995), so that division, and the overflow of b2 / q at a
@@ -411,8 +419,19 @@ def _pivots(a, b2, x):
 
 def _sturm_counts(a, b2, x):
     """The number of eigenvalues of T below each shift in x: its negative
-    pivots (Sylvester's law of inertia)."""
-    return np.count_nonzero(_pivots(a, b2, x) < 0.0, axis=0)
+    pivots (Sylvester's law of inertia).
+
+    The pivots are made _BLOCK rows at a time, each block starting from
+    the last pivot row of the one before, so a count holds O(_BLOCK x
+    shifts) floats; every pivot has the bits of the full matrix of
+    _pivots."""
+    q = _pivots(a[:_BLOCK], b2[:_BLOCK - 1], x)
+    count = np.count_nonzero(q < 0.0, axis=0)
+    for lo in range(_BLOCK, a.size, _BLOCK):   # rows lo - 1 (carried) on
+        q = _pivots(a[lo - 1:lo + _BLOCK], b2[lo - 1:lo + _BLOCK - 1], x,
+                    q[-1])
+        count += np.count_nonzero(q[1:] < 0.0, axis=0)
+    return count
 
 
 def _tridiagonal_modes(a, b, index):
@@ -448,7 +467,12 @@ def _tridiagonal_modes(a, b, index):
         lo[live] = np.where(below, points, left).max(axis=1)
         hi[live] = np.where(~below & (points > lo[live, None]), points,
                             right).min(axis=1)
-    return _twisted_vectors(a, b, lo + 0.5 * (hi - lo))
+    lam = lo + 0.5 * (hi - lo)
+    mu, V = np.empty(lam.size), np.empty((lam.size, a.size))
+    step = max(16, 2**15 // a.size)   # bounds the (size, modes) work arrays
+    for j in range(0, lam.size, step):
+        mu[j:j + step], V[j:j + step] = _twisted_vectors(a, b, lam[j:j + step])
+    return mu, V
 
 
 def _twisted_vectors(a, b, lam):
@@ -517,13 +541,16 @@ def radial_eigenpair(M: ModelManifold, size: int, index: int):
     eigenvalues ascend with index; the eigenfunction is scaled to
     max |v| = 1 with v[0] > 0, and is read-only.
     """
-    mu, V = _radial_modes(M, size, "i", (index, index))
-    vec = V[:, 0] / _radial_symmetric(M, size)[4]
+    table = _mode_table(M, size)
+    if index not in table:   # a spectral solve keeps the modes it reads
+        _radial_modes(M, size, "i", (index, index))
+    mu, vec = table[index]
+    vec = vec / _radial_symmetric(M, size)[4]
     vec = vec / np.max(np.abs(vec))
     if vec[0] < 0:
         vec = -vec
     vec.flags.writeable = False
-    return (0.0 if index == 0 else float(mu[0])), vec
+    return (0.0 if index == 0 else mu), vec
 
 
 # ---------------------------------------------------------------------------
@@ -547,9 +574,6 @@ def solve_heat(M: ModelManifold, u0: InitialDatum, t: float,
     if grid_size is None:
         grid_size = M.spec.grid_size
     u0.check(M)
-    grid = M.grid(grid_size)
-    u0v = u0.values(M, grid)
-
     if M.spec.kernel and scheme != "crank-nicolson-fd":
         scheme = "kernel"
     elif scheme == "kernel":
@@ -557,6 +581,11 @@ def solve_heat(M: ModelManifold, u0: InitialDatum, t: float,
     if scheme != "crank-nicolson-fd" and M.drift_id != "none":
         raise SolverError(f"the {scheme} scheme needs Z = 0; "
                           "use crank-nicolson-fd")
+    if scheme == "spectral" and M.spec.flux_form and t > 0:
+        # the kept modes before u0: the eigen datum's mode joins their batch
+        modes = _radial_modes(M, grid_size, "v", (-np.inf, _MODE_CUT / t))
+    grid = M.grid(grid_size)
+    u0v = u0.values(M, grid)
 
     if scheme == "kernel":
         u, du, Lu = _kernel_evolution(M, u0, t, grid)
@@ -566,7 +595,7 @@ def solve_heat(M: ModelManifold, u0: InitialDatum, t: float,
         _, dn, dg, up = _generator(M, grid_size)
         h = grid[1] - grid[0]
         if scheme == "spectral":
-            u = _radial_spectral(M, u0v, t)
+            u = _radial_spectral(M, u0v, t, *modes) if t > 0 else u0v
         else:
             u = _crank_nicolson(M, u0v, t, h, dn, dg, up)
         Lu = _apply(dn, dg, up, u)
@@ -616,8 +645,9 @@ def _fourier(M, u0v, t):
     return u, du, Lu
 
 
-def _radial_spectral(M, u0v, t):
-    """u0v evolved in the modes with lam t <= _MODE_CUT; u0v itself at t = 0.
+def _radial_spectral(M, u0v, t, mu, V):
+    """u0v evolved to t > 0 in the modes (mu, V) of _radial_modes with
+    lam t <= _MODE_CUT.
 
     L 1 = 0, so the constant mode d / |d| is stationary and carries the
     weighted mean of u0v exactly.  Its computed eigenpair is rounding, an
@@ -625,10 +655,7 @@ def _radial_spectral(M, u0v, t):
     skipped.  Every sum runs along the rows or down the columns of the
     modes, in an order fixed by the number of modes.
     """
-    if t == 0:
-        return u0v
     d = _radial_symmetric(M, u0v.size)[4]
-    mu, V = _radial_modes(M, u0v.size, "v", (-np.inf, _MODE_CUT / t))
     V = V.T[1:]   # one mode a row
     coef = np.exp(-mu[1:] * t) * np.sum(V * (d * u0v), axis=1)
     w = d * d

@@ -49,7 +49,7 @@ import numpy as np
 from . import clocks   # the mc entries' clocks and targets, called by module
 from .clocks import Clock, alpha_form_integral, clock_integrals
 from .geometry import ModelManifold
-from .numerics import mean_and_stderr, reject_unknown
+from .numerics import check_real, mean_and_stderr, reject_unknown
 
 
 @dataclass(frozen=True)
@@ -494,6 +494,10 @@ def value_accumulator(ens: Ensemble, u0, t: float) -> Accumulator:
 
 ENSEMBLE_KEYS = ("functional", "t", "x0", "n_paths", "dt", "seed")
 SOLVE_KEYS = ("grid_size", "pde_scheme")
+# the mc-entry keys that hold no number; every other key holds a real
+# number, and those of _WHOLE_KEYS a whole one
+_WORD_KEYS = ("functional", "compare", "clock", "pde_scheme")
+_WHOLE_KEYS = ("n_paths", "seed", "grid_size")
 
 
 @dataclass(frozen=True)
@@ -596,7 +600,9 @@ FUNCTIONALS = {
 def resolve_entry(entry: dict, M: ModelManifold, seed: int, datum) -> tuple:
     """The (ensemble, clock) of an mc entry on M from datum, the one home of
     the x0, n_paths, dt and seed defaults; raises ValueError on an entry
-    that its functional would not run or check.  Builds no accumulator."""
+    that its functional would not run or check, or with a value that is
+    not a real number (n_paths, seed and grid_size: a whole one).  Builds
+    no accumulator."""
     fid = entry.get("functional")
     if fid not in FUNCTIONALS:
         raise ValueError(f"unknown functional {fid!r}; known: "
@@ -607,6 +613,10 @@ def resolve_entry(entry: dict, M: ModelManifold, seed: int, datum) -> tuple:
                          f"{fn.compare_modes}, not {compare!r}")
     # a key the functional does not read would hide an unchecked row
     reject_unknown(entry, fn.entry_keys(entry), f"an mc entry ({fid})")
+    for key, value in entry.items():
+        if key not in _WORD_KEYS:
+            check_real(value, f"{key!r} of an mc entry ({fid})",
+                       integral=key in _WHOLE_KEYS)
     if compare in fn.convex and M.sigma:
         raise ValueError(f"compare {compare!r} drops the sigma dL weight: "
                          "it needs sigma = 0")

@@ -1194,12 +1194,10 @@ class TestCli:
             assert len(errors) == 1 and message in errors[0], res.output
             ExperimentConfig(**dict(doc, **fix))
 
-    def test_param_values_and_clock_keys_are_checked_at_load(
-            self, tmp_path, monkeypatch):
-        # a bound, datum or clock param that is not a real number, a k or
-        # index that is not whole, a clock key other than family and params,
-        # and a clock param its family does not read: each fails at load
-        # with no solve, eigenpair or accumulator, and loads once mended
+    def assert_rejected_at_load(self, tmp_path, monkeypatch, cases):
+        # each (doc, edit, mend, message): the edited doc fails at load with
+        # one Error: line holding message, and no solve, eigenpair or
+        # accumulator; the mended doc loads
         def no_run(*args, **kwargs):
             raise AssertionError("a solve, eigenpair or accumulator ran")
 
@@ -1209,14 +1207,27 @@ class TestCli:
                              (stochastic, "value_accumulator"),
                              (stochastic, "local_time_accumulator")):
             monkeypatch.setattr(module, name, no_run)
-        sphere = json.loads((CONFIGS / "sphere.json").read_text())
-        circle = json.loads((CONFIGS / "suite_circle.json").read_text())
-        mc = json.loads((CONFIGS / "interval_mc.json").read_text())
 
         def changed(doc, edit):
             doc = json.loads(json.dumps(doc))
             edit(doc)
             return doc
+
+        for doc, edit, mend, message in cases:
+            res = self.verify(tmp_path, **changed(doc, edit))
+            assert res.exit_code == 2, res.output
+            errors = error_lines(res.output)
+            assert len(errors) == 1 and message in errors[0], res.output
+            ExperimentConfig(**changed(doc, mend))
+
+    def test_param_values_and_clock_keys_are_checked_at_load(
+            self, tmp_path, monkeypatch):
+        # a bound, datum or clock param that is not a real number, a k or
+        # index that is not whole, a clock key other than family and params,
+        # and a clock param its family does not read
+        sphere = json.loads((CONFIGS / "sphere.json").read_text())
+        circle = json.loads((CONFIGS / "suite_circle.json").read_text())
+        mc = json.loads((CONFIGS / "interval_mc.json").read_text())
 
         def bound_alpha(value):
             return lambda doc: doc["bounds"][0].update(params={"alpha": value})
@@ -1228,7 +1239,7 @@ class TestCli:
         def clock(spec):
             return lambda doc: doc["mc"][1].update(clock=spec)
 
-        cases = (
+        self.assert_rejected_at_load(tmp_path, monkeypatch, (
             (sphere, bound_alpha("2"), bound_alpha(2),
              "param 'alpha' of bound 'davies' must be a real number, not '2'"),
             (sphere, bound_alpha(True), bound_alpha(2.0),
@@ -1252,13 +1263,51 @@ class TestCli:
              "unknown keys ['alpha'] in the params of clock 'linear'"),
             (mc, clock({"family": "trig", "params": {"a": "0.5"}}),
              clock({"family": "trig", "params": {"a": 0.5}}),
-             "param 'a' of clock 'trig' must be a real number"))
-        for doc, edit, mend, message in cases:
-            res = self.verify(tmp_path, **changed(doc, edit))
-            assert res.exit_code == 2, res.output
-            errors = error_lines(res.output)
-            assert len(errors) == 1 and message in errors[0], res.output
-            ExperimentConfig(**changed(doc, mend))
+             "param 'a' of clock 'trig' must be a real number")))
+
+    def test_entry_manifold_and_config_values_are_checked_at_load(
+            self, tmp_path, monkeypatch):
+        # an mc entry, manifold or config value that is not a real number,
+        # a seed, n_paths or grid size that is not whole, and a bound that
+        # sweeps an empty list
+        circle = json.loads((CONFIGS / "suite_circle.json").read_text())
+        interval = json.loads((CONFIGS / "suite_interval.json").read_text())
+        mc = json.loads((CONFIGS / "interval_mc.json").read_text())
+
+        def entry(**values):
+            return lambda doc: doc["mc"][0].update(values)
+
+        def manifold(**values):
+            return lambda doc: doc["manifold"].update(values)
+
+        def config(**values):
+            return lambda doc: doc.update(values)
+
+        def bound(params):
+            return lambda doc: doc["bounds"][0].update(params=params)
+
+        self.assert_rejected_at_load(tmp_path, monkeypatch, (
+            (mc, entry(seed=1.7), entry(seed=2),
+             "'seed' of an mc entry (expected_value) must be a whole number,"
+             " not 1.7"),
+            (mc, entry(x0="1.0"), entry(x0=1),
+             "'x0' of an mc entry (expected_value) must be a real number, "
+             "not '1.0'"),
+            (mc, entry(n_paths=100.5), entry(n_paths=100.0),
+             "'n_paths' of an mc entry (expected_value) must be a whole"),
+            (mc, entry(dt=None), entry(dt=1e-3),
+             "'dt' of an mc entry (expected_value) must be a real number, "
+             "not None"),
+            (interval, manifold(length="2"), manifold(length=2),
+             "manifold key 'length' must be a real number, not '2'"),
+            (interval, manifold(n=True), manifold(n=1.5),
+             "manifold key 'n' must be a real number, not True"),
+            (mc, config(seed=1.7), config(seed=7),
+             "the seed must be a whole number, not 1.7"),
+            (circle, config(grid_size="129"), config(grid_size=129),
+             "the grid size must be a whole number"),
+            (circle, bound({"alpha": []}), bound({"alpha": [2.0]}),
+             "param 'alpha' of bound 'davies' sweeps an empty list")))
 
     def test_unknown_manifold_key_is_a_usage_error(self, tmp_path):
         res = self.verify(tmp_path, manifold={"family": "circle", "m": 1,

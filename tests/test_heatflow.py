@@ -135,7 +135,9 @@ class TestSolvers:
                 u2 = np.fft.irfft(np.fft.rfft(b.u) * np.exp(-freq**2 * 0.5),
                                   n=b.u.size)
             else:
-                u2 = _radial_spectral(M, b.u, 0.5)
+                kept = heatflow._radial_modes(M, b.u.size, "v",
+                                              (-np.inf, _MODE_CUT / 0.5))
+                u2 = _radial_spectral(M, b.u, 0.5, *kept)
             assert np.max(np.abs(u2 - a.u)) < 1e-8
 
     def test_self_convergence_order(self, sphere2):
@@ -276,9 +278,10 @@ class TestSolvers:
         kept = []
         modes = heatflow._radial_modes
 
-        def recording(*args):
-            mu, V = modes(*args)
-            kept.append(V.shape)
+        def recording(M, size, select, select_range):
+            mu, V = modes(M, size, select, select_range)
+            if select == "v":   # the solve's; an eigenpair's "i" is not
+                kept.append(V.shape)
             return mu, V
 
         monkeypatch.setattr(heatflow, "_radial_modes", recording)
@@ -300,6 +303,54 @@ class TestSolvers:
         for j in (0, 1, 7, count - 1):
             alone, vec = heatflow._tridiagonal_modes(-dg, -off, np.array([j]))
             assert alone[0] == mu[j] and np.array_equal(vec[0], V[j]), j
+
+    @pytest.mark.parametrize("size", [100, heatflow._BLOCK,
+                                      2 * heatflow._BLOCK + 37])
+    def test_blocked_sturm_counts_match_the_full_pivots(self, size):
+        rng = np.random.default_rng(size)
+        a, b2 = rng.normal(size=size), rng.uniform(0.01, 1.0, size - 1)
+        x = np.linspace(-7.0, 7.0, 57)   # past both Gershgorin ends
+        full = np.count_nonzero(heatflow._pivots(a, b2, x) < 0.0, axis=0)
+        counts = heatflow._sturm_counts(a, b2, x)
+        assert np.array_equal(counts, full)
+        assert counts[0] == 0 and counts[-1] == size
+
+    def test_a_zero_pivot_keeps_the_sturm_count(self):
+        # T = (1, 2, 1) with unit off-diagonal has the eigenvalues 0, 1, 3
+        a, b2 = np.array([1.0, 2.0, 1.0]), np.array([1.0, 1.0])
+        counts = heatflow._sturm_counts(a, b2, np.array([0.0, 1.0, 3.0, 3.5]))
+        assert counts.tolist() == [0, 1, 2, 3]
+        # at x = 0, a_i = b2_{i-1} / p_{i-1} makes the pivot p_i exactly 0:
+        # on the last row of the first block, which the next block starts
+        # from, and on the last row, so that 0 is an eigenvalue of T
+        block = heatflow._BLOCK
+        a, b2 = np.full(2 * block, 2.0), np.full(2 * block - 1, 0.5)
+        for i in (block - 1, 2 * block - 1):
+            p = heatflow._pivots(a, b2, np.zeros(1))[:, 0]
+            a[i] = b2[i - 1] / p[i - 1]
+        p = heatflow._pivots(a, b2, np.zeros(1))[:, 0]
+        assert p[block - 1] == p[-1] == 0.0 and p[block] == -np.inf
+        x = np.array([-1.0, 0.0, 1e-300, 1.0, 3.0])
+        full = np.count_nonzero(heatflow._pivots(a, b2, x) < 0.0, axis=0)
+        assert np.array_equal(heatflow._sturm_counts(a, b2, x), full)
+
+    def test_the_eigen_datum_joins_the_first_solve(self, monkeypatch):
+        # the first solve fetches its modes before it samples the datum, so
+        # one multisection serves the datum's mode and all five times, and
+        # each solve asks for its modes once
+        calls = {"_tridiagonal_modes": 0, "_radial_modes": 0}
+        for name in calls:
+            def counting(*args, inner=getattr(heatflow, name), name=name):
+                calls[name] += 1
+                return inner(*args)
+            monkeypatch.setattr(heatflow, name, counting)
+        heatflow._mode_table.cache_clear()
+        radial_eigenpair.cache_clear()
+        M = make_model_manifold("hyperbolic-radial", m=2)
+        datum = initial_datum("eigen", {"index": 1, "amp": 0.5})
+        for t in (0.05, 0.1, 0.5, 1.0, 2.0):
+            solve_heat(M, datum, t, grid_size=2401)
+        assert calls == {"_tridiagonal_modes": 1, "_radial_modes": 5}
 
     @pytest.mark.parametrize("family, size", [("hyperbolic-radial", 2401),
                                               ("hyperbolic-radial", 4801),
