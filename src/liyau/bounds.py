@@ -57,7 +57,9 @@ BOUND_IDS = tuple(BOUNDS)
 def check_keys(bound_id: str, keys, extra: tuple | None = None) -> None:
     """Raise ValueError unless bound_id is known and keys hold each param
     it requires and nothing beyond its params and extra, by default the
-    other keys eval_bound reads: n, t, K and, for bbg, the observed Y."""
+    other keys eval_bound reads: n, t, K and, for bbg, the observed Y.
+    keys maps each param to its value or list of values; a local bound's
+    ball radius R must be positive and its K_region nonnegative."""
     if extra is None:
         extra = ("n", "t", "K") + (("Y",) if bound_id == "bbg" else ())
     if bound_id not in BOUNDS:
@@ -67,6 +69,13 @@ def check_keys(bound_id: str, keys, extra: tuple | None = None) -> None:
     if missing:
         raise ValueError(f"bound {bound_id!r} needs {missing}")
     reject_unknown(keys, (*spec, *extra), f"the params of bound {bound_id!r}")
+    for key, sign in (("R", "positive"), ("K_region", "nonnegative")):
+        values = keys[key] if key in keys else []
+        what = f"param {key!r} of bound {bound_id!r}"
+        for value in values if isinstance(values, list) else [values]:
+            check_real(value, what)
+            if not (value > 0 if key == "R" else value >= 0):
+                raise ValueError(f"{what} must be {sign}, not {value!r}")
 
 
 def sweep(entry: dict) -> tuple:
@@ -244,8 +253,10 @@ def eval_bound(bound_id: str, params: dict) -> BoundForm:
     params carries n and t always, K (default 0), the bound's own params
     (BOUNDS; a missing required one raises KeyError, other keys are
     ignored) and, for bbg only, the observed Y needed to locate the
-    comparison argument.  Domain violations are reported through
-    domain_ok = False with a note, never by raising.
+    comparison argument.  A local bound's R <= 0 or K_region < 0 raises
+    ValueError from local_betas; check_keys rejects both at load.  Every
+    other domain violation is reported through domain_ok = False with a
+    note, not by raising.
     """
     if bound_id not in BOUNDS:
         raise ValueError(f"unknown bound id {bound_id!r}")

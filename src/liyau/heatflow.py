@@ -13,10 +13,10 @@ Schemes:
     extension), and on the sphere / hyperbolic radial reductions the
     eigenvectors of the symmetrised tridiagonal L with lam t <= 50 only
     (_MODE_CUT): every dropped mode is weighted by e^{-lam t} < 2e-22.
-    Those modes come from numpy (Sturm multisection, twisted
-    factorisations and one step of inverse iteration), each computed once
-    per grid, in one multisection with every other mode its solve lacks,
-    and kept for every time.
+    Each grid has one basis (_basis), a prefix of its lowest modes made
+    in numpy (Sturm multisection, twisted factorisations and one step of
+    inverse iteration); a solve reads its modes off the prefix, and a
+    Sturm count runs only to extend it.
   * "crank-nicolson-fd": second-order theta stepping of L, dt = h, with
     I - dt/2 L factored once into Thomas's pivots and solved each step by
     two log-depth scans in numpy; the circle's two corners enter by one
@@ -341,61 +341,57 @@ def _apply(dn, dg, up, u):
 # |.| the Euclidean norm, dropping every such mode moves D u by at most
 # e^{-50} |D u0| and D Lu by at most (50/t) e^{-50} |D u0|.
 _MODE_CUT = 50.0
-
-
-@functools.lru_cache(maxsize=32)
-def _radial_symmetric(M: ModelManifold, size: int):
-    """(grid, dn, dg, up, d, off): the flux-form generator on M.grid(size)
-    and its symmetrisation S = D L D^{-1}, D = diag(d), d = sqrt(w).
-
-    S has main diagonal dg and off-diagonal off; it is symmetric up to
-    rounding, and off is taken as the mean of its two off-diagonals.  All
-    six arrays are O(N) and read-only.
-    """
-    grid, dn, dg, up = _generator(M, size)
-    d = np.sqrt(M.weight(grid))
-    off = 0.5 * (d[:-1] * up[:-1] / d[1:] + d[1:] * dn[1:] / d[:-1])
-    arrays = (grid, dn, dg, up, d, off)
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
 _SECTIONS = 15   # points a multisection sweep puts in every bracket
 _BLOCK = 256     # rows of pivots a Sturm count holds at a time
 
 
-def _radial_modes(M: ModelManifold, size: int, select: str, select_range):
-    """(mu, V): eigenpairs of -S, "i" selecting the indices in
-    select_range and "v" the eigenvalues in its half-open interval.
-
-    mu ascends (mu[0] ~ 0 is the constant mode) and the columns of V are
-    orthonormal; only the selected columns are computed.  Every mode is
-    computed once per (M, size) and kept for every later time and
-    radial_eigenpair (_mode_table): the selected modes not yet kept go
-    through one call of _tridiagonal_modes, whose pairs have the same bits
-    in any batch.
+class _Basis:
+    """The symmetrisation S = D L D^{-1}, D = diag(d), d = sqrt(w), of the
+    flux-form generator L on M.grid(size), with main diagonal dg and
+    off-diagonal off (the mean of its two off-diagonals, equal up to
+    rounding), and the lowest eigenpairs of -S found so far: mu ascending
+    (mu[0] ~ 0 is the constant mode) and V one unit vector a row.  Every
+    array is read-only.  The prefix only grows, each time by one call of
+    _tridiagonal_modes, whose pairs have the same bits in any batch.
     """
-    _, _, dg, _, _, off = _radial_symmetric(M, size)
-    first, last = select_range
-    if select == "v":
-        first, last = _sturm_counts(-dg, off * off, np.array(select_range))
-        last -= 1
-    indices = range(int(first), int(last) + 1)
-    table = _mode_table(M, size)
-    missing = np.array([i for i in indices if i not in table], dtype=int)
-    if missing.size:
-        mu, V = _tridiagonal_modes(-dg, -off, missing)
-        table.update(zip(missing.tolist(), zip(mu.tolist(), V)))
-    return (np.array([table[i][0] for i in indices]),
-            np.array([table[i][1] for i in indices]).T)
+
+    def __init__(self, M: ModelManifold, size: int):
+        grid, dn, dg, up = _generator(M, size)
+        d = np.sqrt(M.weight(grid))
+        off = 0.5 * (d[:-1] * up[:-1] / d[1:] + d[1:] * dn[1:] / d[:-1])
+        self.mu, self.V = np.empty(0), np.empty((0, size))
+        for a in (dg, d, off, self.mu, self.V):
+            a.flags.writeable = False
+        self.dg, self.d, self.off = dg, d, off
+
+    def lowest(self, count: int) -> None:
+        """Extend the prefix to the lowest count modes."""
+        if count > self.mu.size:
+            mu, V = _tridiagonal_modes(-self.dg, -self.off,
+                                       np.arange(self.mu.size, count))
+            self.mu = np.concatenate((self.mu, mu))
+            self.V = np.concatenate((self.V, V))
+            self.mu.flags.writeable = self.V.flags.writeable = False
+
+    def below(self, cut: float):
+        """(mu, V): the prefix's modes with mu < cut.  A Sturm count runs
+        only while every mode of the prefix lies below the cut, and the
+        mode past the cut is kept too, so a later, smaller cut is read off
+        the prefix."""
+        if self.mu.size < self.d.size and (not self.mu.size
+                                           or self.mu[-1] < cut):
+            count = _sturm_counts(-self.dg, self.off * self.off,
+                                  np.array([cut]))[0]
+            self.lowest(min(int(count) + 1, self.d.size))
+        kept = int(np.searchsorted(self.mu, cut))
+        return self.mu[:kept], self.V[:kept]
 
 
 @functools.lru_cache(maxsize=32)
-def _mode_table(M: ModelManifold, size: int) -> dict:
-    """index -> (eigenvalue, unit eigenvector) of -S, filled by
-    _radial_modes."""
-    return {}
+def _basis(M: ModelManifold, size: int) -> _Basis:
+    """The one radial basis of (M, size), shared by every solve and
+    radial_eigenpair on that grid."""
+    return _Basis(M, size)
 
 
 def _pivots(a, b2, x, top=None):
@@ -541,16 +537,18 @@ def radial_eigenpair(M: ModelManifold, size: int, index: int):
     eigenvalues ascend with index; the eigenfunction is scaled to
     max |v| = 1 with v[0] > 0, and is read-only.
     """
-    table = _mode_table(M, size)
-    if index not in table:   # a spectral solve keeps the modes it reads
-        _radial_modes(M, size, "i", (index, index))
-    mu, vec = table[index]
-    vec = vec / _radial_symmetric(M, size)[4]
+    basis = _basis(M, size)
+    if 0 <= index < basis.mu.size:   # a solve keeps the modes it reads
+        mu, vec = basis.mu[index], basis.V[index]
+    else:   # alone, with the bits the prefix would give it
+        (mu,), (vec,) = _tridiagonal_modes(-basis.dg, -basis.off,
+                                           np.array([index]))
+    vec = vec / basis.d
     vec = vec / np.max(np.abs(vec))
     if vec[0] < 0:
         vec = -vec
     vec.flags.writeable = False
-    return (0.0 if index == 0 else mu), vec
+    return (0.0 if index == 0 else float(mu)), vec
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +581,7 @@ def solve_heat(M: ModelManifold, u0: InitialDatum, t: float,
                           "use crank-nicolson-fd")
     if scheme == "spectral" and M.spec.flux_form and t > 0:
         # the kept modes before u0: the eigen datum's mode joins their batch
-        modes = _radial_modes(M, grid_size, "v", (-np.inf, _MODE_CUT / t))
+        modes = _basis(M, grid_size).below(_MODE_CUT / t)
     grid = M.grid(grid_size)
     u0v = u0.values(M, grid)
 
@@ -646,8 +644,8 @@ def _fourier(M, u0v, t):
 
 
 def _radial_spectral(M, u0v, t, mu, V):
-    """u0v evolved to t > 0 in the modes (mu, V) of _radial_modes with
-    lam t <= _MODE_CUT.
+    """u0v evolved to t > 0 in the modes (mu, V) that _Basis.below keeps
+    at the cut _MODE_CUT / t, one unit vector a row.
 
     L 1 = 0, so the constant mode d / |d| is stationary and carries the
     weighted mean of u0v exactly.  Its computed eigenpair is rounding, an
@@ -655,8 +653,8 @@ def _radial_spectral(M, u0v, t, mu, V):
     skipped.  Every sum runs along the rows or down the columns of the
     modes, in an order fixed by the number of modes.
     """
-    d = _radial_symmetric(M, u0v.size)[4]
-    V = V.T[1:]   # one mode a row
+    d = _basis(M, u0v.size).d
+    V = V[1:]
     coef = np.exp(-mu[1:] * t) * np.sum(V * (d * u0v), axis=1)
     w = d * d
     return (np.sum(w * u0v) / np.sum(w)

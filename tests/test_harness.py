@@ -744,14 +744,20 @@ def _dict_cell(value):
 
 def mixed_report() -> Report:
     """Blocks of every kind: in domain, per-node and whole-bound skips,
-    drift skips and errors, integer times and None parameters."""
-    sphere = run_experiment(minimal_config(
-        manifold={"family": "sphere-radial", "m": 2}, times=[1, 2],
-        grid_size=21,
-        bounds=[{"id": "davies", "params": {"alpha": [1.5, 4.0]}},
-                {"id": "bakry-qian"}, {"id": "bbg"}, {"id": "yau"},
-                {"id": "local-grad", "params": {"eps": [1.0],
-                                                "R": [-1.5]}}]))
+    drift skips and errors (local-grad's, from a local_betas made to
+    raise), integer times and None parameters."""
+    def failing(*args, **kwargs):
+        raise ValueError("local_betas raised")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bounds, "local_betas", failing)
+        sphere = run_experiment(minimal_config(
+            manifold={"family": "sphere-radial", "m": 2}, times=[1, 2],
+            grid_size=21,
+            bounds=[{"id": "davies", "params": {"alpha": [1.5, 4.0]}},
+                    {"id": "bakry-qian"}, {"id": "bbg"}, {"id": "yau"},
+                    {"id": "local-grad", "params": {"eps": [1.0],
+                                                    "R": [1.5]}}]))
     hyperbolic = run_experiment(minimal_config(
         manifold={"family": "hyperbolic-radial", "m": 2}, times=[1, 2],
         grid_size=21, bounds=[{"id": "bbg"}]))
@@ -1164,7 +1170,7 @@ class TestCli:
             raise AssertionError("a solve, eigenpair or accumulator ran")
 
         for module, name in ((harness, "solve_heat"),
-                             (heatflow, "_radial_modes"),
+                             (heatflow, "_basis"),
                              (stochastic, "functional_accumulator"),
                              (stochastic, "value_accumulator"),
                              (stochastic, "local_time_accumulator")):
@@ -1202,7 +1208,7 @@ class TestCli:
             raise AssertionError("a solve, eigenpair or accumulator ran")
 
         for module, name in ((harness, "solve_heat"),
-                             (heatflow, "_radial_modes"),
+                             (heatflow, "_basis"),
                              (stochastic, "functional_accumulator"),
                              (stochastic, "value_accumulator"),
                              (stochastic, "local_time_accumulator")):
@@ -1308,6 +1314,35 @@ class TestCli:
              "the grid size must be a whole number"),
             (circle, bound({"alpha": []}), bound({"alpha": [2.0]}),
              "param 'alpha' of bound 'davies' sweeps an empty list")))
+
+    def test_local_bound_radii_are_checked_at_load(self, tmp_path,
+                                                   monkeypatch):
+        # a local bound's ball radius R <= 0, or its curvature modulus
+        # K_region < 0, fails at load in verify and in the bounds command
+        local = json.loads((CONFIGS / "local_bounds.json").read_text())
+
+        def params(i, **values):   # bounds[0] is local-grad, [1] local-alpha
+            return lambda doc: doc["bounds"][i]["params"].update(values)
+
+        self.assert_rejected_at_load(tmp_path, monkeypatch, (
+            (local, params(0, R=-1), params(0, R=1),
+             "param 'R' of bound 'local-grad' must be positive, not -1"),
+            (local, params(0, R=[0.4, 0.0]), params(0, R=[0.4, 0.8]),
+             "param 'R' of bound 'local-grad' must be positive, not 0.0"),
+            (local, params(1, K_region=-0.5), params(1, K_region=0.5),
+             "param 'K_region' of bound 'local-alpha' must be nonnegative, "
+             "not -0.5")))
+        for bound_id, extra, message in (
+                ("local-grad", {"eps": 1, "R": -1}, "'R' of bound 'local-grad'"
+                 " must be positive"),
+                ("local-alpha", {"alpha": 2, "R": 1, "K_region": -0.5},
+                 "'K_region' of bound 'local-alpha' must be nonnegative")):
+            doc = dict(extra, n=2, t=1, K=0)
+            res = CliRunner().invoke(main, ["bounds", "--id", bound_id,
+                                            "--params", json.dumps(doc)])
+            assert res.exit_code == 2, res.output
+            errors = error_lines(res.output)
+            assert len(errors) == 1 and message in errors[0], res.output
 
     def test_unknown_manifold_key_is_a_usage_error(self, tmp_path):
         res = self.verify(tmp_path, manifold={"family": "circle", "m": 1,

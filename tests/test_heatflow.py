@@ -1,16 +1,18 @@
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from liyau import (exact_kernel, gaussian_kernel_state, harnack_quantities,
                    initial_datum, make_model_manifold, solve_heat)
-from liyau.geometry import FAMILIES, register_drift
+from liyau.geometry import FAMILIES, manifold_from_dict, register_drift
 from liyau import heatflow
-from liyau.heatflow import (_MODE_CUT, _apply, _generator, _kernel_spectral,
-                            _kernel_wrapped, _radial_spectral,
-                            _radial_symmetric, radial_eigenpair)
+from liyau.heatflow import (_MODE_CUT, _apply, _basis, _generator,
+                            _kernel_spectral, _kernel_wrapped,
+                            _radial_spectral, radial_eigenpair)
 from liyau.numerics import SolverError
 
 
@@ -135,8 +137,7 @@ class TestSolvers:
                 u2 = np.fft.irfft(np.fft.rfft(b.u) * np.exp(-freq**2 * 0.5),
                                   n=b.u.size)
             else:
-                kept = heatflow._radial_modes(M, b.u.size, "v",
-                                              (-np.inf, _MODE_CUT / 0.5))
+                kept = _basis(M, b.u.size).below(_MODE_CUT / 0.5)
                 u2 = _radial_spectral(M, b.u, 0.5, *kept)
             assert np.max(np.abs(u2 - a.u)) < 1e-8
 
@@ -217,11 +218,12 @@ class TestSolvers:
                                               ("sphere-radial", 301)])
     def test_constant_mode_eigenvalue_is_exactly_zero(self, family, size):
         # L 1 = 0; the computed eigenvalue is rounding whose sign depends
-        # on the bisection, as _radial_modes shows
+        # on the bisection, as the basis's mu[0] shows
         M = make_model_manifold(family, m=2)
-        computed, _ = heatflow._radial_modes(M, size, "i", (0, 0))
+        basis = _basis(M, size)
+        basis.lowest(1)
         lam, v = radial_eigenpair(M, size, 0)
-        assert lam == 0.0 and computed[0] != 0.0
+        assert lam == 0.0 and basis.mu[0] != 0.0
         assert np.max(np.abs(v - 1.0)) < 1e-9
 
     def test_interval_spectral_is_the_cosine_series(self, interval):
@@ -265,7 +267,8 @@ class TestSolvers:
         from scipy import linalg
         M = make_model_manifold(family, m=2)
         datum = initial_datum("cosine", {"k": 3, "amp": 0.4})
-        _, _, dg, _, d, off = _radial_symmetric(M, size)
+        basis = _basis(M, size)
+        dg, d, off = basis.dg, basis.d, basis.off
         mu, V = linalg.eigh_tridiagonal(-dg, -off)   # every mode, N x N
         mu[0] = 0.0   # L 1 = 0: mu[0] is rounding (6e-11 at hyperbolic 2401)
         coef = V.T @ (d * datum.values(M, M.grid(size)))
@@ -276,19 +279,18 @@ class TestSolvers:
 
     def test_small_time_keeps_few_modes(self, monkeypatch):
         kept = []
-        modes = heatflow._radial_modes
+        below = heatflow._Basis.below
 
-        def recording(M, size, select, select_range):
-            mu, V = modes(M, size, select, select_range)
-            if select == "v":   # the solve's; an eigenpair's "i" is not
-                kept.append(V.shape)
+        def recording(basis, cut):
+            mu, V = below(basis, cut)
+            kept.append(V.shape)
             return mu, V
 
-        monkeypatch.setattr(heatflow, "_radial_modes", recording)
+        monkeypatch.setattr(heatflow._Basis, "below", recording)
         M = make_model_manifold("hyperbolic-radial", m=2)
         st = solve_heat(M, initial_datum("eigen", {"index": 1, "amp": 0.5}),
                         0.05, grid_size=2401)
-        (n, k), = kept
+        (k, n), = kept
         assert n == 2401 and k <= 64
         lam, _ = radial_eigenpair(M, 2401, k)   # the first mode dropped
         assert lam * st.t > _MODE_CUT
@@ -298,7 +300,8 @@ class TestSolvers:
     def test_a_mode_has_the_same_bits_alone_and_in_a_batch(self, family,
                                                            size, count):
         M = make_model_manifold(family, m=2)
-        _, _, dg, _, _, off = _radial_symmetric(M, size)
+        basis = _basis(M, size)
+        dg, off = basis.dg, basis.off
         mu, V = heatflow._tridiagonal_modes(-dg, -off, np.arange(count))
         for j in (0, 1, 7, count - 1):
             alone, vec = heatflow._tridiagonal_modes(-dg, -off, np.array([j]))
@@ -336,21 +339,70 @@ class TestSolvers:
 
     def test_the_eigen_datum_joins_the_first_solve(self, monkeypatch):
         # the first solve fetches its modes before it samples the datum, so
-        # one multisection serves the datum's mode and all five times, and
-        # each solve asks for its modes once
-        calls = {"_tridiagonal_modes": 0, "_radial_modes": 0}
-        for name in calls:
-            def counting(*args, inner=getattr(heatflow, name), name=name):
-                calls[name] += 1
-                return inner(*args)
-            monkeypatch.setattr(heatflow, name, counting)
-        heatflow._mode_table.cache_clear()
+        # one multisection serves the datum's mode and all five times; each
+        # solve asks for its modes once, and only the first counts the
+        # modes below its cut: the four smaller cuts are read off the prefix
+        calls = {"_tridiagonal_modes": 0, "below": 0, "other counts": 0}
+        multisections = []
+        modes, counts = heatflow._tridiagonal_modes, heatflow._sturm_counts
+        below = heatflow._Basis.below
+
+        def multisection(*args):
+            calls["_tridiagonal_modes"] += 1
+            multisections.append(args)
+            try:
+                return modes(*args)
+            finally:
+                multisections.pop()
+
+        def counting(*args):
+            calls["other counts"] += not multisections
+            return counts(*args)
+
+        def asking(basis, cut):
+            calls["below"] += 1
+            return below(basis, cut)
+
+        monkeypatch.setattr(heatflow, "_tridiagonal_modes", multisection)
+        monkeypatch.setattr(heatflow, "_sturm_counts", counting)
+        monkeypatch.setattr(heatflow._Basis, "below", asking)
+        heatflow._basis.cache_clear()
         radial_eigenpair.cache_clear()
         M = make_model_manifold("hyperbolic-radial", m=2)
         datum = initial_datum("eigen", {"index": 1, "amp": 0.5})
         for t in (0.05, 0.1, 0.5, 1.0, 2.0):
             solve_heat(M, datum, t, grid_size=2401)
-        assert calls == {"_tridiagonal_modes": 1, "_radial_modes": 5}
+        assert calls == {"_tridiagonal_modes": 1, "below": 5,
+                         "other counts": 1}
+
+    def test_kept_modes_match_the_sturm_count_on_every_shipped_config(self):
+        # at each (grid size, t) a shipped radial spectral config solves,
+        # the modes below the cut are as many as the Sturm count at it; in
+        # ascending times the later, smaller cuts are read off the prefix,
+        # and in descending ones each cut extends it
+        root = Path(__file__).parents[1]
+        solves = {}
+        for path in sorted([*root.glob("configs/*.json"),
+                            *root.glob("perfbench/configs/*.json")]):
+            doc = json.loads(path.read_text())
+            M = manifold_from_dict(doc["manifold"])
+            if M.spec.flux_form and doc.get("scheme") == "spectral":
+                size = doc.get("grid_size") or M.spec.grid_size
+                solves.setdefault((M, size), set()).update(doc["times"])
+        assert {(M.family, size) for M, size in solves} == {
+            ("sphere-radial", 301), ("sphere-radial", 401),
+            ("hyperbolic-radial", 401), ("hyperbolic-radial", 2401)}
+        for (M, size), times in solves.items():
+            for order in (sorted(times), sorted(times, reverse=True)):
+                basis = heatflow._Basis(M, size)
+                for t in order:
+                    cut = _MODE_CUT / t
+                    mu, V = basis.below(cut)
+                    count = heatflow._sturm_counts(
+                        -basis.dg, basis.off * basis.off, np.array([cut]))
+                    assert mu.size == V.shape[0] == count[0], (M, size, t)
+                    assert np.count_nonzero(basis.mu < cut) == count[0]
+                    assert basis.mu.size == size or basis.mu[-1] >= cut
 
     @pytest.mark.parametrize("family, size", [("hyperbolic-radial", 2401),
                                               ("hyperbolic-radial", 4801),
@@ -376,13 +428,13 @@ class TestSolvers:
 
     @pytest.mark.parametrize("size", [401, 2401])
     def test_kept_modes_do_not_depend_on_the_solve_order(self, size):
-        # t = 2 keeps a few modes and t = 0.05 adds the rest to the table;
+        # t = 2 keeps a few modes and t = 0.05 adds the rest to the prefix;
         # the reverse order computes them all in one batch
         M = make_model_manifold("hyperbolic-radial", m=2)
         datum = initial_datum("cosine", {"k": 2, "amp": 0.5})
         runs = []
         for order in ((2.0, 0.05), (0.05, 2.0)):
-            heatflow._mode_table.cache_clear()
+            heatflow._basis.cache_clear()
             runs.append({t: solve_heat(M, datum, t, grid_size=size)
                          for t in order})
         for t in (2.0, 0.05):
@@ -465,11 +517,12 @@ class TestSolvers:
         a = make_model_manifold("sphere-radial", m=2)
         b = make_model_manifold("sphere-radial", m=2)
         assert a == b and a is not b
-        assert _radial_symmetric(a, 65) is _radial_symmetric(b, 65)
+        assert _basis(a, 65) is _basis(b, 65)
         assert radial_eigenpair(a, 65, 1) is radial_eigenpair(b, 65, 1)
         c = make_model_manifold("sphere-radial", m=3)
-        assert _radial_symmetric(c, 65) is not _radial_symmetric(a, 65)
-        assert not _radial_symmetric(a, 65)[2].flags.writeable
+        assert _basis(c, 65) is not _basis(a, 65)
+        assert not _basis(a, 65).dg.flags.writeable
+        assert not _basis(a, 65).V.flags.writeable
 
     def test_positivity_and_max_principle_enforced(self, circle):
         datum = initial_datum("eigen", {"index": 2, "amp": 0.25})
