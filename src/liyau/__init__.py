@@ -5,7 +5,19 @@ their Neumann heat flow, evaluates a catalog of closed-form gradient
 bounds (gamma X <= a Y + c for X = |grad u|^2/u^2, Y = Lu/u), and
 cross-checks the probabilistic right-hand sides by simulating the
 reflected diffusion with its boundary local time.
+
+Importing the package sets OPENBLAS_NUM_THREADS to 1, unless the caller
+set it or numpy is already loaded, so numpy's OpenBLAS starts no thread
+pool: the package calls BLAS only for its small quadrature rules.
 """
+
+import os as _os
+import sys as _sys
+
+# OpenBLAS reads this once, when numpy loads it; its pool of threads costs
+# CPU at every start-up and no call of this package is large enough to use it
+if "numpy" not in _sys.modules:
+    _os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
 

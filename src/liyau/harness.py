@@ -71,9 +71,15 @@ def resolve(config: ExperimentConfig) -> tuple:
     reject_unknown(config.initial_datum, ("id", "params"), "the datum")
     datum = initial_datum(config.initial_datum["id"],
                           config.initial_datum.get("params"))
-    datum.check(M)
-    return (M, datum, [bounds_mod.sweep(entry) for entry in config.bounds],
-            [stoch.resolve_entry(e, M, config.seed, datum) for e in config.mc])
+    sweeps = [bounds_mod.sweep(entry) for entry in config.bounds]
+    entries = [stoch.resolve_entry(e, M, config.seed, datum)
+               for e in config.mc]
+    # after the entries, whose grid sizes are then whole numbers: the datum
+    # on the smallest grid of a solve, the config's or an mc entry's own
+    sizes = [config.grid_size, *(e.get("grid_size") for e in config.mc)]
+    datum.check(M, min(M.spec.grid_size if size is None else int(size)
+                       for size in sizes))
+    return M, datum, sweeps, entries
 
 
 @dataclass

@@ -270,11 +270,14 @@ class InitialDatum:
                 lambda x: amp * (np.asarray(x, float) ** 2 / (4.0 * s0**2)
                                  - 1.0 / (2.0 * s0)) * e(x))
 
-    def check(self, M: ModelManifold) -> None:
+    def check(self, M: ModelManifold, size: int | None = None) -> None:
         """Raise as solve_heat would before sampling: no closed form on M
-        (the radial grid-only eigen datum aside), a slope at a wall, or a k
-        or index that is not whole (a cosine fits both ends for whole k)."""
-        if not (self.expr == "eigen" and M.spec.flux_form):
+        (the radial grid-only eigen datum aside), a slope at a wall, a k or
+        index that is not whole (a cosine fits both ends for whole k), a
+        negative index, or a grid-only eigen index not below the grid size
+        (the grid of N nodes has the modes 0 to N - 1)."""
+        grid_only = self.expr == "eigen" and M.spec.flux_form
+        if not grid_only:
             _, du, _ = self.callables(M)
             for pos, _ in M.boundaries():
                 if abs(float(du(pos))) > NEUMANN_TOL:
@@ -283,6 +286,13 @@ class InitialDatum:
         for key in self.params.keys() & {"k", "index"}:
             check_real(self.params[key], f"param {key!r} of datum "
                        f"{self.expr!r}", integral=True)
+        index = self.params.get("index", 0)
+        if index < 0:
+            raise ValueError(f"param 'index' of datum {self.expr!r} must be "
+                             f"nonnegative, not {index!r}")
+        if grid_only and size is not None and index >= size:
+            raise ValueError(f"param 'index' of datum 'eigen' must be below "
+                             f"the grid size {size}, not {index!r}")
 
 
 def initial_datum(expr: str, params: dict | None = None) -> InitialDatum:
@@ -535,10 +545,13 @@ def radial_eigenpair(M: ModelManifold, size: int, index: int):
     index 0 is the constant mode, whose eigenvalue is exactly 0 (L 1 = 0;
     the computed one is rounding, as in _radial_spectral), and
     eigenvalues ascend with index; the eigenfunction is scaled to
-    max |v| = 1 with v[0] > 0, and is read-only.
+    max |v| = 1 with v[0] > 0, and is read-only.  An index outside
+    [0, size) raises ValueError.
     """
+    if not 0 <= index < size:
+        raise ValueError(f"the grid of {size} nodes has no mode {index}")
     basis = _basis(M, size)
-    if 0 <= index < basis.mu.size:   # a solve keeps the modes it reads
+    if index < basis.mu.size:   # a solve keeps the modes it reads
         mu, vec = basis.mu[index], basis.V[index]
     else:   # alone, with the bits the prefix would give it
         (mu,), (vec,) = _tridiagonal_modes(-basis.dg, -basis.off,
@@ -571,7 +584,7 @@ def solve_heat(M: ModelManifold, u0: InitialDatum, t: float,
         raise ValueError(f"unknown scheme {scheme!r}")
     if grid_size is None:
         grid_size = M.spec.grid_size
-    u0.check(M)
+    u0.check(M, grid_size)
     if M.spec.kernel and scheme != "crank-nicolson-fd":
         scheme = "kernel"
     elif scheme == "kernel":

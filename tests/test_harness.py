@@ -1020,6 +1020,30 @@ class TestCli:
                              env=dict(os.environ, PYTHONPATH=str(src)))
         assert out.stdout.split() == ["False", "False"]
 
+    def test_import_starts_openblas_with_one_thread(self):
+        # unset, the variable is 1 after import liyau (on Linux, one thread
+        # in the process); a caller's value is kept; with numpy loaded
+        # first, whose pool already runs, it stays unset
+        src = Path(liyau.__file__).parents[1]
+        env = {key: value for key, value in os.environ.items()
+               if key != "OPENBLAS_NUM_THREADS"}
+        code = ("import os, sys\n"
+                "{}\n"
+                "tasks = len(os.listdir('/proc/self/task'))"
+                " if sys.platform == 'linux' else '-'\n"
+                "print(os.environ.get('OPENBLAS_NUM_THREADS'), tasks)\n")
+
+        def run(imports, **extra):
+            out = subprocess.run([sys.executable, "-c", code.format(imports)],
+                                 check=True, capture_output=True, text=True,
+                                 env=dict(env, PYTHONPATH=str(src), **extra))
+            return out.stdout.split()
+
+        assert run("import liyau") == [
+            "1", "1" if sys.platform == "linux" else "-"]
+        assert run("import liyau", OPENBLAS_NUM_THREADS="2")[0] == "2"
+        assert run("import numpy, liyau")[0] == "None"
+
     def test_mc_runs_the_mc_rows_alone(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(asdict(interval_mc_config())))
@@ -1343,6 +1367,43 @@ class TestCli:
             assert res.exit_code == 2, res.output
             errors = error_lines(res.output)
             assert len(errors) == 1 and message in errors[0], res.output
+
+    def test_eigen_index_outside_the_grid_is_rejected_at_load(
+            self, tmp_path, monkeypatch):
+        # the grid of N nodes has the modes 0 to N - 1: a negative index,
+        # or one not below the config's grid size or an mc entry's, fails
+        # at load; the solve and radial_eigenpair refuse it too
+        sphere = json.loads((CONFIGS / "sphere.json").read_text())
+
+        def index(value):
+            return lambda doc: doc["initial_datum"]["params"].update(
+                index=value)
+
+        # no shipped functional with a target solve runs beside the
+        # grid-only datum, so one is made to here
+        gradient = stochastic.FUNCTIONALS["gradient_rhs"]
+        monkeypatch.setitem(stochastic.FUNCTIONALS, "gradient_rhs",
+                            replace(gradient, reads_datum=False))
+        row = {"functional": "gradient_rhs", "compare": "state", "t": 0.5,
+               "x0": 1.0, "n_paths": 100, "grid_size": 101}
+        with_row = dict(sphere, mc=[row])
+        self.assert_rejected_at_load(tmp_path, monkeypatch, (
+            (sphere, index(-1), index(0),
+             "param 'index' of datum 'eigen' must be nonnegative, not -1"),
+            (sphere, index(301), index(300),
+             "param 'index' of datum 'eigen' must be below the grid size "
+             "301, not 301"),
+            (sphere, index(5000), index(3),
+             "must be below the grid size 301, not 5000"),
+            (with_row, index(101), index(100),
+             "must be below the grid size 101, not 101")))
+        M = manifold_from_dict(sphere["manifold"])
+        for i in (-1, 101):
+            with pytest.raises(ValueError, match="must be"):
+                solve_heat(M, initial_datum("eigen", {"index": i}), 0.5,
+                           grid_size=101)
+            with pytest.raises(ValueError, match=f"has no mode {i}"):
+                heatflow.radial_eigenpair(M, 101, i)
 
     def test_unknown_manifold_key_is_a_usage_error(self, tmp_path):
         res = self.verify(tmp_path, manifold={"family": "circle", "m": 1,
