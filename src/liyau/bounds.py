@@ -17,11 +17,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .clocks import Clock
+if TYPE_CHECKING:   # only an annotation: bounds loads no MC layer
+    from .clocks import Clock
 from .numerics import (check_real, coth, decay_rate, em1int,
                        integrate_smooth, reject_unknown, sign_changes, xcot,
                        xcoth)

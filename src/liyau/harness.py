@@ -10,7 +10,9 @@ tol defaulting to 1e-6.  MC rows pass at three standard errors.  Each mc
 entry is a task of `stochastic.run_passes`, which owns the worker pool and
 starts one pass per ensemble (x0, n_paths, dt, seed) before the first grid
 solve, so the passes overlap the solves and bound evaluation; no row
-depends on where its pass ran.
+depends on where its pass ran.  The MC layer is imported only where mc
+entries are resolved, run and reported, so a config without them never
+loads it.
 """
 
 from __future__ import annotations
@@ -20,15 +22,18 @@ import json
 import math
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
 from . import bounds as bounds_mod
-from . import stochastic as stoch
 from .geometry import MANIFOLD_KEYS, ModelManifold, manifold_from_dict
 from .heatflow import HeatState, initial_datum, solve_heat
 from .numerics import check_real, reject_unknown
+
+if TYPE_CHECKING:
+    from .stochastic import Ensemble
 
 CSV_COLUMNS = ("bound_id", "family", "m", "n", "K", "t", "x", "alpha", "eps",
                "X", "Y", "gamma", "a", "c", "margin", "domain_ok")
@@ -72,8 +77,11 @@ def resolve(config: ExperimentConfig) -> tuple:
     datum = initial_datum(config.initial_datum["id"],
                           config.initial_datum.get("params"))
     sweeps = [bounds_mod.sweep(entry) for entry in config.bounds]
-    entries = [stoch.resolve_entry(e, M, config.seed, datum)
-               for e in config.mc]
+    entries = []
+    if config.mc:
+        from . import stochastic as stoch
+        entries = [stoch.resolve_entry(e, M, config.seed, datum)
+                   for e in config.mc]
     # after the entries, whose grid sizes are then whole numbers: the datum
     # on the smallest grid of a solve, the config's or an mc entry's own
     sizes = [config.grid_size, *(e.get("grid_size") for e in config.mc)]
@@ -215,10 +223,11 @@ def _bound_block(state: HeatState, nodes: tuple, bound_id: str,
     return BoundBlock(head, nodes, m)
 
 
-def _mc_row(entry: dict, ens: stoch.Ensemble, clock, outcome, solve) -> dict:
+def _mc_row(entry: dict, ens: Ensemble, clock, outcome, solve) -> dict:
     """The report row of one mc entry: its estimate against its target
     (the entry's own, or its functional's from the state that solve gives,
     see _state_solver), or the error that stopped it."""
+    from . import stochastic as stoch
     try:
         if isinstance(outcome, Exception):
             raise outcome
@@ -299,13 +308,11 @@ def _grid_rows(config: ExperimentConfig, M: ModelManifold, sweeps: list,
     return solver_rows, bound_blocks
 
 
-def run_experiment(config: ExperimentConfig) -> Report:
-    """Solve once per time, evaluate all bounds on the grid, run MC rows.
-
-    Module errors are captured per row, never fatal to the run.
-    """
-    M, datum, sweeps, entries = resolve(config)
-    solve = _state_solver(M, datum)
+def _with_mc_rows(config: ExperimentConfig, M: ModelManifold, datum,
+                  sweeps: list, entries: list, solve) -> tuple:
+    """(solver rows, bound blocks, mc rows): the grid rows, made while the
+    passes of the config's mc entries run beside them, then the mc rows."""
+    from . import stochastic as stoch
     accs = []   # each mc entry's accumulator, or the error that stopped it
     for entry, (ens, clock) in zip(config.mc, entries):
         try:
@@ -321,6 +328,22 @@ def run_experiment(config: ExperimentConfig) -> Report:
         mc_rows = [_mc_row(entry, ens, clock, acc if isinstance(acc, Exception)
                            else outcome(next(task)), solve)
                    for entry, (ens, clock), acc in zip(config.mc, entries, accs)]
+    return solver_rows, bound_blocks, mc_rows
+
+
+def run_experiment(config: ExperimentConfig) -> Report:
+    """Solve once per time, evaluate all bounds on the grid, run MC rows.
+
+    Module errors are captured per row, never fatal to the run.
+    """
+    M, datum, sweeps, entries = resolve(config)
+    solve = _state_solver(M, datum)
+    if config.mc:
+        solver_rows, bound_blocks, mc_rows = _with_mc_rows(
+            config, M, datum, sweeps, entries, solve)
+    else:   # no pass to run, and no MC layer to load
+        solver_rows, bound_blocks = _grid_rows(config, M, sweeps, solve)
+        mc_rows = []
     meta = {"package": __version__, "numpy": np.__version__,
             "seed": config.seed}
     return Report(config=asdict(config), solver_rows=solver_rows,
@@ -333,14 +356,14 @@ def emit_report(report: Report, out_dir, fmt: str = "csv") -> list:
     csv: fixed documented columns; json: the lossless superset; plus a
     margin-vs-t series per bound id as plot-ready CSV.
     """
+    if fmt not in ("csv", "json"):   # before any file or directory is made
+        raise ValueError("format must be 'csv' or 'json'")
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise OSError(f"cannot create output directory {out}: {exc}") from exc
     written = []
-    if fmt not in ("csv", "json"):
-        raise ValueError("format must be 'csv' or 'json'")
     if fmt == "json":
         path = out / "report.json"
         path.write_text(json.dumps(report.to_dict(), indent=1, sort_keys=True))

@@ -857,6 +857,13 @@ class TestEmit:
         for pa, pb in zip(a, b):
             assert pa.read_bytes() == pb.read_bytes()
 
+    def test_an_unknown_format_is_rejected_before_the_directory_is_made(
+            self, tmp_path):
+        report = run_experiment(minimal_config())
+        with pytest.raises(ValueError, match="format must be 'csv' or 'json'"):
+            emit_report(report, tmp_path / "out", "xml")
+        assert not (tmp_path / "out").exists()
+
     def test_json_round_trip(self, tmp_path):
         # the mixed report has failing, skipped and error rows; read back,
         # every block is one head row, and no verdict may move
@@ -1043,6 +1050,133 @@ class TestCli:
             "1", "1" if sys.platform == "linux" else "-"]
         assert run("import liyau", OPENBLAS_NUM_THREADS="2")[0] == "2"
         assert run("import numpy, liyau")[0] == "None"
+
+    def run_module(self, *args, code=None, **env):
+        """python -m liyau with args, or the code given, on piped output."""
+        src = Path(liyau.__file__).parents[1]
+        cmd = ["-c", code] if code else ["-m", "liyau", *args]
+        return subprocess.run([sys.executable, *cmd], capture_output=True,
+                              text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=str(src), **env))
+
+    def test_module_entry_flushes_and_keeps_the_exit_code(self, tmp_path):
+        # python -m liyau ends with os._exit once its output is flushed
+        res = self.run_module("verify", "--config",
+                              str(CONFIGS / "sphere.json"))
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[-1].startswith("rows: bounds=33110 ")
+        path = tmp_path / "missed.json"
+        path.write_text(json.dumps(dict(
+            manifold={"family": "interval-neumann", "m": 1, "n": 1},
+            initial_datum={"id": "cosine", "params": {"k": 1, "amp": 0.5}},
+            times=[0.5],
+            mc=[{"functional": "expected_local_time", "t": 0.3, "x0": 0.0,
+                 "n_paths": 300, "dt": 0.01, "target": 99}])))
+        res = self.run_module("verify", "--config", str(path))
+        assert res.returncode == 1, res.stderr
+        assert res.stdout.splitlines()[-1] == (
+            "rows: bounds=0 mc=1 worst_margin=inf failures=1")
+        res = self.run_module("verify", "--config",
+                              str(CONFIGS / "sphere.json"), "--tol", "-1")
+        assert res.returncode == 2 and res.stdout == ""
+        assert len(error_lines(res.stderr)) == 1, res.stderr
+
+    def test_no_mc_worker_outlives_the_module_entry(self, tmp_path):
+        # two ensembles start forked workers where there are two cores;
+        # one that outlived the parent would hold the pipes open
+        entry = {"functional": "expected_value", "t": 0.2, "n_paths": 400,
+                 "dt": 0.01}
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps(dict(
+            manifold={"family": "interval-neumann", "m": 1, "n": 1},
+            initial_datum={"id": "cosine", "params": {"k": 1, "amp": 0.5}},
+            times=[0.5], mc=[dict(entry, x0=0.5), dict(entry, x0=1.5)])))
+        res = self.run_module("verify", "--config", str(path))
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[-1].startswith("rows: bounds=0 mc=2 ")
+
+    @pytest.mark.parametrize("exit_with, status, stderr", [
+        ("return", 0, ""), ("raise SystemExit", 0, ""),
+        ("raise SystemExit(3)", 3, ""), ("raise SystemExit('bad')", 1, "bad\n")])
+    def test_module_entry_exit_status_is_pythons(self, exit_with, status,
+                                                 stderr):
+        code = ("import runpy, liyau.cli\n"
+                "def main():\n"
+                f"    {exit_with}\n"
+                "liyau.cli.main = main\n"
+                "runpy.run_module('liyau', run_name='__main__')\n")
+        res = self.run_module(code=code)
+        assert (res.returncode, res.stderr) == (status, stderr)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_module_entry_fails_when_its_output_is_lost(self):
+        # output that cannot be written never ends in exit 0: click's echo
+        # raises at once, a print still buffered fails the final flush
+        src = Path(liyau.__file__).parents[1]
+        env = {key: value for key, value in os.environ.items()
+               if key != "PYTHONUNBUFFERED"}
+        buffered = ("import runpy, liyau.cli\n"
+                    "def main():\n"
+                    "    print('rows:')\n"
+                    "    raise SystemExit(0)\n"
+                    "liyau.cli.main = main\n"
+                    "runpy.run_module('liyau', run_name='__main__')\n")
+        for cmd in (["-m", "liyau", "verify", "--config",
+                     str(CONFIGS / "sphere.json")], ["-c", buffered]):
+            with open("/dev/full", "w") as full:
+                res = subprocess.run([sys.executable, *cmd], stdout=full,
+                                     stderr=subprocess.PIPE, timeout=60,
+                                     env=dict(env, PYTHONPATH=str(src)))
+            assert res.returncode == 120, cmd
+
+    def test_a_run_without_mc_rows_loads_no_mc_layer(self):
+        # clocks and stochastic load with the first mc entry, numpy.random
+        # where a pass runs: in-process for interval_oracles' one ensemble,
+        # on forked workers for interval_mc's four where there are two cores
+        code = ("import sys, liyau.cli\n"
+                "try:\n"
+                "    liyau.cli.main(['verify', '--config', sys.argv[1]])\n"
+                "except SystemExit as exc:\n"
+                "    assert exc.code == 0, exc.code\n"
+                "print(*(m in sys.modules for m in ('liyau.stochastic',"
+                " 'liyau.clocks', 'numpy.random')))\n")
+        for config, loaded in (("sphere.json", ["False"] * 3),
+                               ("interval_oracles.json", ["True"] * 3),
+                               ("interval_mc.json", ["True"] * 2)):
+            res = subprocess.run(
+                [sys.executable, "-c", code, str(CONFIGS / config)],
+                capture_output=True, text=True, timeout=120,
+                env=dict(os.environ,
+                         PYTHONPATH=str(Path(liyau.__file__).parents[1])))
+            assert res.returncode == 0, res.stderr
+            assert res.stdout.splitlines()[-1].split()[:len(loaded)] == loaded
+
+    def test_the_package_names_the_mc_layer_it_loads_on_demand(self):
+        # a module of the layer, a name of a loaded one, one of a new one
+        code = ("import sys, liyau\n"
+                "print('liyau.clocks' in sys.modules, liyau.clocks.__name__,"
+                " liyau.Clock.__module__,"
+                " liyau.estimate_functional.__module__)\n")
+        res = self.run_module(code=code)
+        assert res.stdout.split() == [
+            "False", "liyau.clocks", "liyau.clocks", "liyau.stochastic"]
+        assert liyau.__all__ == [
+            "BoundForm", "CdCheckReport", "CheckResult", "Clock", "Estimate",
+            "ExperimentConfig", "HeatState", "InitialDatum", "Margins",
+            "ModelManifold", "NonconvexData", "Report", "alpha_form_integral",
+            "beta_t_alpha", "bound_margins", "bounds", "cd_check",
+            "check_inequality", "clock_integrals", "clocks",
+            "cutoff_growth_check", "emit_report", "estimate_functional",
+            "eval_bound", "exact_kernel", "expected_local_time",
+            "expected_value_at", "gamma_integral", "gaussian_kernel_state",
+            "geometry", "harnack_quantities", "harness", "heatflow",
+            "initial_datum", "laplacian_comparison", "local_betas",
+            "local_time_moment", "make_clock", "make_model_manifold",
+            "manifold_from_dict", "nonconvex_bound_rhs",
+            "nonconvex_constants", "numerics", "phi_bbg", "run_experiment",
+            "solve_heat", "stochastic", "with_curvature"]
+        with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+            liyau.nothing
 
     def test_mc_runs_the_mc_rows_alone(self, tmp_path):
         path = tmp_path / "cfg.json"
