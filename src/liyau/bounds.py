@@ -248,39 +248,21 @@ def _g3_y_coeff(beta: float, K_D: float, t: float, eps: float) -> float:
 # the catalog
 
 
-def eval_bound(bound_id: str, params: dict) -> BoundForm:
-    """Evaluate one bound id into its (gamma, a, c) normal form.
-
-    params carries n and t always, K (default 0), the bound's own params
-    (BOUNDS; a missing required one raises KeyError, other keys are
-    ignored) and, for bbg only, the observed Y needed to locate the
-    comparison argument.  A local bound's R <= 0 or K_region < 0 raises
-    ValueError from local_betas; check_keys rejects both at load.  Every
-    other domain violation is reported through domain_ok = False with a
-    note, not by raising.
-    """
-    if bound_id not in BOUNDS:
-        raise ValueError(f"unknown bound id {bound_id!r}")
-    n = float(params["n"])
-    t = float(params["t"])
-    if t <= 0:
-        raise ValueError("t must be positive")
-    K = float(params.get("K", 0.0))
+def _normal_form(bound_id: str, n: float, t: float, K: float,
+                 p: dict) -> tuple:
+    """(gamma, a, c, note) of a normal-form id at n, t, K and its params p;
+    gamma is None where the constants are out of domain, the note says why."""
     Km = max(-K, 0.0)
-    spec = BOUNDS[bound_id].params
-    p = {k: float(params[k]) for k in spec if spec[k] or k in params}
     alpha, eps, R = p.get("alpha"), p.get("eps"), p.get("R")
     K_prime, K_region = p.get("K_prime", K), p.get("K_region", Km)
-    out_params = {k: v for k, v in params.items() if k not in ("n", "t")}
 
-    def bad(note: str) -> BoundForm:
-        return BoundForm(bound_id, math.nan, math.nan, math.nan,
-                         domain_ok=False, note=note, params=out_params)
+    def bad(note: str) -> tuple:
+        return None, None, 0.0, note
 
     def form(gamma, a, c, note=""):
         if not all(map(math.isfinite, (gamma, a, c))):
             return bad("non-finite constant")
-        return BoundForm(bound_id, gamma, a, c, note=note, params=out_params)
+        return gamma, a, c, note
 
     if bound_id == "davies":
         if alpha <= 1.0:
@@ -352,14 +334,8 @@ def eval_bound(bound_id: str, params: dict) -> BoundForm:
         c *= math.exp(-2.0 * K_prime * max(t - 1.0 / K, 0.0))
         return form(1.0, 0.0, c)
 
-    if bound_id == "bbg":
-        if K <= 0:
-            return bad("needs K > 0")
-        if "Y" not in params:
-            raise ValueError("bbg bound needs the observed Y in params")
-        # the constant depends on Y: bound_margins at that one node
-        m = bound_margins(bound_id, params, 0.0, float(params["Y"]))
-        return form(1.0, 1.0, float(m.c)) if m.domain_ok else bad(str(m.note))
+    if bound_id == "bbg":   # at K > 0 c depends on Y: see bound_margins
+        return bad("needs K > 0")
 
     if bound_id == "local-grad":
         if eps <= 0:
@@ -369,32 +345,34 @@ def eval_bound(bound_id: str, params: dict) -> BoundForm:
         c = 0.5 * n * (1.0 + eps) ** 2 * decay_rate(beta, t)
         return form(1.0, a, c)
 
-    if bound_id == "local-alpha":
-        if alpha <= 1:
-            return bad("alpha must exceed 1")
-        _, beta = local_betas(n, K_region, R, eps=1.0, alpha=alpha)
-        c = 0.5 * n * alpha**2 * (K_region / (alpha - 1.0) + decay_rate(beta, t))
-        return form(1.0, alpha, c)
-
-    if bound_id in ("yau", "bakry-qian-sqrt"):  # no (gamma, a, c) form
-        return bad("implicit sqrt bound, use check_inequality")
-
-    raise AssertionError(bound_id)
+    # local-alpha, the last normal-form id
+    if alpha <= 1:
+        return bad("alpha must exceed 1")
+    _, beta = local_betas(n, K_region, R, eps=1.0, alpha=alpha)
+    c = 0.5 * n * alpha**2 * (K_region / (alpha - 1.0) + decay_rate(beta, t))
+    return form(1.0, alpha, c)
 
 
 def bound_margins(bound_id: str, params: dict, X, Y, W=None) -> Margins:
-    """Margins of one bound at every node of observed X, Y (and W) arrays.
+    """Margins of one bound at every node of observed X, Y (and W) arrays:
+    the one evaluator of the catalog.
 
-    params as for eval_bound, without the observed Y of bbg; W =
-    |grad u|^2/u is needed by yau only.  margin >= 0 where the bound
-    holds.  bbg is out of domain at the nodes whose Y leaves its window;
-    skip_all marks a bound whose constants eval_bound rejects.
+    params carries n and t always, K (default 0) and the bound's own
+    params (BOUNDS; a missing required one raises KeyError, other keys are
+    ignored); W = |grad u|^2/u is needed by yau only.  margin >= 0 where
+    the bound holds.  bbg is out of domain at the nodes whose Y leaves its
+    window; skip_all marks a bound whose constants are out of domain.  A
+    local bound's R <= 0 or K_region < 0 raises ValueError from
+    local_betas; check_keys rejects both at load.
     """
+    if bound_id not in BOUNDS:
+        raise ValueError(f"unknown bound id {bound_id!r}")
     n, t = float(params["n"]), float(params["t"])
-    K = float(params.get("K", 0.0))
     if t <= 0:
         raise ValueError("t must be positive")
-    Km = max(-K, 0.0)
+    K = float(params.get("K", 0.0))
+    spec = BOUNDS[bound_id].params
+    p = {k: float(params[k]) for k in spec if spec[k] or k in params}
     X, Y = np.broadcast_arrays(np.asarray(X, dtype=float),
                                np.asarray(Y, dtype=float))
     if np.any(X < 0):
@@ -403,7 +381,7 @@ def bound_margins(bound_id: str, params: dict, X, Y, W=None) -> Margins:
 
     if bound_id in ("yau", "bakry-qian-sqrt"):
         # no (gamma, a, c) normal form: evaluated as stated
-        h = n / (2.0 * t)
+        Km, h = max(-K, 0.0), n / (2.0 * t)
         if bound_id == "yau":
             if W is None:
                 raise ValueError("yau bound needs W = |grad u|^2/u")
@@ -422,13 +400,32 @@ def bound_margins(bound_id: str, params: dict, X, Y, W=None) -> Margins:
                                          "Y outside the admissible window"))
         return Margins(1.0, 1.0, np.where(ok, c, 0.0),
                        np.where(ok, Y + c - X, math.nan), ok, note)
-    form = eval_bound(bound_id, params)
-    if not form.domain_ok:
+    gamma, a, c, note = _normal_form(bound_id, n, t, K, p)
+    if gamma is None:
         return Margins(None, None, 0.0, full(math.nan), full(False),
-                       full(form.note), skip_all=True)
-    return Margins(form.gamma, form.a, form.c,
-                   form.a * Y + form.c - form.gamma * X, full(True),
-                   full(form.note))
+                       full(note), skip_all=True)
+    return Margins(gamma, a, c, a * Y + c - gamma * X, full(True), full(note))
+
+
+def eval_bound(bound_id: str, params: dict) -> BoundForm:
+    """bound_margins at one node, as a (gamma, a, c) normal form.
+
+    params as for bound_margins and, for bbg at K > 0 only, the observed Y
+    that locates the comparison argument.  Every domain violation, and the
+    two square-root bounds, which have no normal form, come back as
+    domain_ok = False with a note, not by raising.
+    """
+    m = bound_margins(bound_id, params, 0.0, params.get("Y", 0.0), 0.0)
+    if bound_id == "bbg" and "Y" not in params and m.gamma is not None:
+        raise ValueError("bbg bound needs the observed Y in params")
+    out_params = {k: v for k, v in params.items() if k not in ("n", "t")}
+    if m.gamma is None or not m.domain_ok:
+        note = (str(m.note) if not m.domain_ok
+                else "implicit sqrt bound, use check_inequality")
+        return BoundForm(bound_id, math.nan, math.nan, math.nan,
+                         domain_ok=False, note=note, params=out_params)
+    return BoundForm(bound_id, m.gamma, m.a, float(m.c), note=str(m.note),
+                     params=out_params)
 
 
 def check_inequality(bound_id: str, params: dict, X: float, Y: float) -> CheckResult:

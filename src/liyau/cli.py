@@ -48,7 +48,8 @@ def _usage_errors(what: str):
 
 def _run(config_path, seed, out, fmt, tol=None, mc_only=False,
          bounds_only=False):
-    """Run a config, write its report files under out, exit 0 iff all pass."""
+    """Run a config, write its report files under out, exit 0 iff all pass
+    and some row was checked."""
     changes = {key: value for key, value in (("seed", seed), ("tol", tol))
                if value is not None}
     if mc_only:
@@ -62,13 +63,13 @@ def _run(config_path, seed, out, fmt, tol=None, mc_only=False,
     if out:
         for path in harness.emit_report(report, out, fmt):
             click.echo(f"wrote {path}")
-    n_fail = len(report.failures())
+    failures = report.failures()
     worst = report.worst_margin()
     click.echo(f"rows: bounds={report.n_bound_rows} mc={len(report.mc_rows)}"
-               f" worst_margin={worst:.3e} failures={n_fail}")
+               f" worst_margin={worst:.3e} failures={len(failures)}")
     if not report.checked():
         click.echo("warning: no bound or MC row was checked", err=True)
-    sys.exit(report.exit_code)
+    sys.exit(report.exit_code_of(failures))
 
 
 @main.command()

@@ -67,8 +67,11 @@ def resolve(config: ExperimentConfig) -> tuple:
     check_real(config.seed, "the seed", integral=True)
     if config.grid_size is not None:
         check_real(config.grid_size, "the grid size", integral=True)
+    check_real(config.tol, "the tolerance")
     if config.tol <= 0:
         raise ValueError("tolerance must be positive")
+    for t in config.times:
+        check_real(t, "a time of the grid")
     if not config.times or any(t <= 0 for t in config.times):
         raise ValueError("time grid must be strictly positive")
     reject_unknown(config.manifold, MANIFOLD_KEYS, "the manifold")
@@ -136,14 +139,15 @@ class BoundBlock:
         return float(m.margin[m.domain_ok].min()) if m.domain_ok.any() else None
 
     def failing(self, tol: float) -> list:
-        """Rows with an error, or in domain with margin < -tol (1 + |c|)."""
+        """Rows with an error, or in domain without margin >= -tol (1 + |c|):
+        a NaN margin fails."""
         if self.nodes is None:
             row = self.head
-            bad = row.get("error") or (
-                row["domain_ok"] and row["margin"] < -tol * (1.0 + abs(row["c"])))
+            bad = row.get("error") or (row["domain_ok"] and not (
+                row["margin"] >= -tol * (1.0 + abs(row["c"]))))
             return [dict(row)] if bad else []
         m = self.margins
-        bad = m.domain_ok & (m.margin < -tol * (1.0 + np.abs(m.c)))
+        bad = m.domain_ok & ~(m.margin >= -tol * (1.0 + np.abs(m.c)))
         return self.rows(bad) if bad.any() else []
 
 
@@ -179,7 +183,12 @@ class Report:
 
     @property
     def exit_code(self) -> int:
-        return 1 if self.failures() else 0
+        return self.exit_code_of(self.failures())
+
+    def exit_code_of(self, failures: list) -> int:
+        """0 iff no row fails, failures being this report's failures(), and
+        some row was checked."""
+        return 1 if failures or not self.checked() else 0
 
     def worst_margin(self) -> float:
         return min((w for w in map(BoundBlock.worst, self.bound_blocks)

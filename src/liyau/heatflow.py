@@ -620,7 +620,11 @@ def solve_heat(M: ModelManifold, u0: InitialDatum, t: float,
 
 
 def _check_state(M, u0v, state):
-    """Positivity, the maximum principle and mass against the samples u0v."""
+    """Finite values, positivity, the maximum principle and mass against
+    the samples u0v.  Finiteness comes first: every comparison with NaN is
+    False, so the other three pass an all-NaN state."""
+    if not all(np.isfinite(v).all() for v in (state.u, state.grad_u, state.Lu)):
+        raise SolverError("non-finite state")
     grid = state.grid
     if np.min(state.u) <= 0.0 and state.t > 0:
         raise SolverError("positivity lost")

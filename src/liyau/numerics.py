@@ -42,12 +42,15 @@ def reject_unknown(entry, known: tuple, what: str) -> None:
 
 
 def check_real(value, what: str, integral: bool = False) -> None:
-    """Raise ValueError unless a config value is a real number (an int or a
-    float, never a bool or a str), and a whole one if integral."""
+    """Raise ValueError unless a config value is a finite real number (an
+    int or a float, never a bool, a str, NaN or an infinity), and a whole
+    one if integral."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or integral and not float(value).is_integer()):
         raise ValueError(f"{what} must be a {'whole' if integral else 'real'}"
                          f" number, not {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, not {value!r}")
 
 
 def coth(x):

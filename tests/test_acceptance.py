@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import simpson
-from liyau import (beta_t_alpha, check_inequality, clock_integrals,
+from liyau import (beta_t_alpha, bound_margins, clock_integrals,
                    estimate_functional, eval_bound, expected_local_time,
                    gamma_integral, gaussian_kernel_state, initial_datum,
                    local_betas, make_clock, make_model_manifold,
@@ -93,48 +93,17 @@ def test_criterion_02_inequality_suite(solve_bank):
                 X, Y, W = state.X(), state.Y(), state.W()
                 for bid, alphas in SUITE_BOUNDS:
                     for alpha in alphas:
-                        params = {"n": M.n, "t": t, "K": M.K}
+                        # K_prime = K for grad-decay, read by no other id
+                        params = {"n": M.n, "t": t, "K": M.K, "K_prime": M.K}
                         if alpha is not None:
                             params["alpha"] = alpha
-                        if bid == "grad-decay":
-                            if M.K <= 0:
-                                skipped += 1
-                                continue
-                            params["K_prime"] = M.K
-                        if bid in ("yau", "bakry-qian-sqrt"):
-                            # sqrt bounds carry no (a, c) form: score raw
-                            for i in range(X.size):
-                                p = dict(params, W=float(W[i]))
-                                res = check_inequality(bid, p, float(X[i]),
-                                                       float(Y[i]))
-                                if res.margin < worst:
-                                    worst, worst_case = res.margin, (bid, fam, t)
-                            evaluated += 1
-                            continue
-                        if bid == "bbg":
-                            if M.K <= 0:
-                                skipped += 1
-                                continue
-                            for i in range(X.size):
-                                res = check_inequality(bid, params,
-                                                       float(X[i]),
-                                                       float(Y[i]))
-                                if not res.ok:
-                                    skipped += 1
-                                    continue
-                                form = eval_bound(
-                                    bid, dict(params, Y=float(Y[i])))
-                                score = res.margin / (1 + abs(form.c))
-                                if score < worst:
-                                    worst, worst_case = score, (bid, fam, t)
-                            evaluated += 1
-                            continue
-                        form = eval_bound(bid, params)
-                        if not form.domain_ok:
+                        m = bound_margins(bid, params, X, Y, W)
+                        if m.skip_all:   # constants out of domain
                             skipped += 1
                             continue
-                        margins = form.a * Y + form.c - form.gamma * X
-                        score = float(np.min(margins)) / (1 + abs(form.c))
+                        skipped += int(np.sum(~m.domain_ok))  # bbg's window
+                        scores = (m.margin / (1 + np.abs(m.c)))[m.domain_ok]
+                        score = float(np.min(scores, initial=math.inf))
                         if score < worst:
                             worst, worst_case = score, (bid, fam, t)
                         evaluated += 1

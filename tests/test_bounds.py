@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import simpson
-from liyau import (beta_t_alpha, bound_margins, check_inequality, eval_bound,
-                   gaussian_kernel_state, local_betas, phi_bbg)
+from liyau import (beta_t_alpha, bound_margins, bounds, check_inequality,
+                   eval_bound, gaussian_kernel_state, local_betas, phi_bbg)
 from liyau.bounds import BOUND_IDS, BOUNDS, sweep
 
 
@@ -365,21 +365,60 @@ class TestBoundMargins:
                 assert math.isnan(m.margin[i]) and m.c[i] == 0.0
                 assert m.note[i] == res.note == form.note
 
+    rng = np.random.default_rng(5)
+    X = rng.uniform(0.0, 3.0, 50)
+    Y = rng.uniform(-2.0, 2.0, 50)
+    W = rng.uniform(0.0, 3.0, 50)
+    NODES = list(zip(X.tolist(), Y.tolist(), W.tolist()))
+
+    @staticmethod
+    def params(K):
+        return {"n": 2.0, "t": 0.7, "K": K, "alpha": 2.0, "eps": 1.0,
+                "R": 1.5, "K_region": 0.0}
+
     def test_every_id_matches_its_scalar_form(self):
-        rng = np.random.default_rng(5)
-        X = rng.uniform(0.0, 3.0, 50)
-        Y = rng.uniform(-2.0, 2.0, 50)
-        params = {"n": 2.0, "t": 0.7, "K": 0.8, "alpha": 2.0, "eps": 1.0,
-                  "R": 1.5, "K_region": 0.0}
-        for bid in BOUND_IDS:
-            if bid in ("yau", "bakry-qian-sqrt", "bbg"):
-                continue
-            form = eval_bound(bid, params)
-            m = bound_margins(bid, params, X, Y)
-            assert form.domain_ok and m.domain_ok.all() and not m.skip_all
-            ref = [form.margin(x, y) for x, y in zip(X.tolist(), Y.tolist())]
-            assert m.margin.tolist() == ref, bid
-            assert (m.gamma, m.a, m.c) == (form.gamma, form.a, form.c)
+        # the normal-form ids against eval_bound, bbg against eval_bound at
+        # each node's Y and the square-root ids against check_inequality
+        # with the node's W; at K = 0.8 every id is in domain, at K = -0.8
+        # the ids that need K > 0 skip every node with eval_bound's note
+        for K in (0.8, -0.8):
+            params = self.params(K)
+            for bid in BOUND_IDS:
+                m = bound_margins(bid, params, self.X, self.Y, self.W)
+                if bid in ("yau", "bakry-qian-sqrt"):
+                    assert m.gamma is None and m.domain_ok.all()
+                    ref = [check_inequality(bid, dict(params, W=w), x, y).margin
+                           for x, y, w in self.NODES]
+                    assert not eval_bound(bid, params).domain_ok
+                elif bid == "bbg" and K > 0:
+                    forms = [eval_bound(bid, dict(params, Y=y))
+                             for _, y, _ in self.NODES]
+                    assert m.domain_ok.all() and all(f.domain_ok for f in forms)
+                    assert m.c.tolist() == [f.c for f in forms]
+                    ref = [f.margin(x, y) for f, (x, y, _) in zip(forms,
+                                                                  self.NODES)]
+                else:
+                    form = eval_bound(bid, params)
+                    if not form.domain_ok:
+                        assert K < 0 and m.skip_all and not m.domain_ok.any()
+                        assert m.note.tolist() == [form.note] * self.X.size
+                        continue
+                    assert m.domain_ok.all() and not m.skip_all
+                    assert (m.gamma, m.a, m.c) == (form.gamma, form.a, form.c)
+                    ref = [form.margin(x, y) for x, y, _ in self.NODES]
+                assert m.margin.tolist() == ref, (bid, K)
+
+    def test_bound_margins_never_calls_eval_bound(self, monkeypatch):
+        # one evaluator: eval_bound reads bound_margins, not the reverse
+        def no_call(*args, **kwargs):
+            raise AssertionError("bound_margins went through eval_bound")
+
+        monkeypatch.setattr(bounds, "eval_bound", no_call)
+        for K in (0.8, 0.0, -0.8):
+            params = self.params(K)
+            for bid in BOUND_IDS:
+                bound_margins(bid, params, self.X, self.Y, self.W)
+                check_inequality(bid, dict(params, W=0.5), 0.1, 0.2)
 
     def test_constants_out_of_domain_skip_every_node(self):
         m = bound_margins("linear-unit", {"n": 2, "t": 1.0, "K": -1.0},

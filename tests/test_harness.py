@@ -88,11 +88,14 @@ class TestRunExperiment:
         assert report.bound_rows == []
         assert len(report.solver_rows) == 1
         assert report.solver_rows[0]["error"] is None
+        # no row failed, but none was checked either
+        assert not report.failures() and report.exit_code == 1
 
     def test_out_of_domain_rows_marked_not_fatal(self):
         report = run_experiment(minimal_config(
             bounds=[{"id": "trig-alpha", "params": {"alpha": [2.0]}}]))
-        assert report.exit_code == 0
+        # a skip is no failure, but a run of skips alone checked nothing
+        assert not report.failures() and report.exit_code == 1
         assert all(not r["domain_ok"] for r in report.bound_rows)
         assert all(r["note"] for r in report.bound_rows)
 
@@ -313,6 +316,24 @@ class TestRunExperiment:
         assert report.exit_code == 1
         assert [r["margin"] for r in report.failures()] == [-1.0]
 
+    def test_a_nan_margin_in_domain_fails(self):
+        # every comparison with NaN is False, so a row passes only when its
+        # margin >= -tol (1 + |c|): yau at X = W = inf is in domain with a
+        # NaN margin, which fails in a block and in a row without nodes
+        with np.errstate(invalid="ignore"):
+            m = bound_margins("yau", {"n": 2, "t": 1.0, "K": -1.0},
+                              math.inf, math.inf, math.inf)
+        assert m.domain_ok and math.isnan(m.margin)
+        report = run_experiment(minimal_config())
+        block = report.bound_blocks[0]
+        margin = block.margins.margin.copy()
+        margin[0] = m.margin
+        block.margins = replace(block.margins, margin=margin)
+        assert report.exit_code == 1
+        [row] = report.failures()
+        assert row["domain_ok"] and math.isnan(row["margin"])
+        assert len(BoundBlock(row).failing(1e-6)) == 1
+
     def test_classical_bounds_skipped_on_drift_models(self):
         register_ou_drift()
         cfg = minimal_config(
@@ -324,7 +345,8 @@ class TestRunExperiment:
             scheme="crank-nicolson-fd",
             times=[0.5])
         report = run_experiment(cfg)
-        assert report.exit_code == 0
+        # skips, not failures, so the run checked nothing and exits 1
+        assert not report.failures() and report.exit_code == 1
         assert all(not r["domain_ok"] for r in report.bound_rows)
         assert "Z = 0" in report.bound_rows[0]["note"]
 
@@ -971,14 +993,15 @@ class TestCli:
         assert "bounds=0 mc=0 worst_margin=inf failures=2" in res.output
 
     def test_verify_warns_when_nothing_is_checked(self, tmp_path):
-        # trig-alpha with alpha = 2 has no constants on the circle: one skip
+        # trig-alpha with alpha = 2 has no constants on the circle: one skip,
+        # and a run that checked nothing exits 1 though no row failed
         doc = dict(manifold={"family": "circle", "m": 1, "n": 1},
                    initial_datum={"id": "eigen",
                                   "params": {"index": 1, "amp": 0.5}},
                    times=[1.0], grid_size=64,
                    bounds=[{"id": "trig-alpha", "params": {"alpha": [2.0]}}])
         res = self.verify(tmp_path, **doc)
-        assert res.exit_code == 0, res.output
+        assert res.exit_code == 1, res.output
         assert res.stdout.splitlines() == [
             "rows: bounds=1 mc=0 worst_margin=inf failures=0"]
         assert res.stderr == "warning: no bound or MC row was checked\n"
@@ -1431,9 +1454,10 @@ class TestCli:
 
     def test_entry_manifold_and_config_values_are_checked_at_load(
             self, tmp_path, monkeypatch):
-        # an mc entry, manifold or config value that is not a real number,
-        # a seed, n_paths or grid size that is not whole, and a bound that
-        # sweeps an empty list
+        # an mc entry, manifold or config value that is not a finite real
+        # number (JSON reads NaN and Infinity), a tolerance or time that is
+        # a bool, a seed, n_paths or grid size that is not whole, and a
+        # bound that sweeps an empty list
         circle = json.loads((CONFIGS / "suite_circle.json").read_text())
         interval = json.loads((CONFIGS / "suite_interval.json").read_text())
         mc = json.loads((CONFIGS / "interval_mc.json").read_text())
@@ -1470,6 +1494,16 @@ class TestCli:
              "the seed must be a whole number, not 1.7"),
             (circle, config(grid_size="129"), config(grid_size=129),
              "the grid size must be a whole number"),
+            (circle, config(tol=math.nan), config(tol=1e-6),
+             "the tolerance must be finite, not nan"),
+            (circle, config(tol=True), config(tol=1),
+             "the tolerance must be a real number, not True"),
+            (circle, config(times=[True]), config(times=[1]),
+             "a time of the grid must be a real number, not True"),
+            (circle, config(times=[math.nan]), config(times=[0.5]),
+             "a time of the grid must be finite, not nan"),
+            (circle, manifold(n=math.nan), manifold(n=1.5),
+             "manifold key 'n' must be finite, not nan"),
             (circle, bound({"alpha": []}), bound({"alpha": [2.0]}),
              "param 'alpha' of bound 'davies' sweeps an empty list")))
 

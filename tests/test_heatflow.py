@@ -557,6 +557,25 @@ class TestSolvers:
             heatflow._check_state(circle, u0v, state)
         heatflow._check_state(circle, u0v, replace(state, u=u0v))
 
+    def test_a_non_finite_state_raises(self, circle):
+        # every comparison with NaN is False, so an all-NaN state passed
+        # positivity, the maximum principle and mass; at t = inf the
+        # cosine's Fourier solve is one
+        with np.errstate(invalid="ignore"), pytest.raises(
+                SolverError, match="non-finite state"):
+            solve_heat(circle, initial_datum("cosine"), math.inf, grid_size=64)
+        grid = circle.grid(16)
+        u0v = 1.0 + 0.5 * np.cos(grid)
+        state = heatflow.HeatState(circle, 0.5, grid, u0v, np.zeros(16),
+                                   np.zeros(16), scheme="spectral")
+        for field, value in (("u", math.nan), ("grad_u", math.inf),
+                             ("Lu", -math.inf)):
+            bent = getattr(state, field).copy()
+            bent[3] = value
+            with pytest.raises(SolverError, match="non-finite state"):
+                heatflow._check_state(circle, u0v,
+                                      replace(state, **{field: bent}))
+
     def test_datum_table(self):
         # initial_datum fills in DATA's defaults, and a datum has a closed
         # form exactly on the families DATA lists (the grid-only radial

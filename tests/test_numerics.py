@@ -5,7 +5,23 @@ import pytest
 
 from conftest import simpson
 from liyau.bounds import _g3_y_coeff
-from liyau.numerics import QuadratureError, integrate_smooth, sign_changes
+from liyau.numerics import (QuadratureError, check_real, integrate_smooth,
+                            sign_changes)
+
+
+def test_check_real_demands_a_finite_number():
+    # JSON reads NaN and Infinity as floats; a bool is an int to Python
+    for value in (2, -0.5, 1e300):
+        check_real(value, "x")
+    check_real(3.0, "x", integral=True)
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="x must be finite"):
+            check_real(value, "x")
+    for value in (True, "1", None, [1.0]):
+        with pytest.raises(ValueError, match="x must be a real number"):
+            check_real(value, "x")
+    with pytest.raises(ValueError, match="x must be a whole number"):
+        check_real(math.inf, "x", integral=True)
 
 
 class TestSmoothRule:
