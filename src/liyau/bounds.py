@@ -59,8 +59,9 @@ def check_keys(bound_id: str, keys, extra: tuple | None = None) -> None:
     """Raise ValueError unless bound_id is known and keys hold each param
     it requires and nothing beyond its params and extra, by default the
     other keys eval_bound reads: n, t, K and, for bbg, the observed Y.
-    keys maps each param to its value or list of values; a local bound's
-    ball radius R must be positive and its K_region nonnegative."""
+    keys maps each of them to its value or list of values, each a finite
+    real number; a local bound's ball radius R must be positive and its
+    K_region nonnegative."""
     if extra is None:
         extra = ("n", "t", "K") + (("Y",) if bound_id == "bbg" else ())
     if bound_id not in BOUNDS:
@@ -70,12 +71,12 @@ def check_keys(bound_id: str, keys, extra: tuple | None = None) -> None:
     if missing:
         raise ValueError(f"bound {bound_id!r} needs {missing}")
     reject_unknown(keys, (*spec, *extra), f"the params of bound {bound_id!r}")
-    for key, sign in (("R", "positive"), ("K_region", "nonnegative")):
-        values = keys[key] if key in keys else []
+    for key, values in keys.items():
         what = f"param {key!r} of bound {bound_id!r}"
         for value in values if isinstance(values, list) else [values]:
             check_real(value, what)
-            if not (value > 0 if key == "R" else value >= 0):
+            if key == "R" and value <= 0 or key == "K_region" and value < 0:
+                sign = "positive" if key == "R" else "nonnegative"
                 raise ValueError(f"{what} must be {sign}, not {value!r}")
 
 
@@ -93,8 +94,6 @@ def sweep(entry: dict) -> tuple:
         if not values:
             raise ValueError(f"param {key!r} of bound {bound_id!r} sweeps "
                              "an empty list")
-        for value in values:
-            check_real(value, f"param {key!r} of bound {bound_id!r}")
     return bound_id, [dict(zip(keys, c)) for c in itertools.product(*lists)]
 
 

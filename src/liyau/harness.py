@@ -7,10 +7,10 @@ reported in units of 1/time; a bound row passes when
     margin >= -tol * (1 + |c|),
 
 tol defaulting to 1e-6.  MC rows pass at three standard errors.  Each mc
-entry is a task of `stochastic.run_passes`, which owns the worker pool and
-starts one pass per ensemble (x0, n_paths, dt, seed) before the first grid
-solve, so the passes overlap the solves and bound evaluation; no row
-depends on where its pass ran.  The MC layer is imported only where mc
+entry is a task of `stochastic.run_passes`, which forks and reaps the MC
+workers and starts one pass per ensemble (x0, n_paths, dt, seed) before the
+first grid solve, so the passes overlap the solves and bound evaluation;
+no row depends on where its pass ran.  The MC layer is imported only where mc
 entries are resolved, run and reported, so a config without them never
 loads it.
 """

@@ -26,8 +26,8 @@ its step count.  Draws come in a fixed order and depend only on the
 ensemble and the step index, so a shorter horizon sees a bit-identical
 prefix of a longer pass, and estimators that share an ensemble can share
 its pass.  Means are compensated sums, so results are bit-reproducible
-for a given ensemble.  `run_passes` schedules every pass, on forked
-workers where it has the cores: the harness's MC rows are its tasks, and
+for a given ensemble.  `run_passes` schedules every pass, on workers it
+forks where it has the cores: the harness's MC rows are its tasks, and
 each public estimator is a call with one task.  `_Stepper` writes each
 step over the positions of the step before, in buffers allocated once per
 path count.  A wall's bridge push max(0, -0.5 (a + b - sqrt((a - b)^2 +
@@ -39,8 +39,10 @@ sqrt(dt max E) evaluate it, so skipping the others keeps every bit.
 from __future__ import annotations
 
 import contextlib
+import io
 import math
 import os
+import pickle
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -229,60 +231,112 @@ def run_passes(tasks):
     """Run (Ensemble, Accumulator) tasks, one pass per ensemble; yields
     outcome(i) -> task i's result, or the exception that ended it.
 
-    With two ensembles or more and two usable cores, the passes start at
-    once on min(#ensembles, cores) forked worker processes, largest
-    (n_paths x longest horizon) first, and the caller goes on while they
-    run: a thread pool barely scaled, as each step makes some 30 small
-    numpy calls that hand the GIL over.  The workers inherit the passes by
-    fork; only a pass index goes in and the outcomes come back pickled.
-    Otherwise, or without the fork start method, a pass runs in-process
-    when its first outcome is asked for.  Each pass has its own seeded
-    generator, so no outcome depends on where it ran.  A pass that cannot
-    start, or a lost worker, fails its tasks, and no worker outlives the
-    with block.
+    The passes go out largest (n_paths x longest horizon) first, each to
+    the least loaded of min(#ensembles, cores) shares.  With two shares or
+    more, each starts at once on a worker made by os.fork (threads barely
+    scaled: a step makes some 30 small numpy calls that hand the GIL over),
+    which writes a pickle per pass to its pipe, read to EOF at the first
+    outcome asked of its share.  Otherwise, or where the fork failed, a
+    pass runs in-process at its first outcome.  Each pass has its own
+    seeded generator, so no outcome depends on where it ran.  A pass that
+    cannot start or be pickled fails its tasks, as does each pass a lost
+    worker did not return, and no worker outlives the with block.
     """
     tasks = list(tasks)
     groups: dict[Ensemble, list] = {}   # task indices by ensemble
     for i, (ens, _) in enumerate(tasks):
         groups.setdefault(ens, []).append(i)
-    order = sorted(groups, key=lambda ens: -ens.n_paths * max(
-        tasks[i][1].steps for i in groups[ens]))
-    passes = [(ens, [tasks[i][1] for i in groups[ens]]) for ens in order]
-    workers, pool = min(len(passes), _cores()), None
-    if workers > 1:
-        import multiprocessing
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-            pool = ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork"),
-                initializer=_INHERITED.extend, initargs=(passes,))
-    outcomes: dict[int, object] = {}   # by task index, a pass at a time
+    passes = {ens: [tasks[i][1] for i in ids] for ens, ids in groups.items()}
+    load = {ens: ens.n_paths * max(acc.steps for acc in accs)
+            for ens, accs in passes.items()}
+    shares: list = [[] for _ in range(min(len(passes), _cores()))]
+    for ens in sorted(passes, key=lambda ens: -load[ens]):
+        min(shares, key=lambda s: sum(map(load.get, s))).append(ens)
+    workers: dict[int, tuple] = {}   # share index -> (pid, read end)
+    outcomes: dict[int, object] = {}   # by task index
 
     def outcome(i):
         if i not in outcomes:
-            j = order.index(tasks[i][0])
-            try:   # a pass that cannot start, or a lost worker, fails its tasks
-                outs = futures[j].result() if pool else _run_pass(j, passes)
-            except Exception as exc:
-                outs = [exc] * len(passes[j][1])
-            outcomes.update(zip(groups[order[j]], outs))
+            ens = tasks[i][0]
+            w = next(w for w, share in enumerate(shares) if ens in share)
+            done = (zip(shares[w], _collect(workers, w, len(shares[w])))
+                    if w in workers else [(ens, _outcomes(ens, passes[ens]))])
+            for ens, outs in done:   # an exception fails each task
+                ids = groups[ens]
+                outcomes.update(zip(ids, outs if isinstance(outs, list)
+                                    else [outs] * len(ids)))
         return outcomes[i]
 
     try:
-        futures = [pool.submit(_run_pass, j)
-                   for j in range(len(passes))] if pool else None
+        for w, share in enumerate(shares if len(shares) > 1
+                                  and hasattr(os, "fork") else ()):
+            with contextlib.suppress(OSError):   # else run in-process
+                workers[w] = _fork([(e, passes[e]) for e in share])
         yield outcome
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        for pid, fd in workers.values():
+            os.kill(pid, 9)   # SIGKILL
+            os.close(fd)
+            os.waitpid(pid, 0)
 
 
-_INHERITED: list = []   # in a forked worker: the passes of its pool
+def _outcomes(ens: Ensemble, accs: list):
+    """run_ensemble(ens, accs), or the error of a pass that cannot start."""
+    try:
+        return run_ensemble(ens, accs)
+    except Exception as exc:
+        return exc
 
 
-def _run_pass(index: int, passes: list = _INHERITED) -> list:
-    """The outcomes of pass index of passes, by default the inherited."""
-    return run_ensemble(*passes[index])
+def _fork(passes: list) -> tuple:
+    """(pid, read end of its pipe) of a forked worker that runs passes, a
+    list of (ensemble, accumulators), and writes a pickle per pass to the
+    pipe: of the bytes of its pickled _outcomes, or of the pickled error
+    that stopped their pickling."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:   # the worker, which never returns into the caller's code
+        try:
+            with open(w, "wb") as pipe:
+                for ens, accs in passes:
+                    try:
+                        data = pickle.dumps(_outcomes(ens, accs))
+                    except Exception as exc:
+                        data = pickle.dumps(exc)
+                    pipe.write(pickle.dumps(data))
+                    pipe.flush()
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(w)
+    return pid, r
+
+
+def _collect(workers: dict, w: int, count: int) -> list:
+    """Read worker w's pipe to EOF, drop w from workers and reap it; the
+    _outcomes of its count passes.  A pass that does not load gives the
+    error it raised, and one the worker did not return an error that
+    names the worker's exit status."""
+    pid, fd = workers[w]
+    with open(fd, "rb", closefd=False) as pipe:
+        stream = io.BytesIO(pipe.read())
+    del workers[w]
+    os.close(fd)
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    results = []
+    for _ in range(count):
+        try:
+            results.append(pickle.loads(pickle.load(stream)))
+        except Exception as exc:
+            results.append(RuntimeError(
+                f"the MC worker of this pass ended with exit status {code} "
+                "before returning it") if code else exc)
+    return results
 
 
 def _cores() -> int:

@@ -2,10 +2,10 @@ import csv
 import io
 import json
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -28,6 +28,12 @@ from liyau.harness import (CSV_COLUMNS, BoundBlock, ExperimentConfig,
 
 CONFIGS = Path(liyau.__file__).parents[2] / "configs"
 PERFBENCH_CONFIGS = Path(liyau.__file__).parents[2] / "perfbench" / "configs"
+
+
+def assert_no_child_left():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def error_lines(output: str) -> list:
@@ -542,7 +548,7 @@ class TestEnsemblePlan:
             if workers is not None:
                 monkeypatch.setattr(stochastic, "_cores", lambda: workers)
             report = run_experiment(cfg)
-            assert multiprocessing.active_children() == []   # none outlives
+            assert_no_child_left()
             paths[workers] = emit_report(report, tmp_path / str(workers))
             monkeypatch.undo()
         for a, b, c in zip(*paths.values()):
@@ -646,8 +652,8 @@ class TestEnsemblePlan:
     def test_a_lost_worker_fails_its_rows_and_verify(self, tmp_path,
                                                      monkeypatch):
         # os._exit in a pass stands in for a worker the OOM killer ends
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("the workers need the fork start method")
+        if not hasattr(os, "fork"):
+            pytest.skip("the workers need os.fork")
         monkeypatch.setattr(stochastic, "_cores", lambda: 2)
         parent = os.getpid()
         build = stochastic.local_time_accumulator
@@ -662,25 +668,100 @@ class TestEnsemblePlan:
 
             return stochastic.Accumulator(acc.steps, finish, acc.work)
 
+        cfg = interval_mc_config()
+        before = run_experiment(cfg).mc_rows
         monkeypatch.setattr(stochastic, "local_time_accumulator", dying)
-        doc = asdict(interval_mc_config())
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(asdict(cfg)))
         res = CliRunner().invoke(main, ["verify", "--config", str(path),
                                         "--format", "json", "--out",
                                         str(tmp_path / "out")])
         assert res.exit_code == 1, res.output
         rows = load_report(tmp_path / "out" / "report.json").mc_rows
         lost = [row for row in rows if "error" in row]
-        # rows 6 and 8 share the dying pass; passes the pool had not
-        # finished when it broke fail too
-        assert rows[5] in lost and rows[7] in lost
+        # rows 6 and 8 share the dying pass (1500 x 600 path-steps), which
+        # its worker runs before the pass of rows 1, 3, 4 and 7 (1500 x
+        # 400): those are lost too; rows 2 and 5 ran on the other worker
+        assert lost == [rows[k] for k in (0, 2, 3, 5, 6, 7)]
         for row in lost:
-            assert row["error"].startswith("BrokenProcessPool: "), row
+            assert row["error"] == (
+                "RuntimeError: the MC worker of this pass ended with exit "
+                "status 3 before returning it"), row
             assert row["passed"] is False
-        assert all(row.get("value") is not None
-                   for row in rows if row not in lost)
-        assert multiprocessing.active_children() == []
+        assert [rows[1], rows[4]] == [before[1], before[4]]
+        assert all(row.get("value") is not None for row in (rows[1], rows[4]))
+        assert_no_child_left()
+
+    def test_a_failed_fork_runs_its_share_in_process(self, monkeypatch):
+        cfg = interval_mc_config()
+        monkeypatch.setattr(stochastic, "_cores", lambda: 1)
+        alone = run_experiment(cfg).mc_rows
+        forks = []
+
+        def no_fork():
+            forks.append(1)
+            raise OSError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(stochastic, "_cores", lambda: 2)
+        monkeypatch.setattr(os, "fork", no_fork)
+        rows = run_experiment(cfg).mc_rows
+        assert len(forks) == 2
+        assert json.dumps(rows) == json.dumps(alone)   # bit for bit
+        assert_no_child_left()
+
+    def test_an_outcome_that_cannot_be_pickled_fails_its_pass(self,
+                                                             monkeypatch):
+        if not hasattr(os, "fork"):
+            pytest.skip("the workers need os.fork")
+        monkeypatch.setattr(stochastic, "_cores", lambda: 2)
+        M = manifold_from_dict({"family": "interval-neumann"})
+        big, small = (stochastic.Ensemble(M, 1.0, n, 0.01, seed=1)
+                      for n in (400, 200))
+        tasks = [(big, stochastic.Accumulator(
+                     10, lambda x, rejected: (v for v in x))),   # a generator
+                 (big, stochastic.Accumulator(10, lambda x, r: x.sum())),
+                 (small, stochastic.Accumulator(10, lambda x, r: x.sum()))]
+        with stochastic.run_passes(tasks) as outcome:
+            outs = [outcome(i) for i in range(3)]
+        for out in outs[:2]:
+            assert isinstance(out, TypeError), out
+            assert "generator" in str(out)
+        alone = stochastic.run_ensemble(small, [tasks[2][1]])
+        assert outs[2] == alone[0]
+        assert_no_child_left()
+
+    def test_no_worker_outlives_an_error_in_the_block(self, monkeypatch):
+        # the workers are still running when the caller's block raises:
+        # they are killed, not waited for
+        monkeypatch.setattr(stochastic, "_cores", lambda: 2)
+        M = manifold_from_dict({"family": "interval-neumann"})
+        tasks = [(stochastic.Ensemble(M, 1.0, 20, 0.01, seed=seed),
+                  stochastic.Accumulator(1, lambda x, r: time.sleep(60)))
+                 for seed in (1, 2)]
+        start = time.monotonic()
+        with pytest.raises(KeyError):
+            with stochastic.run_passes(tasks):
+                raise KeyError("the caller failed")
+        assert time.monotonic() - start < 30
+        assert_no_child_left()
+
+    def test_passes_are_split_statically_longest_first(self, monkeypatch):
+        # configs/interval_mc.json: {50000 x 500} on one worker against
+        # {20000 x 1000, 20000 x 400} on the other
+        shares = []
+
+        def record(passes):
+            shares.append([(ens.n_paths, max(acc.steps for acc in accs))
+                           for ens, accs in passes])
+            raise OSError("recorded, not forked")
+
+        cfg = ExperimentConfig.from_json(CONFIGS / "interval_mc.json")
+        cfg = replace(cfg, mc=[dict(e, n_paths=e["n_paths"] // 100)
+                               for e in cfg.mc])
+        monkeypatch.setattr(stochastic, "_cores", lambda: 2)
+        monkeypatch.setattr(stochastic, "_fork", record)
+        run_experiment(cfg)
+        assert shares == [[(500, 500)], [(200, 1000), (200, 400)]]
 
 
 class TestPerNodeBoundRows:
@@ -1039,8 +1120,7 @@ class TestCli:
             assert out.stdout.splitlines()[-1] == "modules:", (run, out.stdout)
 
     def test_cli_import_leaves_the_thread_pool_out(self):
-        # the MC worker pool is imported by the first run with two
-        # ensembles on two cores
+        # no process or thread pool: the MC workers are plain forks
         src = Path(liyau.__file__).parents[1]
         code = ("import sys, liyau.cli\n"
                 "print('concurrent.futures' in sys.modules,"
@@ -1155,24 +1235,30 @@ class TestCli:
     def test_a_run_without_mc_rows_loads_no_mc_layer(self):
         # clocks and stochastic load with the first mc entry, numpy.random
         # where a pass runs: in-process for interval_oracles' one ensemble,
-        # on forked workers for interval_mc's four where there are two cores
+        # only in the forked workers for interval_mc's three on two cores;
+        # no run loads a process pool
         code = ("import sys, liyau.cli\n"
+                "if sys.argv[2]:\n"
+                "    import liyau.stochastic\n"
+                "    liyau.stochastic._cores = lambda: int(sys.argv[2])\n"
                 "try:\n"
                 "    liyau.cli.main(['verify', '--config', sys.argv[1]])\n"
                 "except SystemExit as exc:\n"
                 "    assert exc.code == 0, exc.code\n"
                 "print(*(m in sys.modules for m in ('liyau.stochastic',"
-                " 'liyau.clocks', 'numpy.random')))\n")
-        for config, loaded in (("sphere.json", ["False"] * 3),
-                               ("interval_oracles.json", ["True"] * 3),
-                               ("interval_mc.json", ["True"] * 2)):
+                " 'liyau.clocks', 'numpy.random', 'multiprocessing',"
+                " 'concurrent.futures')))\n")
+        for config, cores, loaded in (
+                ("sphere.json", "", "False False False"),
+                ("interval_oracles.json", "", "True True True"),
+                ("interval_mc.json", "2", "True True False")):
             res = subprocess.run(
-                [sys.executable, "-c", code, str(CONFIGS / config)],
+                [sys.executable, "-c", code, str(CONFIGS / config), cores],
                 capture_output=True, text=True, timeout=120,
                 env=dict(os.environ,
                          PYTHONPATH=str(Path(liyau.__file__).parents[1])))
             assert res.returncode == 0, res.stderr
-            assert res.stdout.splitlines()[-1].split()[:len(loaded)] == loaded
+            assert res.stdout.splitlines()[-1] == loaded + " False False"
 
     def test_the_package_names_the_mc_layer_it_loads_on_demand(self):
         # a module of the layer, a name of a loaded one, one of a new one
@@ -1608,9 +1694,19 @@ class TestCli:
         assert doc["c"] == 4.0
 
     def test_bounds_command_rejects_bad_params(self):
-        for params in ('{bad', '{"t": 1, "K": 0, "alpha": 2}',
-                       '{"n": 2, "t": 0, "K": 0, "alpha": 2}', '[1]'):
-            res = CliRunner().invoke(main, ["bounds", "--id", "davies",
+        # json.loads reads NaN and Infinity; n, t, K, Y and each swept
+        # param must be finite real numbers
+        for bound_id, params in (
+                ("davies", '{bad'), ("davies", '{"t": 1, "K": 0, "alpha": 2}'),
+                ("davies", '{"n": 2, "t": 0, "K": 0, "alpha": 2}'),
+                ("davies", '[1]'),
+                ("davies", '{"n": true, "t": Infinity, "K": -1, "alpha": 2}'),
+                ("davies", '{"n": NaN, "t": 1, "K": -1, "alpha": 2}'),
+                ("davies", '{"n": 2, "t": Infinity, "K": -1, "alpha": 2}'),
+                ("davies", '{"n": 2, "t": 1, "K": "0", "alpha": 2}'),
+                ("davies", '{"n": 2, "t": 1, "K": 0, "alpha": NaN}'),
+                ("bbg", '{"n": 2, "t": 1, "K": 1, "Y": NaN}')):
+            res = CliRunner().invoke(main, ["bounds", "--id", bound_id,
                                             "--params", params])
             # exit 1 is a failed row; bad input is a usage error
             assert res.exit_code == 2, res.output
