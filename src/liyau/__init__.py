@@ -27,12 +27,9 @@ if "numpy" not in _sys.modules:
 
 __version__ = "0.1.0"
 
-from .geometry import (CdCheckReport, ModelManifold, cd_check,
-                       laplacian_comparison, make_model_manifold,
-                       manifold_from_dict, with_curvature)
+from .geometry import ModelManifold, make_model_manifold, manifold_from_dict
 from .heatflow import (HeatState, InitialDatum, exact_kernel,
-                       gaussian_kernel_state, harnack_quantities,
-                       initial_datum, solve_heat)
+                       gaussian_kernel_state, initial_datum, solve_heat)
 from .bounds import (BoundForm, CheckResult, Margins, NonconvexData,
                      beta_t_alpha, bound_margins,
                      check_inequality, eval_bound, local_betas,

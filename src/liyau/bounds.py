@@ -59,10 +59,11 @@ def check_keys(bound_id: str, keys, extra: tuple | None = None) -> None:
     """Raise ValueError unless bound_id is known and keys hold each param
     it requires and nothing beyond its params and extra, by default the
     other keys eval_bound reads: n, t, K and, for bbg, the observed Y.
-    keys maps each of them to its value or list of values, each a finite
-    real number; a local bound's ball radius R must be positive and its
-    K_region nonnegative."""
-    if extra is None:
+    keys maps each of them to a finite real number, or with an explicit
+    extra (a config's sweep) to its value or list of values; a local
+    bound's ball radius R must be positive and its K_region nonnegative."""
+    one_set = extra is None
+    if one_set:
         extra = ("n", "t", "K") + (("Y",) if bound_id == "bbg" else ())
     if bound_id not in BOUNDS:
         raise ValueError(f"unknown bound id {bound_id!r}")
@@ -73,7 +74,8 @@ def check_keys(bound_id: str, keys, extra: tuple | None = None) -> None:
     reject_unknown(keys, (*spec, *extra), f"the params of bound {bound_id!r}")
     for key, values in keys.items():
         what = f"param {key!r} of bound {bound_id!r}"
-        for value in values if isinstance(values, list) else [values]:
+        swept = isinstance(values, list) and not one_set
+        for value in values if swept else [values]:
             check_real(value, what)
             if key == "R" and value <= 0 or key == "K_region" and value < 0:
                 sign = "positive" if key == "R" else "nonnegative"

@@ -50,18 +50,6 @@ class Clock:
     def dl(self, s):
         return _eval(self.family, self.t, self.params, np.asarray(s, dtype=float), 1)
 
-    def monotone(self) -> bool:
-        """True when l' <= 0 on all of [0, t].
-
-        exp-linear has l' = e^{-beta s}(-beta (t - s) - 1)/t with
-        beta = K/(alpha - 1), which is positive near s = 0 once
-        beta t < -1.
-        """
-        if self.family == "exp-linear":
-            p = self.params
-            return p["K"] * self.t / (p["alpha"] - 1.0) >= -1.0
-        return self.family in ("linear", "exp-integral", "local-exp")
-
 
 def make_clock(family: str, params: dict | None = None, t: float = 1.0) -> Clock:
     """The clock of family on [0, t] with the defaults of FAMILIES; an
@@ -209,7 +197,7 @@ def _closed_forms(clock: Clock, K: float) -> dict:
 def gamma_integral(clock: Clock, K0: float, alpha: float) -> float:
     """Sharpening constant  2 K0 int_0^t l^2 e^{2 a K0 s/(a-1)} ds.
 
-    Strictly exceeds 1/alpha - 1 for every admissible monotone clock; the
+    Strictly exceeds 1/alpha - 1 for every admissible nonincreasing clock; the
     exp-integral family additionally carries a closed form used as a
     cross-check.
     """

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -232,75 +232,3 @@ def manifold_from_dict(doc: dict) -> ModelManifold:
     return make_model_manifold(doc["family"], m=doc.get("m", 1),
                                n=doc.get("n"), drift=doc.get("drift", "none"),
                                **kwargs)
-
-
-def with_curvature(M: ModelManifold, K: float) -> ModelManifold:
-    """Copy of M with a weaker (smaller) curvature bound."""
-    if K > M.K + 1e-12:
-        raise ValueError(f"K={K} is not below the model bound {M.K}")
-    return replace(M, K=float(K))
-
-
-@dataclass(frozen=True)
-class CdCheckReport:
-    """Grid minimum of the Bochner defect for a probe function."""
-
-    min_defect: float
-    argmin: float
-    h: float
-    points: int
-
-
-def cd_check(M: ModelManifold, f, grid, h: float | None = None) -> CdCheckReport:
-    """Finite-difference check of the curvature-dimension inequality.
-
-    Evaluates  (1/2) L|f'|^2 - (Lf)' f' - K |f'|^2 - (Lf)^2 / n  at every
-    grid point with central second-order stencils and returns the minimum.
-    Nonnegative (up to O(h^2)) at every point certifies CD(K, n) on the
-    probe set.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.size < 5:
-        raise ValueError("grid too coarse for the 5-point stencil")
-    if h is None:
-        h = 1e-4 * (grid[-1] - grid[0])
-    if h <= 0:
-        raise ValueError("step h must be positive")
-
-    def Lf_at(x):
-        fp = f(x + h) - f(x - h)
-        fpp = f(x + h) - 2.0 * f(x) + f(x - h)
-        return fpp / h**2 + M.b_total(x) * fp / (2.0 * h)
-
-    x = grid
-    df = (f(x + h) - f(x - h)) / (2.0 * h)
-    g_mid = df**2                        # |grad f|^2 at x
-    g_up = ((f(x + 2 * h) - f(x)) / (2.0 * h)) ** 2
-    g_dn = ((f(x) - f(x - 2 * h)) / (2.0 * h)) ** 2
-    Lg = (g_up - 2.0 * g_mid + g_dn) / h**2 + M.b_total(x) * (g_up - g_dn) / (2.0 * h)
-    Lf = Lf_at(x)
-    dLf = (Lf_at(x + h) - Lf_at(x - h)) / (2.0 * h)
-    defect = 0.5 * Lg - dLf * df - M.K * g_mid - Lf**2 / M.n
-    i = int(np.argmin(defect))
-    return CdCheckReport(min_defect=float(defect[i]), argmin=float(x[i]),
-                         h=float(h), points=int(grid.size))
-
-
-def laplacian_comparison(M: ModelManifold, K_region: float, n: float, r: float) -> float:
-    """Upper bound for L rho at distance r under curvature >= -K_region.
-
-    Returns sqrt(K_region (n-1)) coth( sqrt(K_region/(n-1)) r ), with the
-    flat limit (n-1)/r at K_region = 0.  K_region is the modulus of the
-    curvature lower bound on the region, hence nonnegative.
-    """
-    if r <= 0:
-        raise ValueError("distance r must be positive")
-    if K_region < 0:
-        raise ValueError("K_region is a modulus, must be >= 0")
-    if K_region == 0.0:
-        return (n - 1.0) / r
-    if n <= 1:
-        raise ValueError("n must exceed 1 when K_region > 0")
-    rate = math.sqrt(K_region / (n - 1.0))
-    from .numerics import coth
-    return math.sqrt(K_region * (n - 1.0)) * float(coth(rate * r))

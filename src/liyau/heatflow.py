@@ -48,7 +48,6 @@ import numpy as np
 from .geometry import FAMILIES, ModelManifold
 from .numerics import SolverError, check_real, reject_unknown
 
-POSITIVITY_FLOOR = 1e-12
 NEUMANN_TOL = 1e-8  # |u0'| allowed at a reflecting wall
 
 
@@ -93,9 +92,16 @@ def exact_kernel(M: ModelManifold, t: float, x: float, y: float) -> float:
     Neumann interval: [0, L] is the even half of the circle of length 2L,
     so its kernel is that circle's at x - y plus at x + y.  Sphere and
     hyperbolic space have no elementary kernel here; use solve_heat.
+    t, x and y must be finite, t positive, and x and y not beyond a wall.
     """
+    check_real(t, "t")
     if t <= 0:
         raise ValueError("t must be positive")
+    for value, what in ((x, "x"), (y, "y")):
+        check_real(value, what)
+        if any((value - pos) * inward < 0 for pos, inward in M.boundaries()):
+            raise ValueError(f"{what} = {value!r} lies beyond a wall of "
+                             f"{M.family}")
     if M.spec.flux_form:
         raise ValueError(f"no exact kernel for {M.family}; use solve_heat")
     if M.spec.radial:
@@ -143,14 +149,6 @@ class HeatState:
     def mass(self) -> float:
         return _mass(self.manifold, self.grid, self.u)
 
-    def to_csv(self, path) -> None:
-        M = self.manifold
-        header = (f"family={M.family},m={M.m},n={M.n},t={self.t},"
-                  f"scheme={self.scheme},grid_size={self.grid.size}\n"
-                  "coord,u,grad_u,Lu")
-        data = np.column_stack([self.grid, self.u, self.grad_u, self.Lu])
-        np.savetxt(path, data, delimiter=",", header=header, comments="# ")
-
 
 def _mass(M: ModelManifold, grid, u) -> float:
     """Weighted mass in the quadrature the scheme conserves exactly.
@@ -163,15 +161,6 @@ def _mass(M: ModelManifold, grid, u) -> float:
     if M.spec.periodic or M.spec.flux_form:
         return float((grid[1] - grid[0]) * math.fsum(u * w))
     return float(np.trapezoid(u * w, grid))
-
-
-def harnack_quantities(state: HeatState, x: float) -> tuple[float, float, float]:
-    """(X, Y, W) = (|grad u|^2/u^2, Lu/u, |grad u|^2/u) at the node nearest x."""
-    i = state.index_of(x)
-    u = float(state.u[i])
-    if u < POSITIVITY_FLOOR:
-        raise SolverError(f"u({state.grid[i]}) = {u} below positivity floor")
-    return float(state.X()[i]), float(state.Y()[i]), float(state.W()[i])
 
 
 class Datum(NamedTuple):

@@ -64,11 +64,6 @@ class Estimate:
     seed: int
     meta: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {"functional_id": self.functional_id, "value": self.value,
-                "stderr": self.stderr, "n_paths": self.n_paths,
-                "dt": self.dt, "seed": self.seed, **self.meta}
-
 
 class _Stepper:
     """Vectorised one-step transition for a batch of paths."""

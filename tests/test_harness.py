@@ -1270,20 +1270,19 @@ class TestCli:
         assert res.stdout.split() == [
             "False", "liyau.clocks", "liyau.clocks", "liyau.stochastic"]
         assert liyau.__all__ == [
-            "BoundForm", "CdCheckReport", "CheckResult", "Clock", "Estimate",
+            "BoundForm", "CheckResult", "Clock", "Estimate",
             "ExperimentConfig", "HeatState", "InitialDatum", "Margins",
             "ModelManifold", "NonconvexData", "Report", "alpha_form_integral",
-            "beta_t_alpha", "bound_margins", "bounds", "cd_check",
-            "check_inequality", "clock_integrals", "clocks",
-            "cutoff_growth_check", "emit_report", "estimate_functional",
-            "eval_bound", "exact_kernel", "expected_local_time",
-            "expected_value_at", "gamma_integral", "gaussian_kernel_state",
-            "geometry", "harnack_quantities", "harness", "heatflow",
-            "initial_datum", "laplacian_comparison", "local_betas",
-            "local_time_moment", "make_clock", "make_model_manifold",
-            "manifold_from_dict", "nonconvex_bound_rhs",
-            "nonconvex_constants", "numerics", "phi_bbg", "run_experiment",
-            "solve_heat", "stochastic", "with_curvature"]
+            "beta_t_alpha", "bound_margins", "bounds", "check_inequality",
+            "clock_integrals", "clocks", "cutoff_growth_check",
+            "emit_report", "estimate_functional", "eval_bound",
+            "exact_kernel", "expected_local_time", "expected_value_at",
+            "gamma_integral", "gaussian_kernel_state", "geometry", "harness",
+            "heatflow", "initial_datum", "local_betas", "local_time_moment",
+            "make_clock", "make_model_manifold", "manifold_from_dict",
+            "nonconvex_bound_rhs", "nonconvex_constants", "numerics",
+            "phi_bbg", "run_experiment", "solve_heat", "stochastic"]
+        assert not hasattr(liyau.Estimate, "to_dict")
         with pytest.raises(AttributeError, match="no attribute 'nothing'"):
             liyau.nothing
 
@@ -1685,13 +1684,77 @@ class TestCli:
         assert res.exit_code == 0, res.output
         assert (tmp_path / "out2" / "margin_vs_t.csv").exists()
 
+    # one --params case per bound id and the exact line it prints
+    BOUNDS_LINES = (
+        ("davies", '{"n": 2, "t": 1, "K": 0, "alpha": 2}',
+         '{"a": 2.0, "bound_id": "davies", "c": 4.0, "domain_ok": true, '
+         '"gamma": 1.0, "note": "", "params": {"K": 0, "alpha": 2}}'),
+        ("bakry-qian", '{"n": 2, "t": 0.5, "K": -2}',
+         '{"a": 1.6666666666666665, "bound_id": "bakry-qian", '
+         '"c": 4.666666666666666, "domain_ok": true, "gamma": 1.0, '
+         '"note": "", "params": {"K": -2}}'),
+        ("li-xu", '{"n": 3, "t": 0.7, "K": -1}',
+         '{"a": 1.4381807054363112, "bound_id": "li-xu", '
+         '"c": 3.981932453703944, "domain_ok": true, "gamma": 1.0, '
+         '"note": "", "params": {"K": -1}}'),
+        ("yau", '{"n": 2, "t": 1, "K": -1}',
+         '{"a": NaN, "bound_id": "yau", "c": NaN, "domain_ok": false, '
+         '"gamma": NaN, "note": "implicit sqrt bound, use check_inequality", '
+         '"params": {"K": -1}}'),
+        ("bakry-qian-sqrt", '{"n": 2, "t": 0.5, "K": 0.5}',
+         '{"a": NaN, "bound_id": "bakry-qian-sqrt", "c": NaN, '
+         '"domain_ok": false, "gamma": NaN, '
+         '"note": "implicit sqrt bound, use check_inequality", '
+         '"params": {"K": 0.5}}'),
+        ("bbg", '{"n": 2, "t": 1, "K": 1, "Y": 0.3}',
+         '{"a": 1.0, "bound_id": "bbg", "c": 0.12990801991231615, '
+         '"domain_ok": true, "gamma": 1.0, "note": "", '
+         '"params": {"K": 1, "Y": 0.3}}'),
+        ("lu-range", '{"n": 2, "t": 1.5, "K": 1}',
+         '{"a": -1.0, "bound_id": "lu-range", "c": 2.693245422464302, '
+         '"domain_ok": true, "gamma": 0.0, "note": "upper bound on Y", '
+         '"params": {"K": 1}}'),
+        ("exp-alpha", '{"n": 2, "t": 1, "K": 0.5, "alpha": 2.5}',
+         '{"a": 1.0, "bound_id": "exp-alpha", "c": 2.523105394297607, '
+         '"domain_ok": true, "gamma": 1.1446698599769003, "note": "", '
+         '"params": {"K": 0.5, "alpha": 2.5}}'),
+        ("linear-alpha", '{"n": 2, "t": 1, "K": -1, "alpha": 2}',
+         '{"a": 1.0, "bound_id": "linear-alpha", "c": 2.0, '
+         '"domain_ok": true, "gamma": 0.6666666666666667, "note": "", '
+         '"params": {"K": -1, "alpha": 2}}'),
+        ("linear-unit", '{"n": 2, "t": 0.8, "K": 0.5}',
+         '{"a": 1.0, "bound_id": "linear-unit", "c": 1.25, '
+         '"domain_ok": true, "gamma": 1.2666666666666666, "note": "", '
+         '"params": {"K": 0.5}}'),
+        ("trig-alpha", '{"n": 2, "t": 1, "K": 0.3, "alpha": 2}',
+         '{"a": 2.0, "bound_id": "trig-alpha", "c": 31.540710485844883, '
+         '"domain_ok": true, "gamma": 1.0, "note": "", '
+         '"params": {"K": 0.3, "alpha": 2}}'),
+        ("grad-decay", '{"n": 2, "t": 1, "K": 1, "K_prime": 2}',
+         '{"a": 0.0, "bound_id": "grad-decay", "c": 0.7337005501361697, '
+         '"domain_ok": true, "gamma": 1.0, "note": "", '
+         '"params": {"K": 1, "K_prime": 2}}'),
+        ("local-grad",
+         '{"n": 2, "t": 0.5, "K": 1, "eps": 0.5, "R": 2, "K_region": 1}',
+         '{"a": 1.621858355198654, "bound_id": "local-grad", '
+         '"c": 29.900909718140507, "domain_ok": true, "gamma": 1.0, '
+         '"note": "", "params": {"K": 1, "K_region": 1, "R": 2, '
+         '"eps": 0.5}}'),
+        ("local-alpha",
+         '{"n": 2, "t": 0.5, "K": 1, "alpha": 2, "R": 2, "K_region": 1}',
+         '{"a": 2.0, "bound_id": "local-alpha", "c": 54.71060435385262, '
+         '"domain_ok": true, "gamma": 1.0, "note": "", '
+         '"params": {"K": 1, "K_region": 1, "R": 2, "alpha": 2}}'))
+
     def test_bounds_command(self):
-        runner = CliRunner()
-        res = runner.invoke(main, ["bounds", "--id", "davies", "--params",
-                                   '{"n": 2, "t": 1, "K": 0, "alpha": 2}'])
-        assert res.exit_code == 0
-        doc = json.loads(res.output)
-        assert doc["c"] == 4.0
+        # the printed bytes of every id, so a change of evaluator keeps them
+        assert sorted(case[0] for case in self.BOUNDS_LINES) == sorted(
+            bounds.BOUND_IDS)
+        for bound_id, params, line in self.BOUNDS_LINES:
+            res = CliRunner().invoke(main, ["bounds", "--id", bound_id,
+                                            "--params", params])
+            assert res.exit_code == 0, res.output
+            assert res.output == line + "\n", bound_id
 
     def test_bounds_command_rejects_bad_params(self):
         # json.loads reads NaN and Infinity; n, t, K, Y and each swept
@@ -1713,6 +1776,16 @@ class TestCli:
             errors = error_lines(res.output)
             assert len(errors) == 1, res.output
             assert errors[0].startswith("Error: invalid --params: ")
+        # one parameter set takes no sweep list, and the error names the key
+        for params, key, value in (
+                ('{"n": [2, 3], "t": 1, "K": 0, "alpha": 2}', "n", "[2, 3]"),
+                ('{"n": 2, "t": 1, "K": 0, "alpha": [2]}', "alpha", "[2]")):
+            res = CliRunner().invoke(main, ["bounds", "--id", "davies",
+                                            "--params", params])
+            assert res.exit_code == 2, res.output
+            assert error_lines(res.output) == [
+                "Error: invalid --params: ValueError: param "
+                f"{key!r} of bound 'davies' must be a real number, not {value}"]
 
     def test_bounds_command_reads_every_key_it_is_given(self):
         # n, t and K always, the bound's own params, and bbg's observed Y
@@ -1735,12 +1808,29 @@ class TestCli:
         for args in (["--family", "nope", "--t", "1"],
                      ["--family", "euclidean-line", "--t", "0"],
                      ["--family", "circle", "--m", "0", "--t", "1"],
-                     ["--family", "sphere-radial", "--m", "2", "--t", "1"]):
+                     ["--family", "sphere-radial", "--m", "2", "--t", "1"],
+                     # t, x and y must be finite, and no point beyond a wall
+                     ["--family", "circle", "--t", "nan"],
+                     ["--family", "euclidean-line", "--t", "1", "--y", "inf"],
+                     ["--family", "interval-neumann", "--t", "1", "--y", "5"],
+                     ["--family", "half-line-neumann", "--t", "1",
+                      "--y", "-1"]):
             res = CliRunner().invoke(main, ["kernel", *args, "--x", "0.5"])
             assert res.exit_code == 2, res.output
             errors = error_lines(res.output)
             assert len(errors) == 1, res.output
             assert errors[0].startswith("Error: invalid kernel query: ")
+        for args, message in (
+                (["--family", "euclidean-line", "--t", "1", "--x", "inf"],
+                 "x must be finite, not inf"),
+                (["--family", "interval-neumann", "--t", "1", "--x", "5"],
+                 "x = 5.0 lies beyond a wall of interval-neumann"),
+                (["--family", "half-line-neumann", "--t", "1", "--x", "-1"],
+                 "x = -1.0 lies beyond a wall of half-line-neumann")):
+            res = CliRunner().invoke(main, ["kernel", *args])
+            assert res.exit_code == 2, res.output
+            assert error_lines(res.output) == [
+                f"Error: invalid kernel query: ValueError: {message}"]
 
     def test_kernel_command(self):
         runner = CliRunner()
@@ -1749,3 +1839,9 @@ class TestCli:
                                    "--t", str(t), "--x", "0.0", "--y", "0.0"])
         assert res.exit_code == 0
         assert float(res.output) == pytest.approx(1.0, abs=1e-12)
+        # a wall point is inside, and the line has no wall beyond rmax
+        for family, x in (("interval-neumann", repr(math.pi)),
+                          ("euclidean-line", "20")):
+            res = CliRunner().invoke(main, ["kernel", "--family", family,
+                                            "--t", "1", "--x", x])
+            assert res.exit_code == 0, res.output

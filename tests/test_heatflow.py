@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from liyau import (exact_kernel, gaussian_kernel_state, harnack_quantities,
-                   initial_datum, make_model_manifold, solve_heat)
+from liyau import (exact_kernel, gaussian_kernel_state, initial_datum,
+                   make_model_manifold, solve_heat)
 from liyau.geometry import FAMILIES, manifold_from_dict, register_drift
 from liyau import heatflow
 from liyau.heatflow import (_MODE_CUT, _apply, _basis, _generator,
@@ -153,7 +153,8 @@ class TestSolvers:
         for size in (51, 101, 201, 401):
             st = solve_heat(sphere2, datum, t, grid_size=size)
             assert abs(st.grid[st.index_of(x_eval)] - x_eval) < 1e-12
-            vals[size] = harnack_quantities(st, x_eval)[:2]
+            i = st.index_of(x_eval)
+            vals[size] = st.X()[i], st.Y()[i]
         for a, b, c in ((51, 101, 201), (101, 201, 401)):
             orderX = math.log2(abs(vals[a][0] - vals[b][0])
                                / abs(vals[b][0] - vals[c][0]))
@@ -664,7 +665,8 @@ class TestSolvers:
 class TestHarnackQuantities:
     def test_constant_state_is_zero(self, circle):
         st = solve_heat(circle, initial_datum("constant", {"c": 3.0}), 0.4)
-        X, Y, W = harnack_quantities(st, 1.0)
+        i = st.index_of(1.0)
+        X, Y, W = st.X()[i], st.Y()[i], st.W()[i]
         assert (X, W) == (0.0, 0.0)
         assert abs(Y) < 1e-12
 
@@ -674,25 +676,12 @@ class TestHarnackQuantities:
         st = solve_heat(circle, initial_datum("eigen", {"index": 1,
                                                         "amp": 0.5}), 1.0)
         amp = 0.5 * math.exp(-1.0)
-        X, Y, W = harnack_quantities(st, math.pi / 2)
+        i = st.index_of(math.pi / 2)
+        X, Y, W = st.X()[i], st.Y()[i], st.W()[i]
         assert X == pytest.approx(amp**2, abs=1e-10)
         assert abs(Y) < 1e-10
         assert W == pytest.approx(amp**2, abs=1e-10)
-        X0, Y0, _ = harnack_quantities(st, 0.0)
+        i = st.index_of(0.0)
+        X0, Y0 = st.X()[i], st.Y()[i]
         assert X0 == pytest.approx(0.0, abs=1e-12)
         assert Y0 == pytest.approx(-amp / (1 + amp), abs=1e-10)
-
-    def test_positivity_floor_guard(self, line):
-        st = gaussian_kernel_state(line, 0.05, np.array([0.0, 12.0]))
-        with pytest.raises(SolverError):
-            harnack_quantities(st, 12.0)
-
-    def test_csv_export(self, circle, tmp_path):
-        st = solve_heat(circle, initial_datum("eigen", {"index": 1,
-                                                        "amp": 0.5}), 0.3)
-        path = tmp_path / "state.csv"
-        st.to_csv(path)
-        body = path.read_text().splitlines()
-        assert "family=circle" in body[0]
-        assert body[1].endswith("coord,u,grad_u,Lu")
-        assert len(body) == 2 + st.grid.size

@@ -427,13 +427,6 @@ class TestWeights:
                                        lambda L: np.ones_like(L))
         assert est.value > plain[0]
 
-    def test_estimate_serialization(self, half_line):
-        est = local_time_moment(half_line, 0.0, 0.1, 1.0, 200, 1e-3, seed=2)
-        doc = est.to_dict()
-        for key in ("functional_id", "value", "stderr", "n_paths", "dt",
-                    "seed", "manifold"):
-            assert key in doc
-
 
 class TestRepresentation:
     # E[u0(X_t)] must match the PDE solve within Monte Carlo error
