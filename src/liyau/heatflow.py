@@ -87,7 +87,7 @@ def exact_kernel(M: ModelManifold, t: float, x: float, y: float) -> float:
     """Transition density p_t(x, y) of the flat-family semigroups.
 
     Gaussian on the line, centered radial Gaussian for the flat radial
-    coordinate (y must be 0 there), wrapped Gaussian / theta sum on the
+    coordinate (x >= 0 and y = 0 there), wrapped Gaussian / theta sum on the
     circle, and reflection-principle images on the half line and the
     Neumann interval: [0, L] is the even half of the circle of length 2L,
     so its kernel is that circle's at x - y plus at x + y.  Sphere and
@@ -102,6 +102,8 @@ def exact_kernel(M: ModelManifold, t: float, x: float, y: float) -> float:
         if any((value - pos) * inward < 0 for pos, inward in M.boundaries()):
             raise ValueError(f"{what} = {value!r} lies beyond a wall of "
                              f"{M.family}")
+    if M.spec.radial and x < 0:
+        raise ValueError(f"x = {x!r} is a radius and must not be negative")
     if M.spec.flux_form:
         raise ValueError(f"no exact kernel for {M.family}; use solve_heat")
     if M.spec.radial:
@@ -341,7 +343,7 @@ def _apply(dn, dg, up, u):
 # e^{-50} |D u0| and D Lu by at most (50/t) e^{-50} |D u0|.
 _MODE_CUT = 50.0
 _SECTIONS = 15   # points a multisection sweep puts in every bracket
-_BLOCK = 256     # rows of pivots a Sturm count holds at a time
+_TILE = 2**15    # floats in each (rows x columns) work array of the solver
 
 
 class _Basis:
@@ -416,15 +418,15 @@ def _sturm_counts(a, b2, x):
     """The number of eigenvalues of T below each shift in x: its negative
     pivots (Sylvester's law of inertia).
 
-    The pivots are made _BLOCK rows at a time, each block starting from
-    the last pivot row of the one before, so a count holds O(_BLOCK x
-    shifts) floats; every pivot has the bits of the full matrix of
-    _pivots."""
-    q = _pivots(a[:_BLOCK], b2[:_BLOCK - 1], x)
+    The pivots are made max(16, _TILE / shifts) rows at a time, each
+    block starting from the last pivot row of the one before, so a count
+    holds about _TILE floats; every pivot has the bits of the full matrix
+    of _pivots."""
+    block = max(16, _TILE // x.size)
+    q = _pivots(a[:block], b2[:block - 1], x)
     count = np.count_nonzero(q < 0.0, axis=0)
-    for lo in range(_BLOCK, a.size, _BLOCK):   # rows lo - 1 (carried) on
-        q = _pivots(a[lo - 1:lo + _BLOCK], b2[lo - 1:lo + _BLOCK - 1], x,
-                    q[-1])
+    for lo in range(block, a.size, block):   # rows lo - 1 (carried) on
+        q = _pivots(a[lo - 1:lo + block], b2[lo - 1:lo + block - 1], x, q[-1])
         count += np.count_nonzero(q[1:] < 0.0, axis=0)
     return count
 
@@ -440,7 +442,8 @@ def _tridiagonal_modes(a, b, index):
     at its midpoint lam then gives the eigenvector, refined by one step of
     inverse iteration, and its Rayleigh quotient (Dhillon and Parlett
     2004, Lin. Alg. Appl. 387).  Each pair reads its own bracket, column
-    and row only, so it has the same bits alone as in any batch.
+    and row only, so it has the same bits alone as in any batch.  Each
+    work array holds about _TILE floats, and at least 16 rows or vectors.
     """
     b2 = b * b
     radius = np.zeros(a.size)
@@ -464,7 +467,7 @@ def _tridiagonal_modes(a, b, index):
                             right).min(axis=1)
     lam = lo + 0.5 * (hi - lo)
     mu, V = np.empty(lam.size), np.empty((lam.size, a.size))
-    step = max(16, 2**15 // a.size)   # bounds the (size, modes) work arrays
+    step = max(16, _TILE // a.size)   # bounds the (size, modes) work arrays
     for j in range(0, lam.size, step):
         mu[j:j + step], V[j:j + step] = _twisted_vectors(a, b, lam[j:j + step])
     return mu, V
@@ -480,8 +483,8 @@ def _twisted_vectors(a, b, lam):
     it.  z solves N^T z = e_r, so (T - lam I) z = gamma_r e_r, and x solves
     (T - lam I) x = z by the same factors; mu is x's Rayleigh quotient
     lam + x.z / x.x.  Where gamma_r = 0, z is exact and is kept, with
-    mu = lam.  Raises SolverError when a pivot breaks the factorisation
-    down."""
+    mu = lam.  At most five (n, shifts) arrays are live at once; a pivot
+    that breaks the factorisation down raises SolverError."""
     n, cols, b2 = a.size, np.arange(lam.size), b * b
     dp = _pivots(a, b2, lam)   # T - lam I = L diag(dp) L^T
     dm = _pivots(a[::-1], b2[::-1], lam)[::-1]   # = U diag(dm) U^T
@@ -490,27 +493,33 @@ def _twisted_vectors(a, b, lam):
     # be zero or infinite; one that they read makes z or x nonfinite,
     # which raises below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        gamma = dp + dm - np.subtract.outer(a, lam)
+        gamma = dp + dm
+        gamma -= np.subtract.outer(a, lam)
         r = np.argmin(np.abs(gamma), axis=0)
-        exact = gamma[r, cols] == 0.0
+        gamma = gamma[r, cols]
+        exact = gamma == 0.0
         # N's multipliers: b_i / dp_i above r, b_i / dm_{i+1} from r down
         above = rows[:-1] < r
         low = np.where(above, b[:, None] / dp[:-1], 0.0)
         high = np.where(above, 0.0, b[:, None] / dm[1:])
         pivot = np.where(rows < r, dp, dm)
-        pivot[r, cols] = np.where(exact, 1.0, gamma[r, cols])
+        del dp, dm
+        pivot[r, cols] = np.where(exact, 1.0, gamma)
         # z_i = -low_i z_{i+1} above r, z_{i+1} = -high_i z_i below it:
-        # cumulative products from r outwards
-        z = np.ones((n, lam.size))
-        z[:-1] = np.cumprod(np.where(above, -low, 1.0)[::-1], axis=0)[::-1]
-        z[1:] *= np.cumprod(np.where(above, 1.0, -high), axis=0)
+        # cumulative products from r outwards, in place
+        z, x = np.ones((n, lam.size)), np.ones((n, lam.size))
+        np.negative(low, out=z[:-1], where=above)
+        np.cumprod(z[-2::-1], axis=0, out=z[-2::-1])
+        np.negative(high, out=x[1:], where=~above)
+        z[1:] *= np.cumprod(x[1:], axis=0, out=x[1:])
         # N y = z: sweeps towards r; N^T x = y / pivot: sweeps away from it
-        x = z.copy()
+        np.copyto(x, z)
         _sweep(x, low)
         _sweep(x[::-1], high[::-1])
         x /= pivot
         _sweep(x[::-1], low[::-1])
         _sweep(x, high)
+    del low, high, pivot
     # one vector a row, so each sum runs along its own row
     x, z = np.ascontiguousarray(x.T), np.ascontiguousarray(z.T)
     x[exact] = z[exact]

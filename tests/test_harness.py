@@ -1826,7 +1826,10 @@ class TestCli:
                 (["--family", "interval-neumann", "--t", "1", "--x", "5"],
                  "x = 5.0 lies beyond a wall of interval-neumann"),
                 (["--family", "half-line-neumann", "--t", "1", "--x", "-1"],
-                 "x = -1.0 lies beyond a wall of half-line-neumann")):
+                 "x = -1.0 lies beyond a wall of half-line-neumann"),
+                (["--family", "euclidean-radial", "--m", "2", "--t", "1",
+                  "--x", "-1"],
+                 "x = -1.0 is a radius and must not be negative")):
             res = CliRunner().invoke(main, ["kernel", *args])
             assert res.exit_code == 2, res.output
             assert error_lines(res.output) == [

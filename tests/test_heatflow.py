@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -65,6 +66,13 @@ class TestKernels:
                                     * math.exp(-1.0 / 2.0), rel=1e-13)
         with pytest.raises(ValueError):
             exact_kernel(M, 0.5, 1.0, 0.3)
+
+    def test_radial_kernel_rejects_a_negative_radius(self):
+        M = make_model_manifold("euclidean-radial", m=2)
+        with pytest.raises(ValueError, match=r"x = -1\.0 "):
+            exact_kernel(M, 1.0, -1.0, 0.0)
+        assert exact_kernel(M, 1.0, 0.0, 0.0) == pytest.approx(
+            1.0 / (4.0 * math.pi), rel=1e-15)
 
     def test_no_kernel_on_sphere(self, sphere2):
         with pytest.raises(ValueError):
@@ -308,26 +316,33 @@ class TestSolvers:
             alone, vec = heatflow._tridiagonal_modes(-dg, -off, np.array([j]))
             assert alone[0] == mu[j] and np.array_equal(vec[0], V[j]), j
 
-    @pytest.mark.parametrize("size", [100, heatflow._BLOCK,
-                                      2 * heatflow._BLOCK + 37])
-    def test_blocked_sturm_counts_match_the_full_pivots(self, size):
+    @pytest.mark.parametrize("size", [100, 256, 549])
+    def test_blocked_sturm_counts_match_the_full_pivots(self, size,
+                                                        monkeypatch):
         rng = np.random.default_rng(size)
         a, b2 = rng.normal(size=size), rng.uniform(0.01, 1.0, size - 1)
         x = np.linspace(-7.0, 7.0, 57)   # past both Gershgorin ends
         full = np.count_nonzero(heatflow._pivots(a, b2, x) < 0.0, axis=0)
-        counts = heatflow._sturm_counts(a, b2, x)
-        assert np.array_equal(counts, full)
-        assert counts[0] == 0 and counts[-1] == size
+        # the shipped budget holds each size in one block; a budget of 16
+        # rows of 57 shifts cuts it into 16-row blocks, with 256 ending on
+        # a block boundary
+        for tile in (heatflow._TILE, 16 * x.size):
+            monkeypatch.setattr(heatflow, "_TILE", tile)
+            counts = heatflow._sturm_counts(a, b2, x)
+            assert np.array_equal(counts, full), tile
+            assert counts[0] == 0 and counts[-1] == size
 
-    def test_a_zero_pivot_keeps_the_sturm_count(self):
+    def test_a_zero_pivot_keeps_the_sturm_count(self, monkeypatch):
         # T = (1, 2, 1) with unit off-diagonal has the eigenvalues 0, 1, 3
         a, b2 = np.array([1.0, 2.0, 1.0]), np.array([1.0, 1.0])
         counts = heatflow._sturm_counts(a, b2, np.array([0.0, 1.0, 3.0, 3.5]))
         assert counts.tolist() == [0, 1, 2, 3]
-        # at x = 0, a_i = b2_{i-1} / p_{i-1} makes the pivot p_i exactly 0:
+        # five shifts in a budget of 80 floats make 16-row blocks.  At
+        # x = 0, a_i = b2_{i-1} / p_{i-1} makes the pivot p_i exactly 0:
         # on the last row of the first block, which the next block starts
         # from, and on the last row, so that 0 is an eigenvalue of T
-        block = heatflow._BLOCK
+        monkeypatch.setattr(heatflow, "_TILE", 80)
+        block = 16
         a, b2 = np.full(2 * block, 2.0), np.full(2 * block - 1, 0.5)
         for i in (block - 1, 2 * block - 1):
             p = heatflow._pivots(a, b2, np.zeros(1))[:, 0]
@@ -337,6 +352,34 @@ class TestSolvers:
         x = np.array([-1.0, 0.0, 1e-300, 1.0, 3.0])
         full = np.count_nonzero(heatflow._pivots(a, b2, x) < 0.0, axis=0)
         assert np.array_equal(heatflow._sturm_counts(a, b2, x), full)
+
+    def test_the_work_budget_keeps_every_bit_of_the_modes(self,
+                                                          monkeypatch):
+        # 2**10 makes 16-row Sturm blocks and batches of 16 vectors, 2**20
+        # one batch of all 30 vectors and 2330-row blocks
+        basis = _basis(make_model_manifold("hyperbolic-radial", m=2), 2401)
+        modes = []
+        for tile in (2**10, 2**15, 2**20):
+            monkeypatch.setattr(heatflow, "_TILE", tile)
+            modes.append(heatflow._tridiagonal_modes(-basis.dg, -basis.off,
+                                                     np.arange(30)))
+        for mu, V in modes[1:]:
+            assert mu.tobytes() == modes[0][0].tobytes()
+            assert V.tobytes() == modes[0][1].tobytes()
+
+    def test_the_eigensolver_holds_a_small_working_set(self):
+        # 30 modes on 2401 nodes: vectors in batches of 16, whose (2401 x
+        # 16) work arrays are 0.31 MB each; at most five are live beside
+        # the outputs, and the Sturm counts stay below that
+        basis = _basis(make_model_manifold("hyperbolic-radial", m=2), 2401)
+        a, b = -basis.dg, -basis.off
+        tracemalloc.start()
+        try:
+            mu, V = heatflow._tridiagonal_modes(a, b, np.arange(30))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - mu.nbytes - V.nbytes < 2.0e6
 
     def test_the_eigen_datum_joins_the_first_solve(self, monkeypatch):
         # the first solve fetches its modes before it samples the datum, so
