@@ -36,7 +36,6 @@ class Family(NamedTuple):
     periodic: bool = False          # the grid leaves hi out
     radial: bool = False            # an open pole end: the chart guard
     flux_form: bool = False         # solved as w^{-1} (w u')'
-    kernel: bool = False            # the kernel scheme's closed form
     compact: bool = False           # the grid covers the whole space
     sharp_K: Callable = lambda m: 0.0   # the driftless model's K
     profile: Callable = np.ones_like    # volume density profile^(m-1)
@@ -45,14 +44,13 @@ class Family(NamedTuple):
 
 
 FAMILIES = {
-    "euclidean-line": Family(("rmax",), lambda r: (-r, r), kernel=True),
+    "euclidean-line": Family(("rmax",), lambda r: (-r, r)),
     "euclidean-radial": Family(("pole_cut", "rmax"), lambda c, r: (c, r),
-                               radial=True, kernel=True,
-                               profile=lambda x: x),
+                               radial=True, profile=lambda x: x),
     "circle": Family((), lambda: (0.0, 2.0 * math.pi), periodic=True,
                      compact=True, grid_size=256),
     "half-line-neumann": Family(("rmax",), lambda r: (0.0, r),
-                                walls=(True, False), kernel=True),
+                                walls=(True, False)),
     "interval-neumann": Family(("length",), lambda L: (0.0, L),
                                walls=(True, True), compact=True,
                                grid_size=257),

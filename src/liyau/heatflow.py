@@ -22,11 +22,11 @@ Schemes:
     two log-depth scans in numpy; the circle's two corners enter by one
     Sherman-Morrison correction.
   * "kernel": closed-form evolution of the constant and gaussian data
-    on the unbounded flat families (line, half line, flat radial).
+    on the families of KERNELS (line, half line, flat radial).
 
-Each family's route is read from its geometry.Family record (M.spec), and
-each initial datum from DATA: its params with their defaults and the
-families where it has a closed form.
+Each family's route is read from KERNELS and its geometry.Family record
+(M.spec), and each initial datum from DATA: its params with their
+defaults and the families where it has a closed form.
 
 The radial modes and the Crank-Nicolson solves use elementwise numpy and
 numpy's reductions only, never BLAS or LAPACK, so no bit of their output
@@ -55,16 +55,27 @@ NEUMANN_TOL = 1e-8  # |u0'| allowed at a reflecting wall
 # exact kernels
 
 
-def _gauss(d, t):
-    d = np.asarray(d, dtype=float)
-    return (4.0 * math.pi * t) ** -0.5 * np.exp(-d * d / (4.0 * t))
+def _euclidean(d, t, r):
+    """(p, dp/dr, dp/dt) of the heat kernel of R^d at time t and radius r:
+    p = (4 pi t)^{-d/2} e^{-r^2/4t}, and dp/dt = Lp = p'' + (d - 1)/r p'."""
+    r = np.asarray(r, dtype=float)
+    p = (4.0 * math.pi * t) ** (-d / 2.0) * np.exp(-r * r / (4.0 * t))
+    return p, -r / (2.0 * t) * p, (r * r / (4.0 * t * t) - d / (2.0 * t)) * p
+
+
+# The closed-form kernels, family -> (m, t, r) -> (p, dp/dr, dp/dt) at the
+# distance r from the centre: the line and the half line solve d^2/dx^2 and
+# walk in one dimension for every m, the flat radial coordinate in m.
+KERNELS = {"euclidean-line": lambda m, t, r: _euclidean(1, t, r),
+           "half-line-neumann": lambda m, t, r: _euclidean(1, t, r),
+           "euclidean-radial": _euclidean}
 
 
 def _kernel_wrapped(theta, t, period):
     terms = int(math.ceil((math.sqrt(340.0 * t) + abs(float(theta)))
                           / period)) + 1
     j = np.arange(-terms, terms + 1)
-    return float(np.sum(_gauss(theta + period * j, t)))
+    return float(np.sum(_euclidean(1, t, theta + period * j)[0]))
 
 
 def _kernel_spectral(theta, t, period):
@@ -86,12 +97,12 @@ def _circle_kernel(theta, t, period):
 def exact_kernel(M: ModelManifold, t: float, x: float, y: float) -> float:
     """Transition density p_t(x, y) of the flat-family semigroups.
 
-    Gaussian on the line, centered radial Gaussian for the flat radial
-    coordinate (x >= 0 and y = 0 there), wrapped Gaussian / theta sum on the
-    circle, and reflection-principle images on the half line and the
-    Neumann interval: [0, L] is the even half of the circle of length 2L,
-    so its kernel is that circle's at x - y plus at x + y.  Sphere and
-    hyperbolic space have no elementary kernel here; use solve_heat.
+    The families of KERNELS read their entry at x - y (x >= 0 and y = 0 on
+    the flat radial family), and the half line adds its image at x + y.
+    The circle takes the wrapped Gaussian or the theta sum, and the Neumann
+    interval [0, L], the even half of the circle of length 2L, that
+    circle's kernel at x - y plus at x + y.  Sphere and hyperbolic space
+    have no elementary kernel here; use solve_heat.
     t, x and y must be finite, t positive, and x and y not beyond a wall.
     """
     check_real(t, "t")
@@ -106,14 +117,11 @@ def exact_kernel(M: ModelManifold, t: float, x: float, y: float) -> float:
         raise ValueError(f"x = {x!r} is a radius and must not be negative")
     if M.spec.flux_form:
         raise ValueError(f"no exact kernel for {M.family}; use solve_heat")
-    if M.spec.radial:
-        if y != 0.0:
-            raise ValueError("flat radial kernel is centered: y must be 0")
-        return float((4.0 * math.pi * t) ** (-M.m / 2.0)
-                     * math.exp(-x * x / (4.0 * t)))
+    if M.spec.radial and y != 0.0:
+        raise ValueError("flat radial kernel is centered: y must be 0")
     images = (x - y, x + y) if M.has_boundary else (x - y,)   # wall at 0
-    if not M.spec.compact:
-        return float(sum(_gauss(d, t) for d in images))
+    if M.family in KERNELS:
+        return float(sum(KERNELS[M.family](M.m, t, r)[0] for r in images))
     _, hi = M.domain()
     if M.spec.periodic:
         return _circle_kernel((x - y) % hi, t, hi)
@@ -252,14 +260,13 @@ class InitialDatum:
                         lambda x: -2.0 * amp * (m + 1)
                         * np.cos(2.0 * np.asarray(x, float)) / m)
             raise ValueError("legendre datum supports index 1 or 2")
-        s0 = float(p["width"])   # the gaussian
+        s0 = float(p["width"])   # the gaussian: R^1's kernel at time s0
         if base <= 0 or base + min(amp, 0.0) < 0 or s0 <= 0:
             raise ValueError("gaussian datum must stay nonnegative")
-        e = lambda x: np.exp(-np.asarray(x, float) ** 2 / (4.0 * s0))
-        return (lambda x: base + amp * e(x),
-                lambda x: -amp * np.asarray(x, float) / (2.0 * s0) * e(x),
-                lambda x: amp * (np.asarray(x, float) ** 2 / (4.0 * s0**2)
-                                 - 1.0 / (2.0 * s0)) * e(x))
+        c = amp / _euclidean(1, s0, 0.0)[0]   # amp e^{-x^2/4s0} = c p_s0
+        return (lambda x: base + c * _euclidean(1, s0, x)[0],
+                lambda x: c * _euclidean(1, s0, x)[1],
+                lambda x: c * _euclidean(1, s0, x)[2])   # p'' = dp/dt on R^1
 
     def check(self, M: ModelManifold, size: int | None = None) -> None:
         """Raise as solve_heat would before sampling: no closed form on M
@@ -500,8 +507,9 @@ def _twisted_vectors(a, b, lam):
         exact = gamma == 0.0
         # N's multipliers: b_i / dp_i above r, b_i / dm_{i+1} from r down
         above = rows[:-1] < r
-        low = np.where(above, b[:, None] / dp[:-1], 0.0)
-        high = np.where(above, 0.0, b[:, None] / dm[1:])
+        low, high = np.zeros((2, *above.shape))
+        np.divide(b[:, None], dp[:-1], out=low, where=above)
+        np.divide(b[:, None], dm[1:], out=high, where=~above)
         pivot = np.where(rows < r, dp, dm)
         del dp, dm
         pivot[r, cols] = np.where(exact, 1.0, gamma)
@@ -583,7 +591,7 @@ def solve_heat(M: ModelManifold, u0: InitialDatum, t: float,
     if grid_size is None:
         grid_size = M.spec.grid_size
     u0.check(M, grid_size)
-    if M.spec.kernel and scheme != "crank-nicolson-fd":
+    if M.family in KERNELS and scheme != "crank-nicolson-fd":
         scheme = "kernel"
     elif scheme == "kernel":
         raise ValueError(f"no kernel evolution on {M.family}")
@@ -770,35 +778,29 @@ def _scan(c, levels):
 
 
 def _kernel_evolution(M, u0, t, grid):
-    """(u, du, Lu) at t in closed form on the unbounded flat families.
-
-    The constant datum is stationary; the gaussian datum of width s0
-    evolves to the gaussian of width s0 + t, its amp scaled by
-    (s0/(s0+t))^{m/2}.  Every other datum has no closed form on these
-    families, and its callables raise ValueError.
-    """
-    if u0.expr == "gaussian":
-        s0 = float(u0.params["width"])
-        amp = float(u0.params["amp"]) * (s0 / (s0 + t)) ** (M.m / 2.0)
-        u0 = InitialDatum("gaussian", dict(u0.params, amp=amp, width=s0 + t))
-    u, du, d2u = (f(grid) for f in u0.callables(M))
-    return u, du, d2u + M.b(grid) * du
+    """(u, du, Lu) at t in closed form on the families of KERNELS: the
+    constant datum stays put, and the gaussian base + amp e^{-x^2/4s} is
+    base + amp p_s / p_s(0) for the family's kernel p, so at t it is
+    p_{s+t} scaled the same way (it is even about the half line's wall, so
+    no image enters).  InitialDatum.check has refused every other datum."""
+    p = u0.params
+    if u0.expr == "constant":
+        return np.full(grid.size, float(p["c"])), *np.zeros((2, grid.size))
+    kernel, s = KERNELS[M.family], float(p["width"])
+    scale = float(p["amp"]) / kernel(M.m, s, 0.0)[0]
+    k, dk, Lk = kernel(M.m, s + t, grid)
+    return float(p["base"]) + scale * k, scale * dk, scale * Lk
 
 
 def gaussian_kernel_state(M: ModelManifold, t: float, grid=None) -> HeatState:
-    """Centered heat-kernel solution with exact derivative formulas.
-
-    u_t = p_t(., 0) on the line / flat radial family; the saturation
-    identity X - Y = n/(2t) holds pointwise for these states.
-    """
-    if not M.spec.kernel or M.has_boundary:
+    """The centered heat kernel u = p_t(., 0) of a wall-less family of
+    KERNELS with its exact derivatives: X - Y = d/(2t) pointwise, d the
+    kernel's dimension (1 on the line, m on the flat radial family)."""
+    if M.family not in KERNELS or M.has_boundary:
         raise ValueError("kernel states are for the flat families")
     if t <= 0:
         raise ValueError("t must be positive")
     grid = np.asarray(M.grid(M.spec.grid_size) if grid is None else grid,
                       dtype=float)
-    m = M.m
-    u = (4.0 * math.pi * t) ** (-m / 2.0) * np.exp(-grid**2 / (4.0 * t))
-    du = -grid / (2.0 * t) * u
-    Lu = (grid**2 / (4.0 * t**2) - m / (2.0 * t)) * u
-    return HeatState(M, t, grid, u, du, Lu, scheme="kernel")
+    return HeatState(M, t, grid, *KERNELS[M.family](M.m, t, grid),
+                     scheme="kernel")

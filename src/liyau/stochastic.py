@@ -176,9 +176,9 @@ class Accumulator:
 
     work(k, x, dL), when given, runs after each step k < steps with the
     positions x before the step and the step's local-time increments dL
-    (reused buffers).  finish(x, rejected) runs on the positions after
-    `steps` steps, before the next step overwrites them, with the
-    chart-guard rejections so far, and returns the accumulator's result.
+    (reused buffers).  finish(x) runs on the positions after `steps`
+    steps, before the next step overwrites them, and returns the
+    accumulator's result.
     """
 
     steps: int
@@ -216,7 +216,7 @@ def run_ensemble(ens: Ensemble, accumulators) -> list:
             stepper.buf = stepper.before = dL = None
         for i, acc in enumerate(accs):
             if acc.steps == k + 1 and i not in outcomes:
-                result = attempt(i, acc.finish, x, stepper.rejected)
+                result = attempt(i, acc.finish, x)
                 outcomes.setdefault(i, result)   # unless finish raised
     return [outcomes[i] for i in range(len(accs))]
 
@@ -440,7 +440,7 @@ def functional_accumulator(ens: Ensemble, u0, t: float, clock: Clock | None,
         if track_B:
             B += sigma * dL
 
-    def finish(xp, rejected):
+    def finish(xp):
         if functional_id == "harnack_rhs":
             Lu0_final = d2u_call(xp) + M.b_total(xp) * du_call(xp)
             per_path = 0.5 * M.n * u_call(xp) * I1 - Lu0_final * I2
@@ -452,8 +452,7 @@ def functional_accumulator(ens: Ensemble, u0, t: float, clock: Clock | None,
         value, stderr = mean_and_stderr(np.asarray(per_path, dtype=float))
         return Estimate(functional_id=functional_id, value=value,
                         stderr=stderr, n_paths=n_paths, dt=dt, seed=ens.seed,
-                        meta={"manifold": M.family, "t": t, "x0": ens.x0,
-                              "rejected": rejected})
+                        meta={"manifold": M.family, "t": t, "x0": ens.x0})
 
     return Accumulator(steps, finish, None if const_weight else accumulate)
 
@@ -498,7 +497,7 @@ def local_time_accumulator(ens: Ensemble, t: float,
     steps = _step_count(t, dt)
     L = np.zeros(n_paths)
 
-    def moment(x, rejected):
+    def moment(x):
         z = p * L
         shift = float(np.max(z))
         mean, se = mean_and_stderr(np.exp(z - shift))
@@ -507,7 +506,7 @@ def local_time_accumulator(ens: Ensemble, t: float,
                         meta={"p": p, "manifold": M.family, "t": t,
                               "mean_L": float(np.mean(L))})
 
-    def mean(x, rejected):
+    def mean(x):
         m, se = mean_and_stderr(L)
         return Estimate("expected_local_time", m, se, n_paths, dt, seed,
                         meta={"manifold": M.family, "t": t, "x0": ens.x0})
@@ -529,7 +528,7 @@ def value_accumulator(ens: Ensemble, u0, t: float) -> Accumulator:
     steps = _step_count(t, ens.dt)
     u = u0.callables(ens.M)[0]
 
-    def finish(x, rejected):
+    def finish(x):
         mean, se = mean_and_stderr(u(x))
         return Estimate("expected_value", mean, se, ens.n_paths, ens.dt,
                         ens.seed, meta={"manifold": ens.M.family, "t": t,
@@ -726,7 +725,7 @@ def cutoff_growth_check(M: ModelManifold, x0: float, f, checkpoints,
             vals[j, hit] = inv[hit]
             done[j] |= hit
 
-    def finish(x, rejected):
+    def finish(x):
         means, ses = np.full((2, checkpoints.size), math.nan)
         for j in range(checkpoints.size):
             if np.count_nonzero(done[j]) >= 2:

@@ -597,7 +597,7 @@ class TestEnsemblePlan:
             if t != 0.25:
                 return acc
 
-            def finish(x, rejected):
+            def finish(x):
                 raised_in.append(os.getpid())
                 raise FloatingPointError("datum overflow")
 
@@ -639,7 +639,7 @@ class TestEnsemblePlan:
                                                  0.01, seed=1),
             lambda: stochastic._run_alone(   # a recording accumulator
                 stochastic.Ensemble(M, 1.0, 1, 0.01, seed=1),
-                stochastic.Accumulator(10, lambda x, rejected: x.copy(),
+                stochastic.Accumulator(10, lambda x: x.copy(),
                                        lambda k, x, dL: None)),
             lambda: stochastic.cutoff_growth_check(
                 M, 1.0, lambda x: np.full_like(x, 0.5), [0.05], 0.1, 0.01,
@@ -661,7 +661,7 @@ class TestEnsemblePlan:
         def dying(ens, t, p=None):
             acc = build(ens, t, p)
 
-            def finish(x, rejected):
+            def finish(x):
                 if os.getpid() == parent:
                     raise AssertionError("the pass ran in-process")
                 os._exit(3)
@@ -718,9 +718,9 @@ class TestEnsemblePlan:
         big, small = (stochastic.Ensemble(M, 1.0, n, 0.01, seed=1)
                       for n in (400, 200))
         tasks = [(big, stochastic.Accumulator(
-                     10, lambda x, rejected: (v for v in x))),   # a generator
-                 (big, stochastic.Accumulator(10, lambda x, r: x.sum())),
-                 (small, stochastic.Accumulator(10, lambda x, r: x.sum()))]
+                     10, lambda x: (v for v in x))),   # a generator
+                 (big, stochastic.Accumulator(10, lambda x: x.sum())),
+                 (small, stochastic.Accumulator(10, lambda x: x.sum()))]
         with stochastic.run_passes(tasks) as outcome:
             outs = [outcome(i) for i in range(3)]
         for out in outs[:2]:
@@ -736,7 +736,7 @@ class TestEnsemblePlan:
         monkeypatch.setattr(stochastic, "_cores", lambda: 2)
         M = manifold_from_dict({"family": "interval-neumann"})
         tasks = [(stochastic.Ensemble(M, 1.0, 20, 0.01, seed=seed),
-                  stochastic.Accumulator(1, lambda x, r: time.sleep(60)))
+                  stochastic.Accumulator(1, lambda x: time.sleep(60)))
                  for seed in (1, 2)]
         start = time.monotonic()
         with pytest.raises(KeyError):
@@ -1834,6 +1834,28 @@ class TestCli:
             assert res.exit_code == 2, res.output
             assert error_lines(res.output) == [
                 f"Error: invalid kernel query: ValueError: {message}"]
+
+    def test_kernel_command_values_are_pinned(self):
+        # one query per family with a closed form, the circle on both of
+        # its routes; np.exp and math.exp may differ in the last bit
+        for args, value in (
+                ("euclidean-line --t 0.5 --x 0.3 --y -0.4",
+                 0.31225393336676127),
+                ("half-line-neumann --t 0.7 --x 0.3 --y 1.1",
+                 0.4357066519405487),
+                ("euclidean-radial --m 2 --t 0.5 --x 1.3",
+                 0.06836617690073508),
+                ("euclidean-radial --m 3 --t 0.8 --x 0.6",
+                 0.02803445348890285),
+                ("circle --t 0.01 --x 0.2 --y 0.1", 2.196956447338612),
+                ("circle --t 5 --x 0.2 --y 3.0", 0.15713410739030784),
+                ("interval-neumann --t 0.4 --x 0.5 --y 1.3",
+                 0.3578584552221766)):
+            res = CliRunner().invoke(main, ["kernel", "--family",
+                                            *args.split()])
+            assert res.exit_code == 0, res.output
+            assert float(res.output) == pytest.approx(value, rel=1e-15,
+                                                      abs=0.0), args
 
     def test_kernel_command(self):
         runner = CliRunner()

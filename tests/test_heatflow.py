@@ -100,6 +100,46 @@ class TestGaussianSaturation:
         assert fd == pytest.approx(float(st.grad_u[0]), rel=1e-8)
 
 
+class TestKernelDimension:
+    """The line and the half line solve d^2/dx^2 for every m (README's
+    family table: m is read by the radial families only), so their kernel
+    is R^1's at m = 2 too."""
+
+    DATUM = initial_datum("gaussian", {"amp": 1.0, "width": 0.25})
+
+    @pytest.mark.parametrize("family", ["euclidean-line",
+                                        "half-line-neumann"])
+    def test_kernel_state_solves_its_own_equation(self, family):
+        M, h = make_model_manifold(family, m=2), 1e-4
+        for t in (0.05, 0.5):
+            st = solve_heat(M, self.DATUM, t)
+            ut = (solve_heat(M, self.DATUM, t + h).u
+                  - solve_heat(M, self.DATUM, t - h).u) / (2.0 * h)
+            assert np.max(np.abs(ut - st.Lu)) < 1e-6, t
+
+    @pytest.mark.parametrize("family", ["euclidean-line",
+                                        "half-line-neumann"])
+    def test_kernel_state_matches_crank_nicolson(self, family):
+        # the error of the 4001-node solve is below its distance to the
+        # 2001-node one (second order: about a third of it)
+        M = make_model_manifold(family, m=2)
+        for t in (0.05, 0.5):
+            fine, coarse = (solve_heat(M, self.DATUM, t, grid_size=size,
+                                       scheme="crank-nicolson-fd")
+                            for size in (4001, 2001))
+            err = np.max(np.abs(fine.u[::2] - coarse.u))
+            st = solve_heat(M, self.DATUM, t, grid_size=4001)
+            assert np.max(np.abs(st.u - fine.u)) <= err, t
+
+    def test_gaussian_kernel_state_is_the_exact_kernel(self):
+        line = make_model_manifold("euclidean-line", m=2)
+        xs = np.array([-1.3, 0.0, 0.7])
+        st = gaussian_kernel_state(line, 0.5, xs)
+        for x, u in zip(xs, st.u):
+            assert u == pytest.approx(exact_kernel(line, 0.5, x, 0.0),
+                                      rel=1e-15)
+
+
 class TestSolvers:
     def test_circle_eigen_decay(self, circle):
         datum = initial_datum("eigen", {"index": 1, "amp": 0.5})

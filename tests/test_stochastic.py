@@ -74,9 +74,8 @@ def record_paths(M, x0, t, dt, seed, scheme="bridge", n_paths=1):
     def record(k, x, dL):
         xs[k], dLs[k] = x, dL
 
-    def finish(x, rejected):
+    def finish(x):
         xs[steps] = x
-        return rejected
 
     run_ensemble(Ensemble(M, x0, n_paths, dt, seed, scheme),
                  [Accumulator(steps, finish, record)])
@@ -246,7 +245,7 @@ class TestInPlaceStepper:
         assert stepper.rejected > 0   # the redraw was exercised
 
 
-def snapshot(x, rejected):
+def snapshot(x):
     return x.copy()
 
 
@@ -311,7 +310,7 @@ class TestEnsemble:
             if k == 3:
                 raise RuntimeError("work fails")
 
-        def bad_finish(x, rejected):
+        def bad_finish(x):
             raise ZeroDivisionError("finish fails")
 
         ens = Ensemble(half_line, 0.0, 300, 1e-2, seed=8)
