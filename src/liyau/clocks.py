@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import (QuadratureError, check_real, em1int, integrate_smooth,
-                       reject_unknown)
+from .numerics import QuadratureError, em1int, integrate_smooth, with_defaults
 
 # each family's params and their defaults; None marks a required one
 FAMILIES = {
@@ -58,12 +57,7 @@ def make_clock(family: str, params: dict | None = None, t: float = 1.0) -> Clock
         raise ValueError(f"unknown clock family {family!r}")
     if t <= 0:
         raise ValueError("horizon t must be positive")
-    params = params or {}
-    reject_unknown(params, tuple(FAMILIES[family]),
-                   f"the params of clock {family!r}")
-    for key, value in params.items():
-        check_real(value, f"param {key!r} of clock {family!r}")
-    params = {**FAMILIES[family], **params}
+    params = with_defaults(params, FAMILIES[family], f"clock {family!r}")
     if family in ("exp-integral", "exp-linear"):
         if params["alpha"] is None or params["alpha"] <= 1.0:
             raise ValueError(f"{family} clock needs alpha > 1")

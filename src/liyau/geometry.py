@@ -12,7 +12,8 @@ boundary exists, the convexity lower bound sigma of its second
 fundamental form.  Those three numbers parameterise every bound in the
 catalog and every exponential path weight in the Monte Carlo layer.
 FAMILIES holds each family's Family record, which heatflow and
-stochastic read through ModelManifold.spec.
+stochastic read through ModelManifold.spec, and DRIFTS each drift Z of
+the flat families, with its sharp CD(K, n) constant.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import check_real
+from .numerics import check_real, reject_unknown, with_defaults
 
 
 class Family(NamedTuple):
@@ -63,15 +64,34 @@ FAMILIES = {
                                 profile=np.sinh),
 }
 
-# Named drift coefficients; a driftless model uses "none".
-_DRIFTS: dict[str, object] = {"none": None}
+class Drift(NamedTuple):
+    """One drift Z of the catalog DRIFTS."""
+
+    params: dict        # param -> default
+    Z: Callable         # Z(x, **params)
+    sharp_K: Callable   # (n, lo, hi, **params) -> inf of -Z' - Z^2/(n-1)
+    circle: Callable = lambda **params: False   # Z has period 2 pi
 
 
-def register_drift(drift_id: str, fn) -> None:
-    """Register a bounded drift coefficient Z(x) under an id."""
-    if drift_id == "none":
-        raise ValueError("'none' is reserved for the zero drift")
-    _DRIFTS[drift_id] = fn
+def _sine_K(n, lo, hi, a, k):
+    """-Z' - Z^2/(n-1) = a^2 (u^2 - 1)/(n-1) - a k u is convex in u = cos kx:
+    least at its vertex clipped to u's range, [-1, 1] on a domain of width
+    pi/|k| or more, else [cos k hi, 1] (such a domain starts at lo = 0)."""
+    if not (a and k):
+        return 0.0
+    u_lo = -1.0 if abs(k) * (hi - lo) >= math.pi else math.cos(k * hi)
+    u = min(max(k * (n - 1.0) / (2.0 * a), u_lo), 1.0)
+    return a * a * (u * u - 1.0) / (n - 1.0) - a * k * u
+
+
+# The drift catalog; README's drift table lists it
+DRIFTS = {
+    "ou": Drift({"c": 1.0, "center": 0.0}, lambda x, c, center: c * (center - x),
+                lambda n, lo, hi, c, center: c - (c * max(
+                    center - lo, hi - center)) ** 2 / (n - 1.0) if c else 0.0),
+    "sine": Drift({"a": 1.0, "k": 1}, lambda x, a, k: a * np.sin(k * x),
+                  _sine_K, lambda a, k: float(k).is_integer()),
+}
 
 
 @dataclass(frozen=True)
@@ -83,7 +103,8 @@ class ModelManifold:
     n: float
     K: float
     sigma: float | None = None
-    drift_id: str = "none"
+    drift_id: str = "none"           # a DRIFTS id, with its params
+    drift_params: tuple = ()         # as sorted (param, value) pairs
     length: float = math.pi          # interval families
     rmax: float = 8.0                # truncation radius for unbounded radial grids
     pole_cut: float = 1e-3           # pole offset for sphere/hyperbolic grids
@@ -118,12 +139,8 @@ class ModelManifold:
         return out if out.ndim else float(out)
 
     def drift(self, x):
-        fn = _DRIFTS[self.drift_id]
-        if fn is None:
-            x = np.asarray(x, dtype=float)
-            out = np.zeros_like(x)
-            return out if out.ndim else float(out)
-        return fn(x)
+        """The drift Z of a drift model."""
+        return DRIFTS[self.drift_id].Z(x, **dict(self.drift_params))
 
     def b_total(self, x, out=None):
         """Full first-order coefficient b(x) + Z(x) of the generator, into
@@ -159,23 +176,25 @@ class ModelManifold:
 
     def to_dict(self) -> dict:
         """Every field the family reads, for manifold_from_dict."""
+        drift = None if self.drift_id == "none" else {
+            "id": self.drift_id, "params": dict(self.drift_params)}
         doc = {"family": self.family, "m": self.m, "n": self.n,
-               "K": self.K, "drift": self.drift_id, "sigma": self.sigma}
+               "K": self.K, "drift": drift, "sigma": self.sigma}
         doc.update((key, getattr(self, key)) for key in self.spec.keys)
         return doc
 
 
 def make_model_manifold(family: str, m: int = 1, n: float | None = None,
-                        drift: str = "none", *, K: float | None = None,
+                        drift: dict | None = None, *, K: float | None = None,
                         sigma: float | None = None, length: float = math.pi,
                         rmax: float | None = None,
                         pole_cut: float = 1e-3) -> ModelManifold:
     """Instantiate a model manifold with its curvature table filled in.
 
-    A user-supplied K may only lower the model value (any lower bound of
-    the curvature is admissible, the sharp one is the default).  Drifts
-    are only supported on the flat 1-D families, where the coordinate is
-    the manifold itself; they require an explicit K.
+    K defaults to the sharp CD(K, n) constant, and a given K may only lower
+    it: the family's sharp_K(m), or with a drift {"id", "params"} from
+    DRIFTS (flat 1-D families only, and n > 1) the infimum of -Z' -
+    Z^2/(n-1) over the domain of the walk, a line or half line in full.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
@@ -190,23 +209,28 @@ def make_model_manifold(family: str, m: int = 1, n: float | None = None,
     n = float(m) if n is None else n
     if n < m:
         raise ValueError(f"effective dimension n={n} must be >= m={m}")
-    if drift not in _DRIFTS:
-        raise ValueError(f"unregistered drift {drift!r}")
-    if drift != "none":
+    model_K, drift_id, params = spec.sharp_K(m), "none", {}
+    if drift is not None:
+        reject_unknown(drift, ("id", "params"), "the drift")
+        if (drift_id := drift.get("id")) not in DRIFTS:
+            raise ValueError(f"unknown drift {drift_id!r}; known: {tuple(DRIFTS)}")
+        params = with_defaults(drift.get("params"), DRIFTS[drift_id].params,
+                               f"drift {drift_id!r}")
         if spec.radial:
             raise ValueError(f"drift not supported on {family}: no radial reduction")
-        if K is None:
-            raise ValueError("a drift model needs an explicit curvature bound K")
+        if n == 1:
+            raise ValueError("CD(K, 1) holds for no K with a drift: n must be > 1")
+        if spec.periodic and not DRIFTS[drift_id].circle(**params):
+            raise ValueError(f"the circle cannot carry the drift {drift}")
+        lo, hi = spec.ends(*({"length": length, "rmax": math.inf}[key]
+                             for key in spec.keys))   # the walk's domain
+        model_K = DRIFTS[drift_id].sharp_K(n, lo, hi, **params)
+        if not math.isfinite(model_K):
+            raise ValueError(f"drift {drift} has no finite CD constant on {family}")
+    if K is not None:
+        if K > model_K + 1e-12 * (1.0 + abs(model_K)):
+            raise ValueError(f"K={K} is above the sharp CD(K, n) constant {model_K}")
         model_K = K
-    else:
-        # the sharp curvature lower bound of the driftless model
-        model_K = spec.sharp_K(m)
-        if K is not None:
-            if K > model_K + 1e-12:
-                raise ValueError(
-                    f"K={K} is not a valid lower bound: model value is {model_K}"
-                )
-            model_K = K
 
     if sigma is not None and not any(spec.walls):
         raise ValueError(f"{family} has no boundary, sigma must be absent")
@@ -214,19 +238,16 @@ def make_model_manifold(family: str, m: int = 1, n: float | None = None,
         raise ValueError("flat boundaries are totally geodesic: sigma <= 0 only")
     model_sigma = (0.0 if sigma is None else sigma) if any(spec.walls) else None
     return ModelManifold(family=family, m=int(m), n=float(n), K=float(model_K),
-                         sigma=model_sigma, drift_id=drift, length=float(length),
+                         sigma=model_sigma, drift_id=drift_id,
+                         drift_params=tuple(sorted(params.items())),
+                         length=float(length),
                          rmax=float(spec.rmax if rmax is None else rmax),
                          pole_cut=float(pole_cut))
 
 
-_OPTIONAL_KEYS = ("K", "sigma", "length", "rmax", "pole_cut")
-# every key manifold_from_dict reads
-MANIFOLD_KEYS = ("family", "m", "n", "drift") + _OPTIONAL_KEYS
-
-
 def manifold_from_dict(doc: dict) -> ModelManifold:
-    kwargs = {key: doc[key] for key in _OPTIONAL_KEYS
-              if doc.get(key) is not None}
-    return make_model_manifold(doc["family"], m=doc.get("m", 1),
-                               n=doc.get("n"), drift=doc.get("drift", "none"),
-                               **kwargs)
+    """make_model_manifold of the keys doc sets, a None key unset; a key it
+    does not read raises."""
+    reject_unknown(doc, ("family", "m", "n", "drift", "K", "sigma", "length",
+                         "rmax", "pole_cut"), "the manifold")
+    return make_model_manifold(**{k: v for k, v in doc.items() if v is not None})

@@ -46,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import FAMILIES, ModelManifold
-from .numerics import SolverError, check_real, reject_unknown
+from .numerics import SolverError, check_real, with_defaults
 
 NEUMANN_TOL = 1e-8  # |u0'| allowed at a reflecting wall
 
@@ -298,11 +298,8 @@ def initial_datum(expr: str, params: dict | None = None) -> InitialDatum:
     param it does not read or that is not a real number, raises."""
     if expr not in DATA:
         raise ValueError(f"unknown datum {expr!r}")
-    params, defaults = params or {}, DATA[expr].params
-    reject_unknown(params, tuple(defaults), f"the params of datum {expr!r}")
-    for key, value in params.items():
-        check_real(value, f"param {key!r} of datum {expr!r}")
-    return InitialDatum(expr=expr, params={**defaults, **params})
+    return InitialDatum(expr=expr, params=with_defaults(
+        params, DATA[expr].params, f"datum {expr!r}"))
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,16 @@ def reject_unknown(entry, known: tuple, what: str) -> None:
         raise ValueError(f"unknown keys {unknown} in {what}; known: {known}")
 
 
+def with_defaults(params, defaults: dict, what: str) -> dict:
+    """A catalog entry's params over its defaults; a param that the entry
+    does not read, or that is not a real number, raises."""
+    params = params or {}
+    reject_unknown(params, tuple(defaults), f"the params of {what}")
+    for key, value in params.items():
+        check_real(value, f"param {key!r} of {what}")
+    return {**defaults, **params}
+
+
 def check_real(value, what: str, integral: bool = False) -> None:
     """Raise ValueError unless a config value is a finite real number (an
     int or a float, never a bool, a str, NaN or an infinity), and a whole

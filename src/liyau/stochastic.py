@@ -83,7 +83,8 @@ class _Stepper:
         self.buf = np.empty(0)   # the step's normals, then each wall's E
 
     def __call__(self, x: np.ndarray, rng, dL: np.ndarray) -> np.ndarray:
-        """Advance x one step and write the step's local time into dL.
+        """Advance x one step and write the step's local time into dL
+        (a family without walls leaves it at the zeros it came with).
 
         Returns y = (x + b dt) + c xi (no b dt on flat families without
         drift), pushed off each flat wall where min(a, b) <= T =
@@ -104,18 +105,20 @@ class _Stepper:
         np.add(start, xi, out=y)
         if self.guard is not None:
             lo_g, hi_g = self.guard
-            for _ in range(101):
-                bad = np.flatnonzero((y <= lo_g) | (y >= hi_g))
+            bad = np.flatnonzero((y <= lo_g) | (y >= hi_g))
+            for _ in range(101):   # only a redrawn path can still be out
                 if not bad.size:
                     break
                 self.rejected += bad.size
                 xi_new = rng.standard_normal(out=xi[:bad.size])
-                y[bad] = (x[bad] + self.M.b_total(x[bad]) * dt + c * xi_new)
+                y[bad] = x[bad] + self.M.b_total(x[bad]) * dt + c * xi_new
+                bad = bad[(y[bad] <= lo_g) | (y[bad] >= hi_g)]
             else:
                 np.clip(y, lo_g, hi_g, out=y)
         if self.wrap:
             np.mod(y, 2.0 * math.pi, out=y)
-        dL.fill(0.0)
+        if self.boundaries:   # without walls dL stays as it came: zero
+            dL.fill(0.0)
         for pos, direction in self.boundaries:
             T = 0.0
             if bridge:   # this wall's draws follow those of the walls before

@@ -68,11 +68,10 @@ class TestMakeManifold:
             make_model_manifold("sphere-radial", m=2, K=1.5)
 
     def test_drift_rejected_on_radial_families(self):
-        from liyau.geometry import register_drift
-        register_drift("test-ou", lambda x: -x)
-        with pytest.raises(ValueError):
-            make_model_manifold("sphere-radial", m=2, drift="test-ou", K=0.0)
-        M = make_model_manifold("euclidean-line", drift="test-ou", K=1.0)
+        ou = {"id": "ou", "params": {"c": 1.0}}
+        with pytest.raises(ValueError, match="no radial reduction"):
+            make_model_manifold("sphere-radial", m=2, n=3, drift=ou)
+        M = make_model_manifold("interval-neumann", n=2, drift=ou)
         assert M.drift(0.5) == -0.5
 
     def test_serialization_round_trip(self):
@@ -83,6 +82,10 @@ class TestMakeManifold:
                 ("circle", {"m": 1, "n": 2.0}),
                 ("half-line-neumann", {"rmax": 5.0, "sigma": -0.3}),
                 ("interval-neumann", {"length": 2.0, "sigma": -0.3}),
+                ("interval-neumann", {"n": 2.0, "drift": {
+                    "id": "ou", "params": {"c": 0.5, "center": 1.0}}}),
+                ("euclidean-line", {"n": 3.0, "drift": {
+                    "id": "sine", "params": {"a": 0.3, "k": 2}}}),
                 ("sphere-radial", {"m": 2, "pole_cut": 1e-2}),
                 ("hyperbolic-radial", {"m": 3, "rmax": 5.0,
                                        "pole_cut": 1e-2})):
@@ -106,6 +109,115 @@ class TestMakeManifold:
                                         "sigma", *spec.keys}
         assert [f for f, s in FAMILIES.items() if s.radial] == [
             "euclidean-radial", "sphere-radial", "hyperbolic-radial"]
+
+
+# each catalog drift on each family that admits it: an ou center outside
+# the interval, intervals shorter than pi/k, a sine vertex inside the range
+# of cos kx and one clipped to an end of it
+DRIFT_CASES = [
+    ("interval-neumann", {}, "ou", {"c": 1.0, "center": 2.0}),
+    ("interval-neumann", {"length": 2.0}, "ou", {"c": -0.5, "center": 5.0}),
+    ("interval-neumann", {"length": 1.0}, "ou", {"c": 0.7, "center": 0.3}),
+    ("circle", {}, "sine", {"a": 0.3, "k": 1}),
+    ("circle", {}, "sine", {"a": -2.0, "k": 3}),
+    ("euclidean-line", {}, "sine", {"a": 0.3, "k": 1}),
+    ("euclidean-line", {}, "sine", {"a": 2.0, "k": 0.8}),
+    ("half-line-neumann", {}, "sine", {"a": 1.5, "k": -2.0}),
+    ("interval-neumann", {}, "sine", {"a": 0.3, "k": 1}),
+    ("interval-neumann", {"length": 2.0}, "sine", {"a": 2.0, "k": 1}),
+    ("interval-neumann", {"length": 1.0}, "sine", {"a": -2.0, "k": 1}),
+    ("interval-neumann", {"length": 1.0}, "sine", {"a": 0.5, "k": 2.5}),
+]
+
+
+def drift_model(case, n):
+    family, kwargs, drift_id, params = case
+    return make_model_manifold(family, n=n, drift={"id": drift_id,
+                                                   "params": params},
+                               **kwargs)
+
+
+def cd_integrand(M, x, h=1e-3):
+    """-Z' - Z^2/(n-1), Z' by fourth-order central differences of
+    M.drift."""
+    Z = M.drift
+    dZ = (8.0 * (Z(x + h) - Z(x - h)) - Z(x + 2 * h) + Z(x - 2 * h)) / (12 * h)
+    return -dZ - M.drift(x) ** 2 / (M.n - 1.0)
+
+
+class TestDriftCatalog:
+    """A drift model's K is the infimum of -Z' - Z^2/(n-1) over its
+    domain, the sharp CD(K, n) constant of L = d^2/dx^2 + Z d/dx."""
+
+    @pytest.mark.parametrize("n", [2.0, 3.5])
+    @pytest.mark.parametrize("case", DRIFT_CASES)
+    def test_sharp_K_is_the_grid_minimum(self, case, n):
+        M = drift_model(case, n)
+        # the line's and half line's grids span more than a period of Z
+        grid = np.linspace(*M.domain(), 400_001)
+        q = cd_integrand(M, grid)
+        assert abs(q.min() - M.K) < 1e-8
+
+    @pytest.mark.parametrize("case", DRIFT_CASES)
+    @pytest.mark.parametrize("probe", [lambda r: r**2,
+                                       lambda r: np.cos(r),
+                                       lambda r: r + 0.3 * np.sin(2 * r)])
+    def test_probes_hold_at_the_sharp_K(self, case, probe):
+        M = drift_model(case, 2.0)
+        lo, hi = M.domain()
+        grid = np.linspace(max(lo, -3.0) + 0.1, min(hi, 3.0) - 0.1, 50)
+        assert cd_check(M, probe, grid) >= -5e-4
+
+    @pytest.mark.parametrize("n", [2.0, 3.5])
+    @pytest.mark.parametrize("case", DRIFT_CASES)
+    def test_extremal_probe_fails_above_the_sharp_K(self, case, n):
+        # f' = 1 and f'' = Z/(n-1) at the minimiser x*: there the defect
+        # is -Z' - Z^2/(n-1) - K, so K_sharp + 0.05 leaves -0.05
+        M = drift_model(case, n)
+        lo, hi = M.domain()
+        grid = np.linspace(lo, hi, 400_001)
+        xs = grid[np.argmin(cd_integrand(M, grid))]
+        curve = M.drift(xs) / (2.0 * (n - 1.0))
+
+        def probe(x):
+            return (x - xs) + curve * (x - xs) ** 2
+
+        # off the domain the defect may fall below K_sharp
+        near = np.linspace(max(xs - 0.01, lo), min(xs + 0.01, hi), 5)
+        assert cd_check(M, probe, near, h=1e-3) >= -5e-4
+        above = dataclasses.replace(M, K=M.K + 0.05)
+        assert cd_check(above, probe, near, h=1e-3) < -0.04
+
+    def test_K_defaults_to_the_sharp_constant_and_may_only_lower_it(self):
+        sine = {"id": "sine", "params": {"a": 0.3, "k": 1}}
+        assert make_model_manifold("circle", n=2, drift=sine).K == -0.3
+        assert make_model_manifold("circle", n=2, drift=sine, K=-1.0).K == -1.0
+        assert make_model_manifold("circle", n=2, drift=sine, K=-0.3).K == -0.3
+        with pytest.raises(ValueError, match="above the sharp"):
+            make_model_manifold("circle", n=2, drift=sine, K=0.5)
+
+    @pytest.mark.parametrize("family,kwargs,drift,match", [
+        ("circle", {"n": 1}, {"id": "sine"}, "n must be > 1"),
+        ("interval-neumann", {}, {"id": "ou"}, "n must be > 1"),
+        ("euclidean-line", {"n": 2}, {"id": "ou"}, "no finite"),
+        ("half-line-neumann", {"n": 2}, {"id": "ou", "params": {"c": -1}},
+         "no finite"),
+        ("circle", {"n": 2}, {"id": "ou"}, "cannot carry"),
+        ("circle", {"n": 2}, {"id": "sine", "params": {"k": 1.5}},
+         "cannot carry"),
+        ("hyperbolic-radial", {"m": 2, "n": 3}, {"id": "sine"},
+         "no radial reduction"),
+        ("circle", {"n": 2}, {"id": "cosine"}, "unknown drift"),
+        ("circle", {"n": 2}, {"id": "sine", "params": {"a": "0.3"}},
+         "must be a real number"),
+        ("circle", {"n": 2}, {"id": "sine", "params": {"b": 1}},
+         "unknown keys"),
+        ("circle", {"n": 2}, {"id": "sine", "parms": {}}, "unknown keys"),
+        ("circle", {"n": 2}, "sine", "unknown keys"),
+    ])
+    def test_rejected(self, family, kwargs, drift, match):
+        with pytest.raises(ValueError, match=match):
+            make_model_manifold(family, drift=drift, **kwargs)
 
 
 class TestCdCheck:

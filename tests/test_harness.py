@@ -19,7 +19,6 @@ from liyau import (HeatState, bound_margins, bounds, check_inequality, clocks,
                    initial_datum, make_clock, manifold_from_dict, solve_heat,
                    stochastic)
 from liyau.cli import main
-from liyau.geometry import register_drift
 from liyau.heatflow import SolverError
 from liyau.harness import (CSV_COLUMNS, BoundBlock, ExperimentConfig,
                            Report, _bound_block, emit_report, load_report,
@@ -40,11 +39,8 @@ def error_lines(output: str) -> list:
     return [line for line in output.splitlines() if line.startswith("Error:")]
 
 
-def register_ou_drift():
-    try:
-        register_drift("harness-ou", lambda x: -0.2 * x)
-    except ValueError:
-        pass  # already registered by an earlier test
+# Z = 0.2 sin x on the line: its sharp CD(K, 2) constant is -0.2
+SINE_DRIFT = {"id": "sine", "params": {"a": 0.2, "k": 1}}
 
 
 SOLVE_ERROR = "SolverError: u(0.0) = -0.5 below positivity floor"
@@ -341,10 +337,9 @@ class TestRunExperiment:
         assert len(BoundBlock(row).failing(1e-6)) == 1
 
     def test_classical_bounds_skipped_on_drift_models(self):
-        register_ou_drift()
         cfg = minimal_config(
             manifold={"family": "euclidean-line", "m": 1, "n": 2,
-                      "K": -0.5, "drift": "harness-ou"},
+                      "drift": SINE_DRIFT},
             initial_datum={"id": "gaussian",
                            "params": {"amp": 1.0, "width": 0.3}},
             bounds=[{"id": "davies", "params": {"alpha": [2.0]}}],
@@ -567,6 +562,19 @@ class TestEnsemblePlan:
         assert solved == [(0.5, 65, "spectral"), (0.25, None, "spectral"),
                           (0.5, None, "spectral"), (0.4, None, "spectral"),
                           (0.3, None, "spectral"), (0.1, None, "spectral")]
+
+    def test_targets_are_solved_before_any_pass_is_awaited(self,
+                                                          monkeypatch):
+        # in-process, a pass runs when its first outcome is asked for
+        events = []
+        run = stochastic.run_ensemble
+        monkeypatch.setattr(stochastic, "_cores", lambda: 1)
+        monkeypatch.setattr(harness, "solve_heat", lambda *a, **kw: (
+            events.append("solve") or solve_heat(*a, **kw)))
+        monkeypatch.setattr(stochastic, "run_ensemble", lambda *a: (
+            events.append("pass") or run(*a)))
+        run_experiment(interval_mc_config())
+        assert events == ["solve"] * 6 + ["pass"] * events.count("pass")
 
     def test_grid_and_mc_states_share_one_cache(self, monkeypatch):
         # configs/interval_mc.json: the MC targets leave grid_size unset,
@@ -864,10 +872,9 @@ def mixed_report() -> Report:
     hyperbolic = run_experiment(minimal_config(
         manifold={"family": "hyperbolic-radial", "m": 2}, times=[1, 2],
         grid_size=21, bounds=[{"id": "bbg"}]))
-    register_ou_drift()
     drift = run_experiment(minimal_config(
-        manifold={"family": "euclidean-line", "m": 1, "n": 2, "K": -0.5,
-                  "drift": "harness-ou"},
+        manifold={"family": "euclidean-line", "m": 1, "n": 2,
+                  "drift": SINE_DRIFT},
         initial_datum={"id": "gaussian", "params": {"amp": 1.0,
                                                     "width": 0.3}},
         scheme="crank-nicolson-fd", times=[0.5], grid_size=21,

@@ -9,12 +9,15 @@ import pytest
 
 from liyau import (exact_kernel, gaussian_kernel_state, initial_datum,
                    make_model_manifold, solve_heat)
-from liyau.geometry import FAMILIES, manifold_from_dict, register_drift
+from liyau.geometry import FAMILIES, manifold_from_dict
 from liyau import heatflow
 from liyau.heatflow import (_MODE_CUT, _apply, _basis, _generator,
                             _kernel_spectral, _kernel_wrapped,
                             _radial_spectral, radial_eigenpair)
 from liyau.numerics import SolverError
+
+# Z = 0.3 sin x: its sharp CD(K, 2) constant is -0.3 on every family
+SINE_DRIFT = {"id": "sine", "params": {"a": 0.3, "k": 1}}
 
 
 class TestKernels:
@@ -224,8 +227,7 @@ class TestSolvers:
     def test_crank_nicolson_periodic_drift_matches_dense(self):
         # a drift makes the two periodic corners of I - dt/2 L unequal;
         # reference: dense CN on the textbook central stencil
-        register_drift("heatflow-sin", lambda x: 0.3 * np.sin(x))
-        M = make_model_manifold("circle", drift="heatflow-sin", K=-0.3)
+        M = make_model_manifold("circle", n=2, drift=SINE_DRIFT)
         t = 0.5
         st = solve_heat(M, initial_datum("cosine", {"k": 2, "amp": 0.5}), t,
                         scheme="crank-nicolson-fd")
@@ -545,8 +547,7 @@ class TestSolvers:
             return lambda rhs: lapack.dgttrs(*factors, rhs)[0]
 
         if family == "circle":   # unequal corners: Sherman-Morrison
-            register_drift("heatflow-sin", lambda x: 0.3 * np.sin(x))
-            M = make_model_manifold(family, drift="heatflow-sin", K=-0.3)
+            M = make_model_manifold(family, n=2, drift=SINE_DRIFT)
         else:
             M = make_model_manifold(family, m=2)
         datum = initial_datum("cosine", {"k": 2, "amp": 0.5})
@@ -559,8 +560,9 @@ class TestSolvers:
 
     def test_crank_nicolson_needs_a_dominant_matrix(self):
         # a drift of 400 sin x makes the stencil's weights change sign
-        register_drift("heatflow-steep", lambda x: 400.0 * np.sin(x))
-        M = make_model_manifold("circle", drift="heatflow-steep", K=-400.0)
+        M = make_model_manifold("circle", n=2, drift={
+            "id": "sine", "params": {"a": 400.0, "k": 1}})
+        assert M.K == -160000.25
         with pytest.raises(SolverError, match="diagonally dominant"):
             solve_heat(M, initial_datum("constant"), 0.1,
                        scheme="crank-nicolson-fd")
@@ -704,12 +706,11 @@ class TestSolvers:
             solve_heat(line, datum, 0.5)
 
     def test_exact_schemes_need_zero_drift(self, circle, interval, sphere2):
-        register_drift("heatflow-sin", lambda x: 0.3 * np.sin(x))
         datum = initial_datum("constant")
         for family, scheme in (("circle", "spectral"),
                                ("interval-neumann", "spectral"),
                                ("euclidean-line", "kernel")):
-            M = make_model_manifold(family, drift="heatflow-sin", K=-0.3)
+            M = make_model_manifold(family, n=2, drift=SINE_DRIFT)
             with pytest.raises(SolverError, match="needs Z = 0"):
                 solve_heat(M, datum, 0.5, scheme=scheme)
         for M in (circle, interval, sphere2):

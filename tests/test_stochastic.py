@@ -8,7 +8,6 @@ from liyau import (clock_integrals, cutoff_growth_check, estimate_functional,
                    expected_local_time, expected_value_at, initial_datum,
                    local_time_moment, make_clock, make_model_manifold,
                    solve_heat)
-from liyau.geometry import register_drift
 from liyau.numerics import mean_and_stderr
 from liyau.stochastic import (_F_FLOOR, Accumulator, Ensemble, _step_count,
                               _Stepper, local_time_accumulator, run_ensemble,
@@ -196,19 +195,22 @@ class TestInPlaceStepper:
     @pytest.mark.parametrize("scheme", ["bridge", "projection"])
     @pytest.mark.parametrize("family", ["half-line-neumann",
                                         "interval-neumann",
-                                        "interval-with-drift"])
+                                        "interval-with-drift",
+                                        "sphere-radial"])
     def test_bit_identical_to_allocating_formulas(self, family, scheme, dt):
         if family == "interval-with-drift":
-            try:
-                register_drift("stochastic-pull", lambda x: 2.0 - x)
-            except ValueError:
-                pass  # already registered by an earlier parameter
-            M = make_model_manifold("interval-neumann",
-                                    drift="stochastic-pull", K=0.0)
+            # Z = 2 - x, so K = 1 - 4/(n - 1) at the wall x = 0
+            M = make_model_manifold("interval-neumann", n=2, drift={
+                "id": "ou", "params": {"c": 1.0, "center": 2.0}})
+            assert M.K == -3.0
         else:
-            M = make_model_manifold(family)
+            M = make_model_manifold(family, m=2 if family == "sphere-radial"
+                                    else 1)
+        walls = M.has_boundary
         top = M.boundaries()[-1][0] if M.family == "interval-neumann" else 3.0
         starts = [0.0, 0.0, 1e-3, 0.05, 0.5, top / 2, top - 0.05, top]
+        if not walls:   # near the pole, where the chart guard redraws
+            starts = [1e-3, 0.01, 0.05, 0.3, 0.3, 0.3, 1.0, 3.0]
         x = np.tile(starts, 25)  # mixed starts, some on a wall
         ref = x.copy()
         dL = np.zeros_like(x)
@@ -216,7 +218,11 @@ class TestInPlaceStepper:
         rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
         pushed = 0
         for _ in range(50):
-            ref, ref_dL = reference_flat_step(M, dt, scheme, ref, ref_rng)
+            if walls:
+                ref, ref_dL = reference_flat_step(M, dt, scheme, ref, ref_rng)
+            else:   # the reference redraws from a scan of every path
+                ref = reference_curved_step(M, dt, ref, ref_rng)
+                ref_dL = np.zeros_like(ref)
             x = stepper(x, rng, dL)
             # bit patterns, so a changed sign of zero shows as well
             assert np.array_equal(x.view(np.uint64), ref.view(np.uint64))
@@ -224,9 +230,10 @@ class TestInPlaceStepper:
                                   ref_dL.view(np.uint64))
             # at dt = 1e-4 most paths are too far from a wall to be pushed,
             # so the near-wall filter decides for both kinds every step
-            assert 0 < np.count_nonzero(dL) < x.size
+            assert 0 < np.count_nonzero(dL) < x.size or not walls
             pushed += np.count_nonzero(dL)
-        assert pushed > 100  # the walls were exercised
+        # the walls, or the guard's redraws, were exercised
+        assert pushed > 100 if walls else stepper.rejected > 0
 
     @pytest.mark.parametrize("family", ["sphere-radial", "hyperbolic-radial"])
     def test_curved_step_bit_identical_to_allocating_formula(self, family):
