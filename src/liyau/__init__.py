@@ -28,8 +28,8 @@ if "numpy" not in _sys.modules:
 __version__ = "0.1.0"
 
 from .geometry import ModelManifold, make_model_manifold, manifold_from_dict
-from .heatflow import (HeatState, InitialDatum, exact_kernel,
-                       gaussian_kernel_state, initial_datum, solve_heat)
+from .heatflow import (HeatState, InitialDatum, exact_kernel, initial_datum,
+                       solve_heat)
 from .bounds import (BoundForm, CheckResult, Margins, NonconvexData,
                      beta_t_alpha, bound_margins,
                      check_inequality, eval_bound, local_betas,

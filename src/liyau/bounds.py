@@ -29,30 +29,59 @@ from .numerics import (check_real, coth, decay_rate, em1int,
 
 
 class Bound(NamedTuple):
-    params: dict = {}         # config param -> required, in sweep order
-    driftless: bool = False   # a classical estimate stated for Z = 0
+    params: dict = {}    # config param -> required, in sweep order
+    assumes: tuple = ()  # (holds(t, K, p, drift) -> bool, note), in check order
 
+
+def _trig_disc(K: float, t: float, alpha: float) -> float:
+    """(1+alpha)/(K t) - (9 pi^2 - 64)/(9 pi^2): beta_t_alpha's radicand."""
+    return (1.0 + alpha) / (K * t) - (9.0 * math.pi**2 - 64.0) / (9.0 * math.pi**2)
+
+
+_Z0 = (lambda t, K, p, drift: not drift,
+       "stated for Z = 0, skipped on a drift model")
+_ALPHA = (lambda t, K, p, drift: p["alpha"] > 1.0, "alpha must exceed 1")
+_K_POS = (lambda t, K, p, drift: K > 0, "needs K > 0")
+_EPS = (lambda t, K, p, drift: p["eps"] > 0, "needs eps > 0")
+_LINEAR = (lambda t, K, p, drift: p["alpha"] >= 1.0
+           and p["alpha"] >= 1.0 + max(-K, 0.0) * t - 1e-15,
+           "alpha must satisfy alpha >= 1 + K^- t")
+_TRIG = ((lambda t, K, p, drift: K != 0.0, "needs K != 0"),
+         (lambda t, K, p, drift: _trig_disc(K, t, p["alpha"]) >= 0.0,
+          "(1+alpha)/(Kt) below the admissible threshold"))
+_DECAY = (lambda t, K, p, drift: p.get("K_prime", K) >= K,
+          "needs K_prime >= K")
 
 # The catalog: each id's config params, in the sweep order alpha, eps,
-# K_prime, R, K_region (K_prime defaults to K, K_region to K^-), and
-# whether a drift model skips it rather than test it on L = Delta + Z.
+# K_prime, R, K_region (K_prime defaults to K, K_region to K^-), and the
+# hypotheses it is stated under beyond CD(K, n) and a convex boundary:
+# drift marks a model with L = Delta + Z, Z != 0.
 BOUNDS = {
-    "davies": Bound({"alpha": True}, True),    # K^-/(alpha-1) constant
-    "bakry-qian": Bound(driftless=True),       # (1 + 2/3 K^- t) coefficient
-    "li-xu": Bound(driftless=True),            # sinh/cosh coefficient
-    "yau": Bound(driftless=True),              # sqrt form in W = |grad u|^2/u
-    "bakry-qian-sqrt": Bound(driftless=True),  # sqrt form in X
-    "bbg": Bound(),                            # Bakry-Bolley-Gentil, Phi
+    "davies": Bound({"alpha": True}, (_Z0, _ALPHA)),  # K^-/(alpha-1) constant
+    "bakry-qian": Bound(assumes=(_Z0,)),       # (1 + 2/3 K^- t) coefficient
+    "li-xu": Bound(assumes=(_Z0,)),            # sinh/cosh coefficient
+    "yau": Bound(assumes=(_Z0,)),              # sqrt form in W = |grad u|^2/u
+    "bakry-qian-sqrt": Bound(assumes=(_Z0,)),  # sqrt form in X
+    "bbg": Bound(assumes=(_K_POS,)),           # Bakry-Bolley-Gentil, Phi
     "lu-range": Bound(),                       # one-sided range for Y alone
-    "exp-alpha": Bound({"alpha": True}),       # exp-integral clock
-    "linear-alpha": Bound({"alpha": True}),    # linear clock
-    "linear-unit": Bound(),                    # alpha = 1, K > 0
-    "trig-alpha": Bound({"alpha": True}),      # trig clock
-    "grad-decay": Bound({"K_prime": False}),   # K > 0, exponential decay
-    "local-grad": Bound({"eps": True, "R": True, "K_region": False}),  # cutoff
-    "local-alpha": Bound({"alpha": True, "R": True, "K_region": False}),
+    "exp-alpha": Bound({"alpha": True}, (_ALPHA,)),    # exp-integral clock
+    "linear-alpha": Bound({"alpha": True}, (_LINEAR,)),  # linear clock
+    "linear-unit": Bound(assumes=(_K_POS,)),   # alpha = 1
+    "trig-alpha": Bound({"alpha": True}, _TRIG),       # trig clock
+    "grad-decay": Bound({"K_prime": False}, (_K_POS, _DECAY)),  # decay in t
+    "local-grad": Bound({"eps": True, "R": True, "K_region": False}, (_EPS,)),
+    "local-alpha": Bound({"alpha": True, "R": True, "K_region": False},
+                         (_ALPHA,)),
 }
 BOUND_IDS = tuple(BOUNDS)
+
+
+def hypothesis(bound_id: str, t: float, K: float, p: dict,
+               drift: bool = False) -> str:
+    """The note of the first hypothesis of bound_id (BOUNDS) failing at t,
+    K and params p, on a drift model with drift; "" if none fails."""
+    return next((note for holds, note in BOUNDS[bound_id].assumes
+                 if not holds(t, K, p, drift)), "")
 
 
 def check_keys(bound_id: str, keys, extra: tuple | None = None) -> None:
@@ -170,15 +199,12 @@ def beta_t_alpha(K: float, t: float, alpha: float) -> float:
     """Completed-square root used by the trig-clock bound.
 
     beta = sqrt((1+alpha)/(K t) - (9 pi^2 - 64)/(9 pi^2)) - 8/(3 pi);
-    it solves beta^2 + (16/3pi) beta + 1 - (1+alpha)/(Kt) = 0.
+    it solves beta^2 + (16/3pi) beta + 1 - (1+alpha)/(Kt) = 0 and is
+    real where trig-alpha's hypotheses hold; elsewhere ValueError.
     """
-    if K == 0.0:
-        raise ValueError("K must be nonzero")
-    shift = (9.0 * math.pi**2 - 64.0) / (9.0 * math.pi**2)
-    disc = (1.0 + alpha) / (K * t) - shift
-    if disc < 0.0:
-        raise ValueError("(1+alpha)/(Kt) below the admissible threshold")
-    return math.sqrt(disc) - 8.0 / (3.0 * math.pi)
+    if note := hypothesis("trig-alpha", t, K, {"alpha": alpha}):
+        raise ValueError(note)
+    return math.sqrt(_trig_disc(K, t, alpha)) - 8.0 / (3.0 * math.pi)
 
 
 def local_betas(n: float, K_region: float, R: float, eps: float,
@@ -251,23 +277,18 @@ def _g3_y_coeff(beta: float, K_D: float, t: float, eps: float) -> float:
 
 def _normal_form(bound_id: str, n: float, t: float, K: float,
                  p: dict) -> tuple:
-    """(gamma, a, c, note) of a normal-form id at n, t, K and its params p;
-    gamma is None where the constants are out of domain, the note says why."""
+    """(gamma, a, c, note) of a normal-form id at n, t, K and its params p
+    where its hypotheses hold; gamma is None where a constant is infinite."""
     Km = max(-K, 0.0)
     alpha, eps, R = p.get("alpha"), p.get("eps"), p.get("R")
     K_prime, K_region = p.get("K_prime", K), p.get("K_region", Km)
 
-    def bad(note: str) -> tuple:
-        return None, None, 0.0, note
-
     def form(gamma, a, c, note=""):
         if not all(map(math.isfinite, (gamma, a, c))):
-            return bad("non-finite constant")
+            return None, None, 0.0, "non-finite constant"
         return gamma, a, c, note
 
     if bound_id == "davies":
-        if alpha <= 1.0:
-            return bad("alpha must exceed 1")
         c = n * Km * alpha**2 / (4.0 * (alpha - 1.0)) + n * alpha**2 / (2.0 * t)
         return form(1.0, alpha, c)
 
@@ -293,31 +314,20 @@ def _normal_form(bound_id: str, n: float, t: float, K: float,
         return form(0.0, 1.0, c, note="lower bound on Y")
 
     if bound_id == "exp-alpha":
-        if alpha <= 1.0:
-            return bad("alpha must exceed 1")
         gamma = _exp_alpha_lhs_coeff(K, t, alpha)
         c = (n * alpha / (2.0 * t)) * float(xcoth(K * t / (2.0 * (alpha - 1.0))))
         return form(gamma, 1.0, c)
 
     if bound_id == "linear-alpha":
-        if alpha < 1.0 or alpha < 1.0 + Km * t - 1e-15:
-            return bad("alpha must satisfy alpha >= 1 + K^- t")
         gamma = 1.0 + 2.0 * K * t / (3.0 * alpha)
         return form(gamma, 1.0, n * alpha / (2.0 * t))
 
     if bound_id == "linear-unit":
-        if K <= 0:
-            return bad("needs K > 0")
         gamma = 1.0 + 2.0 * K * t / 3.0
         return form(gamma, 1.0, n / (2.0 * t))
 
     if bound_id == "trig-alpha":
-        if K == 0.0:
-            return bad("needs K != 0")
-        try:
-            beta = beta_t_alpha(K, t, alpha)
-        except ValueError as exc:
-            return bad(str(exc))
+        beta = beta_t_alpha(K, t, alpha)
         c = 0.5 * n * (0.5 * K * (alpha - 1.0)
                        + (1.0 + alpha) * math.pi**2 / (2.0 * K * t**2)
                        - 2.0 * math.pi * beta / t
@@ -325,46 +335,38 @@ def _normal_form(bound_id: str, n: float, t: float, K: float,
         return form(1.0, alpha, c)
 
     if bound_id == "grad-decay":
-        if K <= 0:
-            return bad("needs K > 0")
-        if K_prime < K:
-            return bad("needs K_prime >= K")
         cut = min(1.0, K * t)
         c = 0.5 * n * (math.pi**2 * K / (2.0 * cut**2) - 0.5 * K
                        - 3.0 * K * math.pi**2 / (8.0 * cut))
         c *= math.exp(-2.0 * K_prime * max(t - 1.0 / K, 0.0))
         return form(1.0, 0.0, c)
 
-    if bound_id == "bbg":   # at K > 0 c depends on Y: see bound_margins
-        return bad("needs K > 0")
-
     if bound_id == "local-grad":
-        if eps <= 0:
-            return bad("needs eps > 0")
         beta, _ = local_betas(n, K_region, R, eps, alpha=2.0)
         a = _g3_y_coeff(beta, K_region, t, eps)
         c = 0.5 * n * (1.0 + eps) ** 2 * decay_rate(beta, t)
         return form(1.0, a, c)
 
     # local-alpha, the last normal-form id
-    if alpha <= 1:
-        return bad("alpha must exceed 1")
     _, beta = local_betas(n, K_region, R, eps=1.0, alpha=alpha)
     c = 0.5 * n * alpha**2 * (K_region / (alpha - 1.0) + decay_rate(beta, t))
     return form(1.0, alpha, c)
 
 
-def bound_margins(bound_id: str, params: dict, X, Y, W=None) -> Margins:
+def bound_margins(bound_id: str, params: dict, X, Y, W=None,
+                  drift: bool = False) -> Margins:
     """Margins of one bound at every node of observed X, Y (and W) arrays:
     the one evaluator of the catalog.
 
     params carries n and t always, K (default 0) and the bound's own
     params (BOUNDS; a missing required one raises KeyError, other keys are
-    ignored); W = |grad u|^2/u is needed by yau only.  margin >= 0 where
-    the bound holds.  bbg is out of domain at the nodes whose Y leaves its
-    window; skip_all marks a bound whose constants are out of domain.  A
-    local bound's R <= 0 or K_region < 0 raises ValueError from
-    local_betas; check_keys rejects both at load.
+    ignored); W = |grad u|^2/u is needed by yau only, and drift says that
+    the model has L = Delta + Z with Z != 0.  margin >= 0 where the bound
+    holds.  bbg is out of domain at the nodes whose Y leaves its window;
+    skip_all marks a bound whose hypotheses fail (the note of the first,
+    see hypothesis) or whose constants are not finite.  A local bound's
+    R <= 0 or K_region < 0 raises ValueError from local_betas; check_keys
+    rejects both at load.
     """
     if bound_id not in BOUNDS:
         raise ValueError(f"unknown bound id {bound_id!r}")
@@ -379,6 +381,10 @@ def bound_margins(bound_id: str, params: dict, X, Y, W=None) -> Margins:
     if np.any(X < 0):
         raise ValueError("X is a square, must be nonnegative")
     full = lambda v: np.broadcast_to(v, X.shape)
+    skip = lambda note: Margins(None, None, 0.0, full(math.nan), full(False),
+                                full(note), skip_all=True)
+    if note := hypothesis(bound_id, t, K, p, drift):
+        return skip(note)
 
     if bound_id in ("yau", "bakry-qian-sqrt"):
         # no (gamma, a, c) normal form: evaluated as stated
@@ -391,7 +397,7 @@ def bound_margins(bound_id: str, params: dict, X, Y, W=None) -> Margins:
         else:
             root = math.sqrt(n * Km) * np.sqrt(X + h + n * Km / 4.0)
         return Margins(None, None, 0.0, Y + root + h - X, full(True), full(""))
-    if bound_id == "bbg" and K > 0:
+    if bound_id == "bbg":
         lam = 1.0 - 4.0 * Y / (n * K)
         inside = ~(lam <= -math.pi**2 / (K * t) ** 2)
         c = np.full(X.shape, math.nan)
@@ -403,8 +409,7 @@ def bound_margins(bound_id: str, params: dict, X, Y, W=None) -> Margins:
                        np.where(ok, Y + c - X, math.nan), ok, note)
     gamma, a, c, note = _normal_form(bound_id, n, t, K, p)
     if gamma is None:
-        return Margins(None, None, 0.0, full(math.nan), full(False),
-                       full(note), skip_all=True)
+        return skip(note)
     return Margins(gamma, a, c, a * Y + c - gamma * X, full(True), full(note))
 
 

@@ -38,7 +38,7 @@ class Family(NamedTuple):
     radial: bool = False            # an open pole end: the chart guard
     flux_form: bool = False         # solved as w^{-1} (w u')'
     compact: bool = False           # the grid covers the whole space
-    sharp_K: Callable = lambda m: 0.0   # the driftless model's K
+    sharp_K: Callable = lambda m: 0.0   # K of the model without drift
     profile: Callable = np.ones_like    # volume density profile^(m-1)
     rmax: float = 8.0
     grid_size: int = 401

@@ -90,6 +90,15 @@ def resolve(config: ExperimentConfig) -> tuple:
     sizes = [config.grid_size, *(e.get("grid_size") for e in config.mc)]
     datum.check(M, min(M.spec.grid_size if size is None else int(size)
                        for size in sizes))
+    # last, so every error above keeps its precedence: an entry whose
+    # hypotheses fail at every (t, params) point would check nothing
+    drift = M.drift_id != "none"
+    for bound_id, param_sets in sweeps:
+        notes = {bounds_mod.hypothesis(bound_id, t, M.K, p, drift)
+                 for t in config.times for p in param_sets}
+        if "" not in notes:
+            raise ValueError(f"bound {bound_id!r} applies at no (t, params) "
+                             f"point of the config: {'; '.join(sorted(notes))}")
     return M, datum, sweeps, entries
 
 
@@ -222,11 +231,9 @@ def _bound_block(state: HeatState, nodes: tuple, bound_id: str,
     """One bound at one state; nodes is the state's (x, X, Y, W)."""
     M = state.manifold
     head = _empty_bound_row(M, state.t, bound_id, params)
-    if M.drift_id != "none" and bounds_mod.BOUNDS[bound_id].driftless:
-        return BoundBlock(dict(head,
-                               note="stated for Z = 0, skipped on a drift model"))
     full = dict(params, n=M.n, t=state.t, K=M.K)
-    m = bounds_mod.bound_margins(bound_id, full, *nodes[1:])
+    m = bounds_mod.bound_margins(bound_id, full, *nodes[1:],
+                                 drift=M.drift_id != "none")
     if m.skip_all:
         return BoundBlock(dict(head, note=str(m.note.flat[0])))
     return BoundBlock(head, nodes, m)

@@ -788,16 +788,3 @@ def _kernel_evolution(M, u0, t, grid):
     k, dk, Lk = kernel(M.m, s + t, grid)
     return float(p["base"]) + scale * k, scale * dk, scale * Lk
 
-
-def gaussian_kernel_state(M: ModelManifold, t: float, grid=None) -> HeatState:
-    """The centered heat kernel u = p_t(., 0) of a wall-less family of
-    KERNELS with its exact derivatives: X - Y = d/(2t) pointwise, d the
-    kernel's dimension (1 on the line, m on the flat radial family)."""
-    if M.family not in KERNELS or M.has_boundary:
-        raise ValueError("kernel states are for the flat families")
-    if t <= 0:
-        raise ValueError("t must be positive")
-    grid = np.asarray(M.grid(M.spec.grid_size) if grid is None else grid,
-                      dtype=float)
-    return HeatState(M, t, grid, *KERNELS[M.family](M.m, t, grid),
-                     scheme="kernel")

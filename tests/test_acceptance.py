@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 
 from conftest import simpson
-from liyau import (beta_t_alpha, bound_margins, clock_integrals,
+from liyau import (HeatState, beta_t_alpha, bound_margins, clock_integrals,
                    estimate_functional, eval_bound, expected_local_time,
-                   gamma_integral, gaussian_kernel_state, initial_datum,
-                   local_betas, make_clock, make_model_manifold,
-                   nonconvex_bound_rhs, nonconvex_constants, phi_bbg,
-                   solve_heat)
+                   gamma_integral, initial_datum, local_betas, make_clock,
+                   make_model_manifold, nonconvex_bound_rhs,
+                   nonconvex_constants, phi_bbg, solve_heat)
+from liyau.heatflow import KERNELS
 
 TOL_SCALE = 1e-6  # margin passes at  margin >= -TOL_SCALE * (1 + |c|)
 
@@ -73,7 +73,8 @@ def test_criterion_01_gaussian_saturation():
         for _ in range(100):
             t = rng.uniform(0.05, 2.0)
             x = rng.uniform(*span)
-            st = gaussian_kernel_state(M, t, np.array([x]))
+            grid = np.array([x])   # the centered kernel p_t(., 0)
+            st = HeatState(M, t, grid, *KERNELS[M.family](M.m, t, grid))
             gap = abs(float(st.X()[0] - st.Y()[0]) - M.n / (2.0 * t))
             worst = max(worst, gap)
     elapsed = time.time() - start

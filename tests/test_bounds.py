@@ -1,4 +1,7 @@
 import math
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import simpson
-from liyau import (beta_t_alpha, bound_margins, bounds, check_inequality,
-                   eval_bound, gaussian_kernel_state, local_betas, phi_bbg)
-from liyau.bounds import BOUND_IDS, BOUNDS, sweep
+from liyau import (HeatState, beta_t_alpha, bound_margins, bounds,
+                   check_inequality, eval_bound, local_betas, phi_bbg)
+from liyau.bounds import BOUND_IDS, BOUNDS, hypothesis, sweep
+from liyau.harness import ExperimentConfig, run_experiment
+from liyau.heatflow import KERNELS
 
 
 class TestPhi:
@@ -327,7 +332,9 @@ class TestCheckInequality:
 
     def test_gaussian_attains_linear_alpha_equality(self, line):
         # flat heat kernel saturates X = Y + n/(2t) exactly
-        state = gaussian_kernel_state(line, 0.5, np.array([0.3, 0.9, 2.0]))
+        grid = np.array([0.3, 0.9, 2.0])
+        state = HeatState(line, 0.5, grid,
+                          *KERNELS[line.family](line.m, 0.5, grid))
         for i in range(3):
             res = check_inequality("linear-alpha",
                                    {"n": 1, "t": 0.5, "K": 0.0, "alpha": 1.0},
@@ -425,6 +432,103 @@ class TestBoundMargins:
                           np.zeros(4), np.zeros(4))
         assert m.skip_all and not m.domain_ok.any()
         assert m.note.tolist() == ["needs K > 0"] * 4
+
+
+class TestHypotheses:
+    """BOUNDS declares what each id assumes; hypothesis reads it."""
+
+    Z0 = "stated for Z = 0, skipped on a drift model"
+
+    def test_the_first_failing_note_in_check_order(self):
+        for bid, t, K, p, drift, note in (
+                ("davies", 1.0, 0.0, {"alpha": 0.5}, True, self.Z0),
+                ("davies", 1.0, 0.0, {"alpha": 0.5}, False,
+                 "alpha must exceed 1"),
+                ("davies", 1.0, -1.0, {"alpha": 1.5}, False, ""),
+                ("yau", 1.0, -1.0, {}, True, self.Z0),
+                ("bbg", 1.0, 0.0, {}, False, "needs K > 0"),
+                ("linear-unit", 1.0, 1.0, {}, True, ""),
+                ("exp-alpha", 1.0, -1.0, {"alpha": 1.0}, True,
+                 "alpha must exceed 1"),
+                ("linear-alpha", 0.5, -1.0, {"alpha": 1.4}, False,
+                 "alpha must satisfy alpha >= 1 + K^- t"),
+                ("linear-alpha", 0.5, -1.0, {"alpha": 1.5}, True, ""),
+                ("trig-alpha", 1.0, 0.0, {"alpha": 2.0}, False, "needs K != 0"),
+                ("trig-alpha", 1.0, -1.0, {"alpha": 2.0}, False,
+                 "(1+alpha)/(Kt) below the admissible threshold"),
+                ("grad-decay", 1.0, -1.0, {"K_prime": -2.0}, False,
+                 "needs K > 0"),
+                ("grad-decay", 1.0, 1.0, {"K_prime": 0.5}, False,
+                 "needs K_prime >= K"),
+                ("grad-decay", 1.0, 1.0, {}, False, ""),   # K_prime = K
+                ("local-grad", 1.0, 1.0, {"eps": 0.0}, False, "needs eps > 0"),
+                ("local-alpha", 1.0, 1.0, {"alpha": 1.0}, False,
+                 "alpha must exceed 1"),
+                ("lu-range", 1.0, -1.0, {}, True, "")):
+            assert hypothesis(bid, t, K, p, drift) == note, bid
+            full = dict(p, n=2.0, t=t, K=K, eps=p.get("eps", 1.0), R=1.0)
+            m = bound_margins(bid, full, np.zeros(3), np.zeros(3), np.zeros(3),
+                              drift=drift)
+            assert m.skip_all is bool(note), bid
+            if note:
+                assert m.note.tolist() == [note] * 3
+
+    def test_beta_t_alpha_is_real_where_trig_alpha_holds(self):
+        # one radicand for the root and the hypothesis
+        for K in (-2.0, -0.3, 0.0, 0.3, 2.0):
+            for t in (0.05, 0.5, 2.0, 20.0):
+                for alpha in (0.5, 1.0, 2.0, 4.0):
+                    note = hypothesis("trig-alpha", t, K, {"alpha": alpha})
+                    if note:
+                        with pytest.raises(ValueError, match=re.escape(note)):
+                            beta_t_alpha(K, t, alpha)
+                    else:
+                        assert math.isfinite(beta_t_alpha(K, t, alpha))
+
+    def test_a_drift_skips_only_the_ids_stated_for_z0(self):
+        params = {"n": 2.0, "t": 0.7, "K": 0.8, "alpha": 2.0, "eps": 1.0,
+                  "R": 1.5}
+        skipped = {bid for bid in BOUND_IDS if bound_margins(
+            bid, params, np.zeros(2), np.zeros(2), np.zeros(2),
+            drift=True).skip_all}
+        assert skipped == {"davies", "bakry-qian", "li-xu", "yau",
+                           "bakry-qian-sqrt"}
+
+
+class TestMutation:
+    """A bound whose right-hand side is weakened by the factor 1 - delta
+    must fail rows of configs/kernel_line.json, whose heat kernel nearly
+    saturates the flat bounds.  The right-hand side is a Y + c, or
+    Y + root + n/2t for the square-root forms: margin + gamma X, gamma = 1
+    without a normal form."""
+
+    CONFIG = Path(bounds.__file__).parents[2] / "configs" / "kernel_line.json"
+
+    def caught(self, monkeypatch, bound_id, delta) -> bool:
+        def weakened(bid, params, X, Y, W=None, drift=False):
+            m = bound_margins(bid, params, X, Y, W, drift)
+            if bid != bound_id:
+                return m
+            gamma = 1.0 if m.gamma is None else m.gamma
+            return replace(m, margin=m.margin - delta * (m.margin + gamma * X))
+
+        monkeypatch.setattr(bounds, "bound_margins", weakened)
+        config = ExperimentConfig.from_json(self.CONFIG)
+        one = [e for e in config.bounds if e["id"] == bound_id]
+        report = run_experiment(replace(config, bounds=one))
+        assert report.checked()
+        return bool(report.failures())
+
+    def test_a_weakened_bound_fails(self, monkeypatch):
+        for bid in ("bakry-qian", "li-xu", "yau", "bakry-qian-sqrt"):
+            assert self.caught(monkeypatch, bid, 1e-2), bid
+        for bid in ("exp-alpha", "linear-alpha"):
+            assert not self.caught(monkeypatch, bid, 1e-2), bid
+            assert self.caught(monkeypatch, bid, 1e-1), bid
+
+    def test_no_bound_fails_unweakened(self, monkeypatch):
+        for entry in ExperimentConfig.from_json(self.CONFIG).bounds:
+            assert not self.caught(monkeypatch, entry["id"], 0.0), entry
 
 
 class TestComparisons:

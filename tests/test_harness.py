@@ -94,12 +94,19 @@ class TestRunExperiment:
         assert not report.failures() and report.exit_code == 1
 
     def test_out_of_domain_rows_marked_not_fatal(self):
+        # davies at alpha 0.5 is out of domain whatever the state: one skip
+        # row with its note, no failure, beside alpha 2's checked rows
         report = run_experiment(minimal_config(
-            bounds=[{"id": "trig-alpha", "params": {"alpha": [2.0]}}]))
-        # a skip is no failure, but a run of skips alone checked nothing
-        assert not report.failures() and report.exit_code == 1
-        assert all(not r["domain_ok"] for r in report.bound_rows)
-        assert all(r["note"] for r in report.bound_rows)
+            bounds=[{"id": "davies", "params": {"alpha": [0.5, 2.0]}}]))
+        assert not report.failures() and report.exit_code == 0
+        assert [(r["alpha"], r["x"], r["note"]) for r in report.bound_rows
+                if not r["domain_ok"]] == [(0.5, None, "alpha must exceed 1")]
+        assert len(report.bound_rows) == 1 + 64
+        # an entry out of domain at every (t, params) point checks nothing:
+        # load rejects it with the note
+        with pytest.raises(ValueError, match="'trig-alpha' .*: needs K != 0$"):
+            minimal_config(
+                bounds=[{"id": "trig-alpha", "params": {"alpha": [2.0]}}])
 
     def test_row_coverage(self):
         cfg = minimal_config(times=[0.5, 1.0],
@@ -215,6 +222,19 @@ class TestRunExperiment:
         for path in sorted([*CONFIGS.glob("*.json"),
                             *PERFBENCH_CONFIGS.glob("*.json")]):
             ExperimentConfig.from_json(path)
+
+    def test_every_shipped_bound_entry_checks_a_row(self):
+        # load rejects an entry whose hypotheses fail everywhere; this also
+        # catches one whose constants are never finite or whose Y never
+        # enters bbg's window, which load cannot see
+        for path in sorted([*CONFIGS.glob("*.json"),
+                            *PERFBENCH_CONFIGS.glob("*.json")]):
+            config = replace(ExperimentConfig.from_json(path), mc=[])
+            ids = [entry["id"] for entry in config.bounds]
+            report = run_experiment(config)
+            checked = {block.head["bound_id"] for block in report.bound_blocks
+                       if block.worst() is not None}
+            assert len(set(ids)) == len(ids) and checked == set(ids), path
 
     def test_a_run_resolves_its_config_through_the_loader(self, monkeypatch):
         # run_experiment builds the model, the ensembles and the clocks only
@@ -337,19 +357,30 @@ class TestRunExperiment:
         assert len(BoundBlock(row).failing(1e-6)) == 1
 
     def test_classical_bounds_skipped_on_drift_models(self):
-        cfg = minimal_config(
-            manifold={"family": "euclidean-line", "m": 1, "n": 2,
-                      "drift": SINE_DRIFT},
-            initial_datum={"id": "gaussian",
-                           "params": {"amp": 1.0, "width": 0.3}},
-            bounds=[{"id": "davies", "params": {"alpha": [2.0]}}],
-            scheme="crank-nicolson-fd",
-            times=[0.5])
-        report = run_experiment(cfg)
-        # skips, not failures, so the run checked nothing and exits 1
-        assert not report.failures() and report.exit_code == 1
-        assert all(not r["domain_ok"] for r in report.bound_rows)
-        assert "Z = 0" in report.bound_rows[0]["note"]
+        # davies is stated for Z = 0: on a drift model load rejects it, and
+        # a block of it is one skip row, as the harness says the model has
+        # a drift
+        note = "stated for Z = 0, skipped on a drift model"
+        doc = dict(manifold={"family": "euclidean-line", "m": 1, "n": 2,
+                             "drift": SINE_DRIFT},
+                   initial_datum={"id": "gaussian",
+                                  "params": {"amp": 1.0, "width": 0.3}},
+                   scheme="crank-nicolson-fd", times=[0.5])
+        davies = {"id": "davies", "params": {"alpha": [2.0]}}
+        with pytest.raises(ValueError, match=f"'davies' .*: {note}$"):
+            minimal_config(bounds=[davies], **doc)
+        M = manifold_from_dict(doc["manifold"])
+        datum = initial_datum("gaussian", {"amp": 1.0, "width": 0.3})
+        state = solve_heat(M, datum, 0.5, scheme="crank-nicolson-fd")
+        nodes = (state.grid, state.X(), state.Y(), state.W())
+        block = _bound_block(state, nodes, "davies", {"alpha": 2.0})
+        assert [(r["x"], r["domain_ok"], r["note"]) for r in block.rows()] == [
+            (None, False, note)]
+        # exp-alpha is not stated for Z = 0 alone: checked on the drift model
+        report = run_experiment(minimal_config(
+            bounds=[dict(davies, id="exp-alpha")], **doc))
+        assert report.exit_code == 0
+        assert all(r["domain_ok"] for r in report.bound_rows)
 
 
 def interval_mc_config():
@@ -799,9 +830,9 @@ class TestPerNodeBoundRows:
     def test_square_root_rows_on_hyperbolic(self):
         # K < 0 keeps the square-root terms of both bounds nonzero
         M, report, states = self.run("hyperbolic-radial",
-                                     ["yau", "bakry-qian-sqrt", "bbg"])
+                                     ["yau", "bakry-qian-sqrt"])
         assert M.K < 0
-        rows = [r for r in report.bound_rows if r["bound_id"] != "bbg"]
+        rows = report.bound_rows
         assert len(rows) == 2 * len(self.TIMES) * 101
         n, Km = M.n, -M.K
         for row in rows:
@@ -821,10 +852,9 @@ class TestPerNodeBoundRows:
             assert row["margin"].hex() == res.margin.hex() == ref.hex()
             assert (row["gamma"], row["a"], row["c"]) == (None, None, 0.0)
             assert row["domain_ok"] is True and row["note"] == ""
-        # bbg needs K > 0 whatever the state: one skip row per time
-        skips = [r for r in report.bound_rows if r["bound_id"] == "bbg"]
-        assert [(r["x"], r["domain_ok"], r["note"]) for r in skips] == (
-            [(None, False, "needs K > 0")] * len(self.TIMES))
+        # bbg needs K > 0 whatever the state: load rejects it here
+        with pytest.raises(ValueError, match="'bbg' .*: needs K > 0$"):
+            self.run("hyperbolic-radial", ["bbg"])
 
     def test_bbg_rows_on_sphere(self):
         M, report, states = self.run("sphere-radial", ["bbg"])
@@ -854,9 +884,9 @@ def _dict_cell(value):
 
 
 def mixed_report() -> Report:
-    """Blocks of every kind: in domain, per-node and whole-bound skips,
-    drift skips and errors (local-grad's, from a local_betas made to
-    raise), integer times and None parameters."""
+    """Blocks of every kind: in domain, per-node and whole-bound skips
+    (davies at alpha 0.5), a drift skip and errors (local-grad's, from a
+    local_betas made to raise), integer times and None parameters."""
     def failing(*args, **kwargs):
         raise ValueError("local_betas raised")
 
@@ -871,14 +901,16 @@ def mixed_report() -> Report:
                                                     "R": [1.5]}}]))
     hyperbolic = run_experiment(minimal_config(
         manifold={"family": "hyperbolic-radial", "m": 2}, times=[1, 2],
-        grid_size=21, bounds=[{"id": "bbg"}]))
-    drift = run_experiment(minimal_config(
-        manifold={"family": "euclidean-line", "m": 1, "n": 2,
-                  "drift": SINE_DRIFT},
-        initial_datum={"id": "gaussian", "params": {"amp": 1.0,
-                                                    "width": 0.3}},
-        scheme="crank-nicolson-fd", times=[0.5], grid_size=21,
-        bounds=[{"id": "davies", "params": {"alpha": [2.0]}}]))
+        grid_size=21,
+        bounds=[{"id": "davies", "params": {"alpha": [0.5, 2.0]}}]))
+    # load rejects davies on a drift model, so its skip block is made here
+    line = manifold_from_dict({"family": "euclidean-line", "m": 1, "n": 2,
+                               "drift": SINE_DRIFT})
+    state = solve_heat(line, initial_datum("gaussian", {"amp": 1.0,
+                                                        "width": 0.3}),
+                       0.5, grid_size=21, scheme="crank-nicolson-fd")
+    drift = _bound_block(state, (state.grid, state.X(), state.Y(),
+                                 state.W()), "davies", {"alpha": 2.0})
     # bbg leaves its window where Y >= (n K / 4)(1 + pi^2 / (K t)^2)
     M = manifold_from_dict({"family": "sphere-radial", "m": 2})
     grid = M.grid(11)
@@ -887,8 +919,7 @@ def mixed_report() -> Report:
     window = _bound_block(state, (grid, state.X(), state.Y(), state.W()),
                           "bbg", {})
     assert 0 < window.margins.domain_ok.sum() < 11
-    blocks = (sphere.bound_blocks + hyperbolic.bound_blocks
-              + drift.bound_blocks + [window])
+    blocks = sphere.bound_blocks + hyperbolic.bound_blocks + [drift, window]
     return Report(config=sphere.config, solver_rows=[], bound_blocks=blocks,
                   mc_rows=[], meta={})
 
@@ -904,7 +935,8 @@ class TestEmit:
                          (False, False, False, True)}
         assert {r["t"] for r in rows} >= {1, 2, 0.5}
         assert None in {r["alpha"] for r in rows if r["domain_ok"]}
-        assert {"needs K > 0", "stated for Z = 0, skipped on a drift model",
+        assert {"alpha must exceed 1",
+                "stated for Z = 0, skipped on a drift model",
                 "Y outside the admissible window"} <= {r["note"] for r in rows}
         paths = emit_report(report, tmp_path, "csv")
 
@@ -1081,19 +1113,20 @@ class TestCli:
         assert "bounds=0 mc=0 worst_margin=inf failures=2" in res.output
 
     def test_verify_warns_when_nothing_is_checked(self, tmp_path):
-        # trig-alpha with alpha = 2 has no constants on the circle: one skip,
-        # and a run that checked nothing exits 1 though no row failed
-        doc = dict(manifold={"family": "circle", "m": 1, "n": 1},
-                   initial_datum={"id": "eigen",
-                                  "params": {"index": 1, "amp": 0.5}},
-                   times=[1.0], grid_size=64,
-                   bounds=[{"id": "trig-alpha", "params": {"alpha": [2.0]}}])
+        # a local_time_moment row has no target, so it reaches no verdict:
+        # a run that checked nothing exits 1 though no row failed
+        doc = dict(manifold={"family": "interval-neumann", "m": 1, "n": 1},
+                   initial_datum={"id": "cosine",
+                                  "params": {"k": 1, "amp": 0.5}},
+                   times=[1.0], grid_size=64, bounds=[],
+                   mc=[{"functional": "local_time_moment", "t": 0.5,
+                        "x0": 0.0, "p": 1.0, "n_paths": 200, "dt": 0.01}])
         res = self.verify(tmp_path, **doc)
         assert res.exit_code == 1, res.output
         assert res.stdout.splitlines() == [
-            "rows: bounds=1 mc=0 worst_margin=inf failures=0"]
+            "rows: bounds=0 mc=1 worst_margin=inf failures=0"]
         assert res.stderr == "warning: no bound or MC row was checked\n"
-        doc["bounds"][0]["id"] = "linear-alpha"
+        doc["bounds"] = [{"id": "linear-alpha", "params": {"alpha": [1.0]}}]
         res = self.verify(tmp_path, **doc)
         assert res.exit_code == 0 and res.stderr == "", res.output
 
@@ -1284,7 +1317,7 @@ class TestCli:
             "clock_integrals", "clocks", "cutoff_growth_check",
             "emit_report", "estimate_functional", "eval_bound",
             "exact_kernel", "expected_local_time", "expected_value_at",
-            "gamma_integral", "gaussian_kernel_state", "geometry", "harness",
+            "gamma_integral", "geometry", "harness",
             "heatflow", "initial_datum", "local_betas", "local_time_moment",
             "make_clock", "make_model_manifold", "manifold_from_dict",
             "nonconvex_bound_rhs", "nonconvex_constants", "numerics",
@@ -1498,6 +1531,63 @@ class TestCli:
             errors = error_lines(res.output)
             assert len(errors) == 1 and message in errors[0], res.output
             ExperimentConfig(**changed(doc, mend))
+
+    def test_a_bound_entry_no_point_can_check_is_rejected_at_load(
+            self, tmp_path, monkeypatch):
+        # bbg on the circle (K = 0), davies on a drift model, trig-alpha at
+        # K = 0, and davies whose every alpha is at most 1; an entry with
+        # one live point loads
+        circle = json.loads((CONFIGS / "suite_circle.json").read_text())
+        drift = json.loads((CONFIGS / "drift_circle.json").read_text())
+
+        def add(entry):
+            return lambda doc: doc["bounds"].append(entry)
+
+        def alphas(*values):
+            return lambda doc: doc["bounds"][0].update(
+                params={"alpha": list(values)})
+
+        def on_the_sphere(edit):
+            def edited(doc):
+                edit(doc)
+                doc["manifold"].update(family="sphere-radial", m=2, n=2)
+            return edited
+
+        trig = add({"id": "trig-alpha", "params": {"alpha": 2}})
+
+        self.assert_rejected_at_load(tmp_path, monkeypatch, (
+            (circle, add({"id": "bbg"}), add({"id": "lu-range"}),
+             "bound 'bbg' applies at no (t, params) point of the config: "
+             "needs K > 0"),
+            (drift, add({"id": "davies", "params": {"alpha": 2}}),
+             add({"id": "exp-alpha", "params": {"alpha": 2}}),
+             "bound 'davies' applies at no (t, params) point of the config: "
+             "stated for Z = 0, skipped on a drift model"),
+            (circle, trig, on_the_sphere(trig),
+             "bound 'trig-alpha' applies at no (t, params) point of the "
+             "config: needs K != 0"),
+            (circle, alphas(0.5, 1), alphas(0.5, 1, 1.5),
+             "bound 'davies' applies at no (t, params) point of the config: "
+             "alpha must exceed 1")))
+
+    def test_the_bound_entry_check_comes_last_and_computes_nothing(
+            self, monkeypatch):
+        # an earlier load error keeps its message; the check evaluates no
+        # bound, so a bound that raises at run time still loads
+        doc = json.loads((CONFIGS / "suite_circle.json").read_text())
+        doc["bounds"].append({"id": "bbg"})
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            ExperimentConfig(**dict(doc, tol=-1.0))
+
+        def no_call(*args, **kwargs):
+            raise AssertionError("a bound was evaluated at load")
+
+        for name in ("bound_margins", "_normal_form", "local_betas",
+                     "phi_bbg", "beta_t_alpha"):
+            monkeypatch.setattr(bounds, name, no_call)
+        for path in sorted([*CONFIGS.glob("*.json"),
+                            *PERFBENCH_CONFIGS.glob("*.json")]):
+            ExperimentConfig.from_json(path)
 
     def test_param_values_and_clock_keys_are_checked_at_load(
             self, tmp_path, monkeypatch):

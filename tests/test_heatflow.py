@@ -7,11 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from liyau import (exact_kernel, gaussian_kernel_state, initial_datum,
+from liyau import (HeatState, exact_kernel, initial_datum,
                    make_model_manifold, solve_heat)
 from liyau.geometry import FAMILIES, manifold_from_dict
 from liyau import heatflow
-from liyau.heatflow import (_MODE_CUT, _apply, _basis, _generator,
+from liyau.heatflow import (KERNELS, _MODE_CUT, _apply, _basis, _generator,
                             _kernel_spectral, _kernel_wrapped,
                             _radial_spectral, radial_eigenpair)
 from liyau.numerics import SolverError
@@ -92,11 +92,14 @@ class TestGaussianSaturation:
         for _ in range(20):
             t = rng.uniform(0.05, 2.0)
             grid = rng.uniform(-3, 3, size=7)
-            st = gaussian_kernel_state(line, t, grid)
+            st = HeatState(line, t, grid,
+                           *KERNELS[line.family](line.m, t, grid))
             assert np.max(np.abs(st.X() - st.Y() - 1.0 / (2 * t))) < 1e-9
 
     def test_kernel_state_matches_finite_difference(self, line):
-        st = gaussian_kernel_state(line, 0.7, np.array([0.4]))
+        grid = np.array([0.4])
+        st = HeatState(line, 0.7, grid,
+                       *KERNELS[line.family](line.m, 0.7, grid))
         h = 1e-6
         u = lambda x: exact_kernel(line, 0.7, x, 0.0)
         fd = (u(0.4 + h) - u(0.4 - h)) / (2 * h)
@@ -137,7 +140,7 @@ class TestKernelDimension:
     def test_gaussian_kernel_state_is_the_exact_kernel(self):
         line = make_model_manifold("euclidean-line", m=2)
         xs = np.array([-1.3, 0.0, 0.7])
-        st = gaussian_kernel_state(line, 0.5, xs)
+        st = HeatState(line, 0.5, xs, *KERNELS[line.family](line.m, 0.5, xs))
         for x, u in zip(xs, st.u):
             assert u == pytest.approx(exact_kernel(line, 0.5, x, 0.0),
                                       rel=1e-15)
