@@ -11,9 +11,9 @@ descriptor stores the curvature-dimension constants (K, n) and, when a
 boundary exists, the convexity lower bound sigma of its second
 fundamental form.  Those three numbers parameterise every bound in the
 catalog and every exponential path weight in the Monte Carlo layer.
-FAMILIES holds each family's Family record, which heatflow and
-stochastic read through ModelManifold.spec, and DRIFTS each drift Z of
-the flat families, with its sharp CD(K, n) constant.
+FAMILIES holds each family's Family record (its b beside its profile),
+read through ModelManifold.spec, and DRIFTS each drift Z of the families
+without b, with its sharp CD(K, n) constant.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ class Family(NamedTuple):
     compact: bool = False           # the grid covers the whole space
     sharp_K: Callable = lambda m: 0.0   # K of the model without drift
     profile: Callable = np.ones_like    # volume density profile^(m-1)
+    b: Callable | None = None   # (m-1, x, out) -> volume drift, or none
     rmax: float = 8.0
     grid_size: int = 401
 
@@ -47,7 +48,8 @@ class Family(NamedTuple):
 FAMILIES = {
     "euclidean-line": Family(("rmax",), lambda r: (-r, r)),
     "euclidean-radial": Family(("pole_cut", "rmax"), lambda c, r: (c, r),
-                               radial=True, profile=lambda x: x),
+                               radial=True, profile=lambda x: x,
+                               b=lambda k, x, o: np.divide(k, x, out=o)),
     "circle": Family((), lambda: (0.0, 2.0 * math.pi), periodic=True,
                      compact=True, grid_size=256),
     "half-line-neumann": Family(("rmax",), lambda r: (0.0, r),
@@ -57,11 +59,15 @@ FAMILIES = {
                                grid_size=257),
     "sphere-radial": Family(("pole_cut",), lambda c: (c, math.pi - c),
                             radial=True, flux_form=True, compact=True,
-                            sharp_K=lambda m: m - 1.0, profile=np.sin),
+                            sharp_K=lambda m: m - 1.0, profile=np.sin,
+                            b=lambda k, x, o: np.divide(k, np.tan(x, out=o), out=o)),
     "hyperbolic-radial": Family(("pole_cut", "rmax"), lambda c, r: (c, r),
                                 radial=True, flux_form=True,
                                 sharp_K=lambda m: -(m - 1.0), rmax=3.0,
-                                profile=np.sinh),
+                                profile=np.sinh, b=lambda k, x, o: np.multiply(
+                                    k, np.add(1.0, np.divide(2.0, np.expm1(
+                                        np.multiply(2.0, x, out=o), out=o),
+                                        out=o), out=o), out=o)),
 }
 
 class Drift(NamedTuple):
@@ -122,16 +128,10 @@ class ModelManifold:
     # -- coefficients of the reduction --------------------------------------
 
     def b(self, x, out=None):
-        """Volume-element drift of the radial reduction, into out if given."""
+        """Volume-element drift of the reduction, into out if given."""
         x = np.asarray(x, dtype=float)
-        if self.family == "euclidean-radial":
-            out = np.divide(self.m - 1, x, out=out)
-        elif self.family == "sphere-radial":
-            out = np.divide(self.m - 1, np.tan(x, out=out), out=out)
-        elif self.family == "hyperbolic-radial":
-            out = np.expm1(np.multiply(2.0, x, out=out), out=out)
-            out = np.multiply(self.m - 1, np.add(
-                1.0, np.divide(2.0, out, out=out), out=out), out=out)
+        if self.spec.b is not None:
+            out = self.spec.b(self.m - 1, x, out)
         elif out is None:
             out = np.zeros_like(x)
         else:
@@ -216,7 +216,7 @@ def make_model_manifold(family: str, m: int = 1, n: float | None = None,
             raise ValueError(f"unknown drift {drift_id!r}; known: {tuple(DRIFTS)}")
         params = with_defaults(drift.get("params"), DRIFTS[drift_id].params,
                                f"drift {drift_id!r}")
-        if spec.radial:
+        if spec.b is not None:
             raise ValueError(f"drift not supported on {family}: no radial reduction")
         if n == 1:
             raise ValueError("CD(K, 1) holds for no K with a drift: n must be > 1")

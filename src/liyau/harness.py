@@ -65,9 +65,10 @@ def resolve(config: ExperimentConfig) -> tuple:
     """(model, datum, each bound entry's (id, parameter sets), each mc
     entry's (ensemble, clock)), each entry checked by its own module.  Load
     and run both call it, so the config keeps nothing resolved."""
-    check_real(config.seed, "the seed", integral=True)
+    # as for an mc entry's seed and grid size (stochastic._LEAST)
+    check_real(config.seed, "the seed", integral=True, least=0)
     if config.grid_size is not None:
-        check_real(config.grid_size, "the grid size", integral=True)
+        check_real(config.grid_size, "the grid size", integral=True, least=3)
     check_real(config.tol, "the tolerance")
     if config.tol <= 0:
         raise ValueError("tolerance must be positive")

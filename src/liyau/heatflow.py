@@ -189,9 +189,7 @@ DATA = {
                    ("circle", "interval-neumann")),
     "legendre": Datum({"index": 1, "amp": 0.5, "base": 1.0},
                       ("sphere-radial",)),
-    "gaussian": Datum({"amp": 1.0, "width": 0.25, "base": 1.0},
-                      ("euclidean-line", "half-line-neumann",
-                       "euclidean-radial")),
+    "gaussian": Datum({"amp": 1.0, "width": 0.25, "base": 1.0}, tuple(KERNELS)),
 }
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 
 import numpy as np
 
@@ -51,16 +52,23 @@ def with_defaults(params, defaults: dict, what: str) -> dict:
     return {**defaults, **params}
 
 
-def check_real(value, what: str, integral: bool = False) -> None:
+def check_real(value, what: str, integral: bool = False,
+               least: float | None = None) -> None:
     """Raise ValueError unless a config value is a finite real number (an
-    int or a float, never a bool, a str, NaN or an infinity), and a whole
-    one if integral."""
+    int or a float, never a bool, a str, NaN, an infinity or an int beyond
+    the float range), a whole one if integral, and at least least if
+    given."""
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ValueError(f"{what} must be finite, not an integer beyond "
+                         "the float range")
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or integral and not float(value).is_integer()):
         raise ValueError(f"{what} must be a {'whole' if integral else 'real'}"
                          f" number, not {value!r}")
     if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"{what} must be finite, not {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be >= {least}, not {value!r}")
 
 
 def coth(x):

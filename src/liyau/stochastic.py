@@ -79,6 +79,7 @@ class _Stepper:
         lo, hi = M.domain()
         self.wrap = M.spec.periodic
         self.guard = (lo + 1e-9, hi - 1e-9) if M.spec.radial else None
+        self.first_order = M.spec.b is not None or M.drift_id != "none"
         self.rejected = 0
         self.buf = np.empty(0)   # the step's normals, then each wall's E
 
@@ -86,8 +87,8 @@ class _Stepper:
         """Advance x one step and write the step's local time into dL
         (a family without walls leaves it at the zeros it came with).
 
-        Returns y = (x + b dt) + c xi (no b dt on flat families without
-        drift), pushed off each flat wall where min(a, b) <= T =
+        Returns y = (x + b dt) + c xi (no b dt when L has no first-order
+        term), pushed off each flat wall where min(a, b) <= T =
         sqrt(dt max E) (1 + 1e-6), or by max(0, -b) under projection with
         T = 0, and keeps x as self.before.
         """
@@ -99,7 +100,7 @@ class _Stepper:
             y = np.empty_like(x)
         xi = np.multiply(rng.standard_normal(out=self.buf), c, out=self.buf)
         start = x
-        if self.guard is not None or self.M.drift_id != "none":
+        if self.first_order:   # L has a volume drift or a drift
             start = self.M.b_total(x, out=y)
             np.add(x, np.multiply(start, dt, out=start), out=start)
         np.add(start, xi, out=y)
@@ -546,9 +547,12 @@ def value_accumulator(ens: Ensemble, u0, t: float) -> Accumulator:
 ENSEMBLE_KEYS = ("functional", "t", "x0", "n_paths", "dt", "seed")
 SOLVE_KEYS = ("grid_size", "pde_scheme")
 # the mc-entry keys that hold no number; every other key holds a real
-# number, and those of _WHOLE_KEYS a whole one
+# number, those of _WHOLE_KEYS a whole one, and those of _LEAST at least
+# their least: numpy seeds no generator from a negative seed, and the
+# three-diagonal generator and np.gradient's second-order ends need 3 nodes
 _WORD_KEYS = ("functional", "compare", "clock", "pde_scheme")
 _WHOLE_KEYS = ("n_paths", "seed", "grid_size")
+_LEAST = {"seed": 0, "grid_size": 3}
 
 
 @dataclass(frozen=True)
@@ -652,8 +656,8 @@ def resolve_entry(entry: dict, M: ModelManifold, seed: int, datum) -> tuple:
     """The (ensemble, clock) of an mc entry on M from datum, the one home of
     the x0, n_paths, dt and seed defaults; raises ValueError on an entry
     that its functional would not run or check, or with a value that is
-    not a real number (n_paths, seed and grid_size: a whole one).  Builds
-    no accumulator."""
+    not a real number (n_paths, seed and grid_size: a whole one, and at
+    least its _LEAST).  Builds no accumulator."""
     fid = entry.get("functional")
     if fid not in FUNCTIONALS:
         raise ValueError(f"unknown functional {fid!r}; known: "
@@ -667,7 +671,7 @@ def resolve_entry(entry: dict, M: ModelManifold, seed: int, datum) -> tuple:
     for key, value in entry.items():
         if key not in _WORD_KEYS:
             check_real(value, f"{key!r} of an mc entry ({fid})",
-                       integral=key in _WHOLE_KEYS)
+                       integral=key in _WHOLE_KEYS, least=_LEAST.get(key))
     if compare in fn.convex and M.sigma:
         raise ValueError(f"compare {compare!r} drops the sigma dL weight: "
                          "it needs sigma = 0")

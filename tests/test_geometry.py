@@ -110,6 +110,26 @@ class TestMakeManifold:
         assert [f for f, s in FAMILIES.items() if s.radial] == [
             "euclidean-radial", "sphere-radial", "hyperbolic-radial"]
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_record_drift_is_the_log_derivative_of_its_profile(self, m):
+        # b = (m-1) d log(profile)/dx by central differences on each
+        # record's interior grid, so a new record's b and profile agree
+        h = 1e-6
+        for family, spec in FAMILIES.items():
+            M = make_model_manifold(family, m=m)
+            x = M.grid(spec.grid_size)[1:-1]
+            log_f = lambda x: np.log(spec.profile(x))
+            slope = (m - 1) * (log_f(x + h) - log_f(x - h)) / (2.0 * h)
+            # relative, but for the rounding of the differences where b = 0
+            np.testing.assert_allclose(M.b(x), slope, rtol=1e-6, atol=1e-9,
+                                       err_msg=family)
+            # into out, with the same bits, and at a scalar
+            out = np.empty_like(x)
+            assert M.b(x, out=out) is out
+            assert np.array_equal(out.view(np.uint64),
+                                  M.b(x).view(np.uint64)), family
+            assert M.b(float(x[3])) == M.b(x)[3], family
+
 
 # each catalog drift on each family that admits it: an ou center outside
 # the interval, intervals shorter than pi/k, a sine vertex inside the range

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -198,6 +199,34 @@ class TestRunExperiment:
                 ({"id": "sine", "params": {}}, "sine")):
             with pytest.raises(ValueError, match=match):
                 minimal_config(initial_datum=datum)
+        # an int beyond the float range, a negative seed (numpy seeds no
+        # generator from one) and a grid of fewer than 3 nodes fail at load
+        huge = 10**400
+
+        def row(**values):
+            return {"mc": [dict(functional="expected_value", t=0.25, **values)]}
+
+        for overrides, message in (
+                ({"seed": huge}, "the seed must be finite, not an integer"),
+                ({"times": [huge]}, "a time of the grid must be finite"),
+                ({"bounds": [{"id": "trig-alpha", "params": {"alpha": [huge]}}]},
+                 "param 'alpha' of bound 'trig-alpha' must be finite"),
+                (row(seed=huge), "'seed' of an mc entry (expected_value) "
+                 "must be finite"),
+                (row(dt=huge), "'dt' of an mc entry (expected_value) must be "
+                 "finite"),
+                ({"seed": -3}, "the seed must be >= 0, not -3"),
+                (row(seed=-1), "'seed' of an mc entry (expected_value) must "
+                 "be >= 0, not -1"),
+                ({"grid_size": 2}, "the grid size must be >= 3, not 2"),
+                ({"grid_size": 1}, "the grid size must be >= 3, not 1"),
+                ({"grid_size": 0}, "the grid size must be >= 3, not 0"),
+                ({"grid_size": -5}, "the grid size must be >= 3, not -5"),
+                (row(grid_size=2), "'grid_size' of an mc entry "
+                 "(expected_value) must be >= 3, not 2")):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                minimal_config(**overrides)
+        minimal_config(seed=0, grid_size=3, **row(seed=0, grid_size=3))
 
     def test_x0_may_sit_on_a_wall_but_not_past_the_domain(self):
         for manifold, x0, inside in (
@@ -1342,15 +1371,20 @@ class TestCli:
         assert len(mc.mc_rows) == 8
 
     def test_command_line_values_are_checked(self, tmp_path):
-        res = CliRunner().invoke(main, ["verify", "--config",
-                                        str(self.write_config(tmp_path)),
-                                        "--tol", "-1"])
-        # a config the checks reject is a usage error: one Error: line
-        assert res.exit_code == 2, res.output
-        assert res.output.splitlines()[-1].startswith("Error: invalid config")
-        assert "tolerance must be positive" in res.output
-        assert [line.startswith("Error:")
-                for line in res.output.splitlines()].count(True) == 1
+        # --seed reaches the config's check through dataclasses.replace
+        for option, value, message in (
+                ("--tol", "-1", "tolerance must be positive"),
+                ("--seed", "-1", "the seed must be >= 0, not -1")):
+            res = CliRunner().invoke(main, ["verify", "--config",
+                                            str(self.write_config(tmp_path)),
+                                            option, value])
+            # a config the checks reject is a usage error: one Error: line
+            assert res.exit_code == 2, res.output
+            assert res.output.splitlines()[-1].startswith(
+                "Error: invalid config")
+            assert message in res.output
+            assert [line.startswith("Error:")
+                    for line in res.output.splitlines()].count(True) == 1
 
     def test_mc_entries_are_checked_at_load(self, tmp_path):
         # an x0 past the walls would start the paths outside and read the
@@ -1687,7 +1721,26 @@ class TestCli:
             (circle, manifold(n=math.nan), manifold(n=1.5),
              "manifold key 'n' must be finite, not nan"),
             (circle, bound({"alpha": []}), bound({"alpha": [2.0]}),
-             "param 'alpha' of bound 'davies' sweeps an empty list")))
+             "param 'alpha' of bound 'davies' sweeps an empty list"),
+            # an int beyond the float range used to raise OverflowError, a
+            # negative seed failed every MC row at run time, and a grid of
+            # fewer than 3 nodes failed every solve or checked rows on 2
+            (mc, entry(seed=10**400), entry(seed=2**64),
+             "'seed' of an mc entry (expected_value) must be finite, not an"
+             " integer beyond the float range"),
+            (circle, config(seed=10**400), config(seed=0),
+             "the seed must be finite, not an integer beyond the float range"),
+            (mc, config(seed=-1), config(seed=0),
+             "the seed must be >= 0, not -1"),
+            (mc, entry(seed=-3), entry(seed=0),
+             "'seed' of an mc entry (expected_value) must be >= 0, not -3"),
+            (interval, config(grid_size=2), config(grid_size=3),
+             "the grid size must be >= 3, not 2"),
+            (circle, config(grid_size=0), config(grid_size=3),
+             "the grid size must be >= 3, not 0"),
+            (mc, entry(grid_size=2), entry(grid_size=3),
+             "'grid_size' of an mc entry (expected_value) must be >= 3, "
+             "not 2")))
 
     def test_local_bound_radii_are_checked_at_load(self, tmp_path,
                                                    monkeypatch):

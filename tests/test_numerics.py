@@ -22,6 +22,15 @@ def test_check_real_demands_a_finite_number():
             check_real(value, "x")
     with pytest.raises(ValueError, match="x must be a whole number"):
         check_real(math.inf, "x", integral=True)
+    # an int beyond the float range is not finite either, whole or not
+    check_real(2**1023, "x", integral=True)
+    for value, integral in ((10**400, True), (-10**400, False)):
+        with pytest.raises(ValueError, match="x must be finite, not an "
+                           "integer beyond the float range"):
+            check_real(value, "x", integral=integral)
+    check_real(3, "x", integral=True, least=3)
+    with pytest.raises(ValueError, match="x must be >= 3, not 2"):
+        check_real(2, "x", integral=True, least=3)
 
 
 class TestSmoothRule:

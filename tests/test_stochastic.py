@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from liyau import geometry
 from liyau import (clock_integrals, cutoff_growth_check, estimate_functional,
                    expected_local_time, expected_value_at, initial_datum,
                    local_time_moment, make_clock, make_model_manifold,
@@ -250,6 +251,34 @@ class TestInPlaceStepper:
             assert np.array_equal(x.view(np.uint64), ref.view(np.uint64))
             assert not dL.any()
         assert stepper.rejected > 0   # the redraw was exercised
+
+
+class ZeroDraws:
+    """A generator whose normals and exponentials are all zero."""
+
+    def standard_normal(self, out):
+        out.fill(0.0)
+        return out
+
+    standard_exponential = standard_normal
+
+
+@pytest.mark.parametrize("scheme", ["bridge", "projection"])
+def test_a_volume_drift_without_a_pole_is_stepped(monkeypatch, scheme):
+    # a walled record with the volume drift (m-1)/r and no pole, the shape
+    # of the annulus 1 <= r <= 3: with zero draws each path away from the
+    # walls moves by b dt exactly, and the chart guard stays off
+    monkeypatch.setitem(geometry.FAMILIES, "annulus", geometry.Family(
+        ("length",), lambda L: (1.0, 1.0 + L), walls=(True, True),
+        profile=lambda x: x, b=lambda k, x, o: np.divide(k, x, out=o)))
+    M = make_model_manifold("annulus", m=3, length=2.0)
+    x = np.linspace(1.2, 2.8, 9)
+    dL = np.zeros_like(x)
+    stepper = _Stepper(M, 1e-3, scheme)
+    y = stepper(x, ZeroDraws(), dL)
+    assert stepper.guard is None and not dL.any()
+    assert same_bits(y, x + (2.0 / x) * 1e-3)
+    assert same_bits(y, x + M.b(x) * 1e-3)
 
 
 def snapshot(x):
